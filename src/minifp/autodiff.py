@@ -554,27 +554,26 @@ class CorruptCheckpoint(ValueError):
     pass
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise CorruptCheckpoint(f"truncated {what}")
+    return raw
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into name -> float32 array (bit-exact round trip)."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise CorruptCheckpoint("truncated header")
-        version, count = struct.unpack("<II", head)
+        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CHECKPOINT_VERSION:
             raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            raw = fh.read(2)
-            if len(raw) != 2:
-                raise CorruptCheckpoint("truncated record")
-            (name_len,) = struct.unpack("<H", raw)
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "record"))
+            name = _read_exact(fh, name_len, "record").decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"shape for {name!r}"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape for {name!r}"))
             n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            buf = fh.read(4 * n_items)
-            if len(buf) != 4 * n_items:
-                raise CorruptCheckpoint(f"truncated data for {name!r}")
+            buf = _read_exact(fh, 4 * n_items, f"data for {name!r}")
             out[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
         return out

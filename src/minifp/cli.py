@@ -7,7 +7,8 @@ confined to timing files.  The MINIFP_SEED environment variable overrides
 the master seed from any other source.
 
 Exit codes: 0 success (including partial featurization failures), 2
-usage/manifest errors, 3 unrecoverable IO, 4 numeric failures.
+usage, manifest and data errors, 3 unrecoverable IO, 4 a non-finite training
+loss.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ from .backbones import (
 )
 from .downstream import (
     SWEEP_PRESETS,
+    FoldTooSmall,
     HeadConfig,
     MissingFingerprint,
+    SingleClass,
     TaskData,
     correlation_analysis,
     kfold_ensemble,
     sweep,
 )
-from .encodings import EigenFailure, assemble, feature_layout, global_seed_vector
+from .encodings import assemble, feature_layout, global_seed_vector
 from .fingerprints import (
     CorruptHeader,
     DimensionMismatch,
@@ -51,7 +54,6 @@ from .fingerprints import (
 )
 from .manifest import (
     ManifestError,
-    ParseFailure,
     build_pretrain_dataset,
     config_defaults,
     format_config,
@@ -64,7 +66,7 @@ from .manifest import (
 )
 from .multitask import LabelSet, LossWeights
 from .seeding import rng_stream
-from .trainer import NaNLossError, SplitSpec, TrainConfig, pretrain
+from .trainer import NaNLossError, SplitSpec, TooFewMolecules, TrainConfig, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,11 +167,7 @@ def cmd_featurize(args) -> int:
     molecules, failures = read_molecules(manifest)
     records = []
     for mol in molecules:
-        try:
-            feats = assemble(mol.graph, k_pe, rw_steps, seed, global_dim)
-        except EigenFailure as exc:
-            failures.append(ParseFailure(row_index=mol.row_index, smiles=mol.smiles, error=str(exc)))
-            continue
+        feats = assemble(mol.graph, k_pe, rw_steps, seed, global_dim)
         records.append((mol.molecule_id, mol.smiles, mol.graph, feats))
 
     out_dir = Path(args.out)
@@ -587,10 +585,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint) as exc:
+    except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint,
+            FoldTooSmall, SingleClass, TooFewMolecules) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EigenFailure, NaNLossError) as exc:
+    except NaNLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -505,7 +505,7 @@ def sweep(
 def kfold_partition(n: int, num_folds: int, seed: int) -> list[np.ndarray]:
     """Disjoint, exhaustive, seed-deterministic folds of range(n)."""
     if num_folds < 2:
-        raise ValueError("num_folds must be >= 2")
+        raise FoldTooSmall(f"need at least 2 folds, got {num_folds}")
     if n < num_folds:
         raise FoldTooSmall(f"cannot split {n} examples into {num_folds} folds")
     order = rng_stream(seed, "kfold").permutation(n)
@@ -596,8 +596,6 @@ def kfold_ensemble(
     for rep in range(num_reps):
         rep_seed = derive_seed(seed, "ensemble-rep", rep)
         folds = kfold_partition(len(train_rows), num_folds, rep_seed)
-        if any(len(f) == 0 for f in folds):
-            raise FoldTooSmall("a fold has zero validation examples")
         heads = []
         fold_scores = []
         for fold_id, fold in enumerate(folds):

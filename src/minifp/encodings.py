@@ -20,10 +20,6 @@ from .molgraph import BOND_ORDERS, ORGANIC_ELEMENTS, MolecularGraph
 from .seeding import rng_stream
 
 
-class EigenFailure(RuntimeError):
-    """The Jacobi sweep budget was exhausted before convergence."""
-
-
 #: Element slots for the one-hot encoding; anything else maps to the final slot.
 ELEMENT_SLOTS = ORGANIC_ELEMENTS + ("other",)
 MAX_DEGREE = 6
@@ -34,9 +30,6 @@ BOND_FEATURE_WIDTH = len(BOND_ORDERS) + 2
 DEFAULT_K_PE = 8
 DEFAULT_RW_STEPS = 16
 DEFAULT_GLOBAL_DIM = 64
-
-JACOBI_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass
@@ -142,50 +135,6 @@ def normalized_laplacian(graph: MolecularGraph) -> np.ndarray:
     return lap
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL):
-    """Cyclic Jacobi eigendecomposition of a dense symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Raises
-    :class:`EigenFailure` if the off-diagonal Frobenius norm has not fallen
-    below ``tol`` within the sweep budget.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {a.shape}")
-    vecs = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), vecs
-
-    for _ in range(max_sweeps):
-        off = a.copy()
-        off[np.diag_indices_from(off)] = 0.0
-        if np.sqrt((off**2).sum()) < tol:
-            return a.diagonal().copy(), vecs
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-                vecs[:, p], vecs[:, q] = c * vecs[:, p] - s * vecs[:, q], s * vecs[:, p] + c * vecs[:, q]
-    off = a.copy()
-    off[np.diag_indices_from(off)] = 0.0
-    if np.sqrt((off**2).sum()) < tol:
-        return a.diagonal().copy(), vecs
-    raise EigenFailure(f"no convergence within {max_sweeps} sweeps (off-norm {np.sqrt((off**2).sum()):.3e})")
-
-
 def _canonical_sign(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip each column so its first non-negligible component is positive."""
     out = vectors.copy()
@@ -196,41 +145,24 @@ def _canonical_sign(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def _sorted_eigenpairs(values: np.ndarray, vectors: np.ndarray, tie_tol: float = 1e-9):
-    """Sort ascending by eigenvalue; within near-degenerate groups, order the
-    sign-canonicalized eigenvectors lexicographically for determinism."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = _canonical_sign(vectors[:, order])
-    start = 0
-    while start < values.size:
-        stop = start + 1
-        while stop < values.size and values[stop] - values[start] <= tie_tol:
-            stop += 1
-        if stop - start > 1:
-            group = vectors[:, start:stop]
-            lex = sorted(range(group.shape[1]), key=lambda c: tuple(group[:, c]))
-            vectors[:, start:stop] = group[:, lex]
-        start = stop
-    return values, vectors
-
-
 def laplacian_encoding(graph: MolecularGraph, k_pe: int = DEFAULT_K_PE) -> LaplacianEncoding:
     """Eigenvectors/eigenvalues of the k_pe smallest Laplacian eigenpairs.
 
     The trivial eigenvector is kept.  When the graph has fewer than k_pe
-    nodes, the trailing columns are zero-padded.
+    nodes, the trailing columns are zero-padded.  Columns are sign-canonical;
+    inside a degenerate eigenspace the basis is whatever LAPACK returns for
+    this atom order, so it is reproducible for one input but not invariant
+    to relabelling.
     """
     if k_pe < 1:
         raise ValueError("k_pe must be >= 1")
     n = graph.num_atoms
     lap = normalized_laplacian(graph)
-    values, vectors = jacobi_eigh(lap)
-    values, vectors = _sorted_eigenpairs(values, vectors)
+    values, vectors = np.linalg.eigh(lap)
     keep = min(k_pe, n)
     vec_out = np.zeros((n, k_pe), dtype=np.float64)
     val_out = np.zeros((n, k_pe), dtype=np.float64)
-    vec_out[:, :keep] = vectors[:, :keep]
+    vec_out[:, :keep] = _canonical_sign(vectors[:, :keep])
     val_out[:, :keep] = values[:keep]
     return LaplacianEncoding(vectors=vec_out, values=val_out)
 

@@ -132,8 +132,8 @@ def extract_fingerprints(
     ``molecules`` holds SMILES strings or (id, SMILES) pairs; without an id
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
     the first occurrence.  ``source="global"`` reads the per-graph global
-    embedding instead of pooled node embeddings.  Parse or eigensolver
-    failures are collected in the report instead of aborting.
+    embedding instead of pooled node embeddings.  Molecules that fail to
+    parse or featurize are collected in the report instead of aborting.
     """
     cfg = model.config
     method = method or cfg.pool

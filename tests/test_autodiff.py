@@ -263,3 +263,17 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(raw[:-3])
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncated_at_every_offset_raises_typed_error(tmp_path):
+    params = [
+        Parameter("layer0/w", np.ones((2, 3), dtype=np.float32)),
+        Parameter("layer0/b", np.zeros(3, dtype=np.float32)),
+    ]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    raw = path.read_bytes()
+    for offset in range(len(raw)):
+        path.write_bytes(raw[:offset])
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)

@@ -303,6 +303,44 @@ def test_downstream_sweep_config1_table(tmp_path):
     assert chosen["learning_rate"] in (0.001, 0.0005, 0.0003, 0.0001, 5e-5)
 
 
+def _downstream_args(tmp_path, folds="2"):
+    store_path = tmp_path / "fp.mfps"
+    task = write_downstream_task(tmp_path, store_path)
+    head_cfg = tmp_path / "head.txt"
+    head_cfg.write_text(HEAD_CONFIG)
+    return ["downstream", str(store_path), str(task), "--sweep", "none", "--head-config", str(head_cfg),
+            "--folds", folds, "--reps", "1", "--out", str(tmp_path / "out")]
+
+
+def _single_class_args(tmp_path):
+    args = _downstream_args(tmp_path)
+    labels = tmp_path / "labels.csv"
+    rows = labels.read_text().splitlines()
+    labels.write_text("\n".join([rows[0]] + [row.rsplit(",", 1)[0] + ",1" for row in rows[1:]]) + "\n")
+    return args
+
+
+def _two_molecule_pretrain_args(tmp_path):
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN"])
+    return ["pretrain", str(manifest), "--backbone", "gcn", "--config", str(write_config(tmp_path)),
+            "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda tmp_path: _downstream_args(tmp_path, folds="1"),
+        lambda tmp_path: _downstream_args(tmp_path, folds="30"),
+        _single_class_args,
+        _two_molecule_pretrain_args,
+    ],
+    ids=["one-fold", "more-folds-than-rows", "single-class-auroc", "too-few-molecules"],
+)
+def test_data_errors_exit_2(tmp_path, capsys, make_args):
+    assert main(make_args(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def write_correlate_inputs(tmp_path, n_runs=5, coupled=True):
     rng = np.random.default_rng(0)
     quality = np.linspace(0.1, 0.9, n_runs)

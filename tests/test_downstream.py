@@ -300,6 +300,26 @@ def test_kfold_ensemble_shape_and_determinism():
     assert 0.0 <= summary["test_mean"] <= 1.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: kfold_ensemble scores masked-out label cells as class 0 / value 0",
+)
+def test_kfold_ensemble_ignores_masked_out_labels():
+    # Training already skips masked-out cells, so the value stored under a
+    # masked-out cell must not move any fold or test score either.
+    store, data, _ = separable_task(n=60)
+    mask = np.ones_like(data.labels.mask)
+    mask[::3] = 0.0
+    scores = []
+    for fill in (0.0, 1.0):
+        values = np.where(mask > 0, data.labels.values, fill)
+        masked = TaskData(ids=data.ids, labels=LabelSet(values, mask), kind="binary")
+        result = kfold_ensemble(store, masked, quick_config(epochs=3), num_folds=3, num_reps=2, metric="auroc", seed=0)
+        scores.append([(r.fold_val_scores, r.test_score) for r in result.repetitions])
+    assert scores[0] == scores[1]
+
+
 def test_kfold_ensemble_regression_metric():
     store, ids, vectors = make_store(40, 4, seed=9)
     labels = (vectors[:, :1] * 2.0).astype(float)

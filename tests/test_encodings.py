@@ -1,16 +1,13 @@
 import numpy as np
-import pytest
 
 from minifp.encodings import (
     ATOM_FEATURE_WIDTH,
     BOND_FEATURE_WIDTH,
-    EigenFailure,
     assemble,
     atom_features,
     bond_features,
     feature_layout,
     global_seed_vector,
-    jacobi_eigh,
     laplacian_encoding,
     normalized_laplacian,
     random_walk_encoding,
@@ -77,10 +74,12 @@ def test_feature_widths_match_layout():
 def test_p3_laplacian_eigenvalues():
     lap = normalized_laplacian(path_graph(3))
     # Independent dense oracle for the 3x3 matrix.
-    oracle = np.sort(np.linalg.eigvalsh(lap))
-    np.testing.assert_allclose(oracle, [0.0, 1.0, 2.0], atol=1e-12)
-    values, _ = jacobi_eigh(lap)
-    np.testing.assert_allclose(np.sort(values), [0.0, 1.0, 2.0], atol=1e-9)
+    np.testing.assert_allclose(np.linalg.eigvalsh(lap), [0.0, 1.0, 2.0], atol=1e-12)
+    enc = laplacian_encoding(path_graph(3), k_pe=3)
+    np.testing.assert_allclose(enc.values[0], [0.0, 1.0, 2.0], atol=1e-12)
+    r = np.sqrt(0.5)
+    expected = [[0.5, r, 0.5], [r, 0.0, -r], [0.5, -r, 0.5]]
+    np.testing.assert_allclose(enc.vectors, np.transpose(expected), atol=1e-12)
 
 
 def test_single_node_laplacian_is_zero():
@@ -93,30 +92,29 @@ def test_single_node_laplacian_is_zero():
 def test_k2_laplacian():
     lap = normalized_laplacian(path_graph(2))
     np.testing.assert_allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
-    values, _ = jacobi_eigh(lap)
-    np.testing.assert_allclose(np.sort(values), [0.0, 2.0], atol=1e-12)
+    enc = laplacian_encoding(path_graph(2), k_pe=2)
+    np.testing.assert_allclose(enc.values[0], [0.0, 2.0], atol=1e-12)
+    r = np.sqrt(0.5)
+    np.testing.assert_allclose(enc.vectors, [[r, r], [r, -r]], atol=1e-12)
 
 
-def test_jacobi_matches_numpy_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        n = int(rng.integers(1, 12))
-        sym = rng.standard_normal((n, n))
-        sym = (sym + sym.T) / 2.0
-        values, vectors = jacobi_eigh(sym)
-        order = np.argsort(values)
-        np.testing.assert_allclose(values[order], np.linalg.eigvalsh(sym), atol=1e-9)
-        # Columns are orthonormal eigenvectors.
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), atol=1e-10)
-        np.testing.assert_allclose(sym @ vectors, vectors * values, atol=1e-9)
-
-
-def test_jacobi_budget_exhaustion_raises():
-    rng = np.random.default_rng(1)
-    sym = rng.standard_normal((8, 8))
-    sym = (sym + sym.T) / 2.0
-    with pytest.raises(EigenFailure):
-        jacobi_eigh(sym, max_sweeps=0)
+def test_benzene_degenerate_pairs():
+    # The 6-cycle has the doubly degenerate eigenvalues 0.5 and 1.5.  Inside
+    # each pair any rotation is a valid basis; the encoding pins only the
+    # sign and reproducibility for a fixed atom order.
+    g = parse_smiles("c1ccccc1")
+    lap = normalized_laplacian(g)
+    enc = laplacian_encoding(g, k_pe=6)
+    np.testing.assert_allclose(enc.values[0], [0.0, 0.5, 0.5, 1.5, 1.5, 2.0], atol=1e-12)
+    vectors = enc.vectors
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(6), atol=1e-10)
+    assert np.abs(lap @ vectors - vectors * enc.values[0]).max() < 1e-8
+    for col in range(6):
+        nz = np.flatnonzero(np.abs(vectors[:, col]) > 1e-12)
+        assert vectors[nz[0], col] > 0
+    again = laplacian_encoding(g, k_pe=6)
+    assert np.array_equal(again.vectors, vectors)
+    assert np.array_equal(again.values, enc.values)
 
 
 def test_p3_encoding_value_rows():
@@ -262,7 +260,8 @@ def test_eigenvector_rows_permute_up_to_sign():
 
 def test_assemble_propagates_no_nan():
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        feats = assemble(random_molecule(rng))
+    # The 100-atom chain is the fingerprint workload's size cap.
+    for g in [random_molecule(rng) for _ in range(10)] + [path_graph(100)]:
+        feats = assemble(g)
         assert np.isfinite(feats.node_features).all()
         assert np.isfinite(feats.edge_features).all()
