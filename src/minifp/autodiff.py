@@ -5,9 +5,16 @@ a :class:`Tape` records forward ops in execution order and replays them in
 reverse to accumulate gradients into :class:`Parameter` objects.  Tensors
 are dense numpy arrays: 32-bit by default, 64-bit during gradient checks.
 
-Segment reductions accumulate in a canonical (sorted) order, so summing a
-permuted set of rows produces a bitwise-identical result; this is what makes
-fingerprints exactly invariant under node relabeling.
+Segment reductions run over a :class:`Segments` plan, which fixes once the
+order in which each segment's rows are added: by segment, then by the plan's
+key columns, then by row index.  Every sum is a product with a CSR matrix
+that adds each segment's rows in exactly that order.  Relabelling invariance
+comes from the keys the caller chooses: :class:`~minifp.backbones.GraphBatch`
+keys its plans on stable 1-WL colours, which do not depend on the labelling,
+and rows that tie on those keys carry bitwise-equal values at inference, so
+any tie order gives the same bits.  With dropout on, tied rows may differ and
+a relabelled batch may sum to different bits; the same batch still gives the
+same bits on every run.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import struct
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .seeding import rng_stream
 
@@ -85,14 +93,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _canonical_order(values: np.ndarray, segment_ids: np.ndarray | None = None) -> np.ndarray:
-    """Row order that is invariant to input permutation (segment, then row lex)."""
-    keys = tuple(values[:, c] for c in range(values.shape[1] - 1, -1, -1))
-    if segment_ids is not None:
-        keys = keys + (segment_ids,)
-    return np.lexsort(keys)
-
-
 def canonical_column_sums(values: np.ndarray) -> np.ndarray:
     """Column sums of a 2-D array, accumulated in canonical row order.
 
@@ -103,31 +103,87 @@ def canonical_column_sums(values: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"expected 2-D array, got shape {values.shape}")
     if values.shape[0] == 0:
         return np.zeros(values.shape[1], dtype=values.dtype)
-    return np.add.reduce(values[_canonical_order(values)], axis=0)
+    order = np.lexsort(tuple(values[:, c] for c in range(values.shape[1] - 1, -1, -1)))
+    return np.add.reduce(values[order], axis=0)
 
 
-def segment_sum_forward(
-    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Per-segment column sums in canonical order; empty segments are zero."""
-    values = np.asarray(values)
-    segment_ids = np.asarray(segment_ids)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"segment_sum expects 2-D values, got shape {values.shape}")
-    if segment_ids.shape != (values.shape[0],):
-        raise ShapeMismatch(
-            f"segment ids shape {segment_ids.shape} does not match rows {values.shape[0]}"
-        )
-    out = np.zeros((num_segments, values.shape[1]), dtype=values.dtype)
-    if values.shape[0] == 0:
+class Segments:
+    """Rows grouped into segments, each segment's rows in one fixed order.
+
+    Rows are ordered by (segment, ``key`` columns in turn, row index).  The
+    plan holds that order as a CSR matrix whose rows are segments, whose
+    column indices are the input rows in order and whose entries are ones;
+    ``sum`` multiplies by it, and scipy's CSR product adds each output row's
+    entries in stored order.  One matrix is kept per dtype, so values are
+    never upcast.  Empty segments sum to zero.
+    """
+
+    def __init__(self, segment_ids, num_segments: int, key: Sequence[np.ndarray] = ()):
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        if segment_ids.ndim != 1:
+            raise ShapeMismatch(f"segment ids must be 1-D, got shape {segment_ids.shape}")
+        if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+            raise ShapeMismatch(f"segment ids outside [0, {num_segments})")
+        for column in key:
+            if np.shape(column) != segment_ids.shape:
+                raise ShapeMismatch(f"key column shape {np.shape(column)} != ids {segment_ids.shape}")
+        self.segment_ids = segment_ids
+        self.num_segments = int(num_segments)
+        # Both sorts are stable, so rows with equal keys stay in row-index order.
+        if key:
+            self.order = np.lexsort(tuple(reversed(key)) + (segment_ids,))
+        else:
+            self.order = np.argsort(segment_ids, kind="stable")
+        self.counts = np.bincount(segment_ids, minlength=self.num_segments)
+        self.indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        self._matrices: dict[np.dtype, scipy.sparse.csr_matrix] = {}
+
+    def _check(self, values: np.ndarray) -> None:
+        if values.ndim != 2 or values.shape[0] != self.segment_ids.shape[0]:
+            raise ShapeMismatch(
+                f"segment plan over {self.segment_ids.shape[0]} rows got values of shape {values.shape}"
+            )
+
+    def _matrix(self, dtype) -> scipy.sparse.csr_matrix:
+        dtype = np.dtype(dtype)
+        if dtype not in self._matrices:
+            ones = np.ones(self.order.shape[0], dtype=dtype)
+            self._matrices[dtype] = scipy.sparse.csr_matrix(
+                (ones, self.order, self.indptr), shape=(self.num_segments, self.order.shape[0])
+            )
+        return self._matrices[dtype]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment column sums of 2-D ``values``, each added in plan order."""
+        values = np.asarray(values)
+        self._check(values)
+        return self._matrix(values.dtype) @ values
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment column maxima; empty segments are zero."""
+        values = np.asarray(values)
+        self._check(values)
+        out = np.zeros((self.num_segments, values.shape[1]), dtype=values.dtype)
+        filled = np.flatnonzero(self.counts)
+        if filled.size:
+            # reduceat starts only at non-empty segments: at a repeated start it
+            # would return that row instead of an empty maximum.
+            out[filled] = np.maximum.reduceat(values[self.order], self.indptr[filled], axis=0)
         return out
-    order = _canonical_order(values, segment_ids)
-    sorted_vals = values[order]
-    sorted_ids = segment_ids[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
-    sums = np.add.reduceat(sorted_vals, starts, axis=0)
-    out[sorted_ids[starts]] = sums
-    return out
+
+    def argmax(self, values: np.ndarray, maxima: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty segments and, per segment and column, the first row in
+        plan order holding ``maxima``; a NaN maximum matches no row and goes to
+        the segment's first row."""
+        filled = np.flatnonzero(self.counts)
+        starts = self.indptr[filled]
+        ordered = values[self.order]
+        hit = ordered == np.repeat(maxima[filled], self.counts[filled], axis=0)
+        # The first hit scores highest: position p scores n - p.
+        n = ordered.shape[0]
+        first = n - np.maximum.reduceat(hit * np.arange(n, 0, -1, dtype=np.int32)[:, None], starts, axis=0)
+        first = np.where(first == n, starts[:, None], first)
+        return filled, self.order[first]
 
 
 class Tape:
@@ -179,8 +235,10 @@ class Tape:
         out_data = a.data @ b.data
 
         def backward(g):
-            self._accum(a, g @ b.data.T)
-            self._accum(b, a.data.T @ g)
+            if a.requires_grad:
+                self._accum(a, g @ b.data.T)
+            if b.requires_grad:
+                self._accum(b, a.data.T @ g)
 
         return self._emit(out_data, (a, b), backward)
 
@@ -355,70 +413,38 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                dz = np.zeros_like(a.data)
-                np.add.at(dz, rows, g)
-                self._accum(a, dz)
+                # Transposed product: each source row adds its copies in index order.
+                dz = Segments(rows.reshape(-1), a.data.shape[0]).sum(g.reshape(rows.size, -1))
+                self._accum(a, dz.reshape(a.data.shape))
 
         return self._emit(out_data, (a,), backward)
 
-    def index_select(self, a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
-        indices = np.asarray(indices)
-        out_data = np.take(a.data, indices, axis=axis)
+    def segment_sum(self, values: Tensor, segments: Segments) -> Tensor:
+        out_data = segments.sum(values.data)
 
         def backward(g):
-            if a.requires_grad:
-                dz = np.zeros_like(a.data)
-                idx = [slice(None)] * a.data.ndim
-                idx[axis] = indices
-                np.add.at(dz, tuple(idx), g)
-                self._accum(a, dz)
-
-        return self._emit(out_data, (a,), backward)
-
-    def segment_sum(self, values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-        segment_ids = np.asarray(segment_ids)
-        out_data = segment_sum_forward(values.data, segment_ids, num_segments)
-
-        def backward(g):
-            self._accum(values, g[segment_ids])
+            self._accum(values, g[segments.segment_ids])
 
         return self._emit(out_data, (values,), backward)
 
-    def segment_mean(self, values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-        segment_ids = np.asarray(segment_ids)
-        counts = np.bincount(segment_ids, minlength=num_segments).astype(values.data.dtype)
-        safe = np.maximum(counts, 1.0)
-        out_data = segment_sum_forward(values.data, segment_ids, num_segments) / safe[:, None]
+    def segment_mean(self, values: Tensor, segments: Segments) -> Tensor:
+        safe = np.maximum(segments.counts, 1).astype(values.data.dtype)[:, None]
+        out_data = segments.sum(values.data) / safe
 
         def backward(g):
-            self._accum(values, (g / safe[:, None])[segment_ids])
+            self._accum(values, (g / safe)[segments.segment_ids])
 
         return self._emit(out_data, (values,), backward)
 
-    def segment_max(self, values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-        segment_ids = np.asarray(segment_ids)
-        if values.data.ndim != 2:
-            raise ShapeMismatch(f"segment_max expects 2-D values, got {values.data.shape}")
-        out_data = np.zeros((num_segments, values.data.shape[1]), dtype=values.data.dtype)
-        argmax = np.full((num_segments, values.data.shape[1]), -1, dtype=np.int64)
-        for seg in range(num_segments):
-            rows = np.flatnonzero(segment_ids == seg)
-            if rows.size == 0:
-                continue
-            block = values.data[rows]
-            local = block.argmax(axis=0)
-            out_data[seg] = block[local, np.arange(block.shape[1])]
-            argmax[seg] = rows[local]
+    def segment_max(self, values: Tensor, segments: Segments) -> Tensor:
+        out_data = segments.max(values.data)
 
         def backward(g):
             if values.requires_grad:
+                filled, argmax = segments.argmax(values.data, out_data)
+                # Each row belongs to one segment, so no (row, column) repeats.
                 dz = np.zeros_like(values.data)
-                mask = argmax >= 0
-                np.add.at(
-                    dz,
-                    (argmax[mask], np.nonzero(mask)[1]),
-                    g[mask],
-                )
+                dz[argmax, np.arange(argmax.shape[1])] = g[filled]
                 self._accum(values, dz)
 
         return self._emit(out_data, (values,), backward)

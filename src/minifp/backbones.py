@@ -15,16 +15,25 @@ Layer semantics:
 Graphs are batched as disjoint unions: node/edge rows concatenated, edge
 indices offset, explicit per-node and per-edge graph ids.  Every undirected
 bond contributes two directed edges.
+
+Every sum over neighbours or over a graph runs over one of the batch's four
+:class:`~minifp.autodiff.Segments` plans, which order each segment's rows by
+stable 1-WL colours (Xu et al., arXiv 1810.00826; Morris et al., arXiv
+1810.02244).  Nodes of one graph with equal stable colour carry bitwise-equal
+embeddings at every layer, and so do edges with equal (sender colour,
+receiver colour, bond class); rows that tie on a plan's key are therefore
+equal, and a relabelled graph sums the same values in the same order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .autodiff import Parameter, ShapeMismatch, Tape, load_checkpoint, save_checkpoint
+from .autodiff import Parameter, Segments, ShapeMismatch, Tape, load_checkpoint, save_checkpoint
 from .encodings import (
     ATOM_FEATURE_WIDTH,
     BOND_FEATURE_WIDTH,
@@ -208,9 +217,22 @@ def build_model(config: ModelConfig) -> ModelState:
 # -- batching -----------------------------------------------------------------
 
 
+def _content_rank(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows, compared by their exact bytes."""
+    rows = np.ascontiguousarray(rows)
+    if rows.size == 0:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    keys = rows.reshape(rows.shape[0], -1).view(np.dtype((np.void, rows.dtype.itemsize * rows[0].size)))
+    return np.unique(keys.ravel(), return_inverse=True)[1].reshape(-1)
+
+
 @dataclass
 class GraphBatch:
-    """Disjoint union of graphs; every bond appears as two directed edges."""
+    """Disjoint union of graphs; every bond appears as two directed edges.
+
+    The colours and segment plans are computed from the fields on first use
+    and kept, so change no field after a forward pass has read them.
+    """
 
     node_features: np.ndarray
     edge_features: np.ndarray
@@ -236,6 +258,59 @@ class GraphBatch:
         ids = np.unique(self.node_graph_ids)
         if not np.array_equal(ids, np.arange(self.num_graphs)):
             raise ShapeMismatch("graph ids must be contiguous from 0")
+
+    @cached_property
+    def colours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node colour, bond class) from 1-WL colour refinement.
+
+        The initial node colour ranks the exact node-feature row and the bond
+        class ranks the exact edge-feature row, so both come from content,
+        not from labels.  Each round recolours a node by its own colour and
+        its sorted incoming (bond class, sender colour) pairs, and rounds
+        stop once the number of colours stops growing.  Since every bond is
+        two directed edges, the incoming pairs are also the outgoing ones.
+        """
+        node = _content_rank(self.node_features)
+        bond = _content_rank(self.edge_features)
+        count = int(node.max()) + 1 if node.size else 0
+        while True:
+            pair = bond * count + node[self.senders]
+            order = np.lexsort((pair, self.receivers))
+            receivers = self.receivers[order]
+            slot = np.arange(receivers.shape[0]) - np.searchsorted(receivers, receivers)
+            width = int(slot.max()) + 1 if slot.size else 0
+            signature = np.full((self.num_nodes, 1 + width), -1, dtype=np.int64)
+            signature[:, 0] = node
+            signature[receivers, 1 + slot] = pair[order]
+            refined = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1)
+            refined_count = int(refined.max()) + 1 if refined.size else 0
+            if refined_count == count:
+                return node, bond
+            node, count = refined, refined_count
+
+    @cached_property
+    def receiver_plan(self) -> Segments:
+        """Edges by receiver, ordered by (sender colour, bond class)."""
+        node, bond = self.colours
+        return Segments(self.receivers, self.num_nodes, key=(node[self.senders], bond))
+
+    @cached_property
+    def sender_plan(self) -> Segments:
+        """Edges by sender, ordered by (receiver colour, bond class)."""
+        node, bond = self.colours
+        return Segments(self.senders, self.num_nodes, key=(node[self.receivers], bond))
+
+    @cached_property
+    def graph_node_plan(self) -> Segments:
+        """Nodes by graph, ordered by node colour."""
+        node, _ = self.colours
+        return Segments(self.node_graph_ids, self.num_graphs, key=(node,))
+
+    @cached_property
+    def graph_edge_plan(self) -> Segments:
+        """Edges by graph, ordered by (sender colour, receiver colour, bond class)."""
+        node, bond = self.colours
+        return Segments(self.edge_graph_ids, self.num_graphs, key=(node[self.senders], node[self.receivers], bond))
 
 
 def batch_graphs(
@@ -300,20 +375,21 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
     return x0, e0, g0
 
 
-def gcn_aggregate(tape: Tape, x, senders, receivers, num_nodes):
+def gcn_aggregate(tape: Tape, x, batch: GraphBatch):
     """The weight-free normalized aggregation sum_{j in N(i) ∪ {i}} x_j / sqrt(d_i d_j)."""
     dtype = x.data.dtype
-    degrees = (np.bincount(receivers, minlength=num_nodes) + 1.0).astype(dtype)
+    plan = batch.receiver_plan
+    degrees = (plan.counts + 1.0).astype(dtype)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    edge_coeff = (inv_sqrt[senders] * inv_sqrt[receivers])[:, None]
-    messages = tape.mul(tape.gather(x, senders), tape.constant(edge_coeff))
-    aggregated = tape.segment_sum(messages, receivers, num_nodes)
+    edge_coeff = (inv_sqrt[batch.senders] * inv_sqrt[batch.receivers])[:, None]
+    messages = tape.mul(tape.gather(x, batch.senders), tape.constant(edge_coeff))
+    aggregated = tape.segment_sum(messages, plan)
     self_term = tape.mul(x, tape.constant((1.0 / degrees)[:, None]))
     return tape.add(aggregated, self_term)
 
 
 def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, training: bool, step: int):
-    agg = gcn_aggregate(tape, x, batch.senders, batch.receivers, batch.num_nodes)
+    agg = gcn_aggregate(tape, x, batch)
     out = tape.linear(agg, tape.watch(state.params[f"layer{layer}/w"]), tape.watch(state.params[f"layer{layer}/b"]))
     out = tape.relu(out)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
@@ -323,7 +399,7 @@ def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatc
     if x.data.shape[1] != e.data.shape[1]:
         raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
     messages = tape.relu(tape.add(tape.gather(x, batch.senders), e))
-    agg = tape.segment_sum(messages, batch.receivers, batch.num_nodes)
+    agg = tape.segment_sum(messages, batch.receiver_plan)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
     if state.config.gine_epsilon_mode == "standard":
         pre = tape.add(tape.add(x, tape.mul(x, eps)), agg)  # (1 + eps) x + agg
@@ -335,21 +411,20 @@ def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatc
 
 
 def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: GraphBatch, training: bool, step: int):
-    n, num_graphs = batch.num_nodes, batch.num_graphs
     g_per_edge = tape.gather(g, batch.edge_graph_ids)
     g_per_node = tape.gather(g, batch.node_graph_ids)
 
     edge_in = tape.concat([tape.gather(x, batch.senders), tape.gather(x, batch.receivers), e, g_per_edge], axis=1)
     e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
 
-    incoming_e = tape.segment_sum(e_bar, batch.receivers, n)
-    outgoing_e = tape.segment_sum(e_bar, batch.senders, n)
-    incoming_x = tape.segment_sum(tape.gather(x, batch.senders), batch.receivers, n)
+    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
+    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
+    incoming_x = tape.segment_sum(tape.gather(x, batch.senders), batch.receiver_plan)
     node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
     x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
 
     global_in = tape.concat(
-        [g, tape.segment_sum(x_bar, batch.node_graph_ids, num_graphs), tape.segment_sum(e_bar, batch.edge_graph_ids, num_graphs)],
+        [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],
         axis=1,
     )
     g_bar = mlp_forward(tape, state, f"layer{layer}/mlp_global", global_in)

@@ -39,6 +39,7 @@ from .downstream import (
     MissingFingerprint,
     SingleClass,
     TaskData,
+    ZeroVariance,
     correlation_analysis,
     kfold_ensemble,
     sweep,
@@ -586,7 +587,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint,
-            FoldTooSmall, SingleClass, TooFewMolecules) as exc:
+            FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NaNLossError as exc:

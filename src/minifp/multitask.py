@@ -116,12 +116,12 @@ def head_input(
         return result.x
     if state.config.graph_head_input == "global":
         return result.g
-    ids = batch.node_graph_ids
+    plan = batch.graph_node_plan
     if state.config.pool == "sum":
-        return tape.segment_sum(result.x, ids, batch.num_graphs)
+        return tape.segment_sum(result.x, plan)
     if state.config.pool == "mean":
-        return tape.segment_mean(result.x, ids, batch.num_graphs)
-    return tape.segment_max(result.x, ids, batch.num_graphs)
+        return tape.segment_mean(result.x, plan)
+    return tape.segment_max(result.x, plan)
 
 
 def _check_shapes(pred: Tensor, labels: LabelSet, expect_cols: int | None = None) -> None:

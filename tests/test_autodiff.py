@@ -6,13 +6,13 @@ from minifp.autodiff import (
     CorruptCheckpoint,
     DisconnectedGraph,
     Parameter,
+    Segments,
     ShapeMismatch,
     Tape,
     canonical_column_sums,
     finite_difference_check,
     load_checkpoint,
     save_checkpoint,
-    segment_sum_forward,
 )
 
 
@@ -23,27 +23,83 @@ def test_relu_forward():
 
 
 def test_segment_sum_basic():
-    out = segment_sum_forward(np.array([[1.0], [2.0], [3.0]]), np.array([0, 0, 1]), 2)
+    out = Segments(np.array([0, 0, 1]), 2).sum(np.array([[1.0], [2.0], [3.0]]))
     np.testing.assert_array_equal(out, [[3.0], [3.0]])
 
 
 def test_segment_sum_empty_segment_and_empty_input():
-    out = segment_sum_forward(np.array([[1.0, 2.0]]), np.array([2]), 4)
+    out = Segments(np.array([2]), 4).sum(np.array([[1.0, 2.0]]))
     np.testing.assert_array_equal(out, [[0, 0], [0, 0], [1, 2], [0, 0]])
-    out = segment_sum_forward(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+    out = Segments(np.zeros(0, dtype=int), 2).sum(np.zeros((0, 3)))
     np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_sum_adds_in_plan_order_bitwise(dtype):
+    # Reference: a sequential loop over (segment, key, row index) order.
+    rng = np.random.default_rng(2)
+    n = 50
+    vals = (rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-4, 5, size=(n, 1))).astype(dtype)
+    ids = rng.integers(0, 7, size=n)
+    key = rng.integers(0, 4, size=n)
+    out = Segments(ids, 8, key=(key,)).sum(vals)
+    assert out.dtype == dtype
+    expected = np.zeros((8, 6), dtype=dtype)
+    for row in sorted(range(n), key=lambda r: (ids[r], key[r], r)):
+        expected[ids[row]] = expected[ids[row]] + vals[row]
+    assert np.array_equal(out, expected)
+
+
 def test_segment_sum_permutation_invariant_bitwise():
+    # A plan keyed on row content sums a permuted input to the same bits:
+    # rows that tie on the key are equal, so their order cannot matter.
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(2, 40))
-        vals = rng.standard_normal((n, 5))
+        distinct = rng.standard_normal((n, 5))
+        vals = distinct[rng.integers(0, max(n // 3, 1), size=n)]
         ids = rng.integers(0, 6, size=n)
-        base = segment_sum_forward(vals, ids, 6)
+        rank = np.unique(vals, axis=0, return_inverse=True)[1].reshape(-1)
+        base = Segments(ids, 6, key=(rank,)).sum(vals)
         perm = rng.permutation(n)
-        permuted = segment_sum_forward(vals[perm], ids[perm], 6)
+        permuted = Segments(ids[perm], 6, key=(rank[perm],)).sum(vals[perm])
         assert np.array_equal(base, permuted)
+
+
+def test_segments_reject_bad_ids_and_shapes():
+    with pytest.raises(ShapeMismatch):
+        Segments(np.array([0, 3]), 3)
+    with pytest.raises(ShapeMismatch):
+        Segments(np.array([0, 1]), 2, key=(np.zeros(3),))
+    with pytest.raises(ShapeMismatch):
+        Segments(np.array([0, 1]), 2).sum(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_max_matches_per_segment_max_bitwise(dtype):
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((30, 5)).astype(dtype)
+    vals[7] = vals[3]  # tied maxima inside a segment
+    ids = rng.integers(0, 6, size=30)
+    ids[ids == 4] = 5  # segment 4 is empty
+    segments = Segments(ids, 6, key=(rng.integers(0, 3, size=30),))
+    tape = Tape(recording=False)
+    out = tape.segment_max(tape.constant(vals), segments).data
+    assert out.dtype == dtype
+    for seg in range(6):
+        rows = np.flatnonzero(ids == seg)
+        expected = vals[rows].max(axis=0) if rows.size else np.zeros(5, dtype=dtype)
+        assert np.array_equal(out[seg], expected)
+
+
+def test_segment_max_gradient_goes_to_argmax_rows():
+    # Rows 2 and 3 tie in column 0: the first row in plan order takes the gradient.
+    w = Parameter("w", np.array([[1.0, 5.0], [3.0, 2.0], [7.0, 7.0], [7.0, 9.0]]))
+    segments = Segments(np.array([0, 0, 2, 2]), 3)
+    tape = Tape()
+    out = tape.segment_max(tape.watch(w), segments)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))))
+    np.testing.assert_array_equal(w.grad, [[0.0, 2.0], [1.0, 0.0], [5.0, 0.0], [0.0, 6.0]])
 
 
 def test_canonical_column_sums_permutation_invariant():
@@ -157,10 +213,10 @@ def test_fd_check_per_op(op):
             beta = tape.constant(np.zeros(4))
             out = tape.mul(tape.layer_norm(wt, gamma, beta), tape.constant(proj))
         elif op == "segment_ops":
-            ids = np.array([0, 0, 1, 1, 2, 2])
-            s = tape.segment_sum(wt, ids, 3)
-            m = tape.segment_mean(wt, ids, 3)
-            out = tape.add(s, tape.add(m, tape.segment_max(wt, ids, 3)))
+            segments = Segments(np.array([0, 0, 1, 1, 2, 2]), 3)
+            s = tape.segment_sum(wt, segments)
+            m = tape.segment_mean(wt, segments)
+            out = tape.add(s, tape.add(m, tape.segment_max(wt, segments)))
         elif op == "max":
             out = tape.max(wt, axis=0)
         else:
@@ -223,16 +279,29 @@ def test_dropout_deterministic_and_identity_off():
     np.testing.assert_array_equal(off.data, x)
 
 
-def test_gather_and_index_select_backward():
+def test_gather_backward():
     w = Parameter("w", np.arange(12, dtype=np.float64).reshape(4, 3))
 
     def fn(tape):
-        wt = tape.watch(w)
-        picked = tape.gather(wt, np.array([0, 2, 2]))
-        other = tape.index_select(wt, np.array([1, 1]), axis=1)
-        return tape.add(tape.sum(tape.mul(picked, picked)), tape.sum(other))
+        picked = tape.gather(tape.watch(w), np.array([0, 2, 2]))
+        return tape.sum(tape.mul(picked, picked))
 
     assert finite_difference_check(fn, [w], h=1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_backward_matches_add_at_bitwise(dtype):
+    rng = np.random.default_rng(6)
+    w = Parameter("w", rng.standard_normal((9, 4)).astype(dtype))
+    rows = rng.integers(0, 7, size=60)  # repeated indices; rows 7 and 8 never picked
+    upstream = (rng.standard_normal((60, 4)) * 10.0 ** rng.integers(-4, 5, size=(60, 1))).astype(dtype)
+    tape = Tape()
+    picked = tape.gather(tape.watch(w), rows)
+    tape.backward(tape.sum(tape.mul(picked, tape.constant(upstream))))
+    expected = np.zeros_like(w.value)
+    np.add.at(expected, rows, upstream)
+    assert w.grad.dtype == dtype
+    assert np.array_equal(w.grad, expected)
 
 
 def test_checkpoint_round_trip(tmp_path):

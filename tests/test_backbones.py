@@ -19,8 +19,9 @@ from minifp.backbones import (
     mpnnpp_layer,
     save_model,
 )
-from minifp.encodings import assemble
+from minifp.encodings import ATOM_FEATURE_WIDTH, AssembledFeatures, assemble, atom_features, bond_features
 from minifp.molgraph import parse_smiles
+from minifp.multitask import TaskSpec, head_input
 
 from .util import random_molecule
 
@@ -161,15 +162,16 @@ def test_embed_width_mismatch_raises():
 def test_gcn_aggregate_k2_hand_computed():
     batch = single_graph_batch([[1.0], [0.0]], [[0.0], [0.0]], [0, 1], [1, 0])
     tape = Tape(recording=False)
-    agg = gcn_aggregate(tape, tape.constant(batch.node_features), batch.senders, batch.receivers, 2)
+    agg = gcn_aggregate(tape, tape.constant(batch.node_features), batch)
     # d_0 = d_1 = 2 including self-loops: node 0 = 1/2, node 1 = 1/2 + 0.
     np.testing.assert_allclose(agg.data, [[0.5], [0.5]], atol=1e-15)
 
 
 def test_gcn_aggregate_single_node_identity():
+    batch = single_graph_batch([[3.0, -2.0]], [], [], [])
     tape = Tape(recording=False)
-    x = tape.constant(np.array([[3.0, -2.0]]))
-    agg = gcn_aggregate(tape, x, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 1)
+    x = tape.constant(batch.node_features)
+    agg = gcn_aggregate(tape, x, batch)
     np.testing.assert_array_equal(agg.data, [[3.0, -2.0]])
 
 
@@ -396,3 +398,100 @@ def test_isomorphic_graphs_same_embedding_multiset():
     a = np.array(sorted(map(tuple, outs[0])))
     b = np.array(sorted(map(tuple, outs[1])))
     np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+def atom_only_batch(smiles_list):
+    """Batch whose node rows are the atom features alone: no positional encoding."""
+    graphs = [parse_smiles(s) for s in smiles_list]
+    feats = [AssembledFeatures(atom_features(g), bond_features(g), np.zeros(1)) for g in graphs]
+    return batch_graphs(graphs, feats, dtype=np.float64)
+
+
+def relabelled(batch, rng):
+    """Relabel the nodes inside each graph and shuffle the global edge order.
+
+    Returns the new batch and ``perm``, where old node i is new node perm[i].
+    """
+    perm = np.arange(batch.num_nodes)
+    for gid in range(batch.num_graphs):
+        rows = np.flatnonzero(batch.node_graph_ids == gid)
+        perm[rows] = rng.permutation(rows)
+    edges = rng.permutation(batch.num_edges)
+    return GraphBatch(
+        node_features=batch.node_features[np.argsort(perm)],
+        edge_features=batch.edge_features[edges],
+        senders=perm[batch.senders][edges],
+        receivers=perm[batch.receivers][edges],
+        node_graph_ids=batch.node_graph_ids.copy(),
+        edge_graph_ids=batch.edge_graph_ids[edges],
+        num_graphs=batch.num_graphs,
+        node_counts=batch.node_counts.copy(),
+    ), perm
+
+
+def test_colour_refinement_benzene_atoms_share_one_colour():
+    node, bond = atom_only_batch(["c1ccccc1"]).colours
+    assert np.unique(node).size == 1
+    assert np.unique(bond).size == 1
+
+
+def test_colour_refinement_ethanol_heavy_atoms_get_three_colours():
+    node, _ = atom_only_batch(["CCO"]).colours
+    assert np.unique(node).size == 3
+
+
+def test_colour_refinement_splits_equal_features_by_neighbourhood():
+    # Pentan-1-ol: the three CH2 carbons share a feature row but sit at
+    # different distances from O, so refinement gives every atom its own colour.
+    batch = atom_only_batch(["OCCCC"])
+    assert np.unique(batch.node_features, axis=0).shape[0] == 3
+    assert np.unique(batch.colours[0]).size == 5
+    # Pentane's mirror-image atoms stay tied: {C1, C5}, {C2, C4}, {C3}.
+    node, _ = atom_only_batch(["CCCCC"]).colours
+    assert node[0] == node[4] and node[1] == node[3] and np.unique(node).size == 3
+
+
+def test_colours_identical_under_relabelling():
+    cfg = tiny_config("gine")
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        graphs = [random_molecule(rng) for _ in range(3)]
+        feats = [assemble(g, cfg.k_pe, cfg.rw_steps, seed=0) for g in graphs]
+        batch = batch_graphs(graphs, feats, dtype=np.float64)
+        permuted, perm = relabelled(batch, rng)
+        node, bond = batch.colours
+        new_node, new_bond = permuted.colours
+        assert np.array_equal(new_node[perm], node)
+        # Bond classes follow their edges: match them up by (sender, receiver).
+        old = dict(zip(zip(perm[batch.senders].tolist(), perm[batch.receivers].tolist()), bond.tolist()))
+        new = dict(zip(zip(permuted.senders.tolist(), permuted.receivers.tolist()), new_bond.tolist()))
+        assert old == new
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+def test_relabelled_batch_with_shuffled_edges_bitwise_equal(backbone, dtype):
+    cfg = tiny_config(backbone, num_layers=3, d_node=8, d_edge=8, d_global=8, dtype=dtype)
+    state = build_model(cfg)
+    spec = TaskSpec("toy", "graph", "regression", "MAE", 1)
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        graphs = [random_molecule(rng) for _ in range(3)]
+        feats = [assemble(g, cfg.k_pe, cfg.rw_steps, seed=0) for g in graphs]
+        batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+        if trial % 2:
+            # Without the Laplacian columns many atoms share a feature row,
+            # and only colour refinement tells them apart.
+            batch.node_features[:, ATOM_FEATURE_WIDTH : ATOM_FEATURE_WIDTH + 2 * cfg.k_pe] = 0.0
+        permuted, perm = relabelled(batch, rng)
+        base = forward(Tape(recording=False), batch, state)
+        out = forward(Tape(recording=False), permuted, state)
+        assert np.array_equal(out.x.data[perm], base.x.data)
+        assert np.array_equal(out.g.data, base.g.data)
+        for pool in ("sum", "mean"):
+            state.config.pool = pool
+            tape = Tape(recording=False)
+            assert np.array_equal(
+                head_input(tape, out, permuted, state, spec).data,
+                head_input(tape, base, batch, state, spec).data,
+            )

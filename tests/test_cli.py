@@ -392,6 +392,18 @@ def test_correlate_needs_three_runs(tmp_path, capsys):
     assert "3 paired runs" in capsys.readouterr().err
 
 
+def test_correlate_constant_metric_exit_2(tmp_path, capsys):
+    write_correlate_inputs(tmp_path)
+    with open(tmp_path / "downstream.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "metric", "value", "higher_is_better"])
+        for i in range(5):
+            writer.writerow([f"run{i}", "auroc", "0.75", "true"])
+    code = main(["correlate", str(tmp_path / "run*" / "log.jsonl"), str(tmp_path / "downstream.csv"), "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_store_exit_2(tmp_path):
     task = write_downstream_task(tmp_path, tmp_path / "fp.mfps")
     bogus = tmp_path / "bogus.mfps"
