@@ -5,6 +5,11 @@ a :class:`Tape` records forward ops in execution order and replays them in
 reverse to accumulate gradients into :class:`Parameter` objects.  Tensors
 are dense numpy arrays: 32-bit by default, 64-bit during gradient checks.
 
+Parameter gradients accumulate in ``Parameter.grad`` itself: a watched
+tensor's grad is that array during backward, each contribution is added to
+it in place, and it keeps growing across backward calls until ``zero_grad``.
+Intermediate tensors get fresh gradient arrays on every backward call.
+
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
 key columns, then by row index.  Every sum is a product with a CSR matrix
@@ -73,14 +78,6 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
-
-
-class BatchNormState:
-    """Running statistics for batch_norm, updated in training mode."""
-
-    def __init__(self, width: int, dtype=np.float32):
-        self.running_mean = np.zeros(width, dtype=dtype)
-        self.running_var = np.ones(width, dtype=dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -186,8 +183,23 @@ class Segments:
         return filled, self.order[first]
 
 
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    else:
+        t.grad += g
+
+
 class Tape:
-    """Single-writer record of forward operations, replayed in exact reverse order."""
+    """Single-writer record of forward operations, replayed in exact reverse order.
+
+    Backward closures call the module-level ``_accum`` and never capture the
+    tape, so a tape is in no reference cycle: dropping it frees its
+    activations and gradients at once, without waiting for the cyclic
+    garbage collector.
+    """
 
     def __init__(self, recording: bool = True):
         self.recording = recording
@@ -218,15 +230,6 @@ class Tape:
             self._ops.append((out, backward))
         return out
 
-    @staticmethod
-    def _accum(t: Tensor, g: np.ndarray) -> None:
-        if not t.requires_grad:
-            return
-        if t.grad is None:
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-        else:
-            t.grad += g
-
     # -- forward ops ---------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -236,9 +239,9 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                self._accum(a, g @ b.data.T)
+                _accum(a, g @ b.data.T)
             if b.requires_grad:
-                self._accum(b, a.data.T @ g)
+                _accum(b, a.data.T @ g)
 
         return self._emit(out_data, (a, b), backward)
 
@@ -249,8 +252,8 @@ class Tape:
             raise ShapeMismatch(f"add of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            self._accum(a, _unbroadcast(g, a.data.shape))
-            self._accum(b, _unbroadcast(g, b.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(b, _unbroadcast(g, b.data.shape))
 
         return self._emit(out_data, (a, b), backward)
 
@@ -261,8 +264,8 @@ class Tape:
             raise ShapeMismatch(f"sub of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            self._accum(a, _unbroadcast(g, a.data.shape))
-            self._accum(b, _unbroadcast(-g, b.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
         return self._emit(out_data, (a, b), backward)
 
@@ -273,8 +276,8 @@ class Tape:
             raise ShapeMismatch(f"mul of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            self._accum(a, _unbroadcast(g * b.data, a.data.shape))
-            self._accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
         return self._emit(out_data, (a, b), backward)
 
@@ -282,7 +285,7 @@ class Tape:
         out_data = a.data * c
 
         def backward(g):
-            self._accum(a, g * c)
+            _accum(a, g * c)
 
         return self._emit(out_data, (a,), backward)
 
@@ -296,7 +299,7 @@ class Tape:
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                self._accum(t, g[tuple(idx)])
+                _accum(t, g[tuple(idx)])
 
         return self._emit(out_data, tuple(tensors), backward)
 
@@ -304,7 +307,7 @@ class Tape:
         out_data = np.maximum(a.data, 0)
 
         def backward(g):
-            self._accum(a, g * (a.data > 0))
+            _accum(a, g * (a.data > 0))
 
         return self._emit(out_data, (a,), backward)
 
@@ -315,7 +318,7 @@ class Tape:
         out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
 
         def backward(g):
-            self._accum(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data))
 
         return self._emit(out_data, (a,), backward)
 
@@ -323,7 +326,7 @@ class Tape:
         out_data = np.abs(a.data)
 
         def backward(g):
-            self._accum(a, g * np.sign(a.data))
+            _accum(a, g * np.sign(a.data))
 
         return self._emit(out_data, (a,), backward)
 
@@ -339,7 +342,7 @@ class Tape:
         out_data = a.data * mask
 
         def backward(g):
-            self._accum(a, g * mask)
+            _accum(a, g * mask)
 
         return self._emit(out_data, (a,), backward)
 
@@ -360,50 +363,10 @@ class Tape:
                 -2.0 * centered, axis=-1, keepdims=True
             )
             dx = dxhat * inv_std + dvar * 2.0 * centered / width + dmu / width
-            self._accum(a, dx)
+            _accum(a, dx)
             reduce_axes = tuple(range(g.ndim - 1))
-            self._accum(gamma, (g * xhat).sum(axis=reduce_axes))
-            self._accum(beta, g.sum(axis=reduce_axes))
-
-        return self._emit(out_data, (a, gamma, beta), backward)
-
-    def batch_norm(
-        self,
-        a: Tensor,
-        gamma: Tensor,
-        beta: Tensor,
-        state: BatchNormState,
-        training: bool,
-        momentum: float = 0.9,
-        eps: float = 1e-5,
-    ) -> Tensor:
-        x = a.data
-        if training:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            state.running_mean[...] = momentum * state.running_mean + (1 - momentum) * mu
-            state.running_var[...] = momentum * state.running_var + (1 - momentum) * var
-        else:
-            mu = state.running_mean
-            var = state.running_var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv_std
-        out_data = gamma.data * xhat + beta.data
-        rows = x.shape[0]
-
-        def backward(g):
-            if training:
-                dxhat = g * gamma.data
-                dx = (
-                    inv_std
-                    / rows
-                    * (rows * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-                )
-            else:
-                dx = g * gamma.data * inv_std
-            self._accum(a, dx)
-            self._accum(gamma, (g * xhat).sum(axis=0))
-            self._accum(beta, g.sum(axis=0))
+            _accum(gamma, (g * xhat).sum(axis=reduce_axes))
+            _accum(beta, g.sum(axis=reduce_axes))
 
         return self._emit(out_data, (a, gamma, beta), backward)
 
@@ -415,7 +378,7 @@ class Tape:
             if a.requires_grad:
                 # Transposed product: each source row adds its copies in index order.
                 dz = Segments(rows.reshape(-1), a.data.shape[0]).sum(g.reshape(rows.size, -1))
-                self._accum(a, dz.reshape(a.data.shape))
+                _accum(a, dz.reshape(a.data.shape))
 
         return self._emit(out_data, (a,), backward)
 
@@ -423,7 +386,7 @@ class Tape:
         out_data = segments.sum(values.data)
 
         def backward(g):
-            self._accum(values, g[segments.segment_ids])
+            _accum(values, g[segments.segment_ids])
 
         return self._emit(out_data, (values,), backward)
 
@@ -432,7 +395,7 @@ class Tape:
         out_data = segments.sum(values.data) / safe
 
         def backward(g):
-            self._accum(values, (g / safe)[segments.segment_ids])
+            _accum(values, (g / safe)[segments.segment_ids])
 
         return self._emit(out_data, (values,), backward)
 
@@ -445,7 +408,7 @@ class Tape:
                 # Each row belongs to one segment, so no (row, column) repeats.
                 dz = np.zeros_like(values.data)
                 dz[argmax, np.arange(argmax.shape[1])] = g[filled]
-                self._accum(values, dz)
+                _accum(values, dz)
 
         return self._emit(out_data, (values,), backward)
 
@@ -455,7 +418,7 @@ class Tape:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(a, np.broadcast_to(g, a.data.shape))
+            _accum(a, np.broadcast_to(g, a.data.shape))
 
         return self._emit(out_data, (a,), backward)
 
@@ -466,7 +429,7 @@ class Tape:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(a, np.broadcast_to(g, a.data.shape) / count)
+            _accum(a, np.broadcast_to(g, a.data.shape) / count)
 
         return self._emit(out_data, (a,), backward)
 
@@ -481,7 +444,7 @@ class Tape:
                 idx = list(grid)
                 idx.insert(axis, arg)
                 dz[tuple(idx)] = g
-                self._accum(a, dz)
+                _accum(a, dz)
 
         return self._emit(out_data, (a,), backward)
 
@@ -497,7 +460,7 @@ class Tape:
             grads = backward(g)
             for t, gt in zip(inputs, grads):
                 if gt is not None:
-                    self._accum(t, gt)
+                    _accum(t, gt)
 
         return self._emit(np.asarray(out_data), tuple(inputs), run)
 
@@ -510,20 +473,27 @@ class Tape:
     # -- backward ------------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(param) into every watched parameter's grad."""
+        """Accumulate d(loss)/d(param) into every watched parameter's grad.
+
+        Each watched tensor's grad is its parameter's own ``grad`` array, so
+        every contribution is added straight into it, in tape order.  From a
+        zeroed ``param.grad`` (as every training step starts) the bits equal
+        summing the contributions first and adding the total once.  Only a
+        parameter used more than once on a tape and not zeroed between
+        backward calls may round differently from that order.
+        """
         if loss.data.size != 1:
             raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
         if not loss.requires_grad:
             raise DisconnectedGraph("loss does not depend on any watched parameter")
         for t in self._tensors:
             t.grad = None
-        loss.grad = np.ones_like(loss.data)
+        for param, t in self._watched.values():
+            t.grad = param.grad
+        _accum(loss, np.ones_like(loss.data))
         for out, backward_fn in reversed(self._ops):
             if out.grad is not None:
                 backward_fn(out.grad)
-        for param, t in self._watched.values():
-            if t.grad is not None:
-                param.grad += t.grad
 
 
 def finite_difference_check(

@@ -36,9 +36,11 @@ from .downstream import (
     SWEEP_PRESETS,
     FoldTooSmall,
     HeadConfig,
+    InvalidHeadConfig,
     MissingFingerprint,
     SingleClass,
     TaskData,
+    TooFewRuns,
     ZeroVariance,
     correlation_analysis,
     kfold_ensemble,
@@ -349,7 +351,9 @@ def _head_config_from_file(path) -> HeadConfig:
         kwargs["hidden_dim"] = values["d_node"]
     if "num_layers" in values:
         kwargs["num_layers"] = values["num_layers"]
-    return HeadConfig(**kwargs)
+    config = HeadConfig(**kwargs)
+    config.validate()
+    return config
 
 
 def cmd_downstream(args) -> int:
@@ -389,13 +393,13 @@ def cmd_downstream(args) -> int:
         with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
-                ["hidden_dim", "num_layers", "dropout", "normalization", "skip_connection",
+                ["hidden_dim", "num_layers", "dropout", "skip_connection",
                  "learning_rate", "epochs", "warmup_epochs", "schedule", "val_loss", "best_epoch"]
             )
             for row in rows:
                 c = row.config
                 writer.writerow(
-                    [c.hidden_dim, c.num_layers, c.dropout, c.normalization, c.skip_connection,
+                    [c.hidden_dim, c.num_layers, c.dropout, c.skip_connection,
                      repr(c.learning_rate), c.epochs, c.warmup_epochs, c.schedule,
                      repr(row.val_loss), row.best_epoch]
                 )
@@ -494,12 +498,13 @@ def cmd_correlate(args) -> int:
 
     paired = sorted(set(runs) & set(downstream))
     if len(paired) < 3:
-        raise ManifestError(f"need >= 3 paired runs, got {len(paired)}")
+        raise TooFewRuns(f"need >= 3 paired runs, got {len(paired)}")
 
     pretrain_names = sorted({name for run in paired for name in runs[run]})
     downstream_names = sorted({name for run in paired for name in downstream[run]})
-    pre = np.array([[runs[run][name] for name in pretrain_names] for run in paired])
-    down = np.array([[downstream[run][name] for name in downstream_names] for run in paired])
+    # A metric missing from a run is NaN; the table correlates the runs that have it.
+    pre = np.array([[runs[run].get(name, np.nan) for name in pretrain_names] for run in paired])
+    down = np.array([[downstream[run].get(name, np.nan) for name in downstream_names] for run in paired])
 
     # Logged pre-training metrics are validation losses (lower better) except
     # the per-task AUROC entries.
@@ -587,7 +592,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint,
-            FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance) as exc:
+            FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance, InvalidHeadConfig,
+            TooFewRuns) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NaNLossError as exc:

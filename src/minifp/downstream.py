@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .autodiff import BatchNormState, Parameter, Tape
+from .autodiff import Parameter, Tape
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream
@@ -45,6 +45,14 @@ class ZeroVariance(ValueError):
     pass
 
 
+class TooFewRuns(ValueError):
+    pass
+
+
+class InvalidHeadConfig(ValueError):
+    pass
+
+
 # -- configs --------------------------------------------------------------------
 
 
@@ -53,7 +61,6 @@ class HeadConfig:
     hidden_dim: int = 1024
     num_layers: int = 3
     dropout: float = 0.1
-    normalization: str = "none"  # none | batch | layer
     skip_connection: bool = False
     learning_rate: float = 3e-4
     epochs: int = 25
@@ -62,16 +69,16 @@ class HeadConfig:
     batch_size: int = 128
 
     def validate(self) -> None:
-        if self.hidden_dim < 1 or self.num_layers < 1 or self.epochs < 1:
-            raise ValueError("hidden_dim, num_layers, and epochs must be >= 1")
+        if self.hidden_dim < 1 or self.num_layers < 1 or self.epochs < 1 or self.batch_size < 1:
+            raise InvalidHeadConfig("hidden_dim, num_layers, epochs and batch_size must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.normalization not in ("none", "batch", "layer"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise InvalidHeadConfig(f"dropout must be in [0, 1), got {self.dropout}")
+        if not self.learning_rate > 0:
+            raise InvalidHeadConfig(f"learning rate must be positive, got {self.learning_rate}")
         if self.schedule not in ("constant", "linear-decay", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+            raise InvalidHeadConfig(f"unknown schedule {self.schedule!r}")
         if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ValueError("warmup_epochs must lie in [0, epochs]")
+            raise InvalidHeadConfig("warmup_epochs must lie in [0, epochs]")
 
     def key(self) -> tuple:
         """Deterministic tie-break tuple for sweep argmin selection."""
@@ -79,7 +86,6 @@ class HeadConfig:
             self.hidden_dim,
             self.num_layers,
             self.dropout,
-            self.normalization,
             self.skip_connection,
             self.learning_rate,
             self.epochs,
@@ -184,7 +190,6 @@ class TrainedHead:
         self.num_classes = num_classes
         self.seed = seed
         self.params: list[Parameter] = []
-        self.bn_states: list[BatchNormState] = []
         self.val_curve: list[float] = []
         self.best_epoch = -1
         init = rng_stream(seed, "head-params")
@@ -196,11 +201,6 @@ class TrainedHead:
                 Parameter(f"h{layer}/w", init.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32))
             )
             self.params.append(Parameter(f"h{layer}/b", np.zeros(fan_out, dtype=np.float32)))
-            if config.normalization != "none":
-                self.params.append(Parameter(f"h{layer}/gamma", np.ones(fan_out, dtype=np.float32)))
-                self.params.append(Parameter(f"h{layer}/beta", np.zeros(fan_out, dtype=np.float32)))
-            if config.normalization == "batch":
-                self.bn_states.append(BatchNormState(fan_out))
         limit = math.sqrt(6.0 / (config.hidden_dim + out_dim))
         self.params.append(
             Parameter("out/w", init.uniform(-limit, limit, size=(config.hidden_dim, out_dim)).astype(np.float32))
@@ -211,20 +211,8 @@ class TrainedHead:
     def forward(self, tape: Tape, x: np.ndarray, training: bool, step: int = 0):
         cfg = self.config
         h = tape.constant(np.asarray(x, dtype=np.float32))
-        bn_index = 0
         for layer in range(cfg.num_layers):
             z = tape.linear(h, tape.watch(self._by_name[f"h{layer}/w"]), tape.watch(self._by_name[f"h{layer}/b"]))
-            if cfg.normalization == "layer":
-                z = tape.layer_norm(z, tape.watch(self._by_name[f"h{layer}/gamma"]), tape.watch(self._by_name[f"h{layer}/beta"]))
-            elif cfg.normalization == "batch":
-                z = tape.batch_norm(
-                    z,
-                    tape.watch(self._by_name[f"h{layer}/gamma"]),
-                    tape.watch(self._by_name[f"h{layer}/beta"]),
-                    self.bn_states[bn_index],
-                    training,
-                )
-                bn_index += 1
             a = tape.relu(z)
             a = tape.dropout(a, cfg.dropout, (self.seed, layer, step), training)
             h = tape.add(a, h) if cfg.skip_connection and a.data.shape == h.data.shape else a
@@ -244,20 +232,11 @@ class TrainedHead:
         return logits
 
     def snapshot(self) -> list[np.ndarray]:
-        values = [p.value.copy() for p in self.params]
-        values += [s.running_mean.copy() for s in self.bn_states]
-        values += [s.running_var.copy() for s in self.bn_states]
-        return values
+        return [p.value.copy() for p in self.params]
 
     def restore(self, snapshot: list[np.ndarray]) -> None:
-        k = len(self.params)
-        for p, value in zip(self.params, snapshot[:k]):
+        for p, value in zip(self.params, snapshot):
             p.value[...] = value
-        n_bn = len(self.bn_states)
-        for state, mean in zip(self.bn_states, snapshot[k : k + n_bn]):
-            state.running_mean[...] = mean
-        for state, var in zip(self.bn_states, snapshot[k + n_bn :]):
-            state.running_var[...] = var
 
 
 def _head_loss(tape: Tape, head: TrainedHead, pred, labels: LabelSet):
@@ -415,7 +394,7 @@ def spearman_rho(x, y) -> tuple[float, float]:
         raise ValueError(f"inputs must be equal-length vectors, got {x.shape} and {y.shape}")
     n = len(x)
     if n < 3:
-        raise ValueError("need at least 3 observations")
+        raise TooFewRuns(f"need at least 3 observations, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ZeroVariance("an input has zero variance")
 
@@ -650,26 +629,35 @@ def correlation_analysis(
 
     Signs are +1 for higher-is-better metrics and -1 otherwise; each entry is
     rho * sign_pre * sign_down, masked as non-significant when p >= threshold.
+    A NaN marks a metric a run did not report: each entry correlates the runs
+    that report both metrics, and fewer than 3 such runs raise TooFewRuns.
     """
     pre = np.asarray(pretrain_metrics, dtype=np.float64)
     down = np.asarray(downstream_metrics, dtype=np.float64)
     if pre.ndim != 2 or down.ndim != 2 or pre.shape[0] != down.shape[0]:
         raise ValueError("metric matrices must be 2-D with equal run counts")
     if pre.shape[0] < 3:
-        raise ValueError("need >= 3 paired runs")
+        raise TooFewRuns(f"need >= 3 paired runs, got {pre.shape[0]}")
     if len(pretrain_signs) != pre.shape[1] or len(downstream_signs) != down.shape[1]:
         raise ValueError("one sign per metric column required")
     rows, cols = pre.shape[1], down.shape[1]
+    row_names = pretrain_names or [f"pretrain_{i}" for i in range(rows)]
+    col_names = downstream_names or [f"downstream_{j}" for j in range(cols)]
     values = np.zeros((rows, cols))
     p_values = np.zeros((rows, cols))
     for i in range(rows):
         for j in range(cols):
-            rho, p = spearman_rho(pre[:, i], down[:, j])
+            both = ~np.isnan(pre[:, i]) & ~np.isnan(down[:, j])
+            if both.sum() < 3:
+                raise TooFewRuns(
+                    f"{row_names[i]} and {col_names[j]} are reported together by {both.sum()} runs, need >= 3"
+                )
+            rho, p = spearman_rho(pre[both, i], down[both, j])
             values[i, j] = rho * pretrain_signs[i] * downstream_signs[j]
             p_values[i, j] = p
     return CorrelationTable(
-        row_names=pretrain_names or [f"pretrain_{i}" for i in range(rows)],
-        col_names=downstream_names or [f"downstream_{j}" for j in range(cols)],
+        row_names=row_names,
+        col_names=col_names,
         values=values,
         p_values=p_values,
         significant=p_values < p_threshold,

@@ -111,7 +111,7 @@ class FingerprintStore:
 
 @dataclass
 class ExtractionReport:
-    """Per-molecule failures collected during extraction (batch never aborts)."""
+    """Molecules that failed to parse during extraction, with their errors."""
 
     failures: list[tuple[str, str]]
 
@@ -133,7 +133,8 @@ def extract_fingerprints(
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
     the first occurrence.  ``source="global"`` reads the per-graph global
     embedding instead of pooled node embeddings.  Molecules that fail to
-    parse or featurize are collected in the report instead of aborting.
+    parse are collected in the report instead of aborting; a parsed graph
+    always featurizes, so an invalid ``k_pe`` or ``rw_steps`` raises.
     """
     cfg = model.config
     method = method or cfg.pool
@@ -164,16 +165,10 @@ def extract_fingerprints(
 
     for start in range(0, len(pending), batch_size):
         chunk = pending[start : start + batch_size]
-        featurized = []
-        for molecule_id, graph in chunk:
-            try:
-                feats = assemble(graph, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global)
-            except Exception as exc:
-                report.failures.append((molecule_id, str(exc)))
-                continue
-            featurized.append((molecule_id, graph, feats))
-        if not featurized:
-            continue
+        featurized = [
+            (molecule_id, graph, assemble(graph, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global))
+            for molecule_id, graph in chunk
+        ]
         batch = batch_graphs(
             [g for _, g, _ in featurized], [f for _, _, f in featurized], dtype=cfg.np_dtype
         )

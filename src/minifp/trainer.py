@@ -114,8 +114,16 @@ def lr_at(fraction: float, config: TrainConfig) -> float:
     return config.peak_lr * 0.5 * (1.0 + math.cos(math.pi * rest))
 
 
+# Elements per in-place Adam chunk: the scratch buffers stay cache-sized.
+_ADAM_CHUNK = 32768
+
+
 class OptimizerState:
-    """Adam first/second moment accumulators plus the shared step counter."""
+    """Adam first/second moment accumulators plus the shared step counter.
+
+    Also holds two chunk-sized scratch buffers per parameter dtype, so a step
+    allocates nothing.
+    """
 
     def __init__(self, params: list[Parameter], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
@@ -124,25 +132,49 @@ class OptimizerState:
         self.step = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
+        self.scratch = {
+            dtype: (np.empty(_ADAM_CHUNK, dtype=dtype), np.empty(_ADAM_CHUNK, dtype=dtype))
+            for dtype in {p.value.dtype for p in params}
+        }
 
 
 def adam_step(params: list[Parameter], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update from the gradients currently in params."""
+    """One bias-corrected Adam update from the gradients currently in params.
+
+    Updates ``value``, ``m`` and ``v`` in place, chunk by chunk over their
+    flat views, with the textbook op order, so the bits equal the
+    out-of-place formula ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    Raises ValueError for a parameter whose arrays are not C-contiguous.
+    """
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    correct1 = 1.0 - beta1**t
+    correct2 = 1.0 - beta2**t
     for p in params:
-        g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        arrays = (p.value, p.grad, state.m[p.name], state.v[p.name])
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError(f"parameter {p.name!r} has an array that is not C-contiguous")
+        value, grad, m, v = (a.reshape(-1) for a in arrays)
+        scratch_a, scratch_b = state.scratch[value.dtype]
+        for lo in range(0, value.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, value.size)
+            g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            mc *= beta1
+            np.multiply(g, 1.0 - beta1, out=a)
+            mc += a
+            vc *= beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            vc += a
+            np.divide(mc, correct1, out=a)
+            np.divide(vc, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a *= lr
+            a /= b
+            value[lo:hi] -= a
 
 
 # -- pre-training ---------------------------------------------------------------

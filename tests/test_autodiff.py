@@ -1,8 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from minifp.autodiff import (
-    BatchNormState,
     CorruptCheckpoint,
     DisconnectedGraph,
     Parameter,
@@ -156,6 +158,36 @@ def test_backward_twice_doubles_gradients():
     np.testing.assert_array_equal(w.grad, 2.0 * first)
 
 
+def test_parameter_used_twice_sums_contributions_bitwise():
+    rng = np.random.default_rng(8)
+    w = Parameter("w", rng.standard_normal((3, 4)).astype(np.float32))
+    x = rng.standard_normal((2, 3)).astype(np.float32)
+    c = rng.standard_normal((3, 4)).astype(np.float32)
+    tape = Tape()
+    wt = tape.watch(w)
+    first = tape.sum(tape.mul(wt, tape.constant(c)))
+    second = tape.sum(tape.matmul(tape.constant(x), wt))
+    tape.backward(tape.add(first, second))
+    from_matmul = x.T @ np.ones((2, 4), dtype=np.float32)
+    from_mul = np.ones((3, 4), dtype=np.float32) * c
+    summed_then_added = np.zeros((3, 4), dtype=np.float32) + (from_matmul + from_mul)
+    assert w.grad.tobytes() == summed_then_added.tobytes()
+
+
+def test_dropped_tape_is_freed_without_the_cycle_collector():
+    w = Parameter("w", np.ones((3, 2)))
+    tape = Tape()
+    hidden = tape.relu(tape.matmul(tape.constant(np.ones((4, 3))), tape.watch(w)))
+    tape.backward(tape.sum(tape.concat([hidden, hidden], axis=1)))
+    ref = weakref.ref(tape)
+    gc.disable()
+    try:
+        del tape, hidden
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_disconnected_graph():
     tape = Tape()
     loss = tape.sum(tape.constant(np.ones(3)))
@@ -224,46 +256,6 @@ def test_fd_check_per_op(op):
         return tape.sum(tape.mul(out, out))
 
     assert finite_difference_check(fn, [w], h=1e-6) < 1e-4
-
-
-def test_batch_norm_training_and_eval():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((16, 3)) * 2.0 + 1.0
-    proj = rng.standard_normal((16, 3))
-    gamma = Parameter("g", np.ones(3))
-    beta = Parameter("b", np.zeros(3))
-    state = BatchNormState(3, dtype=np.float64)
-
-    def fn(tape):
-        out = tape.batch_norm(
-            tape.constant(x), tape.watch(gamma), tape.watch(beta), state, training=True
-        )
-        out = tape.mul(out, tape.constant(proj))
-        return tape.sum(tape.mul(out, out))
-
-    assert finite_difference_check(fn, [gamma, beta], h=1e-6) < 1e-4
-
-    # Eval mode uses running statistics and is deterministic.
-    tape = Tape(recording=False)
-    out1 = tape.batch_norm(tape.constant(x), tape.constant(np.ones(3)), tape.constant(np.zeros(3)), state, training=False)
-    out2 = tape.batch_norm(tape.constant(x), tape.constant(np.ones(3)), tape.constant(np.zeros(3)), state, training=False)
-    np.testing.assert_array_equal(out1.data, out2.data)
-
-
-def test_batch_norm_input_gradient():
-    rng = np.random.default_rng(5)
-    w = Parameter("w", rng.standard_normal((8, 3)))
-    gamma = Parameter("g", rng.standard_normal(3))
-    beta = Parameter("b", rng.standard_normal(3))
-    proj = rng.standard_normal((8, 3))
-
-    def fn(tape):
-        state = BatchNormState(3, dtype=np.float64)
-        out = tape.batch_norm(tape.watch(w), tape.watch(gamma), tape.watch(beta), state, training=True)
-        out = tape.mul(out, tape.constant(proj))
-        return tape.sum(tape.mul(out, out))
-
-    assert finite_difference_check(fn, [w, gamma, beta], h=1e-6) < 1e-4
 
 
 def test_dropout_deterministic_and_identity_off():

@@ -404,6 +404,46 @@ def test_correlate_constant_metric_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_correlate_metric_reported_by_too_few_runs_exit_2(tmp_path, capsys):
+    write_correlate_inputs(tmp_path)
+    with open(tmp_path / "downstream.csv", "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for i in range(2):
+            writer.writerow([f"run{i}", "mae", repr(0.5 + i), "false"])
+    code = main(["correlate", str(tmp_path / "run*" / "log.jsonl"), str(tmp_path / "downstream.csv"), "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mae" in err
+
+
+def test_correlate_metric_missing_from_one_run_uses_the_others(tmp_path):
+    write_correlate_inputs(tmp_path)
+    with open(tmp_path / "downstream.csv", "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for i in range(4):
+            writer.writerow([f"run{i}", "mae", repr(0.5 - 0.1 * i), "false"])
+    out = tmp_path / "c.csv"
+    code = main(["correlate", str(tmp_path / "run*" / "log.jsonl"), str(tmp_path / "downstream.csv"), "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        rows = [row for row in csv.DictReader(fh) if row["downstream_metric"] == "mae"]
+    # MAE falls as quality rises over run0..run3: every signed rho is +1.
+    assert rows and all(float(row["signed_rho"]) == pytest.approx(1.0) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "line, word",
+    [("dropout = 1.5", "dropout"), ("peak_lr = 0", "learning rate"), ("batch_size = 0", "batch_size")],
+)
+def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
+    args = _downstream_args(tmp_path)
+    (tmp_path / "head.txt").write_text(HEAD_CONFIG + line + "\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
+    assert not (tmp_path / "out" / "chosen_config.json").exists()
+
+
 def test_bad_store_exit_2(tmp_path):
     task = write_downstream_task(tmp_path, tmp_path / "fp.mfps")
     bogus = tmp_path / "bogus.mfps"

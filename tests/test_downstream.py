@@ -186,11 +186,10 @@ def test_train_head_deterministic_curves():
         np.testing.assert_array_equal(pa.value, pb.value)
 
 
-@pytest.mark.parametrize("norm", ["batch", "layer"])
 @pytest.mark.parametrize("skip", [False, True])
-def test_train_head_variants_run(norm, skip):
+def test_train_head_variants_run(skip):
     store, data, vectors = separable_task(n=30)
-    cfg = quick_config(normalization=norm, skip_connection=skip, dropout=0.1, epochs=5)
+    cfg = quick_config(skip_connection=skip, dropout=0.1, epochs=5)
     head = train_head(store, data, cfg, seed=1)
     pred = head.predict(vectors)
     assert np.isfinite(pred).all()

@@ -87,6 +87,12 @@ def test_extract_collects_failures():
     assert report.failures[0][0] == "C("
 
 
+def test_extract_raises_on_invalid_k_pe():
+    # A configuration error raises once instead of failing every molecule.
+    with pytest.raises(ValueError, match="k_pe"):
+        extract_fingerprints(small_model(k_pe=0), ["CCO", "CCN"])
+
+
 def test_extract_deterministic_store_bytes(tmp_path):
     model = small_model()
     molecules = ["CCO", "c1ccccc1", "CC(C)O"]

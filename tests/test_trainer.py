@@ -12,6 +12,7 @@ from minifp.trainer import (
     SplitSpec,
     TooFewMolecules,
     TrainConfig,
+    _ADAM_CHUNK,
     adam_step,
     evaluate,
     lr_at,
@@ -70,6 +71,51 @@ def test_adam_converges_on_linear_regression():
         adam_step([w], state, lr=0.01)
         w.zero_grad()
     assert np.abs(w.value - solution).max() < 1e-4
+
+
+def _textbook_adam(value, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place update the in-place step must match bit for bit."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_textbook_formula_bitwise(dtype):
+    rng = np.random.default_rng(4)
+    # Several chunks with a ragged tail, one partial chunk, and a scalar.
+    shapes = [(2 * _ADAM_CHUNK + 77,), (3, 101), ()]
+    params = [Parameter(f"p{i}", rng.standard_normal(s).astype(dtype)) for i, s in enumerate(shapes)]
+    values = [p.value.copy() for p in params]
+    ms = [np.zeros_like(x) for x in values]
+    vs = [np.zeros_like(x) for x in values]
+    state = OptimizerState(params)
+    for t in range(1, 11):
+        lr = 0.003 * t
+        for p, value, m, v in zip(params, values, ms, vs):
+            # Every third step has a zero gradient.
+            g = (rng.standard_normal(p.shape) * (t % 3 != 0)).astype(dtype)
+            p.grad[...] = g
+            _textbook_adam(value, m, v, g, t, lr)
+        adam_step(params, state, lr)
+    for p, value, m, v in zip(params, values, ms, vs):
+        assert p.value.dtype == dtype
+        assert p.value.tobytes() == value.tobytes()
+        assert state.m[p.name].tobytes() == m.tobytes()
+        assert state.v[p.name].tobytes() == v.tobytes()
+
+
+def test_adam_step_rejects_non_contiguous_parameter():
+    p = Parameter("w", np.arange(12.0).reshape(3, 4).T)
+    p.grad[...] = 1.0
+    state = OptimizerState([p])
+    with pytest.raises(ValueError, match="contiguous"):
+        adam_step([p], state, lr=0.1)
+    np.testing.assert_array_equal(p.value, np.arange(12.0).reshape(3, 4).T)
 
 
 def test_lr_at_peak_at_end_of_warmup():
