@@ -6,7 +6,7 @@ reverse-mode tensor engine, pool final node embeddings into fingerprints,
 and train/ensemble downstream MLP heads on them.
 """
 
-from .backbones import ModelConfig, build_model, count_parameters, default_config, forward
+from .backbones import ModelConfig, build_model, count_parameters, default_config, forward, pool
 from .downstream import (
     HeadConfig,
     TaskData,
@@ -19,7 +19,7 @@ from .downstream import (
     train_head,
 )
 from .encodings import assemble, laplacian_encoding, normalized_laplacian, random_walk_encoding
-from .fingerprints import FingerprintStore, extract_fingerprints, pool, store_read, store_write
+from .fingerprints import FingerprintStore, extract_fingerprints, store_read, store_write
 from .molgraph import (
     MolecularGraph,
     filter_molecules,

@@ -90,20 +90,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def canonical_column_sums(values: np.ndarray) -> np.ndarray:
-    """Column sums of a 2-D array, accumulated in canonical row order.
-
-    The result is bitwise identical for any row permutation of ``values``.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"expected 2-D array, got shape {values.shape}")
-    if values.shape[0] == 0:
-        return np.zeros(values.shape[1], dtype=values.dtype)
-    order = np.lexsort(tuple(values[:, c] for c in range(values.shape[1] - 1, -1, -1)))
-    return np.add.reduce(values[order], axis=0)
-
-
 class Segments:
     """Rows grouped into segments, each segment's rows in one fixed order.
 
@@ -419,32 +405,6 @@ class Tape:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.data.shape))
-
-        return self._emit(out_data, (a,), backward)
-
-    def mean(self, a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-        count = a.data.size if axis is None else a.data.shape[axis]
-        out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape) / count)
-
-        return self._emit(out_data, (a,), backward)
-
-    def max(self, a: Tensor, axis: int) -> Tensor:
-        out_data = a.data.max(axis=axis)
-        arg = a.data.argmax(axis=axis)
-
-        def backward(g):
-            if a.requires_grad:
-                dz = np.zeros_like(a.data)
-                grid = np.indices(out_data.shape)
-                idx = list(grid)
-                idx.insert(axis, arg)
-                dz[tuple(idx)] = g
-                _accum(a, dz)
 
         return self._emit(out_data, (a,), backward)
 

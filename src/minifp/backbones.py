@@ -28,7 +28,7 @@ equal, and a relabelled graph sums the same values in the same order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -241,7 +241,6 @@ class GraphBatch:
     node_graph_ids: np.ndarray
     edge_graph_ids: np.ndarray
     num_graphs: int
-    node_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def num_nodes(self) -> int:
@@ -321,12 +320,10 @@ def batch_graphs(
     node_rows, edge_rows = [], []
     senders, receivers = [], []
     node_ids, edge_ids = [], []
-    counts = []
     offset = 0
     for gid, (graph, feats) in enumerate(zip(graphs, features)):
         n = graph.num_atoms
         node_rows.append(np.asarray(feats.node_features, dtype=dtype))
-        counts.append(n)
         node_ids.append(np.full(n, gid, dtype=np.int64))
         e = np.asarray(feats.edge_features, dtype=dtype)
         for k, bond in enumerate(graph.bonds):
@@ -345,10 +342,25 @@ def batch_graphs(
         node_graph_ids=np.concatenate(node_ids) if node_ids else np.zeros(0, dtype=np.int64),
         edge_graph_ids=np.asarray(edge_ids, dtype=np.int64),
         num_graphs=len(graphs),
-        node_counts=np.asarray(counts, dtype=np.int64),
     )
     batch.validate()
     return batch
+
+
+def pool(tape: Tape, x, batch: GraphBatch, method: str):
+    """(num_graphs, d) readout: each graph's node rows reduced over the graph-node plan.
+
+    This is the fingerprint and the pooled input of the graph task heads, so
+    both read the same bits.
+    """
+    plan = batch.graph_node_plan
+    if method == "sum":
+        return tape.segment_sum(x, plan)
+    if method == "mean":
+        return tape.segment_mean(x, plan)
+    if method == "max":
+        return tape.segment_max(x, plan)
+    raise ValueError(f"unknown pooling method {method!r}")
 
 
 # -- forward pass ---------------------------------------------------------------

@@ -26,7 +26,9 @@ import numpy as np
 
 from .autodiff import CorruptCheckpoint
 from .backbones import (
+    BACKBONES,
     DEFAULT_WIDTHS,
+    POOL_METHODS,
     ModelConfig,
     build_model,
     count_parameters,
@@ -214,7 +216,26 @@ def cmd_pretrain(args) -> int:
         pool=config["pool"],
         dtype=config["dtype"],
     )
-    model_config.validate()
+    train_config = TrainConfig(
+        epochs=config["epochs"],
+        peak_lr=config["peak_lr"],
+        warmup_epochs=config["warmup_epochs"],
+        schedule=config["schedule"],
+        batch_size=config["batch_size"],
+        seed=seed,
+    )
+    split = SplitSpec(
+        fractions=(config["train_fraction"], config["valid_fraction"], config["test_fraction"]),
+        seed=seed,
+    )
+    # A bad config value is a usage error, caught before any output is written.
+    try:
+        model_config.validate()
+        train_config.validate()
+        split.validate()
+        weights = LossWeights(k=config["k"])
+    except ValueError as exc:
+        raise ManifestError(f"{args.config}: {exc}") from exc
     config["d_node"], config["d_edge"], config["d_global"] = (
         model_config.d_node,
         model_config.d_edge,
@@ -237,18 +258,6 @@ def cmd_pretrain(args) -> int:
     params = count_parameters(model)
     print(f"{args.backbone}: {params} parameters, {len(dataset)} molecules, {len(tasks)} tasks")
 
-    train_config = TrainConfig(
-        epochs=config["epochs"],
-        peak_lr=config["peak_lr"],
-        warmup_epochs=config["warmup_epochs"],
-        schedule=config["schedule"],
-        batch_size=config["batch_size"],
-        seed=seed,
-    )
-    split = SplitSpec(
-        fractions=(config["train_fraction"], config["valid_fraction"], config["test_fraction"]),
-        seed=seed,
-    )
     log = pretrain(
         dataset,
         model,
@@ -256,7 +265,7 @@ def cmd_pretrain(args) -> int:
         train_config,
         out_dir=out_dir,
         split=split,
-        weights=LossWeights(k=config["k"]),
+        weights=weights,
     )
     with open(out_dir / "param_count.txt", "w", encoding="utf-8") as fh:
         fh.write(f"{params}\n")
@@ -550,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="multi-task pre-training of one backbone")
     p.add_argument("manifest")
-    p.add_argument("--backbone", choices=("gcn", "gine", "mpnnpp"), required=True)
+    p.add_argument("--backbone", choices=BACKBONES, required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
@@ -559,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="extract fingerprints with a trained checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("molecules", help="CSV (with --smiles-col) or one SMILES per line")
-    p.add_argument("--pool", choices=("sum", "mean", "max"), default="max")
+    p.add_argument("--pool", choices=POOL_METHODS, default="max")
     p.add_argument("--source", choices=("nodes", "global"), default="nodes")
     p.add_argument("--out", required=True)
     p.add_argument("--smiles-col", default="smiles")

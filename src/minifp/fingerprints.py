@@ -1,10 +1,13 @@
-"""Pool final node embeddings into fingerprint vectors and persist them.
+"""Extract fingerprint vectors from a trained model and persist them.
 
-Pooling is sum, mean, or max over node rows; max is the default throughout
-the pipeline (it gave the best downstream ranks in the pooling comparison,
-and the sum/mean variants remain selectable everywhere).  Sum and mean use
-canonical-order accumulation, so a relabeled molecule produces a bitwise
-identical vector at a given precision.
+A fingerprint is the final node embeddings of one molecule pooled into a
+vector by :func:`minifp.backbones.pool`: sum, mean, or max over the batch's
+graph-node plan, the same readout the pooled graph task heads train on, so a
+fingerprint equals its molecule's head-input row bit for bit.  Max is the
+default throughout the pipeline (it gave the best downstream ranks in the
+pooling comparison; sum and mean remain selectable everywhere).  The plan
+adds each molecule's rows in stable 1-WL colour order, so a relabelled
+molecule produces a bitwise identical vector at a given precision.
 
 Store file layout (little-endian): magic ``MFPS``, version byte, dimension
 as uint32, record count as uint32, then per record a uint16 id length, the
@@ -19,19 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, canonical_column_sums
-from .backbones import ModelState, batch_graphs, forward
+from .autodiff import Tape
+from .backbones import POOL_METHODS, ModelState, batch_graphs, forward, pool
 from .encodings import assemble
 from .molgraph import MolecularGraph, normalize_smiles, parse_smiles
 
 STORE_MAGIC = b"MFPS"
 STORE_VERSION = 1
-
-POOL_METHODS = ("sum", "mean", "max")
-
-
-class EmptyGraph(ValueError):
-    pass
 
 
 class CorruptHeader(ValueError):
@@ -40,25 +37,6 @@ class CorruptHeader(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-@dataclass
-class Fingerprint:
-    vector: np.ndarray
-
-
-def pool(x_final: np.ndarray, method: str = "max") -> np.ndarray:
-    """Reduce one graph's node embedding rows to a single vector."""
-    x_final = np.asarray(x_final)
-    if x_final.ndim != 2 or x_final.shape[0] == 0:
-        raise EmptyGraph(f"cannot pool embedding of shape {x_final.shape}")
-    if method == "sum":
-        return canonical_column_sums(x_final)
-    if method == "mean":
-        return canonical_column_sums(x_final) / x_final.shape[0]
-    if method == "max":
-        return x_final.max(axis=0)
-    raise ValueError(f"unknown pooling method {method!r}")
 
 
 class FingerprintStore:
@@ -172,16 +150,11 @@ def extract_fingerprints(
         batch = batch_graphs(
             [g for _, g, _ in featurized], [f for _, _, f in featurized], dtype=cfg.np_dtype
         )
-        result = forward(Tape(recording=False), batch, model, training=False)
-        if source == "global":
-            for row, (molecule_id, _, _) in enumerate(featurized):
-                store.add(molecule_id, result.g.data[row])
-        else:
-            offset = 0
-            for molecule_id, graph, _ in featurized:
-                rows = result.x.data[offset : offset + graph.num_atoms]
-                store.add(molecule_id, pool(rows, method))
-                offset += graph.num_atoms
+        tape = Tape(recording=False)
+        result = forward(tape, batch, model, training=False)
+        rows = result.g if source == "global" else pool(tape, result.x, batch, method)
+        for (molecule_id, _, _), row in zip(featurized, rows.data):
+            store.add(molecule_id, row)
     return store, report
 
 

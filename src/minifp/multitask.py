@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tape, Tensor
-from .backbones import ForwardResult, GraphBatch, ModelState, mlp_forward
+from .backbones import ForwardResult, GraphBatch, ModelState, mlp_forward, pool
 
 TASK_GROUPS = ("L1000", "PCBA", "N4", "G25", "custom")
 GROUP_ORDER = ("L1000", "PCBA", "N4", "G25")
@@ -116,12 +116,7 @@ def head_input(
         return result.x
     if state.config.graph_head_input == "global":
         return result.g
-    plan = batch.graph_node_plan
-    if state.config.pool == "sum":
-        return tape.segment_sum(result.x, plan)
-    if state.config.pool == "mean":
-        return tape.segment_mean(result.x, plan)
-    return tape.segment_max(result.x, plan)
+    return pool(tape, result.x, batch, state.config.pool)
 
 
 def _check_shapes(pred: Tensor, labels: LabelSet, expect_cols: int | None = None) -> None:

@@ -60,7 +60,6 @@ def single_graph_batch(x, e, senders, receivers, dtype=np.float64):
         node_graph_ids=np.zeros(x.shape[0], dtype=np.int64),
         edge_graph_ids=np.zeros(len(senders), dtype=np.int64),
         num_graphs=1,
-        node_counts=np.array([x.shape[0]]),
     )
 
 
@@ -290,7 +289,6 @@ def test_node_permutation_equivariance_bitwise_f64(backbone):
             node_graph_ids=batch.node_graph_ids.copy(),
             edge_graph_ids=batch.edge_graph_ids.copy(),
             num_graphs=1,
-            node_counts=batch.node_counts.copy(),
         )
         permuted.node_features[perm] = batch.node_features
         out = forward(Tape(recording=False), permuted, state).x.data
@@ -425,7 +423,6 @@ def relabelled(batch, rng):
         node_graph_ids=batch.node_graph_ids.copy(),
         edge_graph_ids=batch.edge_graph_ids[edges],
         num_graphs=batch.num_graphs,
-        node_counts=batch.node_counts.copy(),
     ), perm
 
 

@@ -444,6 +444,31 @@ def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
     assert not (tmp_path / "out" / "chosen_config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line, word",
+    [
+        ("num_layers = 0", "num_layers"),
+        ("epochs = 0", "epochs"),
+        ("train_fraction = 0.5", "fractions"),
+        ("schedule = bogus", "schedule"),
+        ("k = 0", "k must"),
+        ("dropout = 1.5", "dropout"),
+        ("pool = median", "pool"),
+        ("dtype = float16", "dtype"),
+        ("batch_size = 0", "batch_size"),
+        ("warmup_epochs = 500", "warmup_epochs"),
+    ],
+)
+def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC", "CCCl"])
+    config = write_config(tmp_path, SMALL_CONFIG + line + "\n")
+    out = tmp_path / "run"
+    assert main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and word in err
+    assert not (out / "run_config.txt").exists()
+
+
 def test_bad_store_exit_2(tmp_path):
     task = write_downstream_task(tmp_path, tmp_path / "fp.mfps")
     bogus = tmp_path / "bogus.mfps"

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from minifp.backbones import ModelConfig, build_model
+from minifp.autodiff import Tape
+from minifp.backbones import GraphBatch, ModelConfig, batch_graphs, build_model, forward, pool
+from minifp.encodings import assemble
 from minifp.fingerprints import (
     CorruptHeader,
     DimensionMismatch,
-    EmptyGraph,
     FingerprintStore,
     extract_fingerprints,
-    pool,
     store_read,
     store_write,
     store_write_csv,
 )
+from minifp.molgraph import parse_smiles
+from minifp.multitask import TaskSpec, head_input
 
 from .util import random_molecule
 
@@ -28,38 +30,45 @@ def small_model(backbone="gine", **overrides):
     return build_model(cfg)
 
 
+def pooled(rows, graph_ids, method):
+    """Pool ``rows`` as the node embeddings of a bond-free batch with these graph ids."""
+    rows = np.asarray(rows, dtype=np.float64)
+    batch = GraphBatch(
+        node_features=rows,
+        edge_features=np.zeros((0, 1)),
+        senders=np.zeros(0, dtype=np.int64),
+        receivers=np.zeros(0, dtype=np.int64),
+        node_graph_ids=np.asarray(graph_ids, dtype=np.int64),
+        edge_graph_ids=np.zeros(0, dtype=np.int64),
+        num_graphs=int(max(graph_ids)) + 1,
+    )
+    tape = Tape(recording=False)
+    return pool(tape, tape.constant(rows), batch, method).data
+
+
 def test_pool_methods():
-    rows = np.array([[1.0, 2.0], [3.0, 0.0]])
-    np.testing.assert_array_equal(pool(rows, "sum"), [4.0, 2.0])
-    np.testing.assert_array_equal(pool(rows, "mean"), [2.0, 1.0])
-    np.testing.assert_array_equal(pool(rows, "max"), [3.0, 2.0])
+    rows = [[1.0, 2.0], [3.0, 0.0], [-1.0, 4.0], [0.5, -1.0], [4.0, 1.0]]
+    ids = [0, 0, 0, 1, 1]
+    np.testing.assert_array_equal(pooled(rows, ids, "sum"), [[3.0, 6.0], [4.5, 0.0]])
+    np.testing.assert_array_equal(pooled(rows, ids, "mean"), [[1.0, 2.0], [2.25, 0.0]])
+    np.testing.assert_array_equal(pooled(rows, ids, "max"), [[3.0, 4.0], [4.0, 1.0]])
+    with pytest.raises(ValueError, match="median"):
+        pooled(rows, ids, "median")
 
 
 def test_pool_single_node():
-    row = np.array([[0.5, -1.5, 2.0]])
+    rows = [[1.0, 1.0, 1.0], [0.5, -1.5, 2.0], [3.0, 3.0, 3.0]]
     for method in ("sum", "mean", "max"):
-        np.testing.assert_array_equal(pool(row, method), row[0])
-
-
-def test_pool_empty_graph():
-    with pytest.raises(EmptyGraph):
-        pool(np.zeros((0, 4)), "max")
-
-
-def test_pool_permutation_invariant_bitwise():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((17, 5))
-    for method in ("sum", "mean", "max"):
-        base = pool(rows, method)
-        for _ in range(10):
-            shuffled = rows[rng.permutation(17)]
-            assert np.array_equal(pool(shuffled, method), base)
+        np.testing.assert_array_equal(pooled(rows, [0, 1, 0], method)[1], rows[1])
 
 
 def test_pool_sum_equals_n_times_mean():
     rng = np.random.default_rng(1)
-    rows = rng.standard_normal((9, 4))
-    np.testing.assert_allclose(pool(rows, "sum"), 9 * pool(rows, "mean"), rtol=1e-12)
+    rows = rng.standard_normal((13, 4))
+    ids = [0] * 9 + [1] * 4
+    np.testing.assert_allclose(
+        pooled(rows, ids, "sum"), np.array([[9.0], [4.0]]) * pooled(rows, ids, "mean"), rtol=1e-12
+    )
 
 
 def test_store_rejects_wrong_dimension_and_duplicates():
@@ -112,12 +121,34 @@ def test_extract_does_not_mutate_model():
     assert model.checksum() == before
 
 
-def test_extract_batching_matches_single(tmp_path):
-    model = small_model()
-    molecules = [f"{'C' * k}O" for k in range(1, 8)]
-    batched, _ = extract_fingerprints(model, molecules, batch_size=4)
-    single, _ = extract_fingerprints(model, molecules, batch_size=1)
-    assert batched == single
+def test_extract_batching_matches_single():
+    # mpnnpp is left out: its embeddings depend on the batch's other molecules
+    # through row-count-dependent BLAS kernels.
+    molecules = [f"{'C' * k}O" for k in range(1, 8)] + ["c1ccccc1O", "CC(C)(C)N"]
+    for backbone in ("gcn", "gine"):
+        for dtype in ("float32", "float64"):
+            model = small_model(backbone, dtype=dtype)
+            for method in ("sum", "mean", "max"):
+                single, _ = extract_fingerprints(model, molecules, method=method, batch_size=1)
+                for batch_size in (4, 32):
+                    batched, _ = extract_fingerprints(model, molecules, method=method, batch_size=batch_size)
+                    assert batched == single, (backbone, dtype, method, batch_size)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+@pytest.mark.parametrize("method", ["sum", "mean", "max"])
+def test_fingerprints_equal_pooled_head_input_bitwise(backbone, method):
+    model = small_model(backbone, graph_head_input="pooled", pool=method)
+    cfg = model.config
+    molecules = ["CCO", "c1ccccc1O", "CC(=O)Nc1ccc(O)cc1", "C1CC1", "N"]
+    store, _ = extract_fingerprints(model, molecules)
+    graphs = [parse_smiles(m) for m in molecules]
+    feats = [assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global) for g in graphs]
+    batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+    tape = Tape(recording=False)
+    result = forward(tape, batch, model)
+    rows = head_input(tape, result, batch, model, TaskSpec("toy", "graph", "regression", "MAE", 1)).data
+    assert np.array_equal(store.matrix(), rows)
 
 
 def test_extract_global_source_dimension():
@@ -139,10 +170,6 @@ def test_permutation_invariance_through_model():
     # Permute the model inputs (feature rows + edge indices): the fingerprint
     # must be bitwise identical at float64.  Refeaturizing a relabeled SMILES
     # is weaker because eigenvector sign canonicalization is order-dependent.
-    from minifp.autodiff import Tape
-    from minifp.backbones import GraphBatch, batch_graphs, forward
-    from minifp.encodings import assemble
-
     model = small_model(dtype="float64")
     cfg = model.config
     rng = np.random.default_rng(5)
@@ -150,7 +177,6 @@ def test_permutation_invariance_through_model():
         g = random_molecule(rng)
         feats = assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global)
         batch = batch_graphs([g], [feats], dtype=np.float64)
-        base_x = forward(Tape(recording=False), batch, model).x.data
         perm = rng.permutation(g.num_atoms)
         permuted = GraphBatch(
             node_features=batch.node_features[np.argsort(perm)],
@@ -160,11 +186,14 @@ def test_permutation_invariance_through_model():
             node_graph_ids=batch.node_graph_ids.copy(),
             edge_graph_ids=batch.edge_graph_ids.copy(),
             num_graphs=1,
-            node_counts=batch.node_counts.copy(),
         )
-        perm_x = forward(Tape(recording=False), permuted, model).x.data
+        tape = Tape(recording=False)
+        base_x = forward(tape, batch, model).x
+        perm_x = forward(tape, permuted, model).x
         for method in ("sum", "mean", "max"):
-            assert np.array_equal(pool(base_x, method), pool(perm_x, method))
+            assert np.array_equal(
+                pool(tape, base_x, batch, method).data, pool(tape, perm_x, permuted, method).data
+            )
 
 
 def test_store_round_trip(tmp_path):
