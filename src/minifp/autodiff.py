@@ -8,7 +8,16 @@ are dense numpy arrays: 32-bit by default, 64-bit during gradient checks.
 Parameter gradients accumulate in ``Parameter.grad`` itself: a watched
 tensor's grad is that array during backward, each contribution is added to
 it in place, and it keeps growing across backward calls until ``zero_grad``.
-Intermediate tensors get fresh gradient arrays on every backward call.
+
+Backward keeps only its frontier.  Before running an op's closure it takes
+the op output's gradient off the tensor, so every op output's ``grad`` is
+``None`` once backward returns and each gradient is freed as soon as its op
+has consumed it.  The closure owns the array it is handed: it may overwrite
+it, and it may hand it, or disjoint views of it, to one input each without a
+copy.  Arrays a closure computes itself are handed over the same way.  An
+input's first contribution becomes its ``grad`` as is when it is handed over
+(``_accum(..., owned=True)``) and is writeable with the input's dtype and
+shape; otherwise it is copied once.  Later contributions are added in place.
 
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
@@ -67,7 +76,8 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros touches no page until a gradient is written; zeros_like writes them all.
+        self.grad = np.zeros(self.value.shape, self.value.dtype)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -169,13 +179,16 @@ class Segments:
         return filled, self.order[first]
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; an ``owned`` first contribution becomes it without a copy."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif owned and g.flags.writeable and g.dtype == t.data.dtype and g.shape == t.data.shape:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 class Tape:
@@ -225,9 +238,9 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                _accum(a, g @ b.data.T)
+                _accum(a, g @ b.data.T, owned=True)
             if b.requires_grad:
-                _accum(b, a.data.T @ g)
+                _accum(b, a.data.T @ g, owned=True)
 
         return self._emit(out_data, (a, b), backward)
 
@@ -238,8 +251,12 @@ class Tape:
             raise ShapeMismatch(f"add of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
+            handed = False  # g itself goes to one input; the other copies it
+            for t in (a, b):
+                if t.requires_grad:
+                    gt = _unbroadcast(g, t.data.shape)
+                    _accum(t, gt, owned=gt is not g or not handed)
+                    handed = handed or t.grad is g
 
         return self._emit(out_data, (a, b), backward)
 
@@ -250,8 +267,10 @@ class Tape:
             raise ShapeMismatch(f"sub of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(-g, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g, a.data.shape), owned=True)
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
         return self._emit(out_data, (a, b), backward)
 
@@ -262,8 +281,10 @@ class Tape:
             raise ShapeMismatch(f"mul of {a.data.shape} and {b.data.shape}") from None
 
         def backward(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
         return self._emit(out_data, (a, b), backward)
 
@@ -271,7 +292,8 @@ class Tape:
         out_data = a.data * c
 
         def backward(g):
-            _accum(a, g * c)
+            g *= c
+            _accum(a, g, owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -283,9 +305,10 @@ class Tape:
 
         def backward(g):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
+                if t.requires_grad:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = slice(lo, hi)
+                    _accum(t, g[tuple(idx)], owned=True)  # disjoint views of g
 
         return self._emit(out_data, tuple(tensors), backward)
 
@@ -293,7 +316,8 @@ class Tape:
         out_data = np.maximum(a.data, 0)
 
         def backward(g):
-            _accum(a, g * (a.data > 0))
+            g *= a.data > 0
+            _accum(a, g, owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -304,7 +328,7 @@ class Tape:
         out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
 
         def backward(g):
-            _accum(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data), owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -312,7 +336,7 @@ class Tape:
         out_data = np.abs(a.data)
 
         def backward(g):
-            _accum(a, g * np.sign(a.data))
+            _accum(a, g * np.sign(a.data), owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -328,7 +352,8 @@ class Tape:
         out_data = a.data * mask
 
         def backward(g):
-            _accum(a, g * mask)
+            g *= mask
+            _accum(a, g, owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -343,28 +368,31 @@ class Tape:
         width = x.shape[-1]
 
         def backward(g):
-            dxhat = g * gamma.data
-            dvar = np.sum(dxhat * centered * -0.5 * inv_std**3, axis=-1, keepdims=True)
-            dmu = np.sum(-dxhat * inv_std, axis=-1, keepdims=True) + dvar * np.mean(
-                -2.0 * centered, axis=-1, keepdims=True
-            )
-            dx = dxhat * inv_std + dvar * 2.0 * centered / width + dmu / width
-            _accum(a, dx)
+            if a.requires_grad:
+                dxhat = g * gamma.data
+                dvar = np.sum(dxhat * centered * -0.5 * inv_std**3, axis=-1, keepdims=True)
+                dmu = np.sum(-dxhat * inv_std, axis=-1, keepdims=True) + dvar * np.mean(
+                    -2.0 * centered, axis=-1, keepdims=True
+                )
+                dx = dxhat * inv_std + dvar * 2.0 * centered / width + dmu / width
+                _accum(a, dx, owned=True)
             reduce_axes = tuple(range(g.ndim - 1))
-            _accum(gamma, (g * xhat).sum(axis=reduce_axes))
-            _accum(beta, g.sum(axis=reduce_axes))
+            if gamma.requires_grad:
+                _accum(gamma, (g * xhat).sum(axis=reduce_axes), owned=True)
+            if beta.requires_grad:
+                _accum(beta, g.sum(axis=reduce_axes), owned=True)
 
         return self._emit(out_data, (a, gamma, beta), backward)
 
-    def gather(self, a: Tensor, rows: np.ndarray) -> Tensor:
-        rows = np.asarray(rows)
-        out_data = a.data[rows]
+    def gather(self, a: Tensor, plan: Segments) -> Tensor:
+        """Row ``plan.segment_ids[k]`` of 2-D ``a`` at row k: the transpose of a
+        segment sum over ``plan``, so backward is ``plan.sum`` in plan order."""
+        if a.data.ndim != 2 or a.data.shape[0] != plan.num_segments:
+            raise ShapeMismatch(f"gather over a plan of {plan.num_segments} segments from shape {a.data.shape}")
+        out_data = a.data[plan.segment_ids]
 
         def backward(g):
-            if a.requires_grad:
-                # Transposed product: each source row adds its copies in index order.
-                dz = Segments(rows.reshape(-1), a.data.shape[0]).sum(g.reshape(rows.size, -1))
-                _accum(a, dz.reshape(a.data.shape))
+            _accum(a, plan.sum(g), owned=True)
 
         return self._emit(out_data, (a,), backward)
 
@@ -372,7 +400,7 @@ class Tape:
         out_data = segments.sum(values.data)
 
         def backward(g):
-            _accum(values, g[segments.segment_ids])
+            _accum(values, g[segments.segment_ids], owned=True)
 
         return self._emit(out_data, (values,), backward)
 
@@ -381,7 +409,7 @@ class Tape:
         out_data = segments.sum(values.data) / safe
 
         def backward(g):
-            _accum(values, (g / safe)[segments.segment_ids])
+            _accum(values, (g / safe)[segments.segment_ids], owned=True)
 
         return self._emit(out_data, (values,), backward)
 
@@ -389,14 +417,29 @@ class Tape:
         out_data = segments.max(values.data)
 
         def backward(g):
-            if values.requires_grad:
-                filled, argmax = segments.argmax(values.data, out_data)
-                # Each row belongs to one segment, so no (row, column) repeats.
-                dz = np.zeros_like(values.data)
-                dz[argmax, np.arange(argmax.shape[1])] = g[filled]
-                _accum(values, dz)
+            filled, argmax = segments.argmax(values.data, out_data)
+            # Each row belongs to one segment, so no (row, column) repeats.
+            dz = np.zeros_like(values.data)
+            dz[argmax, np.arange(argmax.shape[1])] = g[filled]
+            _accum(values, dz, owned=True)
 
         return self._emit(out_data, (values,), backward)
+
+    def sparse_matmul(self, a: Tensor, matrix, transpose) -> Tensor:
+        """``matrix @ a`` for a scipy CSR ``matrix``; backward is ``transpose @ g``.
+
+        ``transpose`` must equal ``matrix.T``.  scipy adds each row's entries
+        in stored order, so the two stored matrices fix the order of every
+        forward and backward sum.
+        """
+        if a.data.ndim != 2 or matrix.shape[1] != a.data.shape[0] or transpose.shape != matrix.shape[::-1]:
+            raise ShapeMismatch(f"sparse product of {matrix.shape} (transpose {transpose.shape}) and {a.data.shape}")
+        out_data = matrix @ a.data
+
+        def backward(g):
+            _accum(a, transpose @ g, owned=True)
+
+        return self._emit(out_data, (a,), backward)
 
     def sum(self, a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -404,7 +447,7 @@ class Tape:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape))
+            _accum(a, np.broadcast_to(g, a.data.shape))  # a read-only view: copied
 
         return self._emit(out_data, (a,), backward)
 
@@ -414,7 +457,10 @@ class Tape:
         inputs: Sequence[Tensor],
         backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> Tensor:
-        """Extension hook: ``backward(g)`` returns one gradient per input (or None)."""
+        """Extension hook: ``backward(g)`` returns one gradient per input (or None).
+
+        The returned arrays are copied, never handed over.
+        """
 
         def run(g):
             grads = backward(g)
@@ -425,9 +471,29 @@ class Tape:
         return self._emit(np.asarray(out_data), tuple(inputs), run)
 
     def linear(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+        """``x @ weight + bias`` as one op: the bias is added in place into the fresh product.
+
+        The product still goes through ``matmul``, whose closure the bias's
+        backward then runs before handing the bias its column sums.
+        """
         out = self.matmul(x, weight)
-        if bias is not None:
-            out = self.add(out, bias)
+        if bias is None:
+            return out
+        try:
+            out.data += bias.data
+        except ValueError:
+            raise ShapeMismatch(f"bias of shape {bias.data.shape} for a product of {out.data.shape}") from None
+        if not (self.recording and bias.requires_grad):
+            return out
+        product_backward = self._ops.pop()[1] if out.requires_grad else None
+        out.requires_grad = True
+
+        def backward(g):
+            if product_backward is not None:
+                product_backward(g)
+            _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
+
+        self._ops.append((out, backward))
         return out
 
     # -- backward ------------------------------------------------------------
@@ -450,10 +516,12 @@ class Tape:
             t.grad = None
         for param, t in self._watched.values():
             t.grad = param.grad
-        _accum(loss, np.ones_like(loss.data))
+        _accum(loss, np.ones_like(loss.data), owned=True)
         for out, backward_fn in reversed(self._ops):
-            if out.grad is not None:
-                backward_fn(out.grad)
+            g = out.grad
+            if g is not None:
+                out.grad = None  # the closure owns g now; it is freed once consumed
+                backward_fn(g)
 
 
 def finite_difference_check(

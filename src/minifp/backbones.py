@@ -23,6 +23,11 @@ stable 1-WL colours (Xu et al., arXiv 1810.00826; Morris et al., arXiv
 embeddings at every layer, and so do edges with equal (sender colour,
 receiver colour, bond class); rows that tie on a plan's key are therefore
 equal, and a relabelled graph sums the same values in the same order.
+Gathers run over the same plans, so each one's backward is that plan's sum.
+GCN aggregation and MPNN++'s incoming node sum are one sparse product each,
+with a matrix the batch caches per dtype; its rows follow the receiver plan
+and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
+:meth:`GraphBatch.adjacency`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .autodiff import Parameter, Segments, ShapeMismatch, Tape, load_checkpoint, save_checkpoint
 from .encodings import (
@@ -91,6 +97,10 @@ class ModelConfig:
             raise ValueError("num_layers must be >= 1")
         if min(self.d_node, self.d_edge, self.d_global) < 1:
             raise ValueError("hidden widths must be >= 1")
+        if self.k_pe < 1:
+            raise ValueError("k_pe must be >= 1")
+        if self.rw_steps < 1:
+            raise ValueError("rw_steps must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.backbone == "gine" and self.d_node != self.d_edge:
@@ -230,8 +240,9 @@ def _content_rank(rows: np.ndarray) -> np.ndarray:
 class GraphBatch:
     """Disjoint union of graphs; every bond appears as two directed edges.
 
-    The colours and segment plans are computed from the fields on first use
-    and kept, so change no field after a forward pass has read them.
+    The colours, segment plans and sparse neighbour matrices are computed
+    from the fields on first use and kept, so change no field after a
+    forward pass has read them.
     """
 
     node_features: np.ndarray
@@ -311,6 +322,55 @@ class GraphBatch:
         node, bond = self.colours
         return Segments(self.edge_graph_ids, self.num_graphs, key=(node[self.senders], node[self.receivers], bond))
 
+    @cached_property
+    def _operators(self) -> dict:
+        return {}
+
+    def propagation(self, dtype) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """GCN's Â = D^-½(A+I)D^-½ and its transpose, as CSR matrices in ``dtype``.
+
+        Row i of Â holds node i's incoming edges in ``receiver_plan`` order,
+        then its self-loop; row j of the transpose holds node j's outgoing
+        edges in ``sender_plan`` order, then its self-loop.  Degrees count
+        incoming edges plus the self-loop.
+        """
+        key = ("propagation", np.dtype(dtype))
+        if key not in self._operators:
+            degrees = (self.receiver_plan.counts + 1.0).astype(dtype)
+            inv_sqrt = 1.0 / np.sqrt(degrees)
+            coeff = inv_sqrt[self.senders] * inv_sqrt[self.receivers]
+            self._operators[key] = self._plan_matrices(coeff, 1.0 / degrees)
+        return self._operators[key]
+
+    def adjacency(self, dtype) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """The plain adjacency (row i sums node i's incoming senders) and its
+        transpose, in ``receiver_plan`` and ``sender_plan`` order."""
+        key = ("adjacency", np.dtype(dtype))
+        if key not in self._operators:
+            self._operators[key] = self._plan_matrices(np.ones(self.num_edges, dtype=dtype), None)
+        return self._operators[key]
+
+    def _plan_matrices(self, coeff: np.ndarray, loop: np.ndarray | None):
+        return (
+            _plan_matrix(self.receiver_plan, self.senders, coeff, loop),
+            _plan_matrix(self.sender_plan, self.receivers, coeff, loop),
+        )
+
+
+def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None):
+    """CSR matrix with one row per segment: row s holds (columns[k], coeff[k])
+    for the plan's rows k of segment s in plan order, then (s, loop[s]) last."""
+    n = plan.num_segments
+    indices, data, indptr = columns[plan.order], coeff[plan.order], plan.indptr
+    if loop is not None:
+        # Row s's entries end at indptr[s + 1]: each loop goes in there, and
+        # every row starts one entry later per loop before it.
+        ends = plan.indptr[1:]
+        indices = np.insert(indices, ends, np.arange(n))
+        data = np.insert(data, ends, loop)
+        indptr = plan.indptr + np.arange(n + 1)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
 
 def batch_graphs(
     graphs: list[MolecularGraph],
@@ -383,21 +443,17 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
     e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
     seed_row = tape.constant(state.global_seed.reshape(1, -1))
     g_row = mlp_forward(tape, state, "embed_g", seed_row)
-    g0 = tape.gather(g_row, np.zeros(batch.num_graphs, dtype=np.int64))
+    g0 = tape.gather(g_row, Segments(np.zeros(batch.num_graphs, dtype=np.int64), 1))
     return x0, e0, g0
 
 
 def gcn_aggregate(tape: Tape, x, batch: GraphBatch):
-    """The weight-free normalized aggregation sum_{j in N(i) ∪ {i}} x_j / sqrt(d_i d_j)."""
-    dtype = x.data.dtype
-    plan = batch.receiver_plan
-    degrees = (plan.counts + 1.0).astype(dtype)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    edge_coeff = (inv_sqrt[batch.senders] * inv_sqrt[batch.receivers])[:, None]
-    messages = tape.mul(tape.gather(x, batch.senders), tape.constant(edge_coeff))
-    aggregated = tape.segment_sum(messages, plan)
-    self_term = tape.mul(x, tape.constant((1.0 / degrees)[:, None]))
-    return tape.add(aggregated, self_term)
+    """The weight-free normalized aggregation sum_{j in N(i) ∪ {i}} x_j / sqrt(d_i d_j).
+
+    One product with the batch's cached Â = D^-½(A+I)D^-½ (Kipf & Welling,
+    arXiv 1609.02907); see :meth:`GraphBatch.propagation`.
+    """
+    return tape.sparse_matmul(x, *batch.propagation(x.data.dtype))
 
 
 def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, training: bool, step: int):
@@ -410,7 +466,7 @@ def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, t
 def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatch, training: bool, step: int):
     if x.data.shape[1] != e.data.shape[1]:
         raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
-    messages = tape.relu(tape.add(tape.gather(x, batch.senders), e))
+    messages = tape.relu(tape.add(tape.gather(x, batch.sender_plan), e))
     agg = tape.segment_sum(messages, batch.receiver_plan)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
     if state.config.gine_epsilon_mode == "standard":
@@ -423,15 +479,16 @@ def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatc
 
 
 def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: GraphBatch, training: bool, step: int):
-    g_per_edge = tape.gather(g, batch.edge_graph_ids)
-    g_per_node = tape.gather(g, batch.node_graph_ids)
+    g_per_edge = tape.gather(g, batch.graph_edge_plan)
+    g_per_node = tape.gather(g, batch.graph_node_plan)
 
-    edge_in = tape.concat([tape.gather(x, batch.senders), tape.gather(x, batch.receivers), e, g_per_edge], axis=1)
+    x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
+    edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
     e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
 
     incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
     outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
-    incoming_x = tape.segment_sum(tape.gather(x, batch.senders), batch.receiver_plan)
+    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
     node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
     x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
 
@@ -498,7 +555,8 @@ def load_model(path) -> ModelState:
     state = ModelState(config)
     arrays = load_checkpoint(path)
     for name, value in arrays.items():
-        state.add_parameter(name, value.astype(config.np_dtype))
+        # load_checkpoint returns arrays it owns, so convert without a second copy.
+        state.add_parameter(name, value.astype(config.np_dtype, copy=False))
     for head in sidecar["heads"]:
         state.heads[head["name"]] = HeadSpec(**head)
     return state

@@ -167,6 +167,10 @@ def cmd_featurize(args) -> int:
         config.update(load_config_file(args.config))
     seed = _resolve_seed(args, config)
     k_pe, rw_steps = config["k_pe"], config["rw_steps"]
+    # A bad encoding size is a usage error, caught before any molecule is read.
+    for name, value in (("k_pe", k_pe), ("rw_steps", rw_steps)):
+        if value < 1:
+            raise ManifestError(f"{args.config}: {name} must be >= 1")
     global_dim = config.get("d_global") or 64
 
     molecules, failures = read_molecules(manifest)

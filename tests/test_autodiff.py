@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from minifp.autodiff import (
     CorruptCheckpoint,
@@ -262,7 +263,7 @@ def test_gather_backward():
     w = Parameter("w", np.arange(12, dtype=np.float64).reshape(4, 3))
 
     def fn(tape):
-        picked = tape.gather(tape.watch(w), np.array([0, 2, 2]))
+        picked = tape.gather(tape.watch(w), Segments(np.array([0, 2, 2]), 4))
         return tape.sum(tape.mul(picked, picked))
 
     assert finite_difference_check(fn, [w], h=1e-6) < 1e-4
@@ -275,12 +276,98 @@ def test_gather_backward_matches_add_at_bitwise(dtype):
     rows = rng.integers(0, 7, size=60)  # repeated indices; rows 7 and 8 never picked
     upstream = (rng.standard_normal((60, 4)) * 10.0 ** rng.integers(-4, 5, size=(60, 1))).astype(dtype)
     tape = Tape()
-    picked = tape.gather(tape.watch(w), rows)
+    # A key-less plan keeps each segment's rows in index order, as np.add.at adds them.
+    picked = tape.gather(tape.watch(w), Segments(rows, 9))
     tape.backward(tape.sum(tape.mul(picked, tape.constant(upstream))))
     expected = np.zeros_like(w.value)
     np.add.at(expected, rows, upstream)
     assert w.grad.dtype == dtype
     assert np.array_equal(w.grad, expected)
+
+
+def test_gather_rejects_a_plan_over_other_rows():
+    tape = Tape()
+    with pytest.raises(ShapeMismatch):
+        tape.gather(tape.constant(np.ones((3, 2))), Segments(np.array([0, 1]), 2))
+
+
+def test_backward_frees_every_op_gradient_and_keeps_parameter_gradients():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((5, 3))
+    c = rng.standard_normal((5, 4))
+    w = Parameter("w", rng.standard_normal((3, 4)))
+    b = Parameter("b", rng.standard_normal(4))
+    tape = Tape()
+    wt, bt = tape.watch(w), tape.watch(b)
+    h = tape.linear(tape.constant(x), wt, bt)
+    r = tape.relu(h)
+    both = tape.concat([r, r], axis=1)
+    loss = tape.sum(tape.mul(both, tape.constant(np.concatenate([c, c], axis=1))))
+    tape.backward(loss)
+    assert all(t.grad is None for t in (h, r, both, loss))
+    assert wt.grad is w.grad and bt.grad is b.grad
+    dh = 2.0 * c * (x @ w.value + b.value > 0)
+    np.testing.assert_allclose(w.grad, x.T @ dh, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, dh.sum(axis=0), rtol=1e-12)
+
+
+def _aliasing_loss(case, w, v, u):
+    """A loss in which one tensor's gradient arrives through two inputs of an
+    op, or through a broadcast, a bias or a sparse product."""
+    sparse = scipy.sparse.random(5, 6, density=0.4, random_state=3, format="csr")
+
+    def fn(tape):
+        x = tape.scale(tape.watch(w), 1.5)  # an op output, so its gradient may be handed over
+        row = tape.scale(tape.watch(v), -0.5)  # (1, 4)
+        if case == "add_self":
+            out = tape.add(x, x)
+        elif case == "add_two_outputs":
+            out = tape.add(x, tape.relu(x))  # relu overwrites the g it is handed
+        elif case == "concat_self":
+            out = tape.concat([x, x], axis=1)
+        elif case == "sub_broadcast":
+            out = tape.mul(tape.sub(x, row), tape.sub(row, x))
+        elif case == "mul_broadcast":
+            out = tape.add(tape.mul(x, row), tape.mul(row, x))
+        elif case == "sum_keepdims":
+            out = tape.mul(tape.sum(x, axis=1, keepdims=True), x)
+        elif case == "linear_bias":
+            out = tape.linear(x, tape.watch(u), row)  # a broadcast bias
+            out = tape.linear(out, tape.watch(u), out)  # a full-shape bias that is also the product's input
+        elif case == "sparse_product":
+            out = tape.sparse_matmul(x, sparse, sparse.T.tocsr())
+        return tape.sum(tape.mul(out, out))
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["add_self", "add_two_outputs", "concat_self", "sub_broadcast", "mul_broadcast", "sum_keepdims",
+     "linear_bias", "sparse_product"],
+)
+def test_fd_check_handed_over_gradients(case):
+    rng = np.random.default_rng(14)
+    w = Parameter("w", rng.standard_normal((6, 4)))
+    v = Parameter("v", rng.standard_normal((1, 4)))
+    u = Parameter("u", rng.standard_normal((4, 4)) / 2)
+    assert finite_difference_check(_aliasing_loss(case, w, v, u), [w, v, u], h=1e-6) < 1e-4
+
+
+def test_float64_constant_times_float32_tensor_gradient():
+    # Exactly representable values and step, so central differences are exact
+    # for this quadratic loss up to float64 rounding.
+    rng = np.random.default_rng(15)
+    w = Parameter("w", (rng.integers(-64, 64, size=(3, 4)) / 64).astype(np.float32))
+    c = rng.standard_normal((3, 4))
+
+    def fn(tape):
+        y = tape.scale(tape.watch(w), 1.0)  # float32 op output
+        z = tape.mul(y, tape.constant(c))  # float64: y's first gradient must be copied to float32
+        return tape.sum(tape.mul(z, z))
+
+    assert finite_difference_check(fn, [w], h=1 / 64) < 1e-4
+    assert w.grad.dtype == np.float32
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -174,6 +174,35 @@ def test_gcn_aggregate_single_node_identity():
     np.testing.assert_array_equal(agg.data, [[3.0, -2.0]])
 
 
+def _gathered_gcn_aggregate(x, batch):
+    """GCN aggregation as gather, mul by edge coefficients, segment sum, self-loop mul, add."""
+    plan = batch.receiver_plan
+    degrees = (plan.counts + 1.0).astype(x.dtype)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    coeff = (inv_sqrt[batch.senders] * inv_sqrt[batch.receivers])[:, None]
+    return plan.sum(x[batch.senders] * coeff) + x * (1.0 / degrees)[:, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sparse_neighbour_sums_match_the_gather_composition_bitwise(dtype):
+    rng = np.random.default_rng(21)
+    graphs = [random_molecule(rng) for _ in range(6)] + [parse_smiles("C")]
+    batch = batch_graphs(graphs, [assemble(g, 2, 3, seed=0) for g in graphs], dtype=dtype)
+    one_way = single_graph_batch(np.zeros((4, 1)), np.zeros((4, 1)), [0, 1, 2, 0], [1, 2, 0, 2], dtype=dtype)
+    for b in (batch, one_way):
+        magnitude = 10.0 ** rng.integers(-4, 5, size=(b.num_nodes, 1))
+        x = (rng.standard_normal((b.num_nodes, 5)) * magnitude).astype(dtype)
+        tape = Tape(recording=False)
+        agg = gcn_aggregate(tape, tape.constant(x), b)
+        assert agg.data.dtype == dtype
+        assert np.array_equal(agg.data, _gathered_gcn_aggregate(x, b))
+        # MPNN++'s incoming_x: the senders' rows summed over the receiver plan.
+        incoming = tape.sparse_matmul(tape.constant(x), *b.adjacency(dtype))
+        assert np.array_equal(incoming.data, b.receiver_plan.sum(x[b.senders]))
+        for matrix, transpose in (b.propagation(dtype), b.adjacency(dtype)):
+            assert np.array_equal(matrix.T.toarray(), transpose.toarray())
+
+
 def test_gine_layer_k2_hand_computed():
     cfg = tiny_config("gine", num_layers=1, d_node=1, d_edge=1, d_global=1)
     state = build_model(cfg)

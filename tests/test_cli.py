@@ -469,6 +469,21 @@ def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
     assert not (out / "run_config.txt").exists()
 
 
+@pytest.mark.parametrize("line", ["k_pe = 0", "rw_steps = 0"])
+@pytest.mark.parametrize("command", ["featurize", "pretrain"])
+def test_zero_encoding_size_exit_2(tmp_path, capsys, command, line):
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC", "CCCl"])
+    config = write_config(tmp_path, SMALL_CONFIG + line + "\n")
+    out = tmp_path / "out"
+    argv = [command, str(manifest), "--config", str(config), "--out", str(out)]
+    if command == "pretrain":
+        argv += ["--backbone", "gcn"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and line.split()[0] in err
+    assert not out.exists()
+
+
 def test_bad_store_exit_2(tmp_path):
     task = write_downstream_task(tmp_path, tmp_path / "fp.mfps")
     bogus = tmp_path / "bogus.mfps"
