@@ -19,6 +19,11 @@ input's first contribution becomes its ``grad`` as is when it is handed over
 (``_accum(..., owned=True)``) and is writeable with the input's dtype and
 shape; otherwise it is copied once.  Later contributions are added in place.
 
+A tape holds only what backward needs.  A recording tape holds its recorded
+op outputs and whatever their closures read; a non-recording tape holds
+nothing but its watched parameters, so an inference forward frees each
+layer's arrays as soon as the caller stops referring to them.
+
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
 key columns, then by row index.  Every sum is a product with a CSR matrix
@@ -33,6 +38,8 @@ same bits on every run.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Callable, Sequence
 
@@ -194,6 +201,11 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 class Tape:
     """Single-writer record of forward operations, replayed in exact reverse order.
 
+    A recording tape holds, in ``_ops``, each recorded op's output tensor and
+    its backward closure, and through the closures what they read.  A
+    non-recording tape records nothing and holds no op output, so every
+    array of an inference forward lives only as long as its caller keeps it.
+
     Backward closures call the module-level ``_accum`` and never capture the
     tape, so a tape is in no reference cycle: dropping it frees its
     activations and gradients at once, without waiting for the cyclic
@@ -203,15 +215,12 @@ class Tape:
     def __init__(self, recording: bool = True):
         self.recording = recording
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._tensors: list[Tensor] = []
         self._watched: dict[int, tuple[Parameter, Tensor]] = {}
 
     # -- tensor creation ---------------------------------------------------
 
     def constant(self, data) -> Tensor:
-        t = Tensor(np.asarray(data))
-        self._tensors.append(t)
-        return t
+        return Tensor(np.asarray(data))
 
     def watch(self, param: Parameter) -> Tensor:
         """Tensor view of a parameter; backward() accumulates into param.grad."""
@@ -219,12 +228,10 @@ class Tape:
         if key not in self._watched:
             t = Tensor(param.value, requires_grad=self.recording)
             self._watched[key] = (param, t)
-            self._tensors.append(t)
         return self._watched[key][1]
 
     def _emit(self, data: np.ndarray, inputs: Sequence[Tensor], backward) -> Tensor:
         out = Tensor(data, requires_grad=self.recording and any(t.requires_grad for t in inputs))
-        self._tensors.append(out)
         if out.requires_grad:
             self._ops.append((out, backward))
         return out
@@ -512,8 +519,8 @@ class Tape:
             raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
         if not loss.requires_grad:
             raise DisconnectedGraph("loss does not depend on any watched parameter")
-        for t in self._tensors:
-            t.grad = None
+        for out, _ in self._ops:
+            out.grad = None  # left over from a backward whose closure raised
         for param, t in self._watched.values():
             t.grad = param.grad
         _accum(loss, np.ones_like(loss.data), owned=True)
@@ -571,7 +578,7 @@ def save_checkpoint(path, params: Sequence[Parameter]) -> None:
             fh.write(name_bytes)
             fh.write(struct.pack("<B", p.value.ndim))
             fh.write(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.value, dtype="<f4"))  # the array's own buffer, no bytes copy
 
 
 class CorruptCheckpoint(ValueError):
@@ -588,6 +595,7 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into name -> float32 array (bit-exact round trip)."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CHECKPOINT_VERSION:
             raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
@@ -597,7 +605,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = _read_exact(fh, name_len, "record").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"shape for {name!r}"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape for {name!r}"))
-            n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            buf = _read_exact(fh, 4 * n_items, f"data for {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+            # A corrupt shape must not size the array: check it against the bytes left first.
+            if 4 * math.prod(shape) > file_size - fh.tell():
+                raise CorruptCheckpoint(f"truncated data for {name!r}")
+            data = np.empty(shape, dtype="<f4")
+            if fh.readinto(data) != data.nbytes:
+                raise CorruptCheckpoint(f"truncated data for {name!r}")
+            out[name] = data
         return out

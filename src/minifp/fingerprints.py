@@ -25,7 +25,8 @@ import numpy as np
 from .autodiff import Tape
 from .backbones import POOL_METHODS, ModelState, batch_graphs, forward, pool
 from .encodings import assemble
-from .molgraph import MolecularGraph, normalize_smiles, parse_smiles
+# normalize_smiles stays importable here: perfbench/instrument.py traces it in this module.
+from .molgraph import MolecularGraph, normalize_smiles, parse_smiles, renumber_ring_closures  # noqa: F401
 
 STORE_MAGIC = b"MFPS"
 STORE_VERSION = 1
@@ -131,8 +132,8 @@ def extract_fingerprints(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                key = normalize_smiles(smiles)
                 graph = parse_smiles(smiles)
+            key = renumber_ring_closures(smiles)
         except Exception as exc:  # collected, not raised
             report.failures.append((molecule_id or smiles, str(exc)))
             continue

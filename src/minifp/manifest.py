@@ -29,6 +29,7 @@ from .molgraph import (
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
+    renumber_ring_closures,
 )
 from .multitask import LOSS_FOR_KIND, LabelSet, TaskSpec
 from .trainer import PretrainDataset
@@ -161,7 +162,7 @@ def read_molecules(manifest: DatasetManifest) -> tuple[list[MoleculeRow], list[P
                 molecule_id = (
                     row[manifest.id_column].strip()
                     if manifest.id_column
-                    else normalize_smiles(smiles)
+                    else renumber_ring_closures(smiles)
                 )
         except SmilesError as exc:
             failures.append(ParseFailure(row_index=index, smiles=smiles, error=str(exc)))

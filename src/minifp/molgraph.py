@@ -12,6 +12,7 @@ degree-style features are well-defined.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import warnings
@@ -457,7 +458,11 @@ def normalize_smiles(text: str) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         parse_smiles(text)
+    return renumber_ring_closures(text)
 
+
+def renumber_ring_closures(text: str) -> str:
+    """:func:`normalize_smiles` of a text that has already parsed, without parsing it again."""
     out: list[str] = []
     open_map: dict[int, int] = {}
     next_id = 1
@@ -531,12 +536,12 @@ def write_smiles(graph: MolecularGraph) -> str:
             order_out[node] = children
             stack.extend(nxt for nxt, _ in reversed(children))
 
-    # Ring markers: opened at the lower-visited endpoint, reused after closing.
-    ring_marks: dict[int, list[tuple[int, int]]] = {}
-    for marker, b_idx in enumerate(ring_bonds, start=1):
+    # Each ring bond is written at both endpoints: it opens at the first one emitted.
+    ring_marks: dict[int, list[int]] = {}
+    for b_idx in ring_bonds:
         bond = graph.bonds[b_idx]
-        ring_marks.setdefault(bond.u, []).append((marker, b_idx))
-        ring_marks.setdefault(bond.v, []).append((marker, b_idx))
+        ring_marks.setdefault(bond.u, []).append(b_idx)
+        ring_marks.setdefault(bond.v, []).append(b_idx)
 
     def atom_text(idx: int) -> str:
         atom = graph.atoms[idx]
@@ -567,22 +572,36 @@ def write_smiles(graph: MolecularGraph) -> str:
         return "=" if bond.order == DOUBLE else "#"
 
     pieces: list[str] = []
-
-    def emit(node: int, via: int | None) -> None:
+    open_marks: dict[int, int] = {}  # ring bond -> its marker until it closes
+    free_marks = list(range(1, 100))  # a heap: the lowest free marker is reused first
+    # Depth-first without recursion: a stack of (atom, bond it is reached by)
+    # entries and of literal branch parentheses, pushed in reverse output order.
+    stack: list[tuple[int, int | None] | str] = [(0, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, via = item
         if via is not None:
             pieces.append(bond_text(via))
         pieces.append(atom_text(node))
-        for marker, b_idx in ring_marks.get(node, ()):
+        closed = []
+        for b_idx in ring_marks.get(node, ()):
+            if b_idx in open_marks:
+                marker = open_marks.pop(b_idx)
+                closed.append(marker)
+            elif free_marks:
+                marker = open_marks[b_idx] = heapq.heappop(free_marks)
+            else:
+                raise SmilesError("more than 99 ring closures open at once")
             pieces.append(bond_text(b_idx))
             pieces.append(str(marker) if marker < 10 else f"%{marker:02d}")
+        for marker in closed:  # free from the next atom on, never reopened on this one
+            heapq.heappush(free_marks, marker)
         children = order_out[node]
-        for pos, (child, b_idx) in enumerate(children):
-            last = pos == len(children) - 1
-            if not last:
-                pieces.append("(")
-            emit(child, b_idx)
-            if not last:
-                pieces.append(")")
-
-    emit(0, None)
+        if children:  # every child but the last in a branch
+            stack.append(children[-1])
+            for child in reversed(children[:-1]):
+                stack.extend((")", child, "("))
     return "".join(pieces)

@@ -311,6 +311,39 @@ def test_backward_frees_every_op_gradient_and_keeps_parameter_gradients():
     np.testing.assert_allclose(b.grad, dh.sum(axis=0), rtol=1e-12)
 
 
+def test_backward_after_a_raising_closure_matches_a_fresh_tape():
+    """A closure that raises midway leaves gradients on earlier op outputs;
+    the next backward on that tape must not add them in."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((4, 3))
+    w = Parameter("w", rng.standard_normal((3, 3)))
+
+    def build(tape, fail):
+        h = tape.matmul(tape.constant(x), tape.watch(w))
+
+        def identity(g):
+            if fail:
+                fail.pop()
+                raise RuntimeError("closure failed")
+            return (g,)
+
+        y = tape.custom(h.data.copy(), [h], identity)
+        return tape.sum(tape.mul(y, h))  # h also gets a gradient before y's closure runs
+
+    fresh = Tape()
+    fresh.backward(build(fresh, []))
+    expected = w.grad.copy()
+
+    w.zero_grad()
+    tape = Tape()
+    loss = build(tape, [True])
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+    w.zero_grad()
+    tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, expected)
+
+
 def _aliasing_loss(case, w, v, u):
     """A loss in which one tensor's gradient arrives through two inputs of an
     op, or through a broadcast, a bias or a sparse product."""
@@ -396,6 +429,17 @@ def test_checkpoint_truncation_detected(tmp_path):
     save_checkpoint(path, [p])
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(3, 2**30), (2**20, 2**20), (2**31, 2**31)])
+def test_checkpoint_shape_beyond_the_file_raises_typed_error(tmp_path, shape):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, [Parameter("w", np.ones((2, 3), dtype=np.float32))])
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = np.array(shape, dtype="<u4").tobytes()  # after header, name length, "w" and ndim
+    path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,28 @@ def test_forward_deterministic(backbone):
     np.testing.assert_array_equal(a.x.data, b.x.data)
     c = forward(Tape(recording=False), batch, state, training=True, step=6)
     assert not np.array_equal(a.x.data, c.x.data)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+def test_inference_forward_memory_does_not_grow_with_depth(backbone):
+    """A non-recording tape holds no op output, so each layer's arrays are
+    freed once the next layer replaces them: 16 layers peak no higher than 2."""
+    rng = np.random.default_rng(0)
+    graphs = [random_molecule(rng, max_atoms=14) for _ in range(30)]
+    cfg = default_config(backbone)
+    feats = [assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global) for g in graphs]
+    batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+    peaks = []
+    for layers in (2, 16):
+        state = build_model(default_config(backbone, num_layers=layers))
+        forward(Tape(recording=False), batch, state)  # builds the batch's cached plans and matrices
+        tracemalloc.start()
+        try:
+            forward(Tape(recording=False), batch, state)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"16 layers peaked at {peaks[1] / peaks[0]:.2f}x the 2-layer forward"
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])

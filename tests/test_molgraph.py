@@ -217,7 +217,11 @@ def _as_networkx(g):
     return nxg
 
 
-@pytest.mark.parametrize("smiles", CORPUS)
+@pytest.mark.parametrize(
+    "smiles",
+    # Past the recursion limit, and more ring bonds than two-digit markers.
+    CORPUS + [pytest.param("C" * 1500, id="chain_1500"), pytest.param("C1CC1" * 120, id="rings_120")],
+)
 def test_round_trip_is_isomorphic(smiles):
     import networkx as nx
 
@@ -230,7 +234,25 @@ def test_round_trip_is_isomorphic(smiles):
         node_match=lambda a, b: a == b,
         edge_match=lambda a, b: a == b,
     )
-    assert matcher.is_isomorphic(), f"{smiles} -> {text} not isomorphic"
+    try:
+        assert matcher.is_isomorphic(), f"{smiles} -> {text} not isomorphic"
+    finally:
+        matcher.reset_recursion_limit()  # raised for large graphs and otherwise left raised
+
+
+def _comb(teeth):
+    """A path x, then a path w, and a tooth c_j bonded to both x_j and w_j:
+    written from x_0, all ``teeth`` w-c ring bonds are open after the last w."""
+    x, c, w = (list(range(k * teeth, (k + 1) * teeth)) for k in range(3))
+    pairs = list(zip(x, x[1:])) + [(x[-1], w[0])] + list(zip(w, w[1:])) + list(zip(x, c)) + list(zip(w, c))
+    atoms = [molgraph.Atom(element="C") for _ in range(3 * teeth)]
+    return molgraph.annotate(molgraph.MolecularGraph(atoms=atoms, bonds=[molgraph.Bond(u, v) for u, v in pairs]))
+
+
+def test_write_smiles_opens_at_most_99_ring_closures_at_once():
+    assert len(parse_smiles(write_smiles(_comb(99))).bonds) == len(_comb(99).bonds)
+    with pytest.raises(molgraph.SmilesError, match="more than 99"):
+        write_smiles(_comb(100))
 
 
 @pytest.mark.parametrize("smiles", CORPUS)
