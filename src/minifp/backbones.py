@@ -134,6 +134,12 @@ def default_config(backbone: str, **overrides) -> ModelConfig:
     return cfg
 
 
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """One U(±sqrt(6 / (fan_in + fan_out))) float64 draw of shape (fan_in, fan_out) (Glorot & Bengio, 2010)."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
 @dataclass
 class HeadSpec:
     """Shape record for one task head, kept in the checkpoint sidecar."""
@@ -170,9 +176,7 @@ class ModelState:
         return param
 
     def glorot(self, name: str, fan_in: int, fan_out: int) -> Parameter:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        value = self._init_rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return self.add_parameter(name, value)
+        return self.add_parameter(name, glorot_uniform(self._init_rng, fan_in, fan_out))
 
     def add_mlp(self, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
         self.glorot(f"{prefix}/w1", d_in, d_hidden)

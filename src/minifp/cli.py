@@ -70,7 +70,7 @@ from .manifest import (
     read_molecules,
 )
 from .multitask import LabelSet, LossWeights
-from .seeding import rng_stream
+from .seeding import seeded_split
 from .trainer import NaNLossError, SplitSpec, TooFewMolecules, TrainConfig, pretrain
 
 EXIT_OK = 0
@@ -386,21 +386,18 @@ def cmd_downstream(args) -> int:
         train_rows = np.array([row_of[i] for i in train_ids], dtype=np.int64)
         test_rows = np.array([row_of[i] for i in test_ids], dtype=np.int64)
     else:
-        order = rng_stream(seed, "downstream-split").permutation(len(ids))
         cut = max(1, int(round(len(ids) * 0.8)))
-        train_rows = np.sort(order[:cut])
-        test_rows = np.sort(order[cut:])
+        train_rows, test_rows = seeded_split(len(ids), seed, "downstream-split", [cut])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = ["files.json"]
 
-    inner_valid = max(1, len(train_rows) // 10)
-    inner_order = rng_stream(seed, "sweep-split").permutation(len(train_rows))
-    sweep_valid = np.sort(train_rows[inner_order[:inner_valid]])
-    sweep_train = np.sort(train_rows[inner_order[inner_valid:]])
-
     if args.sweep != "none":
+        inner_valid = max(1, len(train_rows) // 10)
+        valid_part, train_part = seeded_split(len(train_rows), seed, "sweep-split", [inner_valid])
+        # Split files list ids in any order, so the picked rows are sorted again.
+        sweep_valid, sweep_train = np.sort(train_rows[valid_part]), np.sort(train_rows[train_part])
         space = SWEEP_PRESETS[args.sweep]()
         best_config, rows = sweep(space, store, data, seed, sweep_train, sweep_valid)
         with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="") as fh:

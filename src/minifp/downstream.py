@@ -23,9 +23,10 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .autodiff import Parameter, Tape
+from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
-from .seeding import derive_seed, rng_stream
+from .seeding import derive_seed, rng_stream, seeded_split
 from .trainer import OptimizerState, TrainConfig, adam_step, lr_at
 
 
@@ -170,9 +171,9 @@ def gather_fingerprints(store: FingerprintStore, ids) -> np.ndarray:
 
 def random_split(n: int, valid_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded fallback split when no scaffold-split files are provided."""
-    order = rng_stream(seed, "head-split").permutation(n)
     n_valid = max(1, math.floor(n * valid_fraction)) if n > 1 else 0
-    return np.sort(order[n_valid:]), np.sort(order[:n_valid])
+    valid, train = seeded_split(n, seed, "head-split", [n_valid])
+    return train, valid
 
 
 # -- the head model ---------------------------------------------------------------
@@ -193,19 +194,11 @@ class TrainedHead:
         self.val_curve: list[float] = []
         self.best_epoch = -1
         init = rng_stream(seed, "head-params")
-        widths = [in_dim] + [config.hidden_dim] * config.num_layers
-        for layer in range(config.num_layers):
-            fan_in, fan_out = widths[layer], widths[layer + 1]
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            self.params.append(
-                Parameter(f"h{layer}/w", init.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32))
-            )
-            self.params.append(Parameter(f"h{layer}/b", np.zeros(fan_out, dtype=np.float32)))
-        limit = math.sqrt(6.0 / (config.hidden_dim + out_dim))
-        self.params.append(
-            Parameter("out/w", init.uniform(-limit, limit, size=(config.hidden_dim, out_dim)).astype(np.float32))
-        )
-        self.params.append(Parameter("out/b", np.zeros(out_dim, dtype=np.float32)))
+        names = [f"h{layer}" for layer in range(config.num_layers)] + ["out"]
+        widths = [in_dim] + [config.hidden_dim] * config.num_layers + [out_dim]
+        for name, fan_in, fan_out in zip(names, widths, widths[1:]):
+            self.params.append(Parameter(f"{name}/w", glorot_uniform(init, fan_in, fan_out).astype(np.float32)))
+            self.params.append(Parameter(f"{name}/b", np.zeros(fan_out, dtype=np.float32)))
         self._by_name = {p.name: p for p in self.params}
 
     def forward(self, tape: Tape, x: np.ndarray, training: bool, step: int = 0):
@@ -318,21 +311,6 @@ def train_head(
 # -- metrics ---------------------------------------------------------------------
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their midrank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def auroc(scores, labels) -> float:
     """Area under the ROC curve via the midrank statistic (tie-aware)."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -341,7 +319,7 @@ def auroc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUROC needs both classes present")
-    ranks = midranks(scores)
+    ranks = _scipy_stats.rankdata(scores, method="average")
     pos_sum = ranks[labels == 1].sum()
     return float((pos_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -398,8 +376,8 @@ def spearman_rho(x, y) -> tuple[float, float]:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ZeroVariance("an input has zero variance")
 
-    rx = midranks(x)
-    ry = midranks(y)
+    rx = _scipy_stats.rankdata(x, method="average")
+    ry = _scipy_stats.rankdata(y, method="average")
 
     def pearson(a, b):
         a = a - a.mean()
@@ -471,8 +449,6 @@ def sweep(
     """
     if not space.configs:
         raise ValueError("sweep space is empty")
-    if train_idx is None or valid_idx is None:
-        train_idx, valid_idx = random_split(len(data), 0.1, seed)
     rows = []
     for config in space.configs:
         head = train_head(store, data, config, seed, train_idx, valid_idx)
@@ -487,8 +463,7 @@ def kfold_partition(n: int, num_folds: int, seed: int) -> list[np.ndarray]:
         raise FoldTooSmall(f"need at least 2 folds, got {num_folds}")
     if n < num_folds:
         raise FoldTooSmall(f"cannot split {n} examples into {num_folds} folds")
-    order = rng_stream(seed, "kfold").permutation(n)
-    return [np.sort(chunk) for chunk in np.array_split(order, num_folds)]
+    return seeded_split(n, seed, "kfold", num_folds)
 
 
 def ensemble_predict(heads: list[TrainedHead], x: np.ndarray) -> np.ndarray:
@@ -561,10 +536,8 @@ def kfold_ensemble(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if train_rows is None or test_rows is None:
-        order = rng_stream(seed, "ensemble-split").permutation(len(data))
-        split = max(1, int(round(len(data) * 0.8)))
-        train_rows = np.sort(order[:split])
-        test_rows = np.sort(order[split:])
+        cut = max(1, int(round(len(data) * 0.8)))
+        train_rows, test_rows = seeded_split(len(data), seed, "ensemble-split", [cut])
     train_rows = np.asarray(train_rows, dtype=np.int64)
     test_rows = np.asarray(test_rows, dtype=np.int64)
     features = gather_fingerprints(store, data.ids)

@@ -11,11 +11,15 @@ molecule produces a bitwise identical vector at a given precision.
 
 Store file layout (little-endian): magic ``MFPS``, version byte, dimension
 as uint32, record count as uint32, then per record a uint16 id length, the
-id bytes, and ``dimension`` float32 values.  Round-trips are bit-exact.
+UTF-8 id bytes, and ``dimension`` float32 values.  Round-trips are bit-exact; a
+file that departs from this layout or repeats an id raises ``CorruptHeader``.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -184,17 +188,29 @@ def store_read(path, expect_dimension: int | None = None) -> FingerprintStore:
             raise CorruptHeader(f"unsupported store version {version}")
         if expect_dimension is not None and dimension != expect_dimension:
             raise DimensionMismatch(f"store dimension {dimension}, expected {expect_dimension}")
+        # Records are checked against a file's size before they are read, so a
+        # corrupt dimension cannot ask for gigabytes; a pipe has no size.
+        info = os.fstat(fh.fileno())
+        left = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else math.inf
         store = FingerprintStore(dimension)
         for _ in range(count):
             raw_len = fh.read(2)
             if len(raw_len) != 2:
                 raise CorruptHeader("truncated record")
             (id_len,) = struct.unpack("<H", raw_len)
-            molecule_id = fh.read(id_len)
-            payload = fh.read(4 * dimension)
-            if len(molecule_id) != id_len or len(payload) != 4 * dimension:
+            left -= 2 + id_len + 4 * dimension
+            if left < 0:
                 raise CorruptHeader("truncated record")
-            store.add(molecule_id.decode("utf-8"), np.frombuffer(payload, dtype="<f4").copy())
+            raw_id = fh.read(id_len)
+            payload = fh.read(4 * dimension)
+            if len(raw_id) != id_len or len(payload) != 4 * dimension:
+                raise CorruptHeader("truncated record")
+            try:
+                store.add(raw_id.decode("utf-8"), np.frombuffer(payload, dtype="<f4").copy())
+            except ValueError as exc:  # an id that is not UTF-8 (UnicodeDecodeError) or repeats
+                raise CorruptHeader(f"record {len(store)}: {exc}") from exc
+        if fh.read(1):
+            raise CorruptHeader("trailing bytes after the declared records")
     return store
 
 

@@ -392,11 +392,7 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "test_fraction": (float, 0.04),
     # orchestration
     "seed": (int, 0),
-    "folds": (int, 5),
-    "reps": (int, 5),
 }
-
-_BOOL_STRINGS = {"true": True, "false": False, "on": True, "off": False}
 
 
 def parse_config_text(text: str) -> dict:

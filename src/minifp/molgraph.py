@@ -564,10 +564,11 @@ def write_smiles(graph: MolecularGraph) -> str:
 
     def bond_text(b_idx: int) -> str:
         bond = graph.bonds[b_idx]
+        # An unwritten bond between two aromatic atoms parses as aromatic.
+        both = graph.atoms[bond.u].aromatic and graph.atoms[bond.v].aromatic
         if bond.order == SINGLE:
-            return ""
+            return "-" if both else ""
         if bond.order == AROMATIC:
-            both = graph.atoms[bond.u].aromatic and graph.atoms[bond.v].aromatic
             return "" if both else ":"
         return "=" if bond.order == DOUBLE else "#"
 

@@ -4,6 +4,12 @@ Every source of randomness in the pipeline (parameter init, the global-node
 seed vector, dataset shuffles, dropout masks) draws from a stream derived
 from ``(master_seed, stream_name)`` so that runs are bit-reproducible and
 streams never alias each other.
+
+Every split is :func:`seeded_split` on its own stream: ``"split"`` (92/4/4
+pre-training), ``"head-split"`` (a head's 10% validation fallback),
+``"kfold"`` (one ensemble repetition's folds), ``"ensemble-split"`` and
+``"downstream-split"`` (the 80/20 fallbacks of ``kfold_ensemble`` and
+``minifp downstream``), ``"sweep-split"`` (the CLI sweep's 10% cut).
 """
 
 from __future__ import annotations
@@ -33,3 +39,10 @@ def rng_stream(seed: int, name: str, *indices: int) -> np.random.Generator:
 def derive_seed(seed: int, name: str, *indices: int) -> int:
     """Derive a child integer seed (for handing to components that reseed)."""
     return int(rng_stream(seed, name, *indices).integers(0, 2**63 - 1))
+
+
+def seeded_split(n: int, seed: int, name: str, sections) -> list[np.ndarray]:
+    """Sorted parts of the stream's permutation of ``range(n)``, cut by
+    ``np.array_split`` (``sections``: a part count or a list of cut positions)."""
+    order = rng_stream(seed, name).permutation(n)
+    return [np.sort(part) for part in np.array_split(order, sections)]

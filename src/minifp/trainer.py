@@ -4,7 +4,8 @@ The schedule ramps linearly from 0 to the peak learning rate over the warmup
 epochs (interpolated per step), then follows the configured decay: constant,
 linear to zero, or half-cosine to zero.  Splits use a seeded shuffle with
 floor rounding; the remainder goes to the test partition, so 100 molecules
-under (0.92, 0.04, 0.04) split exactly into sizes (92, 4, 4).
+under (0.92, 0.04, 0.04) split exactly into sizes (92, 4, 4).  The shuffle,
+cut and sort are ``seeding.seeded_split`` on the ``"split"`` stream.
 
 Per-epoch records are line-delimited JSON with no timestamps, so two runs
 with the same seed produce byte-identical logs; wall-clock times go to a
@@ -36,7 +37,7 @@ from .multitask import (
     task_head_forward,
     task_loss,
 )
-from .seeding import rng_stream
+from .seeding import rng_stream, seeded_split
 
 SCHEDULES = ("constant", "linear-decay", "cosine")
 
@@ -93,13 +94,10 @@ def split_dataset(ids, spec: SplitSpec) -> tuple[list[int], list[int], list[int]
     n = len(ids)
     if n < 3:
         raise TooFewMolecules(f"need at least 3 molecules to split, got {n}")
-    order = rng_stream(spec.seed, "split").permutation(n)
     n_train = math.floor(n * spec.fractions[0])
     n_valid = math.floor(n * spec.fractions[1])
-    train = sorted(int(i) for i in order[:n_train])
-    valid = sorted(int(i) for i in order[n_train : n_train + n_valid])
-    test = sorted(int(i) for i in order[n_train + n_valid :])
-    return train, valid, test
+    train, valid, test = seeded_split(n, spec.seed, "split", [n_train, n_train + n_valid])
+    return train.tolist(), valid.tolist(), test.tolist()
 
 
 def lr_at(fraction: float, config: TrainConfig) -> float:

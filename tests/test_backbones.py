@@ -24,6 +24,7 @@ from minifp.backbones import (
 from minifp.encodings import ATOM_FEATURE_WIDTH, AssembledFeatures, assemble, atom_features, bond_features
 from minifp.molgraph import parse_smiles
 from minifp.multitask import TaskSpec, head_input
+from minifp.seeding import rng_stream
 
 from .util import random_molecule
 
@@ -112,6 +113,24 @@ def test_parameter_names_unique_and_counted_exactly():
     names = [p.name for p in state.parameters()]
     assert len(names) == len(set(names))
     assert count_parameters(state) == sum(p.value.size for p in state.parameters())
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_build_model_matches_the_inline_glorot_draws_bitwise(backbone, dtype):
+    # Only the 2-D weights draw from the "params" stream, one call each in
+    # creation order; every other parameter starts at zero.
+    for seed in (0, 9):
+        state = build_model(tiny_config(backbone, d_node=6, d_edge=6, d_global=3, dtype=dtype, seed=seed))
+        init = rng_stream(seed, "params")
+        for p in state.parameters():
+            if p.value.ndim == 2:
+                fan_in, fan_out = p.value.shape
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                expected = init.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+            else:
+                expected = np.zeros(p.value.shape, dtype=dtype)
+            assert p.value.dtype == expected.dtype and np.array_equal(p.value, expected), p.name
 
 
 def test_embed_identity_mlps():

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from minifp import cli
 from minifp.cli import main, read_feature_cache
+from minifp.downstream import HeadConfig
 from minifp.fingerprints import FingerprintStore, store_read, store_write
 from minifp.molgraph import parse_smiles
+from minifp.seeding import rng_stream
 
 from .util import TOY_SMILES
 
@@ -303,6 +306,57 @@ def test_downstream_sweep_config1_table(tmp_path):
     assert chosen["learning_rate"] in (0.001, 0.0005, 0.0003, 0.0001, 5e-5)
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("split_files", [False, True])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_downstream_splits_match_the_inline_splits_bitwise(tmp_path, monkeypatch, seed, split_files):
+    store_path = tmp_path / "fp.mfps"
+    task = write_downstream_task(tmp_path, store_path, n=37)
+    ids = [f"d{i}" for i in range(37)]
+    if split_files:  # id lists in no particular order
+        shuffled = [ids[i] for i in np.random.default_rng(seed).permutation(37)]
+        (tmp_path / "train_ids.txt").write_text("\n".join(shuffled[:29]) + "\n")
+        (tmp_path / "test_ids.txt").write_text("\n".join(shuffled[29:]) + "\n")
+        manifest = json.loads(task.read_text())
+        manifest["splits"] = {"train": "train_ids.txt", "test": "test_ids.txt"}
+        task.write_text(json.dumps(manifest))
+    seen = {}
+
+    def fake_sweep(space, store, data, seed, train_idx, valid_idx):
+        seen["sweep"] = (train_idx, valid_idx)
+        return HeadConfig(), []
+
+    def fake_kfold_ensemble(store, data, config, **kwargs):
+        seen["ensemble"] = (kwargs["train_rows"], kwargs["test_rows"])
+        raise _Captured
+
+    monkeypatch.setattr(cli, "sweep", fake_sweep)
+    monkeypatch.setattr(cli, "kfold_ensemble", fake_kfold_ensemble)
+    with pytest.raises(_Captured):
+        main(["downstream", str(store_path), str(task), "--out", str(tmp_path / "o"), "--seed", str(seed)])
+
+    if split_files:
+        row_of = {molecule_id: i for i, molecule_id in enumerate(ids)}
+        train_rows = np.array([row_of[i] for i in shuffled[:29]], dtype=np.int64)
+        test_rows = np.array([row_of[i] for i in shuffled[29:]], dtype=np.int64)
+    else:
+        order = rng_stream(seed, "downstream-split").permutation(37)
+        cut = max(1, int(round(37 * 0.8)))
+        train_rows, test_rows = np.sort(order[:cut]), np.sort(order[cut:])
+    inner_valid = max(1, len(train_rows) // 10)
+    inner_order = rng_stream(seed, "sweep-split").permutation(len(train_rows))
+    expected = {
+        "ensemble": (train_rows, test_rows),
+        "sweep": (np.sort(train_rows[inner_order[inner_valid:]]), np.sort(train_rows[inner_order[:inner_valid]])),
+    }
+    for site, pair in expected.items():
+        for got, want in zip(seen[site], pair):
+            assert got.dtype == want.dtype and np.array_equal(got, want), site
+
+
 def _downstream_args(tmp_path, folds="2"):
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
@@ -469,6 +523,17 @@ def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
     assert not (out / "run_config.txt").exists()
 
 
+def test_fold_count_in_a_run_config_exit_2(tmp_path, capsys):
+    # Fold and repetition counts are downstream options, not config keys.
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC", "CCCl"])
+    config = write_config(tmp_path, SMALL_CONFIG + "folds = 3\n")
+    out = tmp_path / "run"
+    assert main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown key 'folds'" in err
+    assert not (out / "run_config.txt").exists()
+
+
 @pytest.mark.parametrize("line", ["k_pe = 0", "rw_steps = 0"])
 @pytest.mark.parametrize("command", ["featurize", "pretrain"])
 def test_zero_encoding_size_exit_2(tmp_path, capsys, command, line):
@@ -489,6 +554,16 @@ def test_bad_store_exit_2(tmp_path):
     bogus = tmp_path / "bogus.mfps"
     bogus.write_bytes(b"not a store")
     assert main(["downstream", str(bogus), str(task), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_store_with_a_flipped_id_byte_exit_2(tmp_path, capsys):
+    store_path = tmp_path / "fp.mfps"
+    task = write_downstream_task(tmp_path, store_path)
+    raw = bytearray(store_path.read_bytes())
+    raw[13 + 2] ^= 0x80  # the first record's first id byte, past the 13-byte header and the id length
+    store_path.write_bytes(bytes(raw))
+    assert main(["downstream", str(store_path), str(task), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_manifest_exit_2(tmp_path):

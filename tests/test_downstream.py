@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from minifp.downstream import (
     FoldTooSmall,
@@ -8,6 +11,7 @@ from minifp.downstream import (
     SingleClass,
     SweepSpace,
     TaskData,
+    TrainedHead,
     ZeroVariance,
     auprc,
     auroc,
@@ -19,13 +23,13 @@ from minifp.downstream import (
     kfold_ensemble,
     kfold_partition,
     mae,
-    midranks,
     spearman_rho,
     sweep,
     train_head,
 )
 from minifp.fingerprints import FingerprintStore
 from minifp.multitask import LabelSet
+from minifp.seeding import rng_stream
 
 
 def make_store(n, d, seed=0):
@@ -96,8 +100,47 @@ def test_mae_metric():
     assert mae([1.0, 2.0], [0.0, 4.0]) == 1.5
 
 
+def midranks_loop(values):
+    """Average ranks (1-based) with ties sharing their midrank: the loop the
+    metrics ran before scipy's rankdata, kept as the oracle."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def test_midranks_with_ties():
-    np.testing.assert_array_equal(midranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
+    for ranks in (midranks_loop, lambda v: rankdata(v, method="average")):
+        np.testing.assert_array_equal(ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
+
+
+def test_rank_metrics_equal_the_midrank_loop_bitwise():
+    rng = np.random.default_rng(4)
+    for trial in range(600):
+        n = int(rng.integers(9, 80))
+        # Even trials quantize to force ties; odd ones are continuous.
+        x, y = (np.round(rng.random((2, n)), 1) if trial % 2 == 0 else rng.standard_normal((2, n)))
+        rx, ry = midranks_loop(x), midranks_loop(y)
+        assert np.array_equal(rankdata(x, method="average"), rx)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        n_pos, n_neg = int(labels.sum()), int((labels == 0).sum())
+        assert auroc(x, labels) == float((rx[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        a, b = rx - rx.mean(), ry - ry.mean()
+        assert spearman_rho(x, y)[0] == float((a * b).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
+
+
+def test_nan_score_gives_nan_auroc():
+    assert math.isnan(auroc([0.2, np.nan, 0.1, 0.4], [0, 1, 0, 1]))
 
 
 def test_spearman_examples():
@@ -157,6 +200,26 @@ def quick_config(**overrides):
     base = dict(hidden_dim=16, num_layers=2, dropout=0.0, learning_rate=1e-2, epochs=25, batch_size=32)
     base.update(overrides)
     return HeadConfig(**base)
+
+
+@pytest.mark.parametrize("num_layers,in_dim,hidden_dim,out_dim", [(1, 6, 16, 1), (3, 5, 8, 4), (2, 9, 9, 2)])
+def test_head_init_matches_the_inline_glorot_draws_bitwise(num_layers, in_dim, hidden_dim, out_dim):
+    for seed in (0, 7):
+        head = TrainedHead(quick_config(num_layers=num_layers, hidden_dim=hidden_dim), in_dim, out_dim, "binary", 2, seed)
+        init = rng_stream(seed, "head-params")
+        widths = [in_dim] + [hidden_dim] * num_layers
+        expected = []
+        for layer in range(num_layers):
+            fan_in, fan_out = widths[layer], widths[layer + 1]
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            expected.append((f"h{layer}/w", init.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)))
+            expected.append((f"h{layer}/b", np.zeros(fan_out, dtype=np.float32)))
+        limit = math.sqrt(6.0 / (hidden_dim + out_dim))
+        expected.append(("out/w", init.uniform(-limit, limit, size=(hidden_dim, out_dim)).astype(np.float32)))
+        expected.append(("out/b", np.zeros(out_dim, dtype=np.float32)))
+        assert [p.name for p in head.params] == [name for name, _ in expected]
+        for p, (_, value) in zip(head.params, expected):
+            assert p.value.dtype == value.dtype and np.array_equal(p.value, value)
 
 
 def test_train_head_separable_reaches_auroc_one():

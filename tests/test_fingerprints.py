@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,44 @@ def test_store_truncated_raises(tmp_path):
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CorruptHeader):
         store_read(path)
+
+
+def test_store_truncation_and_every_bit_flip_read_back_or_raise_typed_errors(tmp_path):
+    store = FingerprintStore(3)
+    store.add("abc", np.array([1.0, -2.0, 0.5], dtype=np.float32))
+    store.add("abb", np.array([0.25, 3.0, -1.5], dtype=np.float32))  # one bit flip from a duplicate id
+    path = tmp_path / "x.mfps"
+    store_write(store, path)
+    raw = path.read_bytes()
+    assert len(raw) == 47
+    for data in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]:
+        path.write_bytes(data)
+        with pytest.raises(CorruptHeader):
+            store_read(path)
+    outcomes = set()
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            outcomes.add(len(store_read(path)))
+        except (CorruptHeader, DimensionMismatch) as exc:
+            outcomes.add(type(exc).__name__)
+    assert outcomes == {2, "CorruptHeader"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_store_reads_from_a_pipe(tmp_path):
+    store = FingerprintStore(2)
+    store.add("m", np.array([1.0, 2.0], dtype=np.float32))
+    store_write(store, tmp_path / "x.mfps")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "x.mfps").read_bytes())
+        os.close(write_end)
+        assert store_read(f"/dev/fd/{read_end}") == store
+    finally:
+        os.close(read_end)
 
 
 def test_store_dimension_check_on_read(tmp_path):

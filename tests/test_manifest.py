@@ -129,8 +129,6 @@ def test_config_defaults_match_pipeline_constants():
     assert defaults["warmup_epochs"] == 5
     assert defaults["num_layers"] == 16
     assert defaults["k"] == 5.0
-    assert defaults["folds"] == 5
-    assert defaults["reps"] == 5
     assert defaults["pool"] == "max"
     assert defaults["max_heavy"] == 100
 

@@ -1,0 +1,114 @@
+"""Property tests for the SMILES parser and writer.
+
+Seeded (``derandomize=True``) with bounded example counts, so every run
+checks the same inputs and stays fast.
+"""
+
+import warnings
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from minifp.molgraph import SmilesError, parse_smiles, write_smiles
+
+from .test_molgraph import _as_networkx
+
+# Every character the tokenizer or a bracket atom gives meaning to, plus a few it rejects.
+SMILES_ALPHABET = "BCNOPSFIlrbcnopsHaeX[]()=#-:+/\\%@.*0123456789 "
+
+ORGANIC = ["C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I", "c", "n", "o", "s", "p", "b"]
+BRACKETS = ["[nH]", "[NH4+]", "[O-]", "[Na+]", "[13CH3]", "[Fe+2]", "[se]", "[NH2-]", "[Cu:1]", "[S--]"]
+BONDS = ["", "", "", "-", "=", "#", ":"]
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+def _isomorphic(g1, g2) -> bool:
+    import networkx as nx
+
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        _as_networkx(g1), _as_networkx(g2), node_match=lambda a, b: a == b, edge_match=lambda a, b: a == b
+    )
+    try:
+        return matcher.is_isomorphic()
+    finally:
+        matcher.reset_recursion_limit()
+
+
+@st.composite
+def smiles_texts(draw):
+    """A connected SMILES string the parser accepts: atoms joined by optional
+    bond symbols, nested branches, and ring closures that never bond an atom
+    to itself or repeat a bond."""
+    atoms = st.sampled_from(ORGANIC + BRACKETS)
+    bonds = st.sampled_from(BONDS)
+    pieces = [draw(atoms)]
+    num_atoms, anchor = 1, 0
+    edges: set[tuple[int, int]] = set()
+    branches: list[int] = []
+    open_rings: dict[int, tuple[int, str]] = {}  # marker -> (atom, bond symbol written there)
+
+    def add_atom():
+        nonlocal num_atoms, anchor
+        pieces.append(draw(bonds) + draw(atoms))
+        edges.add((anchor, num_atoms))
+        anchor, num_atoms = num_atoms, num_atoms + 1
+
+    def can_close(marker):
+        partner = open_rings[marker][0]
+        return partner != anchor and (partner, anchor) not in edges and (anchor, partner) not in edges
+
+    def ring_mark(marker, bond):
+        pieces.append(bond + (str(marker) if marker < 10 else f"%{marker}"))
+
+    def close(marker):
+        partner, bond = open_rings.pop(marker)
+        edges.add((partner, anchor))
+        ring_mark(marker, bond or draw(bonds))  # a bond symbol at both ends must agree
+
+    for step in draw(st.lists(st.sampled_from(["atom", "atom", "atom", "open", "close", "ring"]), max_size=30)):
+        if step == "atom":
+            add_atom()
+        elif step == "open":
+            branches.append(anchor)
+            pieces.append("(")
+            add_atom()
+        elif step == "close" and branches:
+            anchor = branches.pop()
+            pieces.append(")")
+        elif step == "ring":
+            marker = draw(st.sampled_from([1, 2, 3, 12]))
+            if marker not in open_rings:
+                open_rings[marker] = (anchor, draw(bonds))
+                ring_mark(marker, open_rings[marker][1])
+            elif can_close(marker):
+                close(marker)
+    while branches:
+        anchor = branches.pop()
+        pieces.append(")")
+    for marker in list(open_rings):
+        while not can_close(marker):
+            add_atom()
+        close(marker)
+    return "".join(pieces)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(st.text(alphabet=SMILES_ALPHABET, max_size=40))
+def test_parser_raises_only_smiles_errors(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            parse_smiles(text)
+        except SmilesError:
+            pass
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(smiles_texts())
+def test_written_smiles_reparses_to_an_isomorphic_graph(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graph = parse_smiles(text)
+        written = write_smiles(graph)
+        assert _isomorphic(graph, parse_smiles(written)), f"{text} -> {written}"
