@@ -354,8 +354,10 @@ class Tape:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate {rate} outside [0, 1)")
         rng = rng_stream(key[0], "dropout", *key[1:])
-        mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-        mask = mask.astype(a.data.dtype)
+        # The keep mask goes straight to the tensor's dtype: 0 or dtype(1 / (1 - rate)),
+        # the same bits as scaling in float64 and casting.
+        dtype = a.data.dtype
+        mask = np.multiply(rng.random(a.data.shape) >= rate, dtype.type(1.0 / (1.0 - rate)), dtype=dtype)
         out_data = a.data * mask
 
         def backward(g):

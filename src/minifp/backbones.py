@@ -28,6 +28,23 @@ GCN aggregation and MPNN++'s incoming node sum are one sparse product each,
 with a matrix the batch caches per dtype; its rows follow the receiver plan
 and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
 :meth:`GraphBatch.adjacency`).
+
+Message-passing inputs are three composite tape ops, each of which keeps for
+backward only what its backward reads:
+
+* :func:`gine_messages`: Σ_j relu(x_j + e_ij), built in place in one
+  (edges, d) buffer and summed over the receiver plan; backward keeps the
+  boolean relu mask.
+* :func:`edge_inputs`: MPNN++'s [x_s | x_r | e | g_e], gathered and
+  concatenated in one op that keeps no gathered block; backward keeps only
+  the plans.
+* :func:`node_inputs`: MPNN++'s [x | in_e | out_e | A·x | g_n]; backward keeps
+  the plans and the adjacency's transpose.
+
+Each backward repeats the arithmetic of the gather, add, relu, segment-sum,
+sparse-product and concat ops it replaces, and adds an input's parts in the
+order their closures would, one ``Tape.custom`` input per contribution, so
+loss and gradients keep the same bits.
 """
 
 from __future__ import annotations
@@ -60,6 +77,10 @@ DEFAULT_WIDTHS = {
     "gine": (528, 528, 528),
     "mpnnpp": (256, 96, 256),
 }
+
+
+class ConstantGlobalStream(ValueError):
+    """The global stream is read on a backbone that never updates it."""
 
 
 @dataclass
@@ -109,6 +130,10 @@ class ModelConfig:
             raise ValueError(f"unknown gine_epsilon_mode {self.gine_epsilon_mode!r}")
         if self.graph_head_input not in ("pooled", "global"):
             raise ValueError(f"unknown graph_head_input {self.graph_head_input!r}")
+        if self.graph_head_input == "global" and self.backbone != "mpnnpp":
+            raise ConstantGlobalStream(
+                f'graph_head_input = "global" needs mpnnpp: {self.backbone} never updates the global stream'
+            )
         if self.pool not in POOL_METHODS:
             raise ValueError(f"unknown pool method {self.pool!r}")
         if self.dtype not in ("float32", "float64"):
@@ -437,14 +462,20 @@ def mlp_forward(tape: Tape, state: ModelState, prefix: str, x):
 
 
 def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
-    """(x0, e0, g0): two-layer MLPs over X0, E0, and the per-model seed vector."""
+    """(x0, e0, g0): two-layer MLPs over X0, E0, and the per-model seed vector.
+
+    gcn reads no edge embedding, so for gcn e0 is None; its ``embed_e``
+    parameters stay in the model and keep zero gradients.
+    """
     cfg = state.config
     if batch.node_features.shape[1] != cfg.node_input_width:
         raise ShapeMismatch(
             f"node features width {batch.node_features.shape[1]} != expected {cfg.node_input_width}"
         )
     x0 = mlp_forward(tape, state, "embed_x", tape.constant(batch.node_features))
-    e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
+    e0 = None
+    if cfg.backbone != "gcn":
+        e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
     seed_row = tape.constant(state.global_seed.reshape(1, -1))
     g_row = mlp_forward(tape, state, "embed_g", seed_row)
     g0 = tape.gather(g_row, Segments(np.zeros(batch.num_graphs, dtype=np.int64), 1))
@@ -467,11 +498,73 @@ def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, t
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
 
-def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatch, training: bool, step: int):
+def gine_messages(tape: Tape, x, e, batch: GraphBatch):
+    """Σ_j relu(x_j + e_ij) per receiver i, as one op whose backward keeps only the relu mask.
+
+    Backward gathers the gradient by receiver and masks it, then sums it
+    over the sender plan for x and hands it to e as it is.
+    """
     if x.data.shape[1] != e.data.shape[1]:
         raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
-    messages = tape.relu(tape.add(tape.gather(x, batch.sender_plan), e))
-    agg = tape.segment_sum(messages, batch.receiver_plan)
+    senders, receivers = batch.sender_plan, batch.receiver_plan
+    messages = x.data[senders.segment_ids]
+    messages += e.data
+    np.maximum(messages, 0, out=messages)
+    mask = messages > 0
+
+    def backward(g):
+        g = g[receivers.segment_ids]
+        g *= mask
+        return senders.sum(g), g
+
+    return tape.custom(receivers.sum(messages), [x, e], backward)
+
+
+def _columns(blocks) -> tuple[np.ndarray, list[int]]:
+    """``np.concatenate(blocks, axis=1)`` and the column offsets between blocks."""
+    offsets = np.cumsum([block.shape[1] for block in blocks])[:-1].tolist()
+    return np.concatenate(blocks, axis=1), offsets
+
+
+def edge_inputs(tape: Tape, x, e, g, batch: GraphBatch):
+    """MPNN++'s edge MLP input [x_s | x_r | e | g_e] per directed edge, as one op.
+
+    x gets its receiver part's sum, then its sender part's, the order the
+    gathers' closures added them in.
+    """
+    senders, receivers, graphs = batch.sender_plan, batch.receiver_plan, batch.graph_edge_plan
+    out, offsets = _columns(
+        [x.data[senders.segment_ids], x.data[receivers.segment_ids], e.data, g.data[graphs.segment_ids]]
+    )
+
+    def backward(grad):
+        g_s, g_r, g_e, g_g = np.split(grad, offsets, axis=1)
+        return receivers.sum(g_r), senders.sum(g_s), g_e, graphs.sum(g_g)
+
+    return tape.custom(out, [x, x, e, g], backward)
+
+
+def node_inputs(tape: Tape, x, e_bar, g, batch: GraphBatch):
+    """MPNN++'s node MLP input [x | in_e | out_e | A·x | g_n] per node, as one op.
+
+    in_e and out_e sum each node's incoming and outgoing rows of e_bar.  x
+    gets its own part, then Aᵀ·g; e_bar its out_e rows, then its in_e rows.
+    """
+    senders, receivers, nodes = batch.sender_plan, batch.receiver_plan, batch.graph_node_plan
+    adjacency, transpose = batch.adjacency(x.data.dtype)
+    out, offsets = _columns(
+        [x.data, receivers.sum(e_bar.data), senders.sum(e_bar.data), adjacency @ x.data, g.data[nodes.segment_ids]]
+    )
+
+    def backward(grad):
+        g_x, g_in, g_out, g_ax, g_g = np.split(grad, offsets, axis=1)
+        return g_x, transpose @ g_ax, g_out[senders.segment_ids], g_in[receivers.segment_ids], nodes.sum(g_g)
+
+    return tape.custom(out, [x, x, e_bar, e_bar, g], backward)
+
+
+def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatch, training: bool, step: int):
+    agg = gine_messages(tape, x, e, batch)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
     if state.config.gine_epsilon_mode == "standard":
         pre = tape.add(tape.add(x, tape.mul(x, eps)), agg)  # (1 + eps) x + agg
@@ -483,18 +576,8 @@ def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatc
 
 
 def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: GraphBatch, training: bool, step: int):
-    g_per_edge = tape.gather(g, batch.graph_edge_plan)
-    g_per_node = tape.gather(g, batch.graph_node_plan)
-
-    x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
-    edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
-    e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
-
-    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
-    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
-    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
-    node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
-    x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
+    e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_inputs(tape, x, e, g, batch))
+    x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_inputs(tape, x, e_bar, g, batch))
 
     global_in = tape.concat(
         [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],
@@ -515,7 +598,7 @@ def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: Grap
 @dataclass
 class ForwardResult:
     x: object  # Tensor: final node embeddings
-    e: object  # Tensor: final edge embeddings (input embeddings for gcn/gine)
+    e: object  # Tensor: final edge embeddings (the input embeddings for gine, None for gcn)
     g: object  # Tensor: final per-graph global embeddings
 
 

@@ -29,6 +29,7 @@ from .backbones import (
     BACKBONES,
     DEFAULT_WIDTHS,
     POOL_METHODS,
+    ConstantGlobalStream,
     ModelConfig,
     build_model,
     count_parameters,
@@ -603,7 +604,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint,
             FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance, InvalidHeadConfig,
-            TooFewRuns) as exc:
+            TooFewRuns, ConstantGlobalStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NaNLossError as exc:

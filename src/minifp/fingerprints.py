@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .backbones import POOL_METHODS, ModelState, batch_graphs, forward, pool
+from .backbones import POOL_METHODS, ConstantGlobalStream, ModelState, batch_graphs, forward, pool
 from .encodings import assemble
 # normalize_smiles stays importable here: perfbench/instrument.py traces it in this module.
 from .molgraph import MolecularGraph, normalize_smiles, parse_smiles, renumber_ring_closures  # noqa: F401
@@ -115,9 +115,11 @@ def extract_fingerprints(
     ``molecules`` holds SMILES strings or (id, SMILES) pairs; without an id
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
     the first occurrence.  ``source="global"`` reads the per-graph global
-    embedding instead of pooled node embeddings.  Molecules that fail to
-    parse are collected in the report instead of aborting; a parsed graph
-    always featurizes, so an invalid ``k_pe`` or ``rw_steps`` raises.
+    embedding instead of pooled node embeddings; only mpnnpp updates it, so
+    gcn and gine raise :class:`~minifp.backbones.ConstantGlobalStream`.
+    Molecules that fail to parse are collected in the report instead of
+    aborting; a parsed graph always featurizes, so an invalid ``k_pe`` or
+    ``rw_steps`` raises.
     """
     cfg = model.config
     method = method or cfg.pool
@@ -125,6 +127,8 @@ def extract_fingerprints(
         raise ValueError(f"unknown pooling method {method!r}")
     if source not in ("nodes", "global"):
         raise ValueError(f"unknown fingerprint source {source!r}")
+    if source == "global" and cfg.backbone != "mpnnpp":
+        raise ConstantGlobalStream(f'source "global" needs mpnnpp: {cfg.backbone} never updates the global stream')
     dimension = cfg.d_global if source == "global" else cfg.d_node
     store = FingerprintStore(dimension)
     report = ExtractionReport(failures=[])

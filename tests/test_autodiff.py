@@ -16,6 +16,7 @@ from minifp.autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
+from minifp.seeding import rng_stream
 
 
 def test_relu_forward():
@@ -257,6 +258,20 @@ def test_dropout_deterministic_and_identity_off():
     assert not np.array_equal(a.data, c.data)
     off = tape.dropout(t, 0.5, (42, 1, 3), training=False)
     np.testing.assert_array_equal(off.data, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_dropout_mask_bytes_equal_the_float64_formula(dtype, rate):
+    key = (42, 3, 9)
+    w = Parameter("w", np.ones((64, 48), dtype=dtype))
+    tape = Tape()
+    out = tape.dropout(tape.watch(w), rate, key)
+    draws = rng_stream(key[0], "dropout", *key[1:]).random((64, 48))
+    mask = ((draws >= rate) / (1.0 - rate)).astype(dtype)
+    assert out.data.dtype == dtype and out.data.tobytes() == mask.tobytes()
+    tape.backward(tape.sum(out))
+    assert w.grad.tobytes() == mask.tobytes()
 
 
 def test_gather_backward():

@@ -179,6 +179,18 @@ def test_embed_width_mismatch_raises():
         embed_inputs(Tape(recording=False), batch, state)
 
 
+def test_gcn_embeds_no_edges_but_keeps_the_edge_mlp():
+    cfg = tiny_config("gcn")
+    state = build_model(cfg)
+    _, batch = featurized_batch(["CCO", "c1ccccc1"], cfg)
+    tape = Tape()
+    result = forward(tape, batch, state, training=True)
+    assert result.e is None
+    tape.backward(tape.sum(result.x))
+    assert np.any(state.params["embed_x/w1"].grad)
+    assert not any(np.any(state.params[f"embed_e/{name}"].grad) for name in ("w1", "b1", "w2", "b2"))
+
+
 def test_gcn_aggregate_k2_hand_computed():
     batch = single_graph_batch([[1.0], [0.0]], [[0.0], [0.0]], [0, 1], [1, 0])
     tape = Tape(recording=False)

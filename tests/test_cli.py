@@ -192,6 +192,18 @@ def test_fingerprint_determinism_and_pool_choice(tmp_path):
     assert (tmp_path / "c.mfps").read_bytes() != outs[0]
 
 
+def test_global_fingerprint_source_on_gine_exit_2(tmp_path, capsys):
+    # gine never updates the global stream, so every molecule would get the same row.
+    run = _pretrained_run(tmp_path)
+    smi = tmp_path / "mols.smi"
+    smi.write_text("CCO\nCCN\n")
+    out = tmp_path / "fp.mfps"
+    assert main(["fingerprint", str(run / "best.ckpt"), str(smi), "--source", "global", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "global" in err
+    assert not out.exists()
+
+
 def test_fingerprint_csv_input_with_ids(tmp_path):
     run = _pretrained_run(tmp_path)
     mols = tmp_path / "mols.csv"
@@ -511,6 +523,7 @@ def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
         ("dtype = float16", "dtype"),
         ("batch_size = 0", "batch_size"),
         ("warmup_epochs = 500", "warmup_epochs"),
+        ("graph_head_input = global", "graph_head_input"),
     ],
 )
 def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minifp.autodiff import Tape
-from minifp.backbones import GraphBatch, ModelConfig, batch_graphs, build_model, forward, pool
+from minifp.backbones import ConstantGlobalStream, GraphBatch, ModelConfig, batch_graphs, build_model, forward, pool
 from minifp.encodings import assemble
 from minifp.fingerprints import (
     CorruptHeader,
@@ -157,6 +157,19 @@ def test_extract_global_source_dimension():
     model = small_model(backbone="mpnnpp", d_node=5, d_edge=4, d_global=7)
     store, _ = extract_fingerprints(model, ["CCO"], source="global")
     assert store.dimension == 7
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine"])
+def test_global_source_rejected_where_the_global_stream_is_constant(backbone):
+    with pytest.raises(ConstantGlobalStream):
+        ModelConfig(backbone=backbone, graph_head_input="global").validate()
+    with pytest.raises(ConstantGlobalStream):
+        extract_fingerprints(small_model(backbone), ["CCO", "CCN"], source="global")
+
+
+def test_global_source_distinguishes_molecules_on_mpnnpp():
+    store, _ = extract_fingerprints(small_model("mpnnpp"), ["CCO", "CCN", "c1ccccc1", "CC(=O)O"], source="global")
+    assert len(np.unique(store.matrix(), axis=0)) == 4
 
 
 def test_isomorphic_ring_spellings_identical_vectors():

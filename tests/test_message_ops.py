@@ -1,0 +1,215 @@
+"""The composite message-passing ops against the primitive tape-op chains they replace.
+
+``reference_gine_layer`` and ``reference_mpnnpp_layer`` build each layer's
+message-passing inputs from gather, add, relu, segment_sum, sparse_matmul and
+concat, one tape op each; the library layers must give the same loss and
+gradients bit for bit while keeping far fewer bytes on the tape.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from minifp import backbones
+from minifp.autodiff import Parameter, Tape, finite_difference_check
+from minifp.backbones import (
+    GraphBatch,
+    ModelConfig,
+    batch_graphs,
+    build_model,
+    default_config,
+    edge_inputs,
+    forward,
+    gine_layer,
+    gine_messages,
+    mlp_forward,
+    mpnnpp_layer,
+    node_inputs,
+)
+from minifp.encodings import assemble
+from minifp.molgraph import parse_smiles
+
+from .util import TOY_SMILES, permute_graph, random_molecule
+
+
+def reference_gine_layer(tape, state, layer, x, e, batch, training, step):
+    messages = tape.relu(tape.add(tape.gather(x, batch.sender_plan), e))
+    agg = tape.segment_sum(messages, batch.receiver_plan)
+    eps = tape.watch(state.params[f"layer{layer}/epsilon"])
+    if state.config.gine_epsilon_mode == "standard":
+        pre = tape.add(tape.add(x, tape.mul(x, eps)), agg)
+    else:
+        one_minus = tape.sub(tape.constant(np.ones(1, dtype=x.data.dtype)), eps)
+        pre = tape.mul(tape.mul(x, one_minus), agg)
+    out = mlp_forward(tape, state, f"layer{layer}/mlp", pre)
+    return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
+
+
+def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
+    g_per_edge = tape.gather(g, batch.graph_edge_plan)
+    g_per_node = tape.gather(g, batch.graph_node_plan)
+    x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
+    edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
+    e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
+    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
+    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
+    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
+    node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
+    x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
+    global_in = tape.concat(
+        [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],
+        axis=1,
+    )
+    g_bar = mlp_forward(tape, state, f"layer{layer}/mlp_global", global_in)
+    rate, seed = state.config.dropout, state.config.seed
+    x_out = tape.dropout(tape.add(x_bar, x), rate, (seed, layer * 4 + 1, step), training)
+    e_out = tape.dropout(tape.add(e_bar, e), rate, (seed, layer * 4 + 2, step), training)
+    g_out = tape.dropout(tape.add(g_bar, g), rate, (seed, layer * 4 + 3, step), training)
+    return x_out, e_out, g_out
+
+
+def shuffled_batch(cfg, seed):
+    """A multi-graph batch of relabelled molecules whose directed edges are in a random order."""
+    rng = np.random.default_rng(seed)
+    graphs = [parse_smiles(s) for s in ("c1ccccc1O", "CC(=O)Nc1ccc(O)cc1", "C1CC1", "N")]
+    graphs += [random_molecule(rng) for _ in range(3)]
+    graphs = [permute_graph(graph, rng.permutation(graph.num_atoms)) for graph in graphs]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+    order = rng.permutation(batch.num_edges)
+    return GraphBatch(
+        node_features=batch.node_features,
+        edge_features=batch.edge_features[order],
+        senders=batch.senders[order],
+        receivers=batch.receivers[order],
+        node_graph_ids=batch.node_graph_ids,
+        edge_graph_ids=batch.edge_graph_ids[order],
+        num_graphs=batch.num_graphs,
+    )
+
+
+def bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+CASES = [("gine", "standard"), ("gine", "paper-printed"), ("mpnnpp", "standard")]
+
+
+def training_step(cfg, batch, layer_fn):
+    """Loss and every gradient of a dropout training step through three layers from random inputs.
+
+    The layer inputs are parameters, so their gradients are the stack's input gradients.
+    """
+    state = build_model(cfg)
+    rng = np.random.default_rng(1)
+    dtype = cfg.np_dtype
+    shapes = {
+        "x": (batch.num_nodes, cfg.d_node),
+        "e": (batch.num_edges, cfg.d_edge),
+        "g": (batch.num_graphs, cfg.d_global),
+    }
+    inputs = {name: Parameter(name, rng.standard_normal(shape).astype(dtype)) for name, shape in shapes.items()}
+    weights = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    tape = Tape()
+    x, e, g = (tape.watch(inputs[name]) for name in "xeg")
+    for layer in range(cfg.num_layers):
+        if cfg.backbone == "gine":
+            x = layer_fn(tape, state, layer, x, e, batch, True, 7)
+        else:
+            x, e, g = layer_fn(tape, state, layer, x, e, g, batch, True, 7)
+    outputs = {"x": x} if cfg.backbone == "gine" else {"x": x, "e": e, "g": g}
+    terms = [tape.sum(tape.mul(out, tape.constant(weights[name]))) for name, out in outputs.items()]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = tape.add(loss, term)
+    tape.backward(loss)
+    grads = {p.name: p.grad for p in state.parameters()}
+    grads.update({f"input/{name}": p.grad for name, p in inputs.items()})
+    return loss.data, grads
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("backbone,mode", CASES)
+def test_composite_layers_match_primitive_chains_bitwise(backbone, mode, dtype):
+    cfg = ModelConfig(
+        backbone=backbone, num_layers=3, d_node=12, d_edge=12 if backbone == "gine" else 8, d_global=10,
+        k_pe=2, rw_steps=3, dropout=0.1, seed=5, gine_epsilon_mode=mode, dtype=dtype,
+    )
+    batch = shuffled_batch(cfg, seed=3)
+    layer, reference = {
+        "gine": (gine_layer, reference_gine_layer),
+        "mpnnpp": (mpnnpp_layer, reference_mpnnpp_layer),
+    }[backbone]
+    loss, grads = training_step(cfg, batch, layer)
+    ref_loss, ref_grads = training_step(cfg, batch, reference)
+    assert bits(loss) == bits(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    assert any(np.any(grads[name]) for name in grads if name.startswith("input/"))
+    for name in grads:
+        assert bits(grads[name]) == bits(ref_grads[name]), name
+
+
+def composite_loss(op, params, batch, weights):
+    """fn(tape) -> scalar for ``finite_difference_check``: a weighted sum of ``op``'s output."""
+
+    def fn(tape):
+        x, e, g = (tape.watch(p) for p in params)
+        out = op(tape, x, e, g, batch)
+        return tape.sum(tape.mul(out, tape.constant(weights[out.data.shape[1]])))
+
+    return fn
+
+
+@pytest.mark.parametrize("op", ["gine_messages", "edge_inputs", "node_inputs"])
+def test_composite_ops_match_finite_differences(op):
+    cfg = ModelConfig(backbone="mpnnpp", num_layers=1, d_node=3, d_edge=3, d_global=2, k_pe=2, rw_steps=3,
+                      dtype="float64")
+    batch = shuffled_batch(cfg, seed=4)
+    rng = np.random.default_rng(2)
+    params = [
+        Parameter("x", rng.standard_normal((batch.num_nodes, 3))),
+        Parameter("e", rng.standard_normal((batch.num_edges, 3))),
+        Parameter("g", rng.standard_normal((batch.num_graphs, 2))),
+    ]
+    ops = {
+        "gine_messages": lambda tape, x, e, g, b: gine_messages(tape, x, e, b),
+        "edge_inputs": edge_inputs,
+        "node_inputs": node_inputs,
+    }
+    rows = {"gine_messages": batch.num_nodes, "edge_inputs": batch.num_edges, "node_inputs": batch.num_nodes}[op]
+    weights = {width: rng.standard_normal((rows, width)) for width in (3, 11, 14)}
+    fn = composite_loss(ops[op], params, batch, weights)
+    assert finite_difference_check(fn, params, h=1e-6) < 1e-4
+    used = params[:2] if op == "gine_messages" else params
+    assert all(np.any(p.grad) for p in used)
+
+
+def held_bytes(state, batch, monkeypatch, reference=None):
+    """Bytes still allocated after a recording forward, while its tape is alive."""
+    with monkeypatch.context() as patch:
+        if reference is not None:
+            patch.setattr(backbones, f"{state.config.backbone}_layer", reference)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            forward(tape, batch, state, training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    return held
+
+
+@pytest.mark.parametrize("backbone,bound", [("gine", 0.65), ("mpnnpp", 0.75)])
+def test_recording_forward_keeps_fewer_bytes_than_the_primitive_chains(backbone, bound, monkeypatch):
+    cfg = default_config(backbone)
+    state = build_model(cfg)
+    graphs = [parse_smiles(s) for s in TOY_SMILES]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+    forward(Tape(recording=False), batch, state)  # builds the batch's cached plans and matrices
+    reference = {"gine": reference_gine_layer, "mpnnpp": reference_mpnnpp_layer}[backbone]
+    held = held_bytes(state, batch, monkeypatch)
+    ref_held = held_bytes(state, batch, monkeypatch, reference)
+    assert held <= bound * ref_held, f"{held / 2**20:.1f} MB held, {ref_held / 2**20:.1f} MB by the primitive chains"
