@@ -5,9 +5,14 @@ a :class:`Tape` records forward ops in execution order and replays them in
 reverse to accumulate gradients into :class:`Parameter` objects.  Tensors
 are dense numpy arrays: 32-bit by default, 64-bit during gradient checks.
 
-Parameter gradients accumulate in ``Parameter.grad`` itself: a watched
-tensor's grad is that array during backward, each contribution is added to
-it in place, and it keeps growing across backward calls until ``zero_grad``.
+A parameter's gradient exists only from backward to the optimizer step.
+``Parameter.grad`` starts as ``None`` and ``zero_grad`` drops it.  During
+backward a watched tensor's grad is the parameter's: its first contribution
+becomes ``Parameter.grad`` (taken over when it is a fresh C-contiguous array
+the closure owns, otherwise copied once), later contributions are added to
+it in place, and a second backward without ``zero_grad`` adds into it too.
+A parameter that gets no contribution keeps ``grad is None``, which the
+optimizer reads as a zero gradient.
 
 Backward keeps only its frontier.  Before running an op's closure it takes
 the op output's gradient off the tensor, so every op output's ``grad`` is
@@ -76,22 +81,27 @@ class Tensor:
 
 
 class Parameter:
-    """Named trainable array; gradients accumulate additively across backward calls."""
+    """Named trainable array and its gradient, if any.
+
+    ``grad`` is ``None`` until a backward pass reaches the parameter; it then
+    holds the summed contributions, with the value's dtype and shape and
+    C-contiguous, and further backward calls add into it until
+    ``zero_grad`` drops it.
+    """
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value)
-        # np.zeros touches no page until a gradient is written; zeros_like writes them all.
-        self.grad = np.zeros(self.value.shape, self.value.dtype)
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -195,7 +205,7 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     elif owned and g.flags.writeable and g.dtype == t.data.dtype and g.shape == t.data.shape:
         t.grad = g
     else:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
 
 
 class Tape:
@@ -510,12 +520,14 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into every watched parameter's grad.
 
-        Each watched tensor's grad is its parameter's own ``grad`` array, so
-        every contribution is added straight into it, in tape order.  From a
-        zeroed ``param.grad`` (as every training step starts) the bits equal
-        summing the contributions first and adding the total once.  Only a
-        parameter used more than once on a tape and not zeroed between
-        backward calls may round differently from that order.
+        Each watched tensor starts from its parameter's ``grad``.  The first
+        contribution to a parameter without one becomes its ``grad``, and
+        every later one is added into it in place, in tape order.  Without
+        ``zero_grad`` between backward calls, a parameter used more than once
+        on a tape adds each contribution into the previous gradient, which
+        may round differently from adding their total once.  Afterwards the
+        tape holds no gradient; a parameter that got no contribution keeps
+        ``None``.
         """
         if loss.data.size != 1:
             raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
@@ -525,12 +537,18 @@ class Tape:
             out.grad = None  # left over from a backward whose closure raised
         for param, t in self._watched.values():
             t.grad = param.grad
-        _accum(loss, np.ones_like(loss.data), owned=True)
-        for out, backward_fn in reversed(self._ops):
-            g = out.grad
-            if g is not None:
-                out.grad = None  # the closure owns g now; it is freed once consumed
-                backward_fn(g)
+        try:
+            _accum(loss, np.ones_like(loss.data), owned=True)
+            for out, backward_fn in reversed(self._ops):
+                g = out.grad
+                if g is not None:
+                    out.grad = None  # the closure owns g now; it is freed once consumed
+                    backward_fn(g)
+        finally:
+            for param, t in self._watched.values():
+                g, t.grad = t.grad, None
+                # A handed-over view (e.g. a concat part) is copied to the layout the optimizer steps over.
+                param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
 
 
 def finite_difference_check(
@@ -548,7 +566,7 @@ def finite_difference_check(
         p.zero_grad()
     tape = Tape()
     tape.backward(fn(tape))
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: np.zeros_like(p.value) if p.grad is None else p.grad for p in params}
 
     max_rel = 0.0
     for p in params:

@@ -29,7 +29,7 @@ with a matrix the batch caches per dtype; its rows follow the receiver plan
 and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
 :meth:`GraphBatch.adjacency`).
 
-Message-passing inputs are three composite tape ops, each of which keeps for
+Message-passing inputs are four composite tape ops, each of which keeps for
 backward only what its backward reads:
 
 * :func:`gine_messages`: Σ_j relu(x_j + e_ij), built in place in one
@@ -40,11 +40,13 @@ backward only what its backward reads:
   the plans.
 * :func:`node_inputs`: MPNN++'s [x | in_e | out_e | A·x | g_n]; backward keeps
   the plans and the adjacency's transpose.
+* :func:`gine_combine`: GINE's (1 + eps) · x + agg (or the printed
+  (1 - eps) · x ⊙ agg); backward keeps nothing beyond its inputs.
 
-Each backward repeats the arithmetic of the gather, add, relu, segment-sum,
-sparse-product and concat ops it replaces, and adds an input's parts in the
-order their closures would, one ``Tape.custom`` input per contribution, so
-loss and gradients keep the same bits.
+Each backward repeats the arithmetic of the gather, add, sub, mul, relu,
+segment-sum, sparse-product and concat ops it replaces, and adds an input's
+parts in the order their closures would, one ``Tape.custom`` input per
+contribution, so loss and gradients keep the same bits.
 """
 
 from __future__ import annotations
@@ -465,7 +467,7 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
     """(x0, e0, g0): two-layer MLPs over X0, E0, and the per-model seed vector.
 
     gcn reads no edge embedding, so for gcn e0 is None; its ``embed_e``
-    parameters stay in the model and keep zero gradients.
+    parameters stay in the model and never get a gradient.
     """
     cfg = state.config
     if batch.node_features.shape[1] != cfg.node_input_width:
@@ -563,14 +565,40 @@ def node_inputs(tape: Tape, x, e_bar, g, batch: GraphBatch):
     return tape.custom(out, [x, x, e_bar, e_bar, g], backward)
 
 
+def gine_combine(tape: Tape, x, eps, agg, mode: str):
+    """GINE's MLP input as one op: ``(1 + eps) x + agg`` ("standard") or, as
+    printed, ``(1 - eps) x ⊙ agg`` ("paper-printed").
+
+    Backward reads x, eps and agg, which outlive the op anyway, and keeps no
+    intermediate: it repeats the add, mul and sub ops' arithmetic and hands x
+    its parts in their closures' order.
+    """
+    if mode == "standard":
+        out = x.data * eps.data
+        out += x.data  # x + x·eps, the same sum either way round
+        out += agg.data
+
+        def backward(g):
+            return g, g * eps.data, (g * x.data).sum(axis=0).sum(axis=0, keepdims=True), g
+
+        return tape.custom(out, [x, x, eps, agg], backward)
+
+    one_minus = 1 - eps.data
+    out = x.data * one_minus
+    out *= agg.data
+
+    def backward(g):
+        g_scaled = g * agg.data  # the gradient of (1 - eps) x
+        eps_grad = -(g_scaled * x.data).sum(axis=0).sum(axis=0, keepdims=True)
+        return g_scaled * one_minus, eps_grad, g * (x.data * one_minus)
+
+    return tape.custom(out, [x, eps, agg], backward)
+
+
 def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatch, training: bool, step: int):
     agg = gine_messages(tape, x, e, batch)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
-    if state.config.gine_epsilon_mode == "standard":
-        pre = tape.add(tape.add(x, tape.mul(x, eps)), agg)  # (1 + eps) x + agg
-    else:
-        one_minus = tape.sub(tape.constant(np.ones(1, dtype=x.data.dtype)), eps)
-        pre = tape.mul(tape.mul(x, one_minus), agg)  # (1 - eps) x ⊙ agg, as printed
+    pre = gine_combine(tape, x, eps, agg, state.config.gine_epsilon_mode)
     out = mlp_forward(tape, state, f"layer{layer}/mlp", pre)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 

@@ -18,6 +18,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -27,7 +28,7 @@ from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
-from .trainer import OptimizerState, TrainConfig, adam_step, lr_at
+from .trainer import OptimizerState, TrainConfig, _keep_freed_heap, adam_step, lr_at
 
 
 class MissingFingerprint(KeyError):
@@ -255,6 +256,7 @@ def train_head(
     (e.g. from scaffold-split files); otherwise a seeded 10% split is used.
     """
     config.validate()
+    _keep_freed_heap()
     features = gather_fingerprints(store, data.ids)
     if train_idx is None or valid_idx is None:
         train_idx, valid_idx = random_split(len(data), 0.1, seed)
@@ -283,14 +285,14 @@ def train_head(
         epoch_losses = []
         for start in range(0, len(shuffled), config.batch_size):
             rows = shuffled[start : start + config.batch_size]
-            for p in head.params:
-                p.zero_grad()
             tape = Tape()
             pred = head.forward(tape, features[rows], training=True, step=step)
             loss = _head_loss(tape, head, pred, data.labels.rows(rows))
             if loss.requires_grad:
                 tape.backward(loss)
                 adam_step(head.params, optimizer, lr_at((step + 1) / total_steps, schedule))
+                for p in head.params:
+                    p.zero_grad()
             epoch_losses.append(float(loss.data))
             step += 1
         if len(valid_idx):
@@ -466,14 +468,28 @@ def kfold_partition(n: int, num_folds: int, seed: int) -> list[np.ndarray]:
     return seeded_split(n, seed, "kfold", num_folds)
 
 
-def ensemble_predict(heads: list[TrainedHead], x: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of member outputs (probabilities for classification).
+def _mean_output(outputs: Iterable[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of member outputs, accumulated in float64.
 
-    Accumulates in float64 so an ensemble of identical members reproduces the
-    single member's output exactly.
+    Members are added one at a time in order, so only the running sum and
+    one output are held.  Identical members reproduce the single member's
+    output exactly.
     """
-    outputs = np.asarray([head.predict(x) for head in heads], dtype=np.float64)
-    return outputs.sum(axis=0) / len(heads)
+    total, count = None, 0
+    for out in outputs:
+        if total is None:
+            total = np.array(out, dtype=np.float64)
+        else:
+            total += out
+        count += 1
+    if total is None:
+        raise ValueError("an ensemble needs at least one member")
+    return total / count
+
+
+def ensemble_predict(heads: Iterable[TrainedHead], x: np.ndarray) -> np.ndarray:
+    """Mean of member outputs (probabilities for classification); see :func:`_mean_output`."""
+    return _mean_output(head.predict(x) for head in heads)
 
 
 @dataclass
@@ -532,7 +548,10 @@ def kfold_ensemble(
 ) -> EnsembleResult:
     """Fold-ensemble evaluation: per repetition, one model per fold (best epoch
     by validation loss), ensemble = mean of fold-model outputs, metrics on
-    validation (mean over held-out folds) and on the test partition."""
+    validation (mean over held-out folds) and on the test partition.
+
+    Each fold model lives only while it trains and predicts: the repetition
+    keeps its held-out score and its test predictions."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if train_rows is None or test_rows is None:
@@ -548,17 +567,17 @@ def kfold_ensemble(
     for rep in range(num_reps):
         rep_seed = derive_seed(seed, "ensemble-rep", rep)
         folds = kfold_partition(len(train_rows), num_folds, rep_seed)
-        heads = []
         fold_scores = []
+        test_preds = []
         for fold_id, fold in enumerate(folds):
             held_out = train_rows[fold]
             train_part = train_rows[np.concatenate([f for j, f in enumerate(folds) if j != fold_id])]
             head = train_head(store, data, config, rep_seed + fold_id, train_part, held_out)
-            heads.append(head)
             pred = head.predict(features[held_out])
             fold_scores.append(compute_metric(metric, pred, data.labels.values[held_out]))
-        test_pred = ensemble_predict(heads, features[test_rows])
-        test_score = compute_metric(metric, test_pred, data.labels.values[test_rows])
+            test_preds.append(head.predict(features[test_rows]))
+            del head  # the next fold trains without this one alive
+        test_score = compute_metric(metric, _mean_output(test_preds), data.labels.values[test_rows])
         result.repetitions.append(
             RepetitionResult(
                 seed=rep_seed,

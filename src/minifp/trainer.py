@@ -121,7 +121,8 @@ _ADAM_CHUNK = 32768
 class OptimizerState:
     """Adam first/second moment accumulators plus the shared step counter.
 
-    Also holds two chunk-sized scratch buffers per parameter dtype, so a step
+    Also holds, per parameter dtype, two chunk-sized scratch buffers and a
+    chunk of zeros that stands in for a missing gradient, so a step
     allocates nothing.
     """
 
@@ -133,7 +134,7 @@ class OptimizerState:
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
         self.scratch = {
-            dtype: (np.empty(_ADAM_CHUNK, dtype=dtype), np.empty(_ADAM_CHUNK, dtype=dtype))
+            dtype: (np.empty(_ADAM_CHUNK, dtype), np.empty(_ADAM_CHUNK, dtype), np.zeros(_ADAM_CHUNK, dtype))
             for dtype in {p.value.dtype for p in params}
         }
 
@@ -144,6 +145,8 @@ def adam_step(params: list[Parameter], state: OptimizerState, lr: float) -> None
     Updates ``value``, ``m`` and ``v`` in place, chunk by chunk over their
     flat views, with the textbook op order, so the bits equal the
     out-of-place formula ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    A parameter whose ``grad`` is ``None`` steps with a zero gradient, the
+    same bits as an explicit array of zeros: its moments still decay.
     Raises ValueError for a parameter whose arrays are not C-contiguous.
     """
     state.step += 1
@@ -153,13 +156,14 @@ def adam_step(params: list[Parameter], state: OptimizerState, lr: float) -> None
     correct2 = 1.0 - beta2**t
     for p in params:
         arrays = (p.value, p.grad, state.m[p.name], state.v[p.name])
-        if not all(a.flags.c_contiguous for a in arrays):
+        if not all(a is None or a.flags.c_contiguous for a in arrays):
             raise ValueError(f"parameter {p.name!r} has an array that is not C-contiguous")
-        value, grad, m, v = (a.reshape(-1) for a in arrays)
-        scratch_a, scratch_b = state.scratch[value.dtype]
+        value, grad, m, v = (None if a is None else a.reshape(-1) for a in arrays)
+        scratch_a, scratch_b, zeros = state.scratch[value.dtype]
         for lo in range(0, value.size, _ADAM_CHUNK):
             hi = min(lo + _ADAM_CHUNK, value.size)
-            g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
+            g = zeros[: hi - lo] if grad is None else grad[lo:hi]
+            mc, vc = m[lo:hi], v[lo:hi]
             a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
             mc *= beta1
             np.multiply(g, 1.0 - beta1, out=a)
@@ -374,12 +378,13 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap() -> None:
     """Keep the heap memory a training step frees for the next step.
 
-    Each step allocates and frees a tape's activations and gradients, a few
-    hundred MB at paper scale.  glibc returns a freed top of the heap to the
-    OS once it passes the trim threshold, and the next step then faults every
-    page in again.  This fixes the mmap threshold at glibc's own dynamic
-    ceiling (32 MB) and never trims, so the heap stays at its high-water mark.
-    No result changes; without glibc it does nothing.
+    Each step allocates and frees a tape's activations and gradients: a few
+    hundred MB for a paper-scale pre-training step, about ten MB for a default
+    downstream head's.  glibc returns a freed top of the heap to the OS once
+    it passes the trim threshold, and the next step then faults every page in
+    again.  This fixes the mmap threshold at glibc's own dynamic ceiling
+    (32 MB) and never trims, so the heap stays at its high-water mark.  No
+    result changes; without glibc it does nothing.
     """
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -437,7 +442,6 @@ def pretrain(
             chunk = shuffled[start : start + config.batch_size]
             lr = lr_at((global_step + 1) / total_steps, config)
             epoch_lr = lr
-            model.zero_grad()
             tape = Tape()
             total, group_values, _ = _losses_for_batch(
                 tape, model, dataset, tasks, chunk, weights, training=True, step=global_step
@@ -445,6 +449,7 @@ def pretrain(
             if total.requires_grad:
                 tape.backward(total)
                 adam_step(model.parameters(), optimizer, lr)
+                model.zero_grad()
             group_values = dict(group_values)
             group_values["total"] = float(total.data)
             per_batch.append((group_values, len(chunk)))

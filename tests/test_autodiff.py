@@ -151,6 +151,29 @@ def test_backward_twice_doubles_gradients():
     np.testing.assert_array_equal(w.grad, 2.0 * first)
 
 
+def test_parameter_gradient_lives_from_backward_to_zero_grad():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 3))
+    w = Parameter("w", rng.standard_normal((3, 2)))
+    v = Parameter("v", rng.standard_normal((3, 1)))
+    unused = Parameter("unused", rng.standard_normal(2))
+    assert w.grad is None and v.grad is None and unused.grad is None
+    tape = Tape()
+    tape.watch(unused)
+    # v's gradient arrives as a column view of the concat's gradient: the parameter gets a contiguous copy.
+    both = tape.concat([tape.watch(w), tape.watch(v)], axis=1)
+    loss = tape.sum(tape.matmul(tape.constant(x), both))
+    tape.backward(loss)
+    assert unused.grad is None
+    assert v.grad.flags.c_contiguous and w.grad.flags.c_contiguous
+    first = {p.name: p.grad.copy() for p in (w, v)}
+    np.testing.assert_array_equal(w.grad, x.T @ np.ones((4, 2)))
+    tape.backward(loss)  # no zero_grad: the second pass adds into the first
+    assert all(p.grad.tobytes() == (2 * first[p.name]).tobytes() for p in (w, v))
+    w.zero_grad()
+    assert w.grad is None
+
+
 def test_parameter_used_twice_sums_contributions_bitwise():
     rng = np.random.default_rng(8)
     w = Parameter("w", rng.standard_normal((3, 4)).astype(np.float32))
@@ -319,8 +342,8 @@ def test_backward_frees_every_op_gradient_and_keeps_parameter_gradients():
     both = tape.concat([r, r], axis=1)
     loss = tape.sum(tape.mul(both, tape.constant(np.concatenate([c, c], axis=1))))
     tape.backward(loss)
-    assert all(t.grad is None for t in (h, r, both, loss))
-    assert wt.grad is w.grad and bt.grad is b.grad
+    assert all(t.grad is None for t in (h, r, both, loss, wt, bt))
+    assert all(p.grad.flags.c_contiguous and p.grad.dtype == p.value.dtype for p in (w, b))
     dh = 2.0 * c * (x @ w.value + b.value > 0)
     np.testing.assert_allclose(w.grad, x.T @ dh, rtol=1e-12)
     np.testing.assert_allclose(b.grad, dh.sum(axis=0), rtol=1e-12)

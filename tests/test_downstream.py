@@ -1,9 +1,15 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from minifp import downstream
 from minifp.downstream import (
     FoldTooSmall,
     HeadConfig,
@@ -30,6 +36,8 @@ from minifp.downstream import (
 from minifp.fingerprints import FingerprintStore
 from minifp.multitask import LabelSet
 from minifp.seeding import rng_stream
+
+from .util import traced_memory
 
 
 def make_store(n, d, seed=0):
@@ -266,6 +274,31 @@ def test_train_head_best_epoch_restored():
     assert min(head.val_curve) == head.val_curve[head.best_epoch - 1]
 
 
+# Counts the page faults of two train_head calls in a fresh process, whose heap
+# no earlier test has grown yet.
+_FAULTS_CHILD = """
+from minifp.downstream import train_head
+from tests.test_downstream import quick_config, separable_task
+from tests.util import minor_faults
+store, data, _ = separable_task(n=200, d=64)
+config = quick_config(hidden_dim=256, num_layers=3, epochs=2)
+print(*(minor_faults(lambda: train_head(store, data, config, seed=0))[1] for _ in range(2)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed heap is kept through glibc's mallopt")
+def test_second_train_head_reuses_the_heap_of_the_first():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(Path(downstream.__file__).resolve().parents[1]), str(root)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_CHILD], cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert second * 10 <= first, f"first train_head took {first} minor faults, the second {second}"
+
+
 def test_missing_fingerprint_enumerated():
     store, data, _ = separable_task(n=10)
     data.ids[3] = "absent"
@@ -338,6 +371,51 @@ def test_ensemble_of_identical_models_equals_single():
     single = head.predict(vectors)
     combined = ensemble_predict([head, head, head], vectors)
     np.testing.assert_array_equal(single, combined)
+
+
+def test_ensemble_mean_adds_members_in_order_bitwise():
+    """The streamed mean equals stacking every member's output and summing over members."""
+    _, _, vectors = separable_task(n=40, d=6)
+    for k in range(2, 11):
+        heads = [TrainedHead(quick_config(), 6, 3, "binary", 2, seed) for seed in range(k)]
+        stacked = np.asarray([head.predict(vectors) for head in heads], dtype=np.float64)
+        assert ensemble_predict(heads, vectors).tobytes() == (stacked.sum(axis=0) / k).tobytes()
+
+
+@pytest.mark.parametrize("num_folds", range(2, 11))
+def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch):
+    """The test score is computed from ``ensemble_predict`` over the repetition's fold
+    heads, bit for bit, and no fold head is left holding a gradient."""
+    store, data, vectors = separable_task(n=60)
+    heads, scored = [], []
+
+    def recording_train_head(*args):
+        heads.append(train_head(*args))
+        return heads[-1]
+
+    def recording_metric(name, pred, labels):
+        scored.append(pred)
+        return compute_metric(name, pred, labels)
+
+    monkeypatch.setattr(downstream, "train_head", recording_train_head)
+    monkeypatch.setattr(downstream, "compute_metric", recording_metric)
+    train_rows, test_rows = np.arange(48), np.arange(48, 60)
+    kfold_ensemble(store, data, quick_config(epochs=1), num_folds, 2, "mae", train_rows, test_rows, seed=1)
+    assert len(heads) == 2 * num_folds and all(p.grad is None for head in heads for p in head.params)
+    for rep in range(2):
+        expected = ensemble_predict(heads[rep * num_folds : (rep + 1) * num_folds], vectors[test_rows])
+        assert scored[(rep + 1) * (num_folds + 1) - 1].tobytes() == expected.tobytes()
+
+
+def test_kfold_ensemble_memory_does_not_grow_with_folds():
+    """Each fold head is dropped once it has predicted, so 6 folds peak no higher than 2."""
+    store, data, _ = separable_task(n=60, d=32)
+    config = quick_config(hidden_dim=256, epochs=1, batch_size=64)
+    peaks = [
+        traced_memory(lambda: kfold_ensemble(store, data, config, num_folds, 2, "auroc", seed=0))[2]
+        for num_folds in (2, 6)
+    ]
+    assert peaks[1] <= 1.1 * peaks[0], f"6 folds peaked at {peaks[1] / peaks[0]:.2f}x the 2-fold ensemble"
 
 
 def test_kfold_ensemble_single_rep_warns_and_zero_std():

@@ -1,12 +1,10 @@
 """The composite message-passing ops against the primitive tape-op chains they replace.
 
 ``reference_gine_layer`` and ``reference_mpnnpp_layer`` build each layer's
-message-passing inputs from gather, add, relu, segment_sum, sparse_matmul and
-concat, one tape op each; the library layers must give the same loss and
-gradients bit for bit while keeping far fewer bytes on the tape.
+message-passing inputs from gather, add, sub, mul, relu, segment_sum,
+sparse_matmul and concat, one tape op each; the library layers must give the
+same loss and gradients bit for bit while keeping far fewer bytes on the tape.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from minifp.backbones import (
     default_config,
     edge_inputs,
     forward,
+    gine_combine,
     gine_layer,
     gine_messages,
     mlp_forward,
@@ -30,18 +29,21 @@ from minifp.backbones import (
 from minifp.encodings import assemble
 from minifp.molgraph import parse_smiles
 
-from .util import TOY_SMILES, permute_graph, random_molecule
+from .util import TOY_SMILES, permute_graph, random_molecule, traced_memory
+
+
+def reference_gine_combine(tape, x, eps, agg, mode):
+    if mode == "standard":
+        return tape.add(tape.add(x, tape.mul(x, eps)), agg)
+    one_minus = tape.sub(tape.constant(np.ones(1, dtype=x.data.dtype)), eps)
+    return tape.mul(tape.mul(x, one_minus), agg)
 
 
 def reference_gine_layer(tape, state, layer, x, e, batch, training, step):
     messages = tape.relu(tape.add(tape.gather(x, batch.sender_plan), e))
     agg = tape.segment_sum(messages, batch.receiver_plan)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
-    if state.config.gine_epsilon_mode == "standard":
-        pre = tape.add(tape.add(x, tape.mul(x, eps)), agg)
-    else:
-        one_minus = tape.sub(tape.constant(np.ones(1, dtype=x.data.dtype)), eps)
-        pre = tape.mul(tape.mul(x, one_minus), agg)
+    pre = reference_gine_combine(tape, x, eps, agg, state.config.gine_epsilon_mode)
     out = mlp_forward(tape, state, f"layer{layer}/mlp", pre)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
@@ -161,7 +163,9 @@ def composite_loss(op, params, batch, weights):
     return fn
 
 
-@pytest.mark.parametrize("op", ["gine_messages", "edge_inputs", "node_inputs"])
+@pytest.mark.parametrize(
+    "op", ["gine_messages", "edge_inputs", "node_inputs", "gine_combine-standard", "gine_combine-paper-printed"]
+)
 def test_composite_ops_match_finite_differences(op):
     cfg = ModelConfig(backbone="mpnnpp", num_layers=1, d_node=3, d_edge=3, d_global=2, k_pe=2, rw_steps=3,
                       dtype="float64")
@@ -172,12 +176,20 @@ def test_composite_ops_match_finite_differences(op):
         Parameter("e", rng.standard_normal((batch.num_edges, 3))),
         Parameter("g", rng.standard_normal((batch.num_graphs, 2))),
     ]
+    if op.startswith("gine_combine"):
+        # Its inputs are x, eps and the aggregated messages.
+        params[1:] = [
+            Parameter("eps", rng.standard_normal(1)),
+            Parameter("agg", rng.standard_normal((batch.num_nodes, 3))),
+        ]
     ops = {
         "gine_messages": lambda tape, x, e, g, b: gine_messages(tape, x, e, b),
         "edge_inputs": edge_inputs,
         "node_inputs": node_inputs,
+        "gine_combine-standard": lambda tape, x, eps, agg, b: gine_combine(tape, x, eps, agg, "standard"),
+        "gine_combine-paper-printed": lambda tape, x, eps, agg, b: gine_combine(tape, x, eps, agg, "paper-printed"),
     }
-    rows = {"gine_messages": batch.num_nodes, "edge_inputs": batch.num_edges, "node_inputs": batch.num_nodes}[op]
+    rows = batch.num_edges if op == "edge_inputs" else batch.num_nodes
     weights = {width: rng.standard_normal((rows, width)) for width in (3, 11, 14)}
     fn = composite_loss(ops[op], params, batch, weights)
     assert finite_difference_check(fn, params, h=1e-6) < 1e-4
@@ -185,31 +197,45 @@ def test_composite_ops_match_finite_differences(op):
     assert all(np.any(p.grad) for p in used)
 
 
-def held_bytes(state, batch, monkeypatch, reference=None):
-    """Bytes still allocated after a recording forward, while its tape is alive."""
-    with monkeypatch.context() as patch:
-        if reference is not None:
-            patch.setattr(backbones, f"{state.config.backbone}_layer", reference)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tape = Tape()
-            forward(tape, batch, state, training=True)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-    return held
-
-
-@pytest.mark.parametrize("backbone,bound", [("gine", 0.65), ("mpnnpp", 0.75)])
-def test_recording_forward_keeps_fewer_bytes_than_the_primitive_chains(backbone, bound, monkeypatch):
-    cfg = default_config(backbone)
+def toy_model_and_batch(cfg):
+    """A default-width model and the 32 toy molecules as one batch, its cached plans and matrices built."""
     state = build_model(cfg)
     graphs = [parse_smiles(s) for s in TOY_SMILES]
     feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
     batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
-    forward(Tape(recording=False), batch, state)  # builds the batch's cached plans and matrices
+    forward(Tape(recording=False), batch, state)
+    return state, batch
+
+
+def held_bytes(state, batch, monkeypatch, **references):
+    """Bytes still allocated after a recording forward, while its tape is alive,
+    with the named ``backbones`` functions swapped for ``references``."""
+
+    def record():
+        tape = Tape()
+        forward(tape, batch, state, training=True)
+        return tape
+
+    with monkeypatch.context() as patch:
+        for name, reference in references.items():
+            patch.setattr(backbones, name, reference)
+        return traced_memory(record)[1]
+
+
+@pytest.mark.parametrize("backbone,bound", [("gine", 0.65), ("mpnnpp", 0.75)])
+def test_recording_forward_keeps_fewer_bytes_than_the_primitive_chains(backbone, bound, monkeypatch):
+    state, batch = toy_model_and_batch(default_config(backbone))
     reference = {"gine": reference_gine_layer, "mpnnpp": reference_mpnnpp_layer}[backbone]
     held = held_bytes(state, batch, monkeypatch)
-    ref_held = held_bytes(state, batch, monkeypatch, reference)
+    ref_held = held_bytes(state, batch, monkeypatch, **{f"{backbone}_layer": reference})
     assert held <= bound * ref_held, f"{held / 2**20:.1f} MB held, {ref_held / 2**20:.1f} MB by the primitive chains"
+
+
+@pytest.mark.parametrize("mode", ["standard", "paper-printed"])
+def test_gine_combine_keeps_no_intermediate_on_the_tape(mode, monkeypatch):
+    """The add/mul/sub chain records x·eps and x + x·eps (or x·(1 - eps)), which no
+    backward reads; 4 default-width layers hold ~0.75x (~0.86x printed) of the chain's bytes."""
+    state, batch = toy_model_and_batch(default_config("gine", gine_epsilon_mode=mode))
+    held = held_bytes(state, batch, monkeypatch)
+    chain_held = held_bytes(state, batch, monkeypatch, gine_combine=reference_gine_combine)
+    assert held <= 0.9 * chain_held, f"{held / 2**20:.1f} MB held, {chain_held / 2**20:.1f} MB with the op chain"

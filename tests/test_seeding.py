@@ -109,6 +109,7 @@ def test_kfold_ensemble_fallback_split_matches_the_inline_split_bitwise(seed, mo
             assert _same(held_out, train_rows[fold])
             rest = np.concatenate([f for j, f in enumerate(folds) if j != fold_id])
             assert _same(train_part, train_rows[rest])
+        # Each fold head predicts its held-out rows, then the test rows, before the next fold trains.
         calls = predicted[rep * 2 * num_folds : (rep + 1) * 2 * num_folds]
-        assert all(np.array_equal(c, train_rows[f]) for c, f in zip(calls[:num_folds], folds))
-        assert all(np.array_equal(c, test_rows) for c in calls[num_folds:])
+        assert all(np.array_equal(c, train_rows[f]) for c, f in zip(calls[0::2], folds))
+        assert all(np.array_equal(c, test_rows) for c in calls[1::2])

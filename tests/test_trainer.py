@@ -33,7 +33,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_magnitude():
     p = Parameter("w", np.array([0.0]))
-    p.grad[...] = 1.0
+    p.grad = np.ones(1)
     state = OptimizerState([p])
     adam_step([p], state, lr=0.1)
     # Bias-corrected first step moves by ~lr in the negative gradient direction.
@@ -47,7 +47,7 @@ def test_adam_deterministic_trajectories():
         state = OptimizerState([p])
         history = []
         for step in range(20):
-            p.grad[...] = np.sin(p.value + step)
+            p.grad = np.sin(p.value + step)
             adam_step([p], state, lr=0.01)
             p.zero_grad()
             history.append(p.value.copy())
@@ -67,7 +67,7 @@ def test_adam_converges_on_linear_regression():
     state = OptimizerState([w])
     for _ in range(5000):
         residual = design @ w.value - target
-        w.grad[...] = 2.0 * design.T @ residual / len(target)
+        w.grad = 2.0 * design.T @ residual / len(target)
         adam_step([w], state, lr=0.01)
         w.zero_grad()
     assert np.abs(w.value - solution).max() < 1e-4
@@ -99,7 +99,7 @@ def test_adam_step_matches_textbook_formula_bitwise(dtype):
         for p, value, m, v in zip(params, values, ms, vs):
             # Every third step has a zero gradient.
             g = (rng.standard_normal(p.shape) * (t % 3 != 0)).astype(dtype)
-            p.grad[...] = g
+            p.grad = g
             _textbook_adam(value, m, v, g, t, lr)
         adam_step(params, state, lr)
     for p, value, m, v in zip(params, values, ms, vs):
@@ -109,9 +109,29 @@ def test_adam_step_matches_textbook_formula_bitwise(dtype):
         assert state.v[p.name].tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_missing_gradient_steps_as_explicit_zeros_bitwise(dtype):
+    """``grad is None`` decays the moments and moves the value exactly as an array of zeros does."""
+    rng = np.random.default_rng(6)
+    shapes = [(_ADAM_CHUNK + 33,), (4, 5)]
+    start = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(dtype) for s in shapes] for _ in range(2)]
+    runs = []
+    for missing in ("zeros", "none"):
+        params = [Parameter(f"p{i}", value.copy()) for i, value in enumerate(start)]
+        state = OptimizerState(params)
+        # Two real gradients make the moments nonzero; four steps follow with none, one with a gradient between.
+        for step, drawn in enumerate([grads[0], None, grads[1], None, None, None]):
+            for p, g in zip(params, drawn or [None] * len(params)):
+                p.grad = g if g is not None or missing == "none" else np.zeros(p.shape, dtype)
+            adam_step(params, state, lr=0.003 * (step + 1))
+        runs.append([(p.value.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes()) for p in params])
+    assert runs[0] == runs[1]
+
+
 def test_adam_step_rejects_non_contiguous_parameter():
     p = Parameter("w", np.arange(12.0).reshape(3, 4).T)
-    p.grad[...] = 1.0
+    p.grad = np.ones((4, 3))
     state = OptimizerState([p])
     with pytest.raises(ValueError, match="contiguous"):
         adam_step([p], state, lr=0.1)
@@ -223,6 +243,17 @@ def test_pretrain_rerun_identical_log(tmp_path):
     a = (tmp_path / "a" / "final.ckpt").read_bytes()
     b = (tmp_path / "b" / "final.ckpt").read_bytes()
     assert a == b
+
+
+def test_pretrain_leaves_no_gradient():
+    """Gradients are dropped after each Adam step; gcn's unused edge MLP never gets one."""
+    dataset, tasks = build_toy_dataset()
+    cfg = ModelConfig(backbone="gcn", num_layers=2, d_node=8, d_edge=8, d_global=8, k_pe=2, rw_steps=3)
+    model = build_model(cfg)
+    edge_mlp = {name: p.value.copy() for name, p in model.params.items() if name.startswith("embed_e/")}
+    pretrain(dataset, model, tasks, TrainConfig(epochs=2, warmup_epochs=0, batch_size=16))
+    assert all(p.grad is None for p in model.parameters())
+    assert all(np.array_equal(model.params[name].value, value) for name, value in edge_mlp.items())
 
 
 def test_pretrain_best_checkpoint_matches_log(tmp_path):

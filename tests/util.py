@@ -1,8 +1,10 @@
-"""Shared helpers for building and permuting molecular graphs in tests."""
+"""Shared helpers for tests: molecular graphs, toy datasets, and memory probes."""
 
 from __future__ import annotations
 
 import dataclasses
+import resource
+import tracemalloc
 
 import numpy as np
 
@@ -107,3 +109,22 @@ def build_toy_dataset(smiles=None, k_pe=2, rw_steps=3, seed=0) -> tuple[Pretrain
         },
     )
     return dataset, tasks
+
+
+def traced_memory(fn):
+    """Run ``fn()`` under tracemalloc: its result, the bytes still allocated
+    when it returns (what the result holds) and the peak bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def minor_faults(fn):
+    """Run ``fn()``: its result and the minor page faults the process took meanwhile (``ru_minflt``)."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = fn()
+    return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
