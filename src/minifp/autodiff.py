@@ -10,8 +10,8 @@ A parameter's gradient exists only from backward to the optimizer step.
 backward a watched tensor's grad is the parameter's: its first contribution
 becomes ``Parameter.grad`` (taken over when it is a fresh C-contiguous array
 the closure owns, otherwise copied once), later contributions are added to
-it in place, and a second backward without ``zero_grad`` adds into it too.
-A parameter that gets no contribution keeps ``grad is None``, which the
+it in place, and another tape's backward without ``zero_grad`` adds into it
+too.  A parameter that gets no contribution keeps ``grad is None``, which the
 optimizer reads as a zero gradient.
 
 Backward keeps only its frontier.  Before running an op's closure it takes
@@ -24,10 +24,15 @@ input's first contribution becomes its ``grad`` as is when it is handed over
 (``_accum(..., owned=True)``) and is writeable with the input's dtype and
 shape; otherwise it is copied once.  Later contributions are added in place.
 
-A tape holds only what backward needs.  A recording tape holds its recorded
-op outputs and whatever their closures read; a non-recording tape holds
-nothing but its watched parameters, so an inference forward frees each
-layer's arrays as soon as the caller stops referring to them.
+A tape holds only what backward needs, and only until backward has read it.
+A recording tape holds its recorded op outputs and whatever their closures
+read; a non-recording tape holds nothing but its watched parameters, so an
+inference forward frees each layer's arrays as soon as the caller stops
+referring to them.  A tape is replayed once: backward pops each op before
+running its closure, so every closure and the arrays only it captured are
+freed as backward passes them, and a second ``backward`` raises
+:class:`SpentTape`.  A hidden layer is one ``linear_relu`` op, whose backward
+reads its output, not its pre-activation.
 
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
@@ -43,6 +48,7 @@ same bits on every run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -60,6 +66,10 @@ class ShapeMismatch(ValueError):
 
 class DisconnectedGraph(RuntimeError):
     """Raised when a loss does not depend on any watched parameter."""
+
+
+class SpentTape(RuntimeError):
+    """Raised by a second ``backward`` on a tape: the first one consumed its ops."""
 
 
 class Tensor:
@@ -85,7 +95,7 @@ class Parameter:
 
     ``grad`` is ``None`` until a backward pass reaches the parameter; it then
     holds the summed contributions, with the value's dtype and shape and
-    C-contiguous, and further backward calls add into it until
+    C-contiguous, and further tapes' backward calls add into it until
     ``zero_grad`` drops it.
     """
 
@@ -209,12 +219,13 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
 
 class Tape:
-    """Single-writer record of forward operations, replayed in exact reverse order.
+    """Single-writer record of forward operations, replayed once, in exact reverse order.
 
     A recording tape holds, in ``_ops``, each recorded op's output tensor and
-    its backward closure, and through the closures what they read.  A
-    non-recording tape records nothing and holds no op output, so every
-    array of an inference forward lives only as long as its caller keeps it.
+    its backward closure, and through the closures what they read, until
+    ``backward`` pops them.  A non-recording tape records nothing and holds
+    no op output, so every array of an inference forward lives only as long
+    as its caller keeps it.
 
     Backward closures call the module-level ``_accum`` and never capture the
     tape, so a tape is in no reference cycle: dropping it frees its
@@ -226,6 +237,7 @@ class Tape:
         self.recording = recording
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._watched: dict[int, tuple[Parameter, Tensor]] = {}
+        self._spent = False
 
     # -- tensor creation ---------------------------------------------------
 
@@ -328,15 +340,6 @@ class Tape:
                     _accum(t, g[tuple(idx)], owned=True)  # disjoint views of g
 
         return self._emit(out_data, tuple(tensors), backward)
-
-    def relu(self, a: Tensor) -> Tensor:
-        out_data = np.maximum(a.data, 0)
-
-        def backward(g):
-            g *= a.data > 0
-            _accum(a, g, owned=True)
-
-        return self._emit(out_data, (a,), backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         x = a.data
@@ -515,40 +518,79 @@ class Tape:
         self._ops.append((out, backward))
         return out
 
+    def linear_relu(self, x: Tensor, weight: Tensor, bias: Tensor | None = None, rebuild=None) -> Tensor:
+        """``relu(x @ weight + bias)`` as one op: relu is applied in place to ``linear``'s fresh output.
+
+        Backward masks the gradient with ``out > 0``, which equals the
+        pre-activation's ``> 0`` (a NaN stays NaN and is masked either way),
+        so no pre-activation is kept; then it runs ``linear``'s closure.
+
+        ``rebuild``, if given, returns an array equal to ``x.data``: on a
+        recording tape the op then releases ``x``'s data after the product,
+        leaving a read-only one-element NaN view of the same shape and dtype,
+        and backward restores it from ``rebuild()`` just before the product's
+        backward reads it.  No later op may read ``x``.
+        """
+        out = self.linear(x, weight, bias)
+        out_data = out.data
+        np.maximum(out_data, 0, out=out_data)
+        if not out.requires_grad:
+            return out
+        linear_backward = self._ops.pop()[1]
+        if rebuild is not None:
+            x.data = np.broadcast_to(np.array(np.nan, dtype=x.data.dtype), x.data.shape)
+
+        def backward(g):
+            g *= out_data > 0
+            if rebuild is not None:
+                x.data = rebuild()
+            linear_backward(g)
+
+        self._ops.append((out, backward))
+        return out
+
     # -- backward ------------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(param) into every watched parameter's grad.
+        """Accumulate d(loss)/d(param) into every watched parameter's grad, consuming the tape.
 
         Each watched tensor starts from its parameter's ``grad``.  The first
         contribution to a parameter without one becomes its ``grad``, and
         every later one is added into it in place, in tape order.  Without
-        ``zero_grad`` between backward calls, a parameter used more than once
-        on a tape adds each contribution into the previous gradient, which
-        may round differently from adding their total once.  Afterwards the
-        tape holds no gradient; a parameter that got no contribution keeps
-        ``None``.
+        ``zero_grad`` between two tapes' backward calls, a parameter adds each
+        contribution into the previous gradient, which may round differently
+        from adding their total once.  A parameter that got no contribution
+        keeps ``None``.
+
+        Each op is popped before its closure runs, so the closure and what
+        only it captured are freed once it returns.  Afterwards, even after a
+        closure raised, the tape holds no op, gradient or watched parameter,
+        and another ``backward`` raises :class:`SpentTape`.
         """
+        if self._spent:
+            raise SpentTape("this tape was already replayed; record the forward on a fresh tape")
         if loss.data.size != 1:
             raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
         if not loss.requires_grad:
             raise DisconnectedGraph("loss does not depend on any watched parameter")
-        for out, _ in self._ops:
-            out.grad = None  # left over from a backward whose closure raised
+        self._spent = True
+        ops = self._ops
         for param, t in self._watched.values():
             t.grad = param.grad
         try:
             _accum(loss, np.ones_like(loss.data), owned=True)
-            for out, backward_fn in reversed(self._ops):
-                g = out.grad
+            while ops:
+                out, backward_fn = ops.pop()
+                g, out.grad = out.grad, None  # the closure owns g now; it is freed once consumed
                 if g is not None:
-                    out.grad = None  # the closure owns g now; it is freed once consumed
                     backward_fn(g)
         finally:
+            ops.clear()
             for param, t in self._watched.values():
                 g, t.grad = t.grad, None
                 # A handed-over view (e.g. a concat part) is copied to the layout the optimizer steps over.
                 param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
+            self._watched.clear()
 
 
 def finite_difference_check(
@@ -588,9 +630,29 @@ def finite_difference_check(
 CHECKPOINT_VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Write ``<path>.tmp`` and move it over ``path`` once the block returns.
+
+    ``path`` is never seen half written: if the block raises, the temp file
+    is removed and whatever ``path`` held before stays as it was.  Replacing
+    gives ``path`` a new inode, so a hard link to the old file keeps the old
+    contents.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, params: Sequence[Parameter]) -> None:
-    """Binary checkpoint: version, count, then (name, shape, float32 LE) records."""
-    with open(path, "wb") as fh:
+    """Binary checkpoint: version, count, then (name, shape, float32 LE) records, written atomically."""
+    with atomic_open(path) as fh:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
         for p in params:
             name_bytes = p.name.encode("utf-8")

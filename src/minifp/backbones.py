@@ -29,36 +29,42 @@ with a matrix the batch caches per dtype; its rows follow the receiver plan
 and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
 :meth:`GraphBatch.adjacency`).
 
-Message-passing inputs are four composite tape ops, each of which keeps for
+Message-passing inputs are three composite tape ops, each of which keeps for
 backward only what its backward reads:
 
-* :func:`gine_messages`: Σ_j relu(x_j + e_ij), built in place in one
-  (edges, d) buffer and summed over the receiver plan; backward keeps the
-  boolean relu mask.
+* :func:`gine_inputs`: GINE's (1 + eps) · x + Σ_j relu(x_j + e_ij) (or the
+  printed (1 - eps) · x ⊙ Σ_j relu(x_j + e_ij)), the messages built in place
+  in one (edges, d) buffer and summed over the receiver plan; backward keeps
+  the boolean relu mask, and the summed messages only in the printed mode.
 * :func:`edge_inputs`: MPNN++'s [x_s | x_r | e | g_e], gathered and
   concatenated in one op that keeps no gathered block; backward keeps only
-  the plans.
+  the plans.  The edge MLP does not keep this input either: its first
+  layer's backward rebuilds it from x, e and g (``Tape.linear_relu``'s
+  ``rebuild``).
 * :func:`node_inputs`: MPNN++'s [x | in_e | out_e | A·x | g_n]; backward keeps
   the plans and the adjacency's transpose.
-* :func:`gine_combine`: GINE's (1 + eps) · x + agg (or the printed
-  (1 - eps) · x ⊙ agg); backward keeps nothing beyond its inputs.
 
 Each backward repeats the arithmetic of the gather, add, sub, mul, relu,
 segment-sum, sparse-product and concat ops it replaces, and adds an input's
 parts in the order their closures would, one ``Tape.custom`` input per
-contribution, so loss and gradients keep the same bits.
+contribution, so loss and gradients keep the same bits.  Every hidden layer,
+in the MLPs and in GCN, is one ``Tape.linear_relu`` op, which keeps no
+pre-activation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from .autodiff import Parameter, Segments, ShapeMismatch, Tape, load_checkpoint, save_checkpoint
+from .autodiff import Parameter, Segments, ShapeMismatch, Tape, atomic_open, load_checkpoint, save_checkpoint
 from .encodings import (
     ATOM_FEATURE_WIDTH,
     BOND_FEATURE_WIDTH,
@@ -457,9 +463,11 @@ def pool(tape: Tape, x, batch: GraphBatch, method: str):
 # -- forward pass ---------------------------------------------------------------
 
 
-def mlp_forward(tape: Tape, state: ModelState, prefix: str, x):
-    h = tape.linear(x, tape.watch(state.params[f"{prefix}/w1"]), tape.watch(state.params[f"{prefix}/b1"]))
-    h = tape.relu(h)
+def mlp_forward(tape: Tape, state: ModelState, prefix: str, x, rebuild=None):
+    """Two-layer MLP; ``rebuild`` goes to the first layer's ``Tape.linear_relu``."""
+    h = tape.linear_relu(
+        x, tape.watch(state.params[f"{prefix}/w1"]), tape.watch(state.params[f"{prefix}/b1"]), rebuild=rebuild
+    )
     return tape.linear(h, tape.watch(state.params[f"{prefix}/w2"]), tape.watch(state.params[f"{prefix}/b2"]))
 
 
@@ -495,31 +503,10 @@ def gcn_aggregate(tape: Tape, x, batch: GraphBatch):
 
 def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, training: bool, step: int):
     agg = gcn_aggregate(tape, x, batch)
-    out = tape.linear(agg, tape.watch(state.params[f"layer{layer}/w"]), tape.watch(state.params[f"layer{layer}/b"]))
-    out = tape.relu(out)
+    out = tape.linear_relu(
+        agg, tape.watch(state.params[f"layer{layer}/w"]), tape.watch(state.params[f"layer{layer}/b"])
+    )
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
-
-
-def gine_messages(tape: Tape, x, e, batch: GraphBatch):
-    """Σ_j relu(x_j + e_ij) per receiver i, as one op whose backward keeps only the relu mask.
-
-    Backward gathers the gradient by receiver and masks it, then sums it
-    over the sender plan for x and hands it to e as it is.
-    """
-    if x.data.shape[1] != e.data.shape[1]:
-        raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
-    senders, receivers = batch.sender_plan, batch.receiver_plan
-    messages = x.data[senders.segment_ids]
-    messages += e.data
-    np.maximum(messages, 0, out=messages)
-    mask = messages > 0
-
-    def backward(g):
-        g = g[receivers.segment_ids]
-        g *= mask
-        return senders.sum(g), g
-
-    return tape.custom(receivers.sum(messages), [x, e], backward)
 
 
 def _columns(blocks) -> tuple[np.ndarray, list[int]]:
@@ -528,16 +515,26 @@ def _columns(blocks) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(blocks, axis=1), offsets
 
 
+def _edge_columns(x, e, g, batch: GraphBatch) -> tuple[np.ndarray, list[int]]:
+    """[x_s | x_r | e | g_e] per directed edge and the column offsets between blocks."""
+    return _columns([
+        x.data[batch.sender_plan.segment_ids],
+        x.data[batch.receiver_plan.segment_ids],
+        e.data,
+        g.data[batch.graph_edge_plan.segment_ids],
+    ])
+
+
 def edge_inputs(tape: Tape, x, e, g, batch: GraphBatch):
     """MPNN++'s edge MLP input [x_s | x_r | e | g_e] per directed edge, as one op.
 
     x gets its receiver part's sum, then its sender part's, the order the
-    gathers' closures added them in.
+    gathers' closures added them in.  :func:`mpnnpp_layer` has the edge MLP
+    rebuild this input with :func:`_edge_columns` in backward rather than
+    keep it.
     """
     senders, receivers, graphs = batch.sender_plan, batch.receiver_plan, batch.graph_edge_plan
-    out, offsets = _columns(
-        [x.data[senders.segment_ids], x.data[receivers.segment_ids], e.data, g.data[graphs.segment_ids]]
-    )
+    out, offsets = _edge_columns(x, e, g, batch)
 
     def backward(grad):
         g_s, g_r, g_e, g_g = np.split(grad, offsets, axis=1)
@@ -565,46 +562,71 @@ def node_inputs(tape: Tape, x, e_bar, g, batch: GraphBatch):
     return tape.custom(out, [x, x, e_bar, e_bar, g], backward)
 
 
-def gine_combine(tape: Tape, x, eps, agg, mode: str):
+def gine_inputs(tape: Tape, x, e, eps, batch: GraphBatch, mode: str):
     """GINE's MLP input as one op: ``(1 + eps) x + agg`` ("standard") or, as
-    printed, ``(1 - eps) x ⊙ agg`` ("paper-printed").
+    printed, ``(1 - eps) x ⊙ agg`` ("paper-printed"), with agg = Σ_j relu(x_j + e_ij)
+    per receiver i.
 
-    Backward reads x, eps and agg, which outlive the op anyway, and keeps no
-    intermediate: it repeats the add, mul and sub ops' arithmetic and hands x
-    its parts in their closures' order.
+    The messages are built in place in one (edges, d) buffer and summed over
+    the receiver plan.  Backward keeps the boolean relu mask (none on a
+    non-recording tape), and agg only in "paper-printed" mode, whose backward
+    reads it.  It repeats the arithmetic of the gather, add, relu,
+    segment-sum, add, mul and sub ops it replaces, and hands x its parts in
+    their closures' order: in "standard" mode g, then g·eps, then the
+    sender-plan sum of the masked message gradient.
     """
+    if x.data.shape[1] != e.data.shape[1]:
+        raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
+    senders, receivers = batch.sender_plan, batch.receiver_plan
+    messages = x.data[senders.segment_ids]
+    messages += e.data
+    np.maximum(messages, 0, out=messages)
+    mask = messages > 0 if tape.recording else None
+    agg = receivers.sum(messages)
+    del messages  # before the combine allocates its output
+
+    def message_grads(g_agg):
+        """(x's sender-plan part, e's part) from agg's gradient."""
+        g_msg = g_agg[receivers.segment_ids]
+        g_msg *= mask
+        return senders.sum(g_msg), g_msg
+
     if mode == "standard":
         out = x.data * eps.data
         out += x.data  # x + x·eps, the same sum either way round
-        out += agg.data
+        out += agg
 
         def backward(g):
-            return g, g * eps.data, (g * x.data).sum(axis=0).sum(axis=0, keepdims=True), g
+            return (g, g * eps.data, (g * x.data).sum(axis=0).sum(axis=0, keepdims=True), *message_grads(g))
 
-        return tape.custom(out, [x, x, eps, agg], backward)
+        return tape.custom(out, [x, x, eps, x, e], backward)
 
     one_minus = 1 - eps.data
     out = x.data * one_minus
-    out *= agg.data
+    out *= agg
 
     def backward(g):
-        g_scaled = g * agg.data  # the gradient of (1 - eps) x
+        g_scaled = g * agg  # the gradient of (1 - eps) x
         eps_grad = -(g_scaled * x.data).sum(axis=0).sum(axis=0, keepdims=True)
-        return g_scaled * one_minus, eps_grad, g * (x.data * one_minus)
+        return (g_scaled * one_minus, eps_grad, *message_grads(g * (x.data * one_minus)))
 
-    return tape.custom(out, [x, eps, agg], backward)
+    return tape.custom(out, [x, eps, x, e], backward)
 
 
 def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatch, training: bool, step: int):
-    agg = gine_messages(tape, x, e, batch)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
-    pre = gine_combine(tape, x, eps, agg, state.config.gine_epsilon_mode)
+    pre = gine_inputs(tape, x, e, eps, batch, state.config.gine_epsilon_mode)
     out = mlp_forward(tape, state, f"layer{layer}/mlp", pre)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
 
 def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: GraphBatch, training: bool, step: int):
-    e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_inputs(tape, x, e, g, batch))
+    # The (edges, 2 d_node + d_edge + d_global) input is gathers and a concat:
+    # backward rebuilds it from x, e and g, which the tape keeps anyway.
+    e_bar = mlp_forward(
+        tape, state, f"layer{layer}/mlp_edge", edge_inputs(tape, x, e, g, batch),
+        rebuild=lambda: _edge_columns(x, e, g, batch)[0],
+    )
     x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_inputs(tape, x, e_bar, g, batch))
 
     global_in = tape.concat(
@@ -652,15 +674,41 @@ def forward(tape: Tape, batch: GraphBatch, state: ModelState, training: bool = F
 
 
 def save_model(state: ModelState, path) -> None:
-    """Checkpoint plus a sidecar config/head record for reload validation."""
+    """Checkpoint plus a sidecar config/head record for reload validation.
+
+    Each file is written under a temp name and moved over the old one
+    (``autodiff.atomic_open``), so a failed save leaves the previous files.
+    """
     save_checkpoint(path, state.parameters())
     sidecar = {
         "config": asdict(state.config),
         "heads": [asdict(h) for h in state.heads.values()],
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def link_model(src, dst) -> None:
+    """Make the model files at ``dst`` (checkpoint and sidecar) the ones at ``src``.
+
+    Each file is hard-linked under ``<dst>.tmp`` and moved over ``dst``; where
+    the filesystem refuses the link it is copied instead.  ``save_model``
+    replaces files rather than rewriting them, so a later save to ``src``
+    leaves ``dst`` as it was.
+    """
+    for suffix in ("", ".json"):
+        source, target = f"{os.fspath(src)}{suffix}", f"{os.fspath(dst)}{suffix}"
+        tmp = f"{target}.tmp"
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # left by an interrupted run, it would refuse the link
+        try:
+            os.link(source, tmp)
+        except OSError:
+            with open(source, "rb") as fin, atomic_open(target) as fout:
+                shutil.copyfileobj(fin, fout)
+        else:
+            os.replace(tmp, target)
 
 
 def load_model(path) -> ModelState:

@@ -206,8 +206,9 @@ class TrainedHead:
         cfg = self.config
         h = tape.constant(np.asarray(x, dtype=np.float32))
         for layer in range(cfg.num_layers):
-            z = tape.linear(h, tape.watch(self._by_name[f"h{layer}/w"]), tape.watch(self._by_name[f"h{layer}/b"]))
-            a = tape.relu(z)
+            a = tape.linear_relu(
+                h, tape.watch(self._by_name[f"h{layer}/w"]), tape.watch(self._by_name[f"h{layer}/b"])
+            )
             a = tape.dropout(a, cfg.dropout, (self.seed, layer, step), training)
             h = tape.add(a, h) if cfg.skip_connection and a.data.shape == h.data.shape else a
         return tape.linear(h, tape.watch(self._by_name["out/w"]), tape.watch(self._by_name["out/b"]))

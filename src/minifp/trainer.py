@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Parameter, Tape
-from .backbones import ModelState, batch_graphs, forward, save_model
+from .backbones import ModelState, batch_graphs, forward, link_model, save_model
 from .encodings import AssembledFeatures
 from .molgraph import MolecularGraph
 from .multitask import (
@@ -407,9 +407,10 @@ def pretrain(
     Per epoch: one pass over seeded-shuffled training batches optimizing the
     combined loss, then a validation pass.  The checkpoint with the lowest
     validation total and the final checkpoint are both saved when ``out_dir``
-    is given.  An empty validation split falls back to the training loss for
-    best-epoch selection.  A non-finite task loss aborts with the offending
-    group named.
+    is given; when the last epoch is the best, ``final.ckpt`` is a hard link
+    to ``best.ckpt`` (a copy where links are refused).  An empty validation
+    split falls back to the training loss for best-epoch selection.  A
+    non-finite task loss aborts with the offending group named.
     """
     config.validate()
     _keep_freed_heap()
@@ -471,7 +472,10 @@ def pretrain(
                 save_model(model, out_path / "best.ckpt")
 
     if out_path is not None:
-        save_model(model, out_path / "final.ckpt")
+        if log.best_epoch == config.epochs:
+            link_model(out_path / "best.ckpt", out_path / "final.ckpt")  # the same weights: no second write
+        else:
+            save_model(model, out_path / "final.ckpt")
         log.write_jsonl(out_path / "log.jsonl")
         with open(out_path / "timing.txt", "w", encoding="utf-8") as fh:
             for epoch, seconds in enumerate(timings, start=1):

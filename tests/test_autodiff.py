@@ -11,6 +11,7 @@ from minifp.autodiff import (
     Parameter,
     Segments,
     ShapeMismatch,
+    SpentTape,
     Tape,
     finite_difference_check,
     load_checkpoint,
@@ -18,11 +19,13 @@ from minifp.autodiff import (
 )
 from minifp.seeding import rng_stream
 
+from .util import reference_relu
+
 
 def test_relu_forward():
     tape = Tape()
-    out = tape.relu(tape.constant(np.array([-1.0, 0.0, 2.0])))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+    out = tape.linear_relu(tape.constant(np.array([[-1.0], [0.0], [2.0]])), tape.constant(np.ones((1, 2))))
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
 
 
 def test_segment_sum_basic():
@@ -121,6 +124,61 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(4, 2)" in str(exc.value) and "(3, 2)" in str(exc.value)
 
 
+def _linear_relu_step(dtype, fused, rebuild=False):
+    """Output, loss and gradients of sum(c * relu(x @ w + b)) with exact-zero and NaN pre-activations."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((6, 4)).astype(dtype)
+    x[1] = 0.0  # pre-activation = b: exactly zero where b is
+    x[2, 3] = np.nan  # a NaN row
+    b = rng.standard_normal(5).astype(dtype)
+    b[[0, 3]] = 0.0
+    params = [Parameter("x", x), Parameter("w", rng.standard_normal((4, 5)).astype(dtype)), Parameter("b", b)]
+    c = rng.standard_normal((6, 5)).astype(dtype)
+    tape = Tape()
+    xt, wt, bt = (tape.watch(p) for p in params)
+    h = tape.scale(xt, 1.0)  # an op output, as every hidden layer's input is
+    if fused:
+        out = tape.linear_relu(h, wt, bt, rebuild=(lambda: x * 1.0) if rebuild else None)
+    else:
+        out = reference_relu(tape, tape.linear(h, wt, bt))
+    loss = tape.sum(tape.mul(out, tape.constant(c)))
+    out_bits = out.data.tobytes()
+    tape.backward(loss)
+    return [out_bits, loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["kept", "rebuilt"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_relu_matches_linear_then_relu_bitwise(dtype, rebuild):
+    fused = _linear_relu_step(dtype, True, rebuild)
+    assert fused == _linear_relu_step(dtype, False)
+    out = np.frombuffer(fused[0], dtype=dtype)
+    assert np.isnan(out).any() and (out == 0).any()
+
+
+def test_linear_relu_rebuild_releases_its_input_until_backward():
+    rng = np.random.default_rng(22)
+    w = Parameter("w", rng.standard_normal((3, 2)))
+    values = rng.standard_normal((4, 3))
+    tape = Tape()
+    x = tape.scale(tape.watch(Parameter("x", values)), 1.0)
+    placeholders = []
+
+    def rebuild():
+        placeholders.append(x.data.strides)
+        return values * 1.0
+
+    out = tape.linear_relu(x, tape.watch(w), rebuild=rebuild)
+    # A one-element NaN view keeps the shape and dtype until backward calls rebuild, once.
+    assert x.data.shape == values.shape and x.data.dtype == values.dtype and x.data.strides == (0, 0)
+    tape.backward(tape.sum(out))
+    assert placeholders == [(0, 0)]
+    inference = Tape(recording=False)
+    kept = inference.constant(values)
+    inference.linear_relu(kept, inference.watch(w), rebuild=rebuild)
+    assert kept.data is values and len(placeholders) == 1  # nothing recorded, nothing released
+
+
 def test_linear_gradient_is_input():
     # loss = sum(w * x) with x fixed -> grad(w) = x
     x = np.array([1.0, -2.0, 3.0])
@@ -132,23 +190,69 @@ def test_linear_gradient_is_input():
 
 
 def test_dead_relu_gradient_is_zero():
-    w = Parameter("w", np.array([-1.0]))
+    w = Parameter("w", np.array([[-1.0]]))
+    b = Parameter("b", np.array([0.5]))
     tape = Tape()
-    r = tape.relu(tape.watch(w))
+    r = tape.linear_relu(tape.constant(np.ones((1, 1))), tape.watch(w), tape.watch(b))
     loss = tape.sum(tape.mul(r, r))
     tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, [0.0])
+    np.testing.assert_array_equal(w.grad, [[0.0]])
+    np.testing.assert_array_equal(b.grad, [0.0])
 
 
 def test_backward_twice_doubles_gradients():
-    w = Parameter("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    x = np.array([[1.0, 0.5]])
+    """Two tapes' backward passes without ``zero_grad`` add up: 2x the gradient, bit for bit."""
+    rng = np.random.default_rng(3)
+    w = Parameter("w", rng.standard_normal((2, 2)))
+    x = rng.standard_normal((3, 2))
+
+    def run():
+        tape = Tape()
+        tape.backward(tape.sum(tape.linear_relu(tape.constant(x), tape.watch(w))))
+
+    run()
+    first = w.grad.copy()
+    run()
+    assert w.grad.tobytes() == (2.0 * first).tobytes()
+
+
+def test_spent_tape_raises_on_a_second_backward():
+    w = Parameter("w", np.ones((2, 2)))
     tape = Tape()
-    loss = tape.sum(tape.matmul(tape.constant(x), tape.watch(w)))
+    h = tape.matmul(tape.constant(np.ones((1, 2))), tape.watch(w))
+    loss = tape.sum(h)
     tape.backward(loss)
     first = w.grad.copy()
+    assert tape._ops == [] and tape._watched == {}
+    with pytest.raises(SpentTape):
+        tape.backward(loss)
+    with pytest.raises(SpentTape):
+        tape.backward(tape.sum(tape.scale(h, 2.0)))  # ops recorded after the replay are never run
+    assert w.grad.tobytes() == first.tobytes()
+
+
+def test_backward_frees_each_closure_once_it_has_run():
+    """Backward pops each op before running its closure: when a closure runs,
+    the closures of the ops after it, and what only they captured, are gone."""
+    w = Parameter("w", np.ones((3, 3)))
+    tape = Tape()
+    x = tape.watch(w)
+    seen = []
+
+    def probe(name, a):
+        def backward(g):
+            seen.append((name, [ref() is None for ref in refs]))
+            return (g,)
+
+        return tape.custom(a.data.copy(), [a], backward)
+
+    first = probe("first", x)
+    second = probe("second", tape.scale(first, 2.0))
+    refs = [weakref.ref(tape._ops[-1][1])]  # second's closure
+    loss = tape.sum(second)
+    del second
     tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, 2.0 * first)
+    assert seen == [("second", [False]), ("first", [True])]
 
 
 def test_parameter_gradient_lives_from_backward_to_zero_grad():
@@ -168,7 +272,9 @@ def test_parameter_gradient_lives_from_backward_to_zero_grad():
     assert v.grad.flags.c_contiguous and w.grad.flags.c_contiguous
     first = {p.name: p.grad.copy() for p in (w, v)}
     np.testing.assert_array_equal(w.grad, x.T @ np.ones((4, 2)))
-    tape.backward(loss)  # no zero_grad: the second pass adds into the first
+    tape = Tape()  # no zero_grad: a second tape's pass adds into the first
+    both = tape.concat([tape.watch(w), tape.watch(v)], axis=1)
+    tape.backward(tape.sum(tape.matmul(tape.constant(x), both)))
     assert all(p.grad.tobytes() == (2 * first[p.name]).tobytes() for p in (w, v))
     w.zero_grad()
     assert w.grad is None
@@ -193,7 +299,7 @@ def test_parameter_used_twice_sums_contributions_bitwise():
 def test_dropped_tape_is_freed_without_the_cycle_collector():
     w = Parameter("w", np.ones((3, 2)))
     tape = Tape()
-    hidden = tape.relu(tape.matmul(tape.constant(np.ones((4, 3))), tape.watch(w)))
+    hidden = tape.linear_relu(tape.constant(np.ones((4, 3))), tape.watch(w))
     tape.backward(tape.sum(tape.concat([hidden, hidden], axis=1)))
     ref = weakref.ref(tape)
     gc.disable()
@@ -223,7 +329,7 @@ def test_quadratic_bowl_fd_error_tiny():
 
 def _mlp_loss(params, x):
     def fn(tape):
-        h = tape.relu(tape.linear(tape.constant(x), tape.watch(params[0]), tape.watch(params[1])))
+        h = tape.linear_relu(tape.constant(x), tape.watch(params[0]), tape.watch(params[1]))
         out = tape.linear(h, tape.watch(params[2]), tape.watch(params[3]))
         return tape.sum(tape.mul(out, out))
 
@@ -337,12 +443,11 @@ def test_backward_frees_every_op_gradient_and_keeps_parameter_gradients():
     b = Parameter("b", rng.standard_normal(4))
     tape = Tape()
     wt, bt = tape.watch(w), tape.watch(b)
-    h = tape.linear(tape.constant(x), wt, bt)
-    r = tape.relu(h)
+    r = tape.linear_relu(tape.constant(x), wt, bt)
     both = tape.concat([r, r], axis=1)
     loss = tape.sum(tape.mul(both, tape.constant(np.concatenate([c, c], axis=1))))
     tape.backward(loss)
-    assert all(t.grad is None for t in (h, r, both, loss, wt, bt))
+    assert all(t.grad is None for t in (r, both, loss, wt, bt))
     assert all(p.grad.flags.c_contiguous and p.grad.dtype == p.value.dtype for p in (w, b))
     dh = 2.0 * c * (x @ w.value + b.value > 0)
     np.testing.assert_allclose(w.grad, x.T @ dh, rtol=1e-12)
@@ -350,8 +455,8 @@ def test_backward_frees_every_op_gradient_and_keeps_parameter_gradients():
 
 
 def test_backward_after_a_raising_closure_matches_a_fresh_tape():
-    """A closure that raises midway leaves gradients on earlier op outputs;
-    the next backward on that tape must not add them in."""
+    """A closure that raises midway spends the tape and drops what it held;
+    a fresh tape then gives the gradients of a backward that never failed."""
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3))
     w = Parameter("w", rng.standard_normal((3, 3)))
@@ -375,11 +480,15 @@ def test_backward_after_a_raising_closure_matches_a_fresh_tape():
     w.zero_grad()
     tape = Tape()
     loss = build(tape, [True])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="closure failed"):
+        tape.backward(loss)
+    assert tape._ops == [] and tape._watched == {}
+    with pytest.raises(SpentTape):
         tape.backward(loss)
     w.zero_grad()
-    tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, expected)
+    tape = Tape()
+    tape.backward(build(tape, []))
+    assert w.grad.tobytes() == expected.tobytes()
 
 
 def _aliasing_loss(case, w, v, u):
@@ -393,7 +502,7 @@ def _aliasing_loss(case, w, v, u):
         if case == "add_self":
             out = tape.add(x, x)
         elif case == "add_two_outputs":
-            out = tape.add(x, tape.relu(x))  # relu overwrites the g it is handed
+            out = tape.add(x, tape.linear_relu(x, tape.watch(u)))  # linear_relu overwrites the g it is handed
         elif case == "concat_self":
             out = tape.concat([x, x], axis=1)
         elif case == "sub_broadcast":

@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from minifp.backbones import (
     gcn_aggregate,
     gcn_layer,
     gine_layer,
+    link_model,
     load_model,
     mlp_forward,
     mpnnpp_layer,
@@ -457,6 +461,34 @@ def test_save_load_round_trip(tmp_path):
     again = forward(Tape(recording=False), batch, loaded)
     np.testing.assert_array_equal(base.x.data, again.x.data)
     np.testing.assert_array_equal(base.g.data, again.g.data)
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path):
+    state = build_model(tiny_config("gine", dtype="float32"))
+    path = tmp_path / "best.ckpt"
+    save_model(state, path)
+    before = path.read_bytes()
+    state.add_parameter("x" * 70000, np.zeros(1))  # too long for the record's 16-bit name length
+    with pytest.raises(struct.error):
+        save_model(state, path)
+    assert path.read_bytes() == before
+    assert "x" * 70000 not in load_model(path).params
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "best.ckpt.json"]
+
+
+def test_link_model_copies_where_links_are_refused(tmp_path, monkeypatch):
+    state = build_model(tiny_config("gine", dtype="float32"))
+    save_model(state, tmp_path / "best.ckpt")
+
+    def refuse(src, dst):
+        raise PermissionError("no hard links here")
+
+    monkeypatch.setattr(os, "link", refuse)
+    link_model(tmp_path / "best.ckpt", tmp_path / "final.ckpt")
+    for suffix in ("", ".json"):
+        best, final = tmp_path / f"best.ckpt{suffix}", tmp_path / f"final.ckpt{suffix}"
+        assert not os.path.samefile(best, final) and best.read_bytes() == final.read_bytes()
+    assert len(list(tmp_path.iterdir())) == 4
 
 
 def test_isomorphic_graphs_same_embedding_multiset():

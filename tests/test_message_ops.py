@@ -1,7 +1,7 @@
 """The composite message-passing ops against the primitive tape-op chains they replace.
 
-``reference_gine_layer`` and ``reference_mpnnpp_layer`` build each layer's
-message-passing inputs from gather, add, sub, mul, relu, segment_sum,
+``reference_gcn_layer``, ``reference_gine_layer`` and ``reference_mpnnpp_layer``
+build each layer from linear, relu, gather, add, sub, mul, segment_sum,
 sparse_matmul and concat, one tape op each; the library layers must give the
 same loss and gradients bit for bit while keeping far fewer bytes on the tape.
 """
@@ -19,20 +19,37 @@ from minifp.backbones import (
     default_config,
     edge_inputs,
     forward,
-    gine_combine,
+    gcn_aggregate,
+    gcn_layer,
+    gine_inputs,
     gine_layer,
-    gine_messages,
-    mlp_forward,
     mpnnpp_layer,
     node_inputs,
 )
 from minifp.encodings import assemble
 from minifp.molgraph import parse_smiles
 
-from .util import TOY_SMILES, permute_graph, random_molecule, traced_memory
+from .util import TOY_SMILES, permute_graph, random_molecule, reference_relu, traced_memory
 
 
-def reference_gine_combine(tape, x, eps, agg, mode):
+def reference_linear_relu(tape, x, w, b):
+    return reference_relu(tape, tape.linear(x, w, b))
+
+
+def reference_mlp_forward(tape, state, prefix, x):
+    h = reference_linear_relu(tape, x, tape.watch(state.params[f"{prefix}/w1"]), tape.watch(state.params[f"{prefix}/b1"]))
+    return tape.linear(h, tape.watch(state.params[f"{prefix}/w2"]), tape.watch(state.params[f"{prefix}/b2"]))
+
+
+def reference_gcn_layer(tape, state, layer, x, batch, training, step):
+    agg = gcn_aggregate(tape, x, batch)
+    out = reference_linear_relu(tape, agg, tape.watch(state.params[f"layer{layer}/w"]), tape.watch(state.params[f"layer{layer}/b"]))
+    return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
+
+
+def reference_gine_inputs(tape, x, e, eps, batch, mode):
+    messages = reference_relu(tape, tape.add(tape.gather(x, batch.sender_plan), e))
+    agg = tape.segment_sum(messages, batch.receiver_plan)
     if mode == "standard":
         return tape.add(tape.add(x, tape.mul(x, eps)), agg)
     one_minus = tape.sub(tape.constant(np.ones(1, dtype=x.data.dtype)), eps)
@@ -40,11 +57,9 @@ def reference_gine_combine(tape, x, eps, agg, mode):
 
 
 def reference_gine_layer(tape, state, layer, x, e, batch, training, step):
-    messages = tape.relu(tape.add(tape.gather(x, batch.sender_plan), e))
-    agg = tape.segment_sum(messages, batch.receiver_plan)
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
-    pre = reference_gine_combine(tape, x, eps, agg, state.config.gine_epsilon_mode)
-    out = mlp_forward(tape, state, f"layer{layer}/mlp", pre)
+    pre = reference_gine_inputs(tape, x, e, eps, batch, state.config.gine_epsilon_mode)
+    out = reference_mlp_forward(tape, state, f"layer{layer}/mlp", pre)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
 
@@ -53,17 +68,17 @@ def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
     g_per_node = tape.gather(g, batch.graph_node_plan)
     x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
     edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
-    e_bar = mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
+    e_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
     incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
     outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
     incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
     node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
-    x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
+    x_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
     global_in = tape.concat(
         [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],
         axis=1,
     )
-    g_bar = mlp_forward(tape, state, f"layer{layer}/mlp_global", global_in)
+    g_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_global", global_in)
     rate, seed = state.config.dropout, state.config.seed
     x_out = tape.dropout(tape.add(x_bar, x), rate, (seed, layer * 4 + 1, step), training)
     e_out = tape.dropout(tape.add(e_bar, e), rate, (seed, layer * 4 + 2, step), training)
@@ -91,11 +106,18 @@ def shuffled_batch(cfg, seed):
     )
 
 
+LAYERS = {
+    "gcn": (gcn_layer, reference_gcn_layer),
+    "gine": (gine_layer, reference_gine_layer),
+    "mpnnpp": (mpnnpp_layer, reference_mpnnpp_layer),
+}
+
+
 def bits(array):
     return np.ascontiguousarray(array).tobytes()
 
 
-CASES = [("gine", "standard"), ("gine", "paper-printed"), ("mpnnpp", "standard")]
+CASES = [("gcn", "standard"), ("gine", "standard"), ("gine", "paper-printed"), ("mpnnpp", "standard")]
 
 
 def training_step(cfg, batch, layer_fn):
@@ -105,6 +127,9 @@ def training_step(cfg, batch, layer_fn):
     """
     state = build_model(cfg)
     rng = np.random.default_rng(1)
+    for name, p in state.params.items():
+        if name.endswith("/epsilon"):
+            p.value[...] = rng.uniform(0.1, 0.5)  # eps = 0 at init would hide the order of x's parts
     dtype = cfg.np_dtype
     shapes = {
         "x": (batch.num_nodes, cfg.d_node),
@@ -116,11 +141,13 @@ def training_step(cfg, batch, layer_fn):
     tape = Tape()
     x, e, g = (tape.watch(inputs[name]) for name in "xeg")
     for layer in range(cfg.num_layers):
-        if cfg.backbone == "gine":
+        if cfg.backbone == "gcn":
+            x = layer_fn(tape, state, layer, x, batch, True, 7)
+        elif cfg.backbone == "gine":
             x = layer_fn(tape, state, layer, x, e, batch, True, 7)
         else:
             x, e, g = layer_fn(tape, state, layer, x, e, g, batch, True, 7)
-    outputs = {"x": x} if cfg.backbone == "gine" else {"x": x, "e": e, "g": g}
+    outputs = {"x": x, "e": e, "g": g} if cfg.backbone == "mpnnpp" else {"x": x}
     terms = [tape.sum(tape.mul(out, tape.constant(weights[name]))) for name, out in outputs.items()]
     loss = terms[0]
     for term in terms[1:]:
@@ -139,10 +166,7 @@ def test_composite_layers_match_primitive_chains_bitwise(backbone, mode, dtype):
         k_pe=2, rw_steps=3, dropout=0.1, seed=5, gine_epsilon_mode=mode, dtype=dtype,
     )
     batch = shuffled_batch(cfg, seed=3)
-    layer, reference = {
-        "gine": (gine_layer, reference_gine_layer),
-        "mpnnpp": (mpnnpp_layer, reference_mpnnpp_layer),
-    }[backbone]
+    layer, reference = LAYERS[backbone]
     loss, grads = training_step(cfg, batch, layer)
     ref_loss, ref_grads = training_step(cfg, batch, reference)
     assert bits(loss) == bits(ref_loss)
@@ -163,8 +187,15 @@ def composite_loss(op, params, batch, weights):
     return fn
 
 
+def gine_inputs_messages(tape, x, e, batch):
+    """Σ_j relu(x_j + e_ij) per receiver alone: ``gine_inputs`` in "standard"
+    mode less its (1 + eps) x part, so x's gradient is the message part only."""
+    eps = tape.constant(np.full(1, 0.3))
+    return tape.sub(gine_inputs(tape, x, e, eps, batch, "standard"), tape.add(x, tape.mul(x, eps)))
+
+
 @pytest.mark.parametrize(
-    "op", ["gine_messages", "edge_inputs", "node_inputs", "gine_combine-standard", "gine_combine-paper-printed"]
+    "op", ["gine_inputs-messages", "edge_inputs", "node_inputs", "gine_inputs-standard", "gine_inputs-paper-printed"]
 )
 def test_composite_ops_match_finite_differences(op):
     cfg = ModelConfig(backbone="mpnnpp", num_layers=1, d_node=3, d_edge=3, d_global=2, k_pe=2, rw_steps=3,
@@ -176,24 +207,20 @@ def test_composite_ops_match_finite_differences(op):
         Parameter("e", rng.standard_normal((batch.num_edges, 3))),
         Parameter("g", rng.standard_normal((batch.num_graphs, 2))),
     ]
-    if op.startswith("gine_combine"):
-        # Its inputs are x, eps and the aggregated messages.
-        params[1:] = [
-            Parameter("eps", rng.standard_normal(1)),
-            Parameter("agg", rng.standard_normal((batch.num_nodes, 3))),
-        ]
+    if op in ("gine_inputs-standard", "gine_inputs-paper-printed"):
+        params[2] = Parameter("eps", rng.standard_normal(1))  # its inputs are x, e and eps
     ops = {
-        "gine_messages": lambda tape, x, e, g, b: gine_messages(tape, x, e, b),
+        "gine_inputs-messages": lambda tape, x, e, g, b: gine_inputs_messages(tape, x, e, b),
         "edge_inputs": edge_inputs,
         "node_inputs": node_inputs,
-        "gine_combine-standard": lambda tape, x, eps, agg, b: gine_combine(tape, x, eps, agg, "standard"),
-        "gine_combine-paper-printed": lambda tape, x, eps, agg, b: gine_combine(tape, x, eps, agg, "paper-printed"),
+        "gine_inputs-standard": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "standard"),
+        "gine_inputs-paper-printed": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "paper-printed"),
     }
     rows = batch.num_edges if op == "edge_inputs" else batch.num_nodes
     weights = {width: rng.standard_normal((rows, width)) for width in (3, 11, 14)}
     fn = composite_loss(ops[op], params, batch, weights)
     assert finite_difference_check(fn, params, h=1e-6) < 1e-4
-    used = params[:2] if op == "gine_messages" else params
+    used = params[:2] if op == "gine_inputs-messages" else params
     assert all(np.any(p.grad) for p in used)
 
 
@@ -222,20 +249,21 @@ def held_bytes(state, batch, monkeypatch, **references):
         return traced_memory(record)[1]
 
 
-@pytest.mark.parametrize("backbone,bound", [("gine", 0.65), ("mpnnpp", 0.75)])
+@pytest.mark.parametrize("backbone,bound", [("gcn", 0.72), ("gine", 0.65), ("mpnnpp", 0.6)])
 def test_recording_forward_keeps_fewer_bytes_than_the_primitive_chains(backbone, bound, monkeypatch):
     state, batch = toy_model_and_batch(default_config(backbone))
-    reference = {"gine": reference_gine_layer, "mpnnpp": reference_mpnnpp_layer}[backbone]
     held = held_bytes(state, batch, monkeypatch)
-    ref_held = held_bytes(state, batch, monkeypatch, **{f"{backbone}_layer": reference})
+    ref_held = held_bytes(state, batch, monkeypatch, **{f"{backbone}_layer": LAYERS[backbone][1]})
     assert held <= bound * ref_held, f"{held / 2**20:.1f} MB held, {ref_held / 2**20:.1f} MB by the primitive chains"
 
 
-@pytest.mark.parametrize("mode", ["standard", "paper-printed"])
-def test_gine_combine_keeps_no_intermediate_on_the_tape(mode, monkeypatch):
-    """The add/mul/sub chain records x·eps and x + x·eps (or x·(1 - eps)), which no
-    backward reads; 4 default-width layers hold ~0.75x (~0.86x printed) of the chain's bytes."""
+@pytest.mark.parametrize("mode,bound", [("standard", 0.4), ("paper-printed", 0.55)])
+def test_gine_inputs_keep_no_intermediate_on_the_tape(mode, bound, monkeypatch):
+    """The primitive chain records the gathered rows, their sum with e, the relu
+    output, agg, x·eps and x + x·eps (or x·(1 - eps)), none of which the merged
+    op keeps; only its relu mask (and agg in the printed mode) stays.  16
+    default-width layers hold 0.33x (0.46x printed) of the chain's bytes."""
     state, batch = toy_model_and_batch(default_config("gine", gine_epsilon_mode=mode))
     held = held_bytes(state, batch, monkeypatch)
-    chain_held = held_bytes(state, batch, monkeypatch, gine_combine=reference_gine_combine)
-    assert held <= 0.9 * chain_held, f"{held / 2**20:.1f} MB held, {chain_held / 2**20:.1f} MB with the op chain"
+    chain_held = held_bytes(state, batch, monkeypatch, gine_inputs=reference_gine_inputs)
+    assert held <= bound * chain_held, f"{held / 2**20:.1f} MB held, {chain_held / 2**20:.1f} MB with the op chain"

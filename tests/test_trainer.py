@@ -1,10 +1,13 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from minifp import trainer
 from minifp.autodiff import Parameter
-from minifp.backbones import ModelConfig, build_model, load_model
+from minifp.backbones import ModelConfig, build_model, default_config, load_model, save_model
 from minifp.multitask import LossWeights
 from minifp.trainer import (
     NaNLossError,
@@ -14,13 +17,14 @@ from minifp.trainer import (
     TrainConfig,
     _ADAM_CHUNK,
     adam_step,
+    ensure_heads,
     evaluate,
     lr_at,
     pretrain,
     split_dataset,
 )
 
-from .util import build_toy_dataset
+from .util import build_toy_dataset, traced_memory
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -269,6 +273,46 @@ def test_pretrain_best_checkpoint_matches_log(tmp_path):
     best = load_model(tmp_path / "best.ckpt")
     summary = evaluate(best, dataset, tasks, split["valid"], LossWeights(), cfg.batch_size)
     assert summary["total"] == pytest.approx(log.best_valid, rel=1e-6)
+
+
+def test_pretrain_links_final_to_a_best_last_epoch(tmp_path):
+    """A best last epoch gives final.ckpt the best files, not a second write; a
+    later save to best.ckpt replaces it and leaves that final as it was."""
+    dataset, tasks = build_toy_dataset()
+    model = small_model(seed=1)
+    log = pretrain(dataset, model, tasks, TrainConfig(epochs=1, warmup_epochs=0, batch_size=16), out_dir=tmp_path)
+    assert log.best_epoch == 1
+    for suffix in ("", ".json"):
+        assert os.path.samefile(tmp_path / f"best.ckpt{suffix}", tmp_path / f"final.ckpt{suffix}")
+    best, final = load_model(tmp_path / "best.ckpt"), load_model(tmp_path / "final.ckpt")
+    assert all(final.params[name].value.tobytes() == p.value.tobytes() for name, p in best.params.items())
+    final_bytes = (tmp_path / "final.ckpt").read_bytes()
+
+    later = small_model(seed=2)
+    ensure_heads(later, tasks)
+    save_model(later, tmp_path / "best.ckpt")
+    assert (tmp_path / "final.ckpt").read_bytes() == final_bytes
+    assert (tmp_path / "best.ckpt").read_bytes() != final_bytes
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+def test_evaluate_runs_with_no_training_step_alive(monkeypatch):
+    """At the epoch's validation pass the last training step is gone: beyond
+    what existed before pretrain, little more than the Adam moments is held."""
+    dataset, tasks = build_toy_dataset()
+    model = build_model(default_config("gine", k_pe=2, rw_steps=3))
+    ensure_heads(model, tasks)
+    moments = 2 * sum(p.value.nbytes for p in model.parameters())
+    held = []
+
+    def probe(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate", probe)
+    traced_memory(lambda: pretrain(dataset, model, tasks, TrainConfig(epochs=1, warmup_epochs=0, batch_size=32)))
+    assert len(held) == 1
+    assert held[0] <= moments + 5 * 2**20, f"{held[0] / 2**20:.1f} MB held, moments {moments / 2**20:.1f} MB"
 
 
 def test_pretrain_nan_abort_names_group():

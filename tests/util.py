@@ -111,6 +111,11 @@ def build_toy_dataset(smiles=None, k_pe=2, rw_steps=3, seed=0) -> tuple[Pretrain
     return dataset, tasks
 
 
+def reference_relu(tape, a):
+    """relu as its own tape op: the primitive that ``Tape.linear_relu`` fuses into ``linear``."""
+    return tape.custom(np.maximum(a.data, 0), [a], lambda g: (g * (a.data > 0),))
+
+
 def traced_memory(fn):
     """Run ``fn()`` under tracemalloc: its result, the bytes still allocated
     when it returns (what the result holds) and the peak bytes while it ran."""
