@@ -31,8 +31,9 @@ inference forward frees each layer's arrays as soon as the caller stops
 referring to them.  A tape is replayed once: backward pops each op before
 running its closure, so every closure and the arrays only it captured are
 freed as backward passes them, and a second ``backward`` raises
-:class:`SpentTape`.  A hidden layer is one ``linear_relu`` op, whose backward
-reads its output, not its pre-activation.
+:class:`SpentTape`.  A hidden layer is one ``linear_relu`` op, or one
+``linear_relu_sum`` op when its input is a concatenation of blocks on
+different rows; either backward reads its output, not its pre-activation.
 
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
@@ -518,36 +519,90 @@ class Tape:
         self._ops.append((out, backward))
         return out
 
-    def linear_relu(self, x: Tensor, weight: Tensor, bias: Tensor | None = None, rebuild=None) -> Tensor:
-        """``relu(x @ weight + bias)`` as one op: relu is applied in place to ``linear``'s fresh output.
+    def linear_relu(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+        """``relu(x @ weight + bias)`` as one op: ``linear_relu_sum`` with one term."""
+        return self.linear_relu_sum([(x, weight, None)], bias)
 
-        Backward masks the gradient with ``out > 0``, which equals the
-        pre-activation's ``> 0`` (a NaN stays NaN and is masked either way),
-        so no pre-activation is kept; then it runs ``linear``'s closure.
+    def rows(self, a: Tensor, lo: int, hi: int) -> Tensor:
+        """Rows ``lo:hi`` of ``a`` as a view; backward adds into that block of ``a``'s gradient.
 
-        ``rebuild``, if given, returns an array equal to ``x.data``: on a
-        recording tape the op then releases ``x``'s data after the product,
-        leaving a read-only one-element NaN view of the same shape and dtype,
-        and backward restores it from ``rebuild()`` just before the product's
-        backward reads it.  No later op may read ``x``.
+        If ``a`` has no gradient yet, the block starts one that is zero elsewhere.
         """
-        out = self.linear(x, weight, bias)
-        out_data = out.data
+        if not 0 <= lo <= hi <= a.data.shape[0]:
+            raise ShapeMismatch(f"rows {lo}:{hi} of shape {a.data.shape}")
+
+        def backward(g):
+            if a.grad is None:
+                a.grad = np.zeros(a.data.shape, dtype=a.data.dtype)
+            a.grad[lo:hi] += g
+
+        return self._emit(a.data[lo:hi], (a,), backward)
+
+    def linear_relu_sum(self, terms: Sequence[tuple[Tensor, Tensor, object]], bias: Tensor | None) -> Tensor:
+        """``relu(Σ_k spread_k(a_k @ w_k) + bias)`` as one op.
+
+        A product with a column concatenation is the sum of its block
+        products, ``[a_1 | a_2] @ w = a_1 @ w_1 + a_2 @ w_2`` for the row
+        blocks ``w_k`` of ``w`` (see :meth:`rows`), and a row gather commutes
+        with a right product, ``a[s] @ w = (a @ w)[s]``.  So each term's
+        product runs on the rows its ``a_k`` has and is then spread to the
+        output's rows.  A term's spread is ``None`` (the rows are the
+        output's), a :class:`Segments` plan (output row i is product row
+        ``plan.segment_ids[i]``; backward is ``plan.sum``) or a CSR pair
+        ``(matrix, transpose)`` with ``transpose == matrix.T`` (``matrix @``
+        the product; backward ``transpose @ g``).  The spread terms are added
+        in order into the first, then the bias, and relu is applied in place.
+
+        Every product goes through :meth:`matmul`; the op takes the products'
+        closures off the tape and keeps no product or spread term.  Backward
+        masks the gradient with ``out > 0``, which equals the pre-activation's
+        ``> 0`` (a NaN stays NaN and is masked either way), so no
+        pre-activation is kept either.  Then it hands each term, last first,
+        its spread's backward of the masked gradient, and the bias its column
+        sums.
+        """
+        out_data = None
+        products = []
+        for a, w, spread in terms:
+            product = self.matmul(a, w)
+            products.append(self._ops.pop()[1] if product.requires_grad else None)
+            if spread is None:
+                part = product.data
+            elif isinstance(spread, Segments):
+                part = product.data[spread.segment_ids]
+            else:
+                part = spread[0] @ product.data
+            if out_data is None:
+                out_data = part
+            elif part.shape != out_data.shape:
+                raise ShapeMismatch(f"spread product of shape {part.shape} for a sum of {out_data.shape}")
+            else:
+                out_data += part
+            del product, part  # before the next product is allocated
+        if bias is not None:
+            try:
+                out_data += bias.data
+            except ValueError:
+                raise ShapeMismatch(f"bias of shape {bias.data.shape} for a sum of {out_data.shape}") from None
         np.maximum(out_data, 0, out=out_data)
-        if not out.requires_grad:
-            return out
-        linear_backward = self._ops.pop()[1]
-        if rebuild is not None:
-            x.data = np.broadcast_to(np.array(np.nan, dtype=x.data.dtype), x.data.shape)
+        spreads = [spread for _, _, spread in terms]
 
         def backward(g):
             g *= out_data > 0
-            if rebuild is not None:
-                x.data = rebuild()
-            linear_backward(g)
+            for spread, product_backward in zip(reversed(spreads), reversed(products)):
+                if product_backward is None:
+                    continue
+                if spread is None:
+                    product_backward(g)
+                elif isinstance(spread, Segments):
+                    product_backward(spread.sum(g))
+                else:
+                    product_backward(spread[1] @ g)
+            if bias is not None:
+                _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
 
-        self._ops.append((out, backward))
-        return out
+        inputs = [t for a, w, _ in terms for t in (a, w)] + ([] if bias is None else [bias])
+        return self._emit(out_data, inputs, backward)
 
     # -- backward ------------------------------------------------------------
 

@@ -29,27 +29,34 @@ with a matrix the batch caches per dtype; its rows follow the receiver plan
 and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
 :meth:`GraphBatch.adjacency`).
 
-Message-passing inputs are three composite tape ops, each of which keeps for
+Message passing runs through composite tape ops, each of which keeps for
 backward only what its backward reads:
 
 * :func:`gine_inputs`: GINE's (1 + eps) · x + Σ_j relu(x_j + e_ij) (or the
   printed (1 - eps) · x ⊙ Σ_j relu(x_j + e_ij)), the messages built in place
   in one (edges, d) buffer and summed over the receiver plan; backward keeps
   the boolean relu mask, and the summed messages only in the printed mode.
-* :func:`edge_inputs`: MPNN++'s [x_s | x_r | e | g_e], gathered and
-  concatenated in one op that keeps no gathered block; backward keeps only
-  the plans.  The edge MLP does not keep this input either: its first
-  layer's backward rebuilds it from x, e and g (``Tape.linear_relu``'s
-  ``rebuild``).
-* :func:`node_inputs`: MPNN++'s [x | in_e | out_e | A·x | g_n]; backward keeps
-  the plans and the adjacency's transpose.
+* :func:`edge_hidden` and :func:`node_hidden`: the first layers of MPNN++'s
+  edge MLP over [x_s | x_r | e | g_e] and node MLP over
+  [x | in_e | out_e | A·x | g_n], each one ``Tape.linear_relu_sum`` that
+  never builds the concatenation.  Two identities let each block's product
+  run on the rows that block lives on: a product with a concatenation is
+  the sum of the block products, [a | b]·W = a·W_a + b·W_b over row blocks
+  of W (``Tape.rows``), and a row gather commutes with a right product,
+  x[s]·W = (x·W)[s].  So x is multiplied once per node, not once per
+  directed edge, and g once per graph; backward keeps the output for its
+  relu mask and hands each product its spread's sum (sender, receiver,
+  graph-edge or graph-node plan, the adjacency's transpose, or the
+  identity).
 
-Each backward repeats the arithmetic of the gather, add, sub, mul, relu,
-segment-sum, sparse-product and concat ops it replaces, and adds an input's
-parts in the order their closures would, one ``Tape.custom`` input per
-contribution, so loss and gradients keep the same bits.  Every hidden layer,
-in the MLPs and in GCN, is one ``Tape.linear_relu`` op, which keeps no
-pre-activation.
+:func:`gine_inputs` repeats the arithmetic of the gather, add, sub, mul,
+relu and segment-sum ops it replaces, and adds an input's parts in the order
+their closures would, one ``Tape.custom`` input per contribution, so loss
+and gradients keep the same bits.  The MPNN++ first layers add the same
+terms in another order than the concatenation's product, so their bits
+match the block-order primitive chain, not the concatenated one.  Every
+other hidden layer, in the MLPs and in GCN, is one ``Tape.linear_relu`` op,
+which keeps no pre-activation.
 """
 
 from __future__ import annotations
@@ -463,12 +470,15 @@ def pool(tape: Tape, x, batch: GraphBatch, method: str):
 # -- forward pass ---------------------------------------------------------------
 
 
-def mlp_forward(tape: Tape, state: ModelState, prefix: str, x, rebuild=None):
-    """Two-layer MLP; ``rebuild`` goes to the first layer's ``Tape.linear_relu``."""
-    h = tape.linear_relu(
-        x, tape.watch(state.params[f"{prefix}/w1"]), tape.watch(state.params[f"{prefix}/b1"]), rebuild=rebuild
-    )
-    return tape.linear(h, tape.watch(state.params[f"{prefix}/w2"]), tape.watch(state.params[f"{prefix}/b2"]))
+def _watch_mlp(tape: Tape, state: ModelState, prefix: str) -> list:
+    """The watched (w1, b1, w2, b2) of a two-layer MLP."""
+    return [tape.watch(state.params[f"{prefix}/{name}"]) for name in ("w1", "b1", "w2", "b2")]
+
+
+def mlp_forward(tape: Tape, state: ModelState, prefix: str, x):
+    """Two-layer MLP: ``linear(linear_relu(x))``."""
+    w1, b1, w2, b2 = _watch_mlp(tape, state, prefix)
+    return tape.linear(tape.linear_relu(x, w1, b1), w2, b2)
 
 
 def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
@@ -509,57 +519,51 @@ def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, t
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
 
-def _columns(blocks) -> tuple[np.ndarray, list[int]]:
-    """``np.concatenate(blocks, axis=1)`` and the column offsets between blocks."""
-    offsets = np.cumsum([block.shape[1] for block in blocks])[:-1].tolist()
-    return np.concatenate(blocks, axis=1), offsets
+def _row_blocks(tape: Tape, w, widths) -> list:
+    """Consecutive row blocks of ``w`` (``Tape.rows``), one per width, covering all its rows."""
+    bounds = np.cumsum([0, *widths]).tolist()
+    if bounds[-1] != w.data.shape[0]:
+        raise ShapeMismatch(f"row blocks of widths {list(widths)} for a weight of shape {w.data.shape}")
+    return [tape.rows(w, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _edge_columns(x, e, g, batch: GraphBatch) -> tuple[np.ndarray, list[int]]:
-    """[x_s | x_r | e | g_e] per directed edge and the column offsets between blocks."""
-    return _columns([
-        x.data[batch.sender_plan.segment_ids],
-        x.data[batch.receiver_plan.segment_ids],
-        e.data,
-        g.data[batch.graph_edge_plan.segment_ids],
-    ])
+def edge_hidden(tape: Tape, x, e, g, w1, b1, batch: GraphBatch):
+    """MPNN++'s edge MLP hidden layer relu([x_s | x_r | e | g_e] · W1 + b1), per directed edge.
 
-
-def edge_inputs(tape: Tape, x, e, g, batch: GraphBatch):
-    """MPNN++'s edge MLP input [x_s | x_r | e | g_e] per directed edge, as one op.
-
-    x gets its receiver part's sum, then its sender part's, the order the
-    gathers' closures added them in.  :func:`mpnnpp_layer` has the edge MLP
-    rebuild this input with :func:`_edge_columns` in backward rather than
-    keep it.
+    One ``Tape.linear_relu_sum``: (x·W_s)[senders] + (x·W_r)[receivers] +
+    e·W_e + (g·W_g)[edge graph] + b1 over the row blocks of W1, so x's
+    products run on node rows and g's on graph rows, and no
+    (edges × 2 d_node + d_edge + d_global) input is built.
     """
-    senders, receivers, graphs = batch.sender_plan, batch.receiver_plan, batch.graph_edge_plan
-    out, offsets = _edge_columns(x, e, g, batch)
-
-    def backward(grad):
-        g_s, g_r, g_e, g_g = np.split(grad, offsets, axis=1)
-        return receivers.sum(g_r), senders.sum(g_s), g_e, graphs.sum(g_g)
-
-    return tape.custom(out, [x, x, e, g], backward)
-
-
-def node_inputs(tape: Tape, x, e_bar, g, batch: GraphBatch):
-    """MPNN++'s node MLP input [x | in_e | out_e | A·x | g_n] per node, as one op.
-
-    in_e and out_e sum each node's incoming and outgoing rows of e_bar.  x
-    gets its own part, then Aᵀ·g; e_bar its out_e rows, then its in_e rows.
-    """
-    senders, receivers, nodes = batch.sender_plan, batch.receiver_plan, batch.graph_node_plan
-    adjacency, transpose = batch.adjacency(x.data.dtype)
-    out, offsets = _columns(
-        [x.data, receivers.sum(e_bar.data), senders.sum(e_bar.data), adjacency @ x.data, g.data[nodes.segment_ids]]
+    w_s, w_r, w_e, w_g = _row_blocks(tape, w1, [x.data.shape[1], x.data.shape[1], e.data.shape[1], g.data.shape[1]])
+    return tape.linear_relu_sum(
+        [(x, w_s, batch.sender_plan), (x, w_r, batch.receiver_plan), (e, w_e, None), (g, w_g, batch.graph_edge_plan)],
+        b1,
     )
 
-    def backward(grad):
-        g_x, g_in, g_out, g_ax, g_g = np.split(grad, offsets, axis=1)
-        return g_x, transpose @ g_ax, g_out[senders.segment_ids], g_in[receivers.segment_ids], nodes.sum(g_g)
 
-    return tape.custom(out, [x, x, e_bar, e_bar, g], backward)
+def node_hidden(tape: Tape, x, e_bar, g, w1, b1, batch: GraphBatch):
+    """MPNN++'s node MLP hidden layer relu([x | in_e | out_e | A·x | g_n] · W1 + b1), per node.
+
+    in_e and out_e sum each node's incoming and outgoing rows of e_bar (two
+    segment sums); then one ``Tape.linear_relu_sum`` adds x·W_x + in_e·W_in +
+    out_e·W_out + A·(x·W_ax) + (g·W_g)[node graph] + b1 over the row blocks of
+    W1, with A the batch's adjacency (:meth:`GraphBatch.adjacency`).
+    """
+    incoming = tape.segment_sum(e_bar, batch.receiver_plan)
+    outgoing = tape.segment_sum(e_bar, batch.sender_plan)
+    d_n, d_e = x.data.shape[1], e_bar.data.shape[1]
+    w_x, w_in, w_out, w_ax, w_g = _row_blocks(tape, w1, [d_n, d_e, d_e, d_n, g.data.shape[1]])
+    return tape.linear_relu_sum(
+        [
+            (x, w_x, None),
+            (incoming, w_in, None),
+            (outgoing, w_out, None),
+            (x, w_ax, batch.adjacency(x.data.dtype)),
+            (g, w_g, batch.graph_node_plan),
+        ],
+        b1,
+    )
 
 
 def gine_inputs(tape: Tape, x, e, eps, batch: GraphBatch, mode: str):
@@ -621,13 +625,10 @@ def gine_layer(tape: Tape, state: ModelState, layer: int, x, e, batch: GraphBatc
 
 
 def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: GraphBatch, training: bool, step: int):
-    # The (edges, 2 d_node + d_edge + d_global) input is gathers and a concat:
-    # backward rebuilds it from x, e and g, which the tape keeps anyway.
-    e_bar = mlp_forward(
-        tape, state, f"layer{layer}/mlp_edge", edge_inputs(tape, x, e, g, batch),
-        rebuild=lambda: _edge_columns(x, e, g, batch)[0],
-    )
-    x_bar = mlp_forward(tape, state, f"layer{layer}/mlp_node", node_inputs(tape, x, e_bar, g, batch))
+    w1, b1, w2, b2 = _watch_mlp(tape, state, f"layer{layer}/mlp_edge")
+    e_bar = tape.linear(edge_hidden(tape, x, e, g, w1, b1, batch), w2, b2)
+    w1, b1, w2, b2 = _watch_mlp(tape, state, f"layer{layer}/mlp_node")
+    x_bar = tape.linear(node_hidden(tape, x, e_bar, g, w1, b1, batch), w2, b2)
 
     global_in = tape.concat(
         [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],

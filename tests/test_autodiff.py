@@ -124,8 +124,12 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(4, 2)" in str(exc.value) and "(3, 2)" in str(exc.value)
 
 
-def _linear_relu_step(dtype, fused, rebuild=False):
-    """Output, loss and gradients of sum(c * relu(x @ w + b)) with exact-zero and NaN pre-activations."""
+def _linear_relu_step(dtype, fused, input_kind):
+    """Output, loss and gradients of sum(c * relu(x @ w + b)) with exact-zero and NaN pre-activations.
+
+    The input is an op output the tape keeps ("kept"), as every hidden layer's
+    is, or a constant ("constant"), as the embedding MLPs' is.
+    """
     rng = np.random.default_rng(21)
     x = rng.standard_normal((6, 4)).astype(dtype)
     x[1] = 0.0  # pre-activation = b: exactly zero where b is
@@ -136,47 +140,38 @@ def _linear_relu_step(dtype, fused, rebuild=False):
     c = rng.standard_normal((6, 5)).astype(dtype)
     tape = Tape()
     xt, wt, bt = (tape.watch(p) for p in params)
-    h = tape.scale(xt, 1.0)  # an op output, as every hidden layer's input is
+    h = tape.scale(xt, 1.0) if input_kind == "kept" else tape.constant(x)
     if fused:
-        out = tape.linear_relu(h, wt, bt, rebuild=(lambda: x * 1.0) if rebuild else None)
+        out = tape.linear_relu(h, wt, bt)
     else:
         out = reference_relu(tape, tape.linear(h, wt, bt))
     loss = tape.sum(tape.mul(out, tape.constant(c)))
     out_bits = out.data.tobytes()
     tape.backward(loss)
-    return [out_bits, loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+    return [out_bits, loss.data.tobytes()] + [None if p.grad is None else p.grad.tobytes() for p in params]
 
 
-@pytest.mark.parametrize("rebuild", [False, True], ids=["kept", "rebuilt"])
+@pytest.mark.parametrize("input_kind", ["kept", "constant"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_linear_relu_matches_linear_then_relu_bitwise(dtype, rebuild):
-    fused = _linear_relu_step(dtype, True, rebuild)
-    assert fused == _linear_relu_step(dtype, False)
+def test_linear_relu_matches_linear_then_relu_bitwise(dtype, input_kind):
+    fused = _linear_relu_step(dtype, True, input_kind)
+    assert fused == _linear_relu_step(dtype, False, input_kind)
     out = np.frombuffer(fused[0], dtype=dtype)
     assert np.isnan(out).any() and (out == 0).any()
+    assert (fused[2] is None) == (input_kind == "constant")
 
 
-def test_linear_relu_rebuild_releases_its_input_until_backward():
-    rng = np.random.default_rng(22)
-    w = Parameter("w", rng.standard_normal((3, 2)))
-    values = rng.standard_normal((4, 3))
+def test_linear_relu_sum_rejects_mismatched_blocks():
     tape = Tape()
-    x = tape.scale(tape.watch(Parameter("x", values)), 1.0)
-    placeholders = []
-
-    def rebuild():
-        placeholders.append(x.data.strides)
-        return values * 1.0
-
-    out = tape.linear_relu(x, tape.watch(w), rebuild=rebuild)
-    # A one-element NaN view keeps the shape and dtype until backward calls rebuild, once.
-    assert x.data.shape == values.shape and x.data.dtype == values.dtype and x.data.strides == (0, 0)
-    tape.backward(tape.sum(out))
-    assert placeholders == [(0, 0)]
-    inference = Tape(recording=False)
-    kept = inference.constant(values)
-    inference.linear_relu(kept, inference.watch(w), rebuild=rebuild)
-    assert kept.data is values and len(placeholders) == 1  # nothing recorded, nothing released
+    w = tape.watch(Parameter("w", np.ones((5, 2))))
+    b = tape.watch(Parameter("b", np.zeros(2)))
+    a = tape.constant(np.ones((4, 3)))
+    with pytest.raises(ShapeMismatch):
+        tape.rows(w, 3, 6)
+    with pytest.raises(ShapeMismatch):  # (1, 2) would broadcast over the (4, 2) sum
+        tape.linear_relu_sum([(a, tape.rows(w, 0, 3), None), (tape.constant(np.ones((1, 2))), tape.rows(w, 3, 5), None)], b)
+    with pytest.raises(ShapeMismatch):
+        tape.linear_relu_sum([(a, tape.rows(w, 0, 3), None)], tape.watch(Parameter("c", np.zeros(3))))
 
 
 def test_linear_gradient_is_input():

@@ -1,30 +1,32 @@
 """The composite message-passing ops against the primitive tape-op chains they replace.
 
 ``reference_gcn_layer``, ``reference_gine_layer`` and ``reference_mpnnpp_layer``
-build each layer from linear, relu, gather, add, sub, mul, segment_sum,
-sparse_matmul and concat, one tape op each; the library layers must give the
-same loss and gradients bit for bit while keeping far fewer bytes on the tape.
+build each layer from rows, linear, matmul, relu, gather, add, sub, mul,
+segment_sum and sparse_matmul, one tape op each; the library layers must give
+the same loss and gradients bit for bit while keeping far fewer bytes on the
+tape.  ``concat_mpnnpp_layer`` is MPNN++ as the paper writes it, each MLP
+over a concatenated input; the block-order layer matches it to rounding.
 """
 
 import numpy as np
 import pytest
 
 from minifp import backbones
-from minifp.autodiff import Parameter, Tape, finite_difference_check
+from minifp.autodiff import Parameter, Segments, Tape, finite_difference_check
 from minifp.backbones import (
     GraphBatch,
     ModelConfig,
     batch_graphs,
     build_model,
     default_config,
-    edge_inputs,
+    edge_hidden,
     forward,
     gcn_aggregate,
     gcn_layer,
     gine_inputs,
     gine_layer,
     mpnnpp_layer,
-    node_inputs,
+    node_hidden,
 )
 from minifp.encodings import assemble
 from minifp.molgraph import parse_smiles
@@ -36,9 +38,13 @@ def reference_linear_relu(tape, x, w, b):
     return reference_relu(tape, tape.linear(x, w, b))
 
 
+def watched_mlp(tape, state, prefix):
+    return [tape.watch(state.params[f"{prefix}/{name}"]) for name in ("w1", "b1", "w2", "b2")]
+
+
 def reference_mlp_forward(tape, state, prefix, x):
-    h = reference_linear_relu(tape, x, tape.watch(state.params[f"{prefix}/w1"]), tape.watch(state.params[f"{prefix}/b1"]))
-    return tape.linear(h, tape.watch(state.params[f"{prefix}/w2"]), tape.watch(state.params[f"{prefix}/b2"]))
+    w1, b1, w2, b2 = watched_mlp(tape, state, prefix)
+    return tape.linear(reference_linear_relu(tape, x, w1, b1), w2, b2)
 
 
 def reference_gcn_layer(tape, state, layer, x, batch, training, step):
@@ -63,17 +69,24 @@ def reference_gine_layer(tape, state, layer, x, e, batch, training, step):
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
 
-def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
-    g_per_edge = tape.gather(g, batch.graph_edge_plan)
-    g_per_node = tape.gather(g, batch.graph_node_plan)
-    x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
-    edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
-    e_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
-    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
-    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
-    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
-    node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
-    x_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
+def reference_block_hidden(tape, w1, b1, blocks):
+    """relu(Σ_k spread_k(a_k @ W1[rows_k]) + b1) from rows, matmul, gather,
+    sparse_matmul, add and relu; ``blocks`` is one (a_k, spread_k) per row block."""
+    bounds = np.cumsum([0] + [a.data.shape[1] for a, _ in blocks])
+    weights = [tape.rows(w1, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    products = [tape.matmul(a, w) for (a, _), w in zip(blocks, weights)]
+    total = None
+    for product, (_, spread) in zip(products, blocks):
+        if isinstance(spread, Segments):
+            product = tape.gather(product, spread)
+        elif spread is not None:
+            product = tape.sparse_matmul(product, *spread)
+        total = product if total is None else tape.add(total, product)
+    return reference_relu(tape, tape.add(total, b1))
+
+
+def mpnnpp_streams(tape, state, layer, x, e, g, e_bar, x_bar, batch, training, step):
+    """The global MLP, the skips and the dropouts that follow MPNN++'s edge and node MLPs."""
     global_in = tape.concat(
         [g, tape.segment_sum(x_bar, batch.graph_node_plan), tape.segment_sum(e_bar, batch.graph_edge_plan)],
         axis=1,
@@ -84,6 +97,40 @@ def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
     e_out = tape.dropout(tape.add(e_bar, e), rate, (seed, layer * 4 + 2, step), training)
     g_out = tape.dropout(tape.add(g_bar, g), rate, (seed, layer * 4 + 3, step), training)
     return x_out, e_out, g_out
+
+
+def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
+    """MPNN++ in the library's block order: each first layer sums one product per input block."""
+    w1, b1, w2, b2 = watched_mlp(tape, state, f"layer{layer}/mlp_edge")
+    edge = reference_block_hidden(
+        tape, w1, b1, [(x, batch.sender_plan), (x, batch.receiver_plan), (e, None), (g, batch.graph_edge_plan)]
+    )
+    e_bar = tape.linear(edge, w2, b2)
+    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
+    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
+    w1, b1, w2, b2 = watched_mlp(tape, state, f"layer{layer}/mlp_node")
+    node = reference_block_hidden(
+        tape, w1, b1,
+        [(x, None), (incoming_e, None), (outgoing_e, None), (x, batch.adjacency(x.data.dtype)),
+         (g, batch.graph_node_plan)],
+    )
+    x_bar = tape.linear(node, w2, b2)
+    return mpnnpp_streams(tape, state, layer, x, e, g, e_bar, x_bar, batch, training, step)
+
+
+def concat_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
+    """MPNN++ as written: the edge MLP over [x_s | x_r | e | g_e], the node MLP over [x | in_e | out_e | A·x | g_n]."""
+    g_per_edge = tape.gather(g, batch.graph_edge_plan)
+    g_per_node = tape.gather(g, batch.graph_node_plan)
+    x_senders, x_receivers = tape.gather(x, batch.sender_plan), tape.gather(x, batch.receiver_plan)
+    edge_in = tape.concat([x_senders, x_receivers, e, g_per_edge], axis=1)
+    e_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
+    incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
+    outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
+    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
+    node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
+    x_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
+    return mpnnpp_streams(tape, state, layer, x, e, g, e_bar, x_bar, batch, training, step)
 
 
 def shuffled_batch(cfg, seed):
@@ -176,13 +223,29 @@ def test_composite_layers_match_primitive_chains_bitwise(backbone, mode, dtype):
         assert bits(grads[name]) == bits(ref_grads[name]), name
 
 
+def test_block_order_matches_the_concatenated_mpnnpp_layer():
+    """Summing block products is the paper's concatenation MLP up to rounding:
+    over three dropout layers at float64, loss and every gradient agree to 1e-10."""
+    cfg = ModelConfig(backbone="mpnnpp", num_layers=3, d_node=12, d_edge=8, d_global=10, k_pe=2, rw_steps=3,
+                      dropout=0.1, seed=5, dtype="float64")
+    batch = shuffled_batch(cfg, seed=3)
+    loss, grads = training_step(cfg, batch, mpnnpp_layer)
+    chain_loss, chain_grads = training_step(cfg, batch, concat_mpnnpp_layer)
+    np.testing.assert_allclose(loss, chain_loss, rtol=1e-10, atol=0)
+    assert grads.keys() == chain_grads.keys()
+    for name in grads:
+        if grads[name] is None or chain_grads[name] is None:  # the embedding MLPs are not in the step
+            assert grads[name] is chain_grads[name], name
+            continue
+        np.testing.assert_allclose(grads[name], chain_grads[name], rtol=1e-10, atol=0, err_msg=name)
+
+
 def composite_loss(op, params, batch, weights):
     """fn(tape) -> scalar for ``finite_difference_check``: a weighted sum of ``op``'s output."""
 
     def fn(tape):
-        x, e, g = (tape.watch(p) for p in params)
-        out = op(tape, x, e, g, batch)
-        return tape.sum(tape.mul(out, tape.constant(weights[out.data.shape[1]])))
+        out = op(tape, *(tape.watch(p) for p in params), batch)
+        return tape.sum(tape.mul(out, tape.constant(weights[out.data.shape])))
 
     return fn
 
@@ -194,34 +257,59 @@ def gine_inputs_messages(tape, x, e, batch):
     return tape.sub(gine_inputs(tape, x, e, eps, batch, "standard"), tape.add(x, tape.mul(x, eps)))
 
 
+COMPOSITE_OPS = {
+    "gine_inputs-messages": lambda tape, x, e, g, b: gine_inputs_messages(tape, x, e, b),
+    "gine_inputs-standard": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "standard"),
+    "gine_inputs-paper-printed": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "paper-printed"),
+    "edge_hidden": edge_hidden,
+    "node_hidden": node_hidden,
+}
+
+
+def atoms_only_batch(cfg):
+    """Three one-atom molecules: a batch with nodes and graphs but no edge."""
+    graphs = [parse_smiles(s) for s in ("C", "O", "N")]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    return batch_graphs(graphs, feats, dtype=cfg.np_dtype)
+
+
 @pytest.mark.parametrize(
-    "op", ["gine_inputs-messages", "edge_inputs", "node_inputs", "gine_inputs-standard", "gine_inputs-paper-printed"]
+    "op",
+    ["gine_inputs-messages", "gine_inputs-standard", "gine_inputs-paper-printed", "edge_hidden", "node_hidden",
+     "edge_hidden-no-edges", "node_hidden-no-edges"],
 )
 def test_composite_ops_match_finite_differences(op):
     cfg = ModelConfig(backbone="mpnnpp", num_layers=1, d_node=3, d_edge=3, d_global=2, k_pe=2, rw_steps=3,
                       dtype="float64")
-    batch = shuffled_batch(cfg, seed=4)
+    name = op.removesuffix("-no-edges")
+    batch = atoms_only_batch(cfg) if op != name else shuffled_batch(cfg, seed=4)
     rng = np.random.default_rng(2)
     params = [
         Parameter("x", rng.standard_normal((batch.num_nodes, 3))),
         Parameter("e", rng.standard_normal((batch.num_edges, 3))),
         Parameter("g", rng.standard_normal((batch.num_graphs, 2))),
     ]
-    if op in ("gine_inputs-standard", "gine_inputs-paper-printed"):
+    if name in ("gine_inputs-standard", "gine_inputs-paper-printed"):
         params[2] = Parameter("eps", rng.standard_normal(1))  # its inputs are x, e and eps
-    ops = {
-        "gine_inputs-messages": lambda tape, x, e, g, b: gine_inputs_messages(tape, x, e, b),
-        "edge_inputs": edge_inputs,
-        "node_inputs": node_inputs,
-        "gine_inputs-standard": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "standard"),
-        "gine_inputs-paper-printed": lambda tape, x, e, eps, b: gine_inputs(tape, x, e, eps, b, "paper-printed"),
+    if name == "edge_hidden":  # W1's rows: x_s, x_r, e, g
+        params += [Parameter("w1", rng.standard_normal((11, 5))), Parameter("b1", rng.standard_normal(5))]
+    if name == "node_hidden":  # W1's rows: x, in_e, out_e, A·x, g
+        params += [Parameter("w1", rng.standard_normal((14, 5))), Parameter("b1", rng.standard_normal(5))]
+    weights = {
+        (rows, width): rng.standard_normal((rows, width))
+        for rows in (batch.num_nodes, batch.num_edges)
+        for width in (3, 5)
     }
-    rows = batch.num_edges if op == "edge_inputs" else batch.num_nodes
-    weights = {width: rng.standard_normal((rows, width)) for width in (3, 11, 14)}
-    fn = composite_loss(ops[op], params, batch, weights)
+    fn = composite_loss(COMPOSITE_OPS[name], params, batch, weights)
     assert finite_difference_check(fn, params, h=1e-6) < 1e-4
-    used = params[:2] if op == "gine_inputs-messages" else params
-    assert all(np.any(p.grad) for p in used)
+    if op == "edge_hidden-no-edges":
+        assert all(p.grad is not None and not np.any(p.grad) for p in params)
+    elif op == "node_hidden-no-edges":
+        assert params[1].grad.shape == (0, 3)
+        assert all(np.any(p.grad) for p in params if p.name != "e")
+    else:
+        used = params[:2] if name == "gine_inputs-messages" else params
+        assert all(np.any(p.grad) for p in used)
 
 
 def toy_model_and_batch(cfg):
@@ -267,3 +355,44 @@ def test_gine_inputs_keep_no_intermediate_on_the_tape(mode, bound, monkeypatch):
     held = held_bytes(state, batch, monkeypatch)
     chain_held = held_bytes(state, batch, monkeypatch, gine_inputs=reference_gine_inputs)
     assert held <= bound * chain_held, f"{held / 2**20:.1f} MB held, {chain_held / 2**20:.1f} MB with the op chain"
+
+
+def test_recording_mpnnpp_forward_holds_at_most_21_mb(monkeypatch):
+    """No concatenated MLP input and no block product stays on the tape: 16
+    default-width layers on the toy molecules hold 17.0 MB (23.6 MB when the
+    node MLP's (nodes × 960) input was kept)."""
+    state, batch = toy_model_and_batch(default_config("mpnnpp"))
+    held = held_bytes(state, batch, monkeypatch)
+    assert held <= 21e6, f"{held / 1e6:.1f} MB held"
+
+
+def test_mpnnpp_products_run_on_the_rows_of_each_block(monkeypatch):
+    """Over one default-width training step no product has a concatenated MLP
+    input's width, and the forward multiply-adds are the block count: x's
+    blocks on node rows, e's on edge rows, g's on graph rows."""
+    cfg = default_config("mpnnpp")
+    state, batch = toy_model_and_batch(cfg)
+    products = []
+    matmul = Tape.matmul
+
+    def recorded(tape, a, b):
+        products.append((a.data.shape[0], *b.data.shape))
+        return matmul(tape, a, b)
+
+    monkeypatch.setattr(Tape, "matmul", recorded)
+    tape = Tape()
+    out = forward(tape, batch, state, training=True, step=1)
+    tape.backward(tape.add(tape.add(tape.sum(out.x), tape.sum(out.e)), tape.sum(out.g)))
+
+    n, m, graphs = batch.num_nodes, batch.num_edges, batch.num_graphs
+    d_n, d_e, d_g = cfg.d_node, cfg.d_edge, cfg.d_global
+    edge_in, node_in = 2 * d_n + d_e + d_g, 2 * d_n + 2 * d_e + d_g
+    assert (edge_in, node_in) == (864, 960)
+    assert not [p for p in products if p[:2] in ((m, edge_in), (n, node_in))]
+    embed = n * cfg.node_input_width * d_n + n * d_n * d_n + m * cfg.edge_input_width * d_e + m * d_e * d_e
+    embed += 2 * d_g * d_g
+    edge_mlp = 2 * n * d_n * d_e + m * d_e * d_e + graphs * d_g * d_e + m * d_e * d_e
+    node_mlp = 2 * n * d_n * d_n + 2 * n * d_e * d_n + graphs * d_g * d_n + n * d_n * d_n
+    global_mlp = graphs * (d_g + d_n + d_e) * d_g + graphs * d_g * d_g
+    expected = embed + cfg.num_layers * (edge_mlp + node_mlp + global_mlp)
+    assert sum(rows * k * cols for rows, k, cols in products) == expected

@@ -112,7 +112,7 @@ def build_toy_dataset(smiles=None, k_pe=2, rw_steps=3, seed=0) -> tuple[Pretrain
 
 
 def reference_relu(tape, a):
-    """relu as its own tape op: the primitive that ``Tape.linear_relu`` fuses into ``linear``."""
+    """relu as its own tape op: the primitive that ``Tape.linear_relu`` and ``Tape.linear_relu_sum`` fuse with their products."""
     return tape.custom(np.maximum(a.data, 0), [a], lambda g: (g * (a.data > 0),))
 
 
