@@ -53,10 +53,12 @@ import contextlib
 import math
 import os
 import struct
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .seeding import rng_stream
 
@@ -168,6 +170,8 @@ class Segments:
     def _matrix(self, dtype) -> scipy.sparse.csr_matrix:
         dtype = np.dtype(dtype)
         if dtype not in self._matrices:
+            import scipy.sparse  # here, not at module level: a command that sums no plan never loads it
+
             ones = np.ones(self.order.shape[0], dtype=dtype)
             self._matrices[dtype] = scipy.sparse.csr_matrix(
                 (ones, self.order, self.indptr), shape=(self.num_segments, self.order.shape[0])
@@ -739,13 +743,20 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "record"))
-            name = _read_exact(fh, name_len, "record").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, "record")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptCheckpoint(f"record name {raw_name!r} is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"shape for {name!r}"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape for {name!r}"))
             # A corrupt shape must not size the array: check it against the bytes left first.
             if 4 * math.prod(shape) > file_size - fh.tell():
                 raise CorruptCheckpoint(f"truncated data for {name!r}")
-            data = np.empty(shape, dtype="<f4")
+            try:
+                data = np.empty(shape, dtype="<f4")
+            except ValueError as exc:  # more dimensions, or larger extents, than numpy can index
+                raise CorruptCheckpoint(f"shape {shape} for {name!r}: {exc}") from None
             if fh.readinto(data) != data.nbytes:
                 raise CorruptCheckpoint(f"truncated data for {name!r}")
             out[name] = data

@@ -67,11 +67,20 @@ import os
 import shutil
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
-import scipy.sparse
 
-from .autodiff import Parameter, Segments, ShapeMismatch, Tape, atomic_open, load_checkpoint, save_checkpoint
+from .autodiff import (
+    CorruptCheckpoint,
+    Parameter,
+    Segments,
+    ShapeMismatch,
+    Tape,
+    atomic_open,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .encodings import (
     ATOM_FEATURE_WIDTH,
     BOND_FEATURE_WIDTH,
@@ -81,6 +90,9 @@ from .encodings import (
 )
 from .molgraph import MolecularGraph
 from .seeding import rng_stream
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 BACKBONES = ("gcn", "gine", "mpnnpp")
 POOL_METHODS = ("sum", "mean", "max")
@@ -404,6 +416,8 @@ class GraphBatch:
 def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None):
     """CSR matrix with one row per segment: row s holds (columns[k], coeff[k])
     for the plan's rows k of segment s in plan order, then (s, loop[s]) last."""
+    import scipy.sparse  # here, not at module level: a command that builds no batch never loads it
+
     n = plan.num_segments
     indices, data, indptr = columns[plan.order], coeff[plan.order], plan.indptr
     if loop is not None:
@@ -712,15 +726,41 @@ def link_model(src, dst) -> None:
             os.replace(tmp, target)
 
 
+#: The JSON types a sidecar value may take, by its field's type; a bool is not a number.
+_SIDECAR_TYPES = {str: (str,), int: (int,), float: (int, float)}
+
+
+def _sidecar_record(cls, record) -> dict:
+    """``record`` if it is an object whose every key is a field of ``cls`` and
+    whose every value has that field's type; TypeError otherwise."""
+    if not isinstance(record, dict):
+        raise TypeError(f"{cls.__name__} record is a {type(record).__name__}, not an object")
+    types = {name: _SIDECAR_TYPES[hint] for name, hint in get_type_hints(cls).items()}
+    for key, value in record.items():
+        if key not in types:
+            raise TypeError(f"unknown {cls.__name__} field {key!r}")
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise TypeError(f"{cls.__name__} field {key!r} holds {value!r}")
+    return record
+
+
 def load_model(path) -> ModelState:
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    config = ModelConfig(**sidecar["config"])
+    """The model :func:`save_model` wrote at ``path``.  A sidecar that is not
+    such a record raises CorruptCheckpoint, as a damaged checkpoint does."""
+    sidecar_path = str(path) + ".json"
+    with open(sidecar_path, "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+            config = ModelConfig(**_sidecar_record(ModelConfig, sidecar["config"]))
+            config.validate()
+            heads = [HeadSpec(**_sidecar_record(HeadSpec, head)) for head in sidecar["heads"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptCheckpoint(f"sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc
     state = ModelState(config)
     arrays = load_checkpoint(path)
     for name, value in arrays.items():
         # load_checkpoint returns arrays it owns, so convert without a second copy.
         state.add_parameter(name, value.astype(config.np_dtype, copy=False))
-    for head in sidecar["heads"]:
-        state.heads[head["name"]] = HeadSpec(**head)
+    for head in heads:
+        state.heads[head.name] = head
     return state

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .autodiff import Parameter, Tape
 from .backbones import glorot_uniform
@@ -314,6 +313,25 @@ def train_head(
 # -- metrics ---------------------------------------------------------------------
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of the flattened ``values``, each tie group given its mean
+    rank; any NaN makes every rank NaN.
+
+    The ranks are integers or halves, so they equal
+    ``scipy.stats.rankdata(values, method="average")`` bit for bit.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, labels) -> float:
     """Area under the ROC curve via the midrank statistic (tie-aware)."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -322,7 +340,7 @@ def auroc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUROC needs both classes present")
-    ranks = _scipy_stats.rankdata(scores, method="average")
+    ranks = average_ranks(scores)
     pos_sum = ranks[labels == 1].sum()
     return float((pos_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -379,8 +397,8 @@ def spearman_rho(x, y) -> tuple[float, float]:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ZeroVariance("an input has zero variance")
 
-    rx = _scipy_stats.rankdata(x, method="average")
-    ry = _scipy_stats.rankdata(y, method="average")
+    rx = average_ranks(x)
+    ry = average_ranks(y)
 
     def pearson(a, b):
         a = a - a.mean()
@@ -405,8 +423,11 @@ def spearman_rho(x, y) -> tuple[float, float]:
 
     if abs(rho) >= 1.0 - 1e-15:
         return rho, 0.0
+    # Imported here, the module's one use of scipy: stdtr(df, -|t|) is the upper tail at |t|.
+    from scipy.special import stdtr
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df=n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(p, 1.0)
 
 

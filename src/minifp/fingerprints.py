@@ -224,5 +224,5 @@ def store_write_csv(store: FingerprintStore, path) -> None:
         header = ",".join(["id"] + [f"v{i}" for i in range(store.dimension)])
         fh.write(header + "\n")
         for molecule_id in store.ids():
-            values = ",".join(repr(float(v)) for v in store.get(molecule_id))
+            values = ",".join(map(repr, store.get(molecule_id).tolist()))
             fh.write(f"{molecule_id},{values}\n")

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from minifp.autodiff import ShapeMismatch, Tape, finite_difference_check
+from minifp.autodiff import CorruptCheckpoint, ShapeMismatch, Tape, finite_difference_check, load_checkpoint
 from minifp.backbones import (
     GraphBatch,
     ModelConfig,
@@ -461,6 +461,25 @@ def test_save_load_round_trip(tmp_path):
     again = forward(Tape(recording=False), batch, loaded)
     np.testing.assert_array_equal(base.x.data, again.x.data)
     np.testing.assert_array_equal(base.g.data, again.g.data)
+
+
+def test_every_single_bit_flip_of_a_checkpoint_loads_or_raises_corrupt_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(build_model(ModelConfig(backbone="gine", num_layers=1, d_node=4, d_edge=4, d_global=4)), path)
+    raw = path.read_bytes()
+    outcomes = {"loaded": 0, "corrupt": 0}
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            load_checkpoint(path)
+        except CorruptCheckpoint:
+            outcomes["corrupt"] += 1
+        else:
+            outcomes["loaded"] += 1
+    # Flips in the float data load; flips in the header, names and shapes mostly raise.
+    assert outcomes["loaded"] > 0 and outcomes["corrupt"] > 0
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path):

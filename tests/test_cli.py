@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minifp import cli
+from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main, read_feature_cache
 from minifp.downstream import HeadConfig
 from minifp.fingerprints import FingerprintStore, store_read, store_write
@@ -581,3 +586,88 @@ def test_store_with_a_flipped_id_byte_exit_2(tmp_path, capsys):
 
 def test_missing_manifest_exit_2(tmp_path):
     assert main(["featurize", str(tmp_path / "nope.json"), "--out", str(tmp_path / "c")]) == 2
+
+
+def _saved_model(tmp_path):
+    """A one-layer width-4 gine checkpoint, its sidecar and a two-line SMILES file."""
+    path = tmp_path / "model.ckpt"
+    save_model(build_model(ModelConfig(backbone="gine", num_layers=1, d_node=4, d_edge=4, d_global=4)), path)
+    smi = tmp_path / "mols.smi"
+    smi.write_text("CCO\nCCN\n")
+    return path, smi
+
+
+def _edit_sidecar(edit):
+    def rewrite(path):
+        sidecar = json.loads(path.read_text())
+        edit(sidecar)
+        path.write_text(json.dumps(sidecar))
+
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.write_text('{"config": {'),
+        lambda path: path.write_bytes(b'{"config": "\xff"}'),
+        lambda path: path.write_text("[]"),
+        _edit_sidecar(lambda s: s.pop("config")),
+        _edit_sidecar(lambda s: s.pop("heads")),
+        _edit_sidecar(lambda s: s["config"].update(width=4)),
+        _edit_sidecar(lambda s: s["config"].update(num_layers="1")),
+        _edit_sidecar(lambda s: s["config"].update(d_node=True)),
+        _edit_sidecar(lambda s: s["config"].update(num_layers=0)),
+        _edit_sidecar(lambda s: s["config"].update(dtype="float16")),
+        _edit_sidecar(lambda s: s.update(heads=[{"name": "h"}])),
+    ],
+    ids=["not-json", "not-utf8", "not-an-object", "no-config", "no-heads", "unknown-field", "string-int",
+         "bool-int", "invalid-config", "unknown-dtype", "short-head"],
+)
+def test_malformed_checkpoint_sidecar_exit_2(tmp_path, capsys, damage):
+    path, smi = _saved_model(tmp_path)
+    damage(Path(str(path) + ".json"))
+    out = tmp_path / "fp.mfps"
+    assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sidecar ") and "model.ckpt.json" in err
+    assert not out.exists()
+
+
+def test_checkpoint_with_a_non_utf8_name_exit_2(tmp_path, capsys):
+    path, smi = _saved_model(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[8 + 2] ^= 0x80  # the first record's first name byte, past the 8-byte header and the name length
+    path.write_bytes(bytes(raw))
+    assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 2
+    assert capsys.readouterr().err.startswith("error: record name ")
+
+
+_IMPORTS_CHILD = """
+import json, sys
+def loaded():
+    return [name for name in ("scipy.stats", "scipy.sparse") if name in sys.modules]
+import minifp
+import minifp.cli
+after_import = loaded()
+code = minifp.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([after_import, code, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("command, expected", [("downstream", []), ("fingerprint", ["scipy.sparse"])])
+def test_each_command_loads_only_the_scipy_modules_it_runs(tmp_path, command, expected):
+    if command == "downstream":
+        argv = _downstream_args(tmp_path)
+    else:
+        path, smi = _saved_model(tmp_path)
+        argv = ["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD, json.dumps(argv)], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == [] and code == 0
+    assert after_run == expected

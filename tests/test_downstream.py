@@ -21,6 +21,7 @@ from minifp.downstream import (
     ZeroVariance,
     auprc,
     auroc,
+    average_ranks,
     compute_metric,
     config1_space,
     config2_space,
@@ -125,8 +126,20 @@ def midranks_loop(values):
 
 
 def test_midranks_with_ties():
-    for ranks in (midranks_loop, lambda v: rankdata(v, method="average")):
+    for ranks in (midranks_loop, lambda v: rankdata(v, method="average"), average_ranks):
         np.testing.assert_array_equal(ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
+        np.testing.assert_array_equal(ranks([5.0]), [1.0])
+        np.testing.assert_array_equal(ranks([2.0, 2.0, 2.0]), [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(ranks([0.0, -0.0, np.inf, -np.inf]), [2.5, 2.5, 4.0, 1.0])
+    assert average_ranks([]).shape == (0,)
+    np.testing.assert_array_equal(average_ranks([[3.0, 1.0], [2.0, 1.0]]), rankdata([[3.0, 1.0], [2.0, 1.0]]))
+    assert np.isnan(average_ranks([1.0, np.nan, 0.0])).all()
+    assert np.isnan(rankdata([1.0, np.nan, 0.0], method="average")).all()
+    rng = np.random.default_rng(5)
+    for n in range(1, 60):
+        values = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+        ranks = average_ranks(values)
+        assert ranks.dtype == np.float64 and ranks.tobytes() == rankdata(values, method="average").tobytes()
 
 
 def test_rank_metrics_equal_the_midrank_loop_bitwise():
@@ -192,6 +205,13 @@ def test_spearman_t_approximation_branch():
     oracle = stats.spearmanr(x, y)
     assert rho == pytest.approx(oracle.statistic, rel=1e-12)
     assert p == pytest.approx(oracle.pvalue, rel=1e-6)
+    # The p-value is scipy's t tail bit for bit, here and at weaker correlations.
+    for n, noise in ((30, 0.2), (9, 1.0), (40, 3.0), (200, 5.0)):
+        x = rng.standard_normal(n)
+        y = x + rng.standard_normal(n) * noise
+        rho, p = spearman_rho(x, y)
+        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        assert p == min(2.0 * float(stats.t.sf(abs(t), df=n - 2)), 1.0)
 
 
 def test_spearman_errors():

@@ -290,3 +290,17 @@ def test_csv_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "id,v0,v1"
     assert lines[1] == "CCO,1.5,-2.25"
+
+
+def test_csv_export_bytes_equal_the_per_value_formatter(tmp_path):
+    f32 = np.finfo(np.float32)
+    row = np.array([-0.0, f32.smallest_subnormal, f32.max, -f32.max, 0.1, 1.0 / 3.0, -7.0, 1e-30], dtype=np.float32)
+    store = FingerprintStore(row.size)
+    store.add("m0", row)
+    store.add("m1", row[::-1].copy())
+    path = tmp_path / "x.csv"
+    store_write_csv(store, path)
+    header = ",".join(["id"] + [f"v{i}" for i in range(row.size)])
+    lines = [header] + [f"{i}," + ",".join(repr(float(v)) for v in store.get(i)) for i in ("m0", "m1")]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert path.read_text().split("\n")[1].startswith("m0,-0.0,1.401298464324817e-45,3.4028234663852886e+38,")
