@@ -22,11 +22,9 @@ from .encodings import assemble, laplacian_encoding, normalized_laplacian, rando
 from .fingerprints import FingerprintStore, extract_fingerprints, store_read, store_write
 from .molgraph import (
     MolecularGraph,
-    filter_molecules,
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
-    write_smiles,
 )
 from .multitask import LabelSet, LossWeights, TaskSpec, combined_loss
 from .trainer import SplitSpec, TrainConfig, pretrain, split_dataset
@@ -53,7 +51,6 @@ __all__ = [
     "count_parameters",
     "default_config",
     "extract_fingerprints",
-    "filter_molecules",
     "forward",
     "heavy_atom_count",
     "kfold_ensemble",
@@ -70,5 +67,4 @@ __all__ = [
     "store_write",
     "sweep",
     "train_head",
-    "write_smiles",
 ]

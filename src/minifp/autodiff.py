@@ -346,25 +346,6 @@ class Tape:
 
         return self._emit(out_data, tuple(tensors), backward)
 
-    def sigmoid(self, a: Tensor) -> Tensor:
-        x = a.data
-        # exp(-|x|) never overflows; both branches reduce to 1/(1+e^-x).
-        e = np.exp(-np.abs(x))
-        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
-
-        def backward(g):
-            _accum(a, g * out_data * (1.0 - out_data), owned=True)
-
-        return self._emit(out_data, (a,), backward)
-
-    def absolute(self, a: Tensor) -> Tensor:
-        out_data = np.abs(a.data)
-
-        def backward(g):
-            _accum(a, g * np.sign(a.data), owned=True)
-
-        return self._emit(out_data, (a,), backward)
-
     def dropout(self, a: Tensor, rate: float, key: tuple[int, ...], training: bool = True) -> Tensor:
         """Inverted dropout with a counter-based mask keyed by (seed, op instance, step)."""
         if not training or rate == 0.0:
@@ -383,33 +364,6 @@ class Tape:
             _accum(a, g, owned=True)
 
         return self._emit(out_data, (a,), backward)
-
-    def layer_norm(self, a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-        x = a.data
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered**2).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv_std
-        out_data = gamma.data * xhat + beta.data
-        width = x.shape[-1]
-
-        def backward(g):
-            if a.requires_grad:
-                dxhat = g * gamma.data
-                dvar = np.sum(dxhat * centered * -0.5 * inv_std**3, axis=-1, keepdims=True)
-                dmu = np.sum(-dxhat * inv_std, axis=-1, keepdims=True) + dvar * np.mean(
-                    -2.0 * centered, axis=-1, keepdims=True
-                )
-                dx = dxhat * inv_std + dvar * 2.0 * centered / width + dmu / width
-                _accum(a, dx, owned=True)
-            reduce_axes = tuple(range(g.ndim - 1))
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=reduce_axes), owned=True)
-            if beta.requires_grad:
-                _accum(beta, g.sum(axis=reduce_axes), owned=True)
-
-        return self._emit(out_data, (a, gamma, beta), backward)
 
     def gather(self, a: Tensor, plan: Segments) -> Tensor:
         """Row ``plan.segment_ids[k]`` of 2-D ``a`` at row k: the transpose of a
@@ -650,40 +604,6 @@ class Tape:
                 # A handed-over view (e.g. a concat part) is copied to the layout the optimizer steps over.
                 param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
             self._watched.clear()
-
-
-def finite_difference_check(
-    fn: Callable[[Tape], Tensor],
-    params: Sequence[Parameter],
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``fn`` must be deterministic (dropout off) and is re-evaluated twice per
-    parameter coordinate.  Relative error uses max(|analytic|, |numeric|, 1e-8)
-    as the denominator.
-    """
-    for p in params:
-        p.zero_grad()
-    tape = Tape()
-    tape.backward(fn(tape))
-    analytic = {p.name: np.zeros_like(p.value) if p.grad is None else p.grad for p in params}
-
-    max_rel = 0.0
-    for p in params:
-        flat = p.value.reshape(-1)
-        grad_flat = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(fn(Tape(recording=False)).data)
-            flat[i] = orig - h
-            down = float(fn(Tape(recording=False)).data)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(grad_flat[i]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(grad_flat[i] - numeric) / denom)
-    return max_rel
 
 
 CHECKPOINT_VERSION = 1

@@ -250,10 +250,6 @@ class ModelState:
         for p in self.params.values():
             p.zero_grad()
 
-    def checksum(self) -> float:
-        """Cheap mutation detector over all parameter values."""
-        return float(sum(np.abs(p.value).sum() for p in self.params.values()))
-
 
 def count_parameters(state: ModelState) -> int:
     return sum(p.value.size for p in state.params.values())

@@ -18,7 +18,6 @@ import csv
 import glob as globlib
 import json
 import os
-import struct
 import sys
 from pathlib import Path
 
@@ -49,7 +48,7 @@ from .downstream import (
     kfold_ensemble,
     sweep,
 )
-from .encodings import assemble, feature_layout, global_seed_vector
+from .encodings import assemble, feature_layout
 from .fingerprints import (
     CorruptHeader,
     DimensionMismatch,
@@ -79,9 +78,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-CACHE_MAGIC = b"MFFC"
-CACHE_VERSION = 1
-
 
 def _resolve_seed(args, config: dict) -> int:
     env = os.environ.get("MINIFP_SEED")
@@ -109,86 +105,30 @@ def _write_files_manifest(out_dir: Path, names: list[str]) -> None:
 # -- featurize -------------------------------------------------------------------
 
 
-def write_feature_cache(path: Path, records, k_pe: int, rw_steps: int, seed: int, global_dim: int) -> None:
-    """records: iterable of (molecule_id, smiles, graph, AssembledFeatures)."""
-    records = list(records)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<BIIIqI", CACHE_VERSION, k_pe, rw_steps, global_dim, seed, len(records)))
-        fh.write(np.ascontiguousarray(global_seed_vector(seed, global_dim), dtype="<f4").tobytes())
-        for molecule_id, smiles, graph, feats in records:
-            for text in (molecule_id, smiles):
-                raw = text.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(struct.pack("<II", graph.num_atoms, graph.num_bonds))
-            for bond in graph.bonds:
-                fh.write(struct.pack("<II", bond.u, bond.v))
-            fh.write(np.ascontiguousarray(feats.node_features, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(feats.edge_features, dtype="<f4").tobytes())
-
-
-def read_feature_cache(path: Path):
-    """Inverse of write_feature_cache; returns (header dict, record list)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != CACHE_MAGIC:
-            raise ManifestError(f"{path}: not a feature cache")
-        version, k_pe, rw_steps, global_dim, seed, count = struct.unpack("<BIIIqI", fh.read(25))
-        if version != CACHE_VERSION:
-            raise ManifestError(f"{path}: unsupported cache version {version}")
-        layout = feature_layout(k_pe, rw_steps)
-        node_width = sum(c["width"] for c in layout["node"])
-        edge_width = sum(c["width"] for c in layout["edge"])
-        global_seed = np.frombuffer(fh.read(4 * global_dim), dtype="<f4").copy()
-        records = []
-        for _ in range(count):
-            texts = []
-            for _ in range(2):
-                (length,) = struct.unpack("<H", fh.read(2))
-                texts.append(fh.read(length).decode("utf-8"))
-            n, m = struct.unpack("<II", fh.read(8))
-            bonds = [struct.unpack("<II", fh.read(8)) for _ in range(m)]
-            node = np.frombuffer(fh.read(4 * n * node_width), dtype="<f4").reshape(n, node_width).copy()
-            edge = np.frombuffer(fh.read(4 * m * edge_width), dtype="<f4").reshape(m, edge_width).copy()
-            records.append({"id": texts[0], "smiles": texts[1], "bonds": bonds, "node": node, "edge": edge})
-        header = {
-            "k_pe": k_pe,
-            "rw_steps": rw_steps,
-            "global_dim": global_dim,
-            "seed": seed,
-            "global_seed": global_seed,
-        }
-        return header, records
-
-
 def cmd_featurize(args) -> int:
     manifest = load_manifest(args.manifest)
     config = config_defaults()
     if args.config:
         config.update(load_config_file(args.config))
-    seed = _resolve_seed(args, config)
     k_pe, rw_steps = config["k_pe"], config["rw_steps"]
     # A bad encoding size is a usage error, caught before any molecule is read.
     for name, value in (("k_pe", k_pe), ("rw_steps", rw_steps)):
         if value < 1:
             raise ManifestError(f"{args.config}: {name} must be >= 1")
-    global_dim = config.get("d_global") or 64
 
     molecules, failures = read_molecules(manifest)
-    records = []
+    # Every parsed molecule is featurized as a check; the features are not kept.
     for mol in molecules:
-        feats = assemble(mol.graph, k_pe, rw_steps, seed, global_dim)
-        records.append((mol.molecule_id, mol.smiles, mol.graph, feats))
+        assemble(mol.graph, k_pe, rw_steps)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_feature_cache(out_dir / "features.bin", records, k_pe, rw_steps, seed, global_dim)
     with open(out_dir / "layout.json", "w", encoding="utf-8") as fh:
         json.dump(feature_layout(k_pe, rw_steps), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_failures(out_dir / "failures.csv", failures)
-    _write_files_manifest(out_dir, ["features.bin", "layout.json", "failures.csv", "files.json"])
-    print(f"featurized {len(records)} molecules, {len(failures)} failures -> {out_dir}")
+    _write_files_manifest(out_dir, ["layout.json", "failures.csv", "files.json"])
+    print(f"featurized {len(molecules)} molecules, {len(failures)} failures -> {out_dir}")
     return EXIT_OK
 
 
@@ -249,9 +189,7 @@ def cmd_pretrain(args) -> int:
     config["graph_head_input"] = model_config.graph_head_input
     manifest.max_heavy_atoms = config["max_heavy"]
 
-    dataset, tasks, failures, _ = build_pretrain_dataset(
-        manifest, model_config.k_pe, model_config.rw_steps, seed, model_config.d_global
-    )
+    dataset, tasks, failures, _ = build_pretrain_dataset(manifest, model_config.k_pe, model_config.rw_steps)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -552,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("featurize", help="cache assembled features for a molecule manifest")
+    p = sub.add_parser("featurize", help="featurize a molecule manifest; write its layout and parse failures")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="accepted and unused: featurization draws nothing at random")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("pretrain", help="multi-task pre-training of one backbone")

@@ -380,13 +380,8 @@ def mae(pred, labels) -> float:
     return float(np.abs(pred - labels).mean())
 
 
-def spearman_rho(x, y) -> tuple[float, float]:
-    """Spearman correlation with a two-sided p-value.
-
-    rho is the Pearson correlation of midrank-transformed values.  The
-    p-value is exact (all n! rank permutations) for n <= 8 and uses the
-    Student-t approximation with n-2 degrees of freedom otherwise.
-    """
+def _spearman_ranks(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of two equal-length vectors of >= 3 values, neither constant."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -396,16 +391,30 @@ def spearman_rho(x, y) -> tuple[float, float]:
         raise TooFewRuns(f"need at least 3 observations, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ZeroVariance("an input has zero variance")
+    return average_ranks(x), average_ranks(y)
 
-    rx = average_ranks(x)
-    ry = average_ranks(y)
 
-    def pearson(a, b):
-        a = a - a.mean()
-        b = b - b.mean()
-        return float((a * b).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    a = a - a.mean()
+    b = b - b.mean()
+    return float((a * b).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
 
-    rho = pearson(rx, ry)
+
+def spearman(x, y) -> float:
+    """Spearman's rho alone: the Pearson correlation of midrank-transformed values."""
+    return _pearson(*_spearman_ranks(x, y))
+
+
+def spearman_rho(x, y) -> tuple[float, float]:
+    """Spearman correlation with a two-sided p-value.
+
+    rho is :func:`spearman`.  The p-value is exact (all n! rank permutations)
+    for n <= 8 and uses the Student-t approximation with n-2 degrees of
+    freedom otherwise.
+    """
+    rx, ry = _spearman_ranks(x, y)
+    n = len(rx)
+    rho = _pearson(rx, ry)
 
     if n <= 8:
         rxc = rx - rx.mean()
@@ -435,7 +444,7 @@ METRICS = {
     "auroc": (auroc, True),
     "auprc": (auprc, True),
     "mae": (mae, False),
-    "spearman": (lambda p, l: spearman_rho(p, l)[0], True),
+    "spearman": (spearman, True),
 }
 
 
@@ -507,11 +516,6 @@ def _mean_output(outputs: Iterable[np.ndarray]) -> np.ndarray:
     if total is None:
         raise ValueError("an ensemble needs at least one member")
     return total / count
-
-
-def ensemble_predict(heads: Iterable[TrainedHead], x: np.ndarray) -> np.ndarray:
-    """Mean of member outputs (probabilities for classification); see :func:`_mean_output`."""
-    return _mean_output(head.predict(x) for head in heads)
 
 
 @dataclass
@@ -623,11 +627,6 @@ class CorrelationTable:
     values: np.ndarray  # signed rho, (rows, cols)
     p_values: np.ndarray
     significant: np.ndarray  # bool mask
-
-    def masked_values(self) -> np.ndarray:
-        out = self.values.copy()
-        out[~self.significant] = np.nan
-        return out
 
 
 def correlation_analysis(

@@ -6,8 +6,8 @@ encodings, and the k-step random-walk return probabilities.  Edge features
 are the bond features alone.  All encodings are computed in float64; the
 model casts to its own precision when batching.
 
-Everything here is pure given (graph, config, seed), so batch featurization
-is safe to run concurrently.
+Everything here is pure given (graph, config), so batch featurization is
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .molgraph import BOND_ORDERS, ORGANIC_ELEMENTS, MolecularGraph
-from .seeding import rng_stream
 
 
 #: Element slots for the one-hot encoding; anything else maps to the final slot.
@@ -29,7 +28,6 @@ BOND_FEATURE_WIDTH = len(BOND_ORDERS) + 2
 
 DEFAULT_K_PE = 8
 DEFAULT_RW_STEPS = 16
-DEFAULT_GLOBAL_DIM = 64
 
 
 @dataclass
@@ -47,11 +45,10 @@ class RandomWalkEncoding:
 
 @dataclass
 class AssembledFeatures:
-    """Model-ready node matrix, edge matrix, and the seeded global-node vector."""
+    """Model-ready node matrix and edge matrix for one molecule."""
 
     node_features: np.ndarray
     edge_features: np.ndarray
-    global_seed: np.ndarray
 
     @property
     def node_width(self) -> int:
@@ -63,7 +60,7 @@ class AssembledFeatures:
 
 
 def feature_layout(k_pe: int = DEFAULT_K_PE, rw_steps: int = DEFAULT_RW_STEPS) -> dict:
-    """Machine-readable column layout, frozen alongside any cached feature file."""
+    """Machine-readable column layout of the node and edge matrices."""
     return {
         "node": [
             {"name": "atom_element_onehot", "width": len(ELEMENT_SLOTS)},
@@ -183,29 +180,18 @@ def random_walk_encoding(graph: MolecularGraph, rw_steps: int = DEFAULT_RW_STEPS
     return RandomWalkEncoding(probs=probs)
 
 
-def global_seed_vector(seed: int, dim: int = DEFAULT_GLOBAL_DIM) -> np.ndarray:
-    """The model-wide global-node seed vector, drawn once from its own stream."""
-    return rng_stream(seed, "global-node").standard_normal(dim)
-
-
 def assemble(
     graph: MolecularGraph,
     k_pe: int = DEFAULT_K_PE,
     rw_steps: int = DEFAULT_RW_STEPS,
-    seed: int = 0,
-    global_dim: int = DEFAULT_GLOBAL_DIM,
+    seed: int = 0,  # unused; kept because perfbench/workloads.py passes it positionally
 ) -> AssembledFeatures:
     """Build the full input features for one molecule.
 
     Column order is atom | eigenvectors | eigenvalues | random-walk, frozen
-    by :func:`feature_layout`.  The global seed depends only on (seed, dim),
-    so every molecule featurized under one seed shares the same vector.
+    by :func:`feature_layout`.
     """
     lap = laplacian_encoding(graph, k_pe)
     walk = random_walk_encoding(graph, rw_steps)
     node = np.concatenate([atom_features(graph), lap.vectors, lap.values, walk.probs], axis=1)
-    return AssembledFeatures(
-        node_features=node,
-        edge_features=bond_features(graph),
-        global_seed=global_seed_vector(seed, global_dim),
-    )
+    return AssembledFeatures(node_features=node, edge_features=bond_features(graph))

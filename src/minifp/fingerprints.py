@@ -98,10 +98,6 @@ class ExtractionReport:
 
     failures: list[tuple[str, str]]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def extract_fingerprints(
     model: ModelState,
@@ -153,7 +149,7 @@ def extract_fingerprints(
     for start in range(0, len(pending), batch_size):
         chunk = pending[start : start + batch_size]
         featurized = [
-            (molecule_id, graph, assemble(graph, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global))
+            (molecule_id, graph, assemble(graph, cfg.k_pe, cfg.rw_steps))
             for molecule_id, graph in chunk
         ]
         batch = batch_graphs(

@@ -236,8 +236,6 @@ def build_pretrain_dataset(
     manifest: DatasetManifest,
     k_pe: int,
     rw_steps: int,
-    seed: int,
-    global_dim: int,
 ) -> tuple[PretrainDataset, list[TaskSpec], list[ParseFailure], list[str]]:
     """Manifest -> featurized multi-task dataset.
 
@@ -250,7 +248,7 @@ def build_pretrain_dataset(
     for mol in molecules:
         if heavy_atom_count(mol.graph) > manifest.max_heavy_atoms:
             continue
-        if exclusion and normalize_smiles(mol.smiles) in exclusion:
+        if exclusion and renumber_ring_closures(mol.smiles) in exclusion:
             continue
         kept.append(mol)
     if not kept:
@@ -263,7 +261,7 @@ def build_pretrain_dataset(
         seen.add(mol.molecule_id)
 
     graphs = [mol.graph for mol in kept]
-    features = [assemble(g, k_pe, rw_steps, seed, global_dim) for g in graphs]
+    features = [assemble(g, k_pe, rw_steps) for g in graphs]
 
     graph_labels: dict[str, LabelSet] = {}
     node_labels: dict[str, LabelSet] = {}

@@ -1,4 +1,5 @@
-"""SMILES parsing into molecular graphs, plus dataset-level molecule filters.
+"""SMILES parsing into molecular graphs, plus the heavy-atom count and textual
+normal form the dataset filters use.
 
 The supported grammar subset covers organic-subset atoms (B, C, N, O, P, S,
 F, Cl, Br, I and their aromatic lowercase forms), bracket atoms with charge
@@ -12,7 +13,6 @@ degree-style features are well-defined.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 import warnings
@@ -427,26 +427,6 @@ def heavy_atom_count(graph: MolecularGraph) -> int:
     return sum(1 for atom in graph.atoms if atom.element != "H")
 
 
-def filter_molecules(
-    graphs: list[MolecularGraph],
-    max_heavy: int = 100,
-    exclusion_set: set[str] | frozenset[str] = frozenset(),
-) -> list[MolecularGraph]:
-    """Drop molecules over the heavy-atom cap or in the exclusion set.
-
-    ``exclusion_set`` entries must already be normalized with
-    :func:`normalize_smiles`.  Input order is preserved.
-    """
-    kept = []
-    for graph in graphs:
-        if heavy_atom_count(graph) > max_heavy:
-            continue
-        if exclusion_set and normalize_smiles(graph.source_text) in exclusion_set:
-            continue
-        kept.append(graph)
-    return kept
-
-
 def normalize_smiles(text: str) -> str:
     """Deterministic textual normal form of a SMILES string.
 
@@ -494,115 +474,3 @@ def renumber_ring_closures(text: str) -> str:
         out.append(ch)
         i += 1
     return "".join(out)
-
-
-def write_smiles(graph: MolecularGraph) -> str:
-    """Serialize a graph back to SMILES (depth-first from atom 0).
-
-    Round-tripping through :func:`parse_smiles` reproduces an isomorphic
-    graph on the supported subset; the exact string may differ from the
-    original source text.
-    """
-    if graph.num_atoms == 0:
-        raise EmptyInput("cannot serialize an empty graph")
-
-    inc = graph.incidence()
-    visited = [False] * graph.num_atoms
-    tree_bonds: set[int] = set()
-    ring_bonds: list[int] = []
-
-    # Iterative DFS to classify tree vs ring-closure bonds, in insertion order.
-    order_out: dict[int, list[tuple[int, int]]] = {}
-    parents: dict[int, int] = {}
-    for root in range(graph.num_atoms):
-        if visited[root]:
-            continue
-        if root != 0 and order_out:
-            raise SmilesError("disconnected graphs are outside the supported subset")
-        stack = [root]
-        visited[root] = True
-        while stack:
-            node = stack.pop()
-            children = []
-            for b_idx in inc[node]:
-                nxt = graph.bonds[b_idx].other(node)
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    tree_bonds.add(b_idx)
-                    parents[nxt] = node
-                    children.append((nxt, b_idx))
-                elif b_idx not in tree_bonds and b_idx not in ring_bonds and parents.get(node) != nxt:
-                    ring_bonds.append(b_idx)
-            order_out[node] = children
-            stack.extend(nxt for nxt, _ in reversed(children))
-
-    # Each ring bond is written at both endpoints: it opens at the first one emitted.
-    ring_marks: dict[int, list[int]] = {}
-    for b_idx in ring_bonds:
-        bond = graph.bonds[b_idx]
-        ring_marks.setdefault(bond.u, []).append(b_idx)
-        ring_marks.setdefault(bond.v, []).append(b_idx)
-
-    def atom_text(idx: int) -> str:
-        atom = graph.atoms[idx]
-        plain = (
-            atom.element in ORGANIC_ELEMENTS
-            and atom.formal_charge == 0
-            and not atom.bracketed
-        )
-        symbol = atom.element.lower() if atom.aromatic else atom.element
-        if plain:
-            return symbol
-        h = ""
-        if atom.explicit_hydrogens == 1:
-            h = "H"
-        elif atom.explicit_hydrogens > 1:
-            h = f"H{atom.explicit_hydrogens}"
-        c = atom.formal_charge
-        charge = "" if c == 0 else ("+" if c == 1 else "-" if c == -1 else f"{c:+d}")
-        return f"[{symbol}{h}{charge}]"
-
-    def bond_text(b_idx: int) -> str:
-        bond = graph.bonds[b_idx]
-        # An unwritten bond between two aromatic atoms parses as aromatic.
-        both = graph.atoms[bond.u].aromatic and graph.atoms[bond.v].aromatic
-        if bond.order == SINGLE:
-            return "-" if both else ""
-        if bond.order == AROMATIC:
-            return "" if both else ":"
-        return "=" if bond.order == DOUBLE else "#"
-
-    pieces: list[str] = []
-    open_marks: dict[int, int] = {}  # ring bond -> its marker until it closes
-    free_marks = list(range(1, 100))  # a heap: the lowest free marker is reused first
-    # Depth-first without recursion: a stack of (atom, bond it is reached by)
-    # entries and of literal branch parentheses, pushed in reverse output order.
-    stack: list[tuple[int, int | None] | str] = [(0, None)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        node, via = item
-        if via is not None:
-            pieces.append(bond_text(via))
-        pieces.append(atom_text(node))
-        closed = []
-        for b_idx in ring_marks.get(node, ()):
-            if b_idx in open_marks:
-                marker = open_marks.pop(b_idx)
-                closed.append(marker)
-            elif free_marks:
-                marker = open_marks[b_idx] = heapq.heappop(free_marks)
-            else:
-                raise SmilesError("more than 99 ring closures open at once")
-            pieces.append(bond_text(b_idx))
-            pieces.append(str(marker) if marker < 10 else f"%{marker:02d}")
-        for marker in closed:  # free from the next atom on, never reopened on this one
-            heapq.heappush(free_marks, marker)
-        children = order_out[node]
-        if children:  # every child but the last in a branch
-            stack.append(children[-1])
-            for child in reversed(children[:-1]):
-                stack.extend((")", child, "("))
-    return "".join(pieces)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from minifp.autodiff import Parameter, Tape, finite_difference_check
+from minifp.autodiff import Parameter, Tape
 from minifp.backbones import (
     GraphBatch,
     ModelConfig,
@@ -29,7 +29,6 @@ from minifp.downstream import (
     HeadConfig,
     TaskData,
     auroc,
-    ensemble_predict,
     kfold_ensemble,
     spearman_rho,
     train_head,
@@ -61,7 +60,7 @@ from minifp.trainer import (
 )
 
 from .test_cli import SMALL_CONFIG, write_dataset
-from .util import TOY_SMILES, random_molecule
+from .util import TOY_SMILES, ensemble_predict, finite_difference_check, random_molecule
 
 
 def report(name):
@@ -99,7 +98,7 @@ def test_permutation_invariance_criterion():
     rng = np.random.default_rng(0)
     for _ in range(100):
         graph = random_molecule(rng)
-        feats = assemble(graph, 2, 3, seed=0, global_dim=8)
+        feats = assemble(graph, 2, 3)
         batch = batch_graphs([graph], [feats], dtype=np.float64)
         tape = Tape(recording=False)
         base = {name: forward(tape, batch, model).x for name, model in models.items()}
@@ -323,7 +322,7 @@ def test_edge_feature_separation_criterion():
 
 def _overfit_dataset():
     graphs = [parse_smiles(s) for s in TOY_SMILES]
-    feats = [assemble(g, 2, 3, 0) for g in graphs]
+    feats = [assemble(g, 2, 3) for g in graphs]
     rng = np.random.default_rng(7)
     n = len(graphs)
     node_values = []
@@ -476,7 +475,8 @@ def test_determinism_criterion(tmp_path):
             "--out", str(base / "down"), "--seed", "11",
         ]) == 0
         outputs[run] = {
-            "cache": (base / "cache" / "features.bin").read_bytes(),
+            "layout": (base / "cache" / "layout.json").read_bytes(),
+            "failures": (base / "cache" / "failures.csv").read_bytes(),
             "log": (base / "run" / "log.jsonl").read_bytes(),
             "best": (base / "run" / "best.ckpt").read_bytes(),
             "store": (base / "fp.mfps").read_bytes(),

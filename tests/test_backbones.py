@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from minifp.autodiff import CorruptCheckpoint, ShapeMismatch, Tape, finite_difference_check, load_checkpoint
+from minifp.autodiff import CorruptCheckpoint, ShapeMismatch, Tape, load_checkpoint
 from minifp.backbones import (
     GraphBatch,
     ModelConfig,
@@ -28,7 +28,7 @@ from minifp.molgraph import parse_smiles
 from minifp.multitask import TaskSpec, head_input
 from minifp.seeding import rng_stream
 
-from .util import random_molecule, traced_memory
+from .util import finite_difference_check, random_molecule, traced_memory
 
 
 def tiny_config(backbone, **overrides):
@@ -48,9 +48,9 @@ def tiny_config(backbone, **overrides):
     return cfg
 
 
-def featurized_batch(smiles_list, cfg, seed=0):
+def featurized_batch(smiles_list, cfg):
     graphs = [parse_smiles(s) for s in smiles_list]
-    feats = [assemble(g, cfg.k_pe, cfg.rw_steps, seed) for g in graphs]
+    feats = [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs]
     return graphs, batch_graphs(graphs, feats, dtype=cfg.np_dtype)
 
 
@@ -222,7 +222,7 @@ def _gathered_gcn_aggregate(x, batch):
 def test_sparse_neighbour_sums_match_the_gather_composition_bitwise(dtype):
     rng = np.random.default_rng(21)
     graphs = [random_molecule(rng) for _ in range(6)] + [parse_smiles("C")]
-    batch = batch_graphs(graphs, [assemble(g, 2, 3, seed=0) for g in graphs], dtype=dtype)
+    batch = batch_graphs(graphs, [assemble(g, 2, 3) for g in graphs], dtype=dtype)
     one_way = single_graph_batch(np.zeros((4, 1)), np.zeros((4, 1)), [0, 1, 2, 0], [1, 2, 0, 2], dtype=dtype)
     for b in (batch, one_way):
         magnitude = 10.0 ** rng.integers(-4, 5, size=(b.num_nodes, 1))
@@ -340,7 +340,7 @@ def test_inference_forward_memory_does_not_grow_with_depth(backbone):
     rng = np.random.default_rng(0)
     graphs = [random_molecule(rng, max_atoms=14) for _ in range(30)]
     cfg = default_config(backbone)
-    feats = [assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global) for g in graphs]
+    feats = [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs]
     batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
     peaks = []
     for layers in (2, 16):
@@ -357,7 +357,7 @@ def test_node_permutation_equivariance_bitwise_f64(backbone):
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_molecule(rng)
-        feats = assemble(g, cfg.k_pe, cfg.rw_steps, seed=0)
+        feats = assemble(g, cfg.k_pe, cfg.rw_steps)
         batch = batch_graphs([g], [feats], dtype=np.float64)
         base = forward(Tape(recording=False), batch, state).x.data
 
@@ -518,7 +518,7 @@ def test_isomorphic_graphs_same_embedding_multiset():
     outs = []
     for s in ("C1CC1", "C2CC2"):
         g = parse_smiles(s)
-        feats = assemble(g, cfg.k_pe, cfg.rw_steps, seed=0)
+        feats = assemble(g, cfg.k_pe, cfg.rw_steps)
         batch = batch_graphs([g], [feats], dtype=np.float64)
         outs.append(forward(Tape(recording=False), batch, state).x.data)
     a = np.array(sorted(map(tuple, outs[0])))
@@ -529,7 +529,7 @@ def test_isomorphic_graphs_same_embedding_multiset():
 def atom_only_batch(smiles_list):
     """Batch whose node rows are the atom features alone: no positional encoding."""
     graphs = [parse_smiles(s) for s in smiles_list]
-    feats = [AssembledFeatures(atom_features(g), bond_features(g), np.zeros(1)) for g in graphs]
+    feats = [AssembledFeatures(atom_features(g), bond_features(g)) for g in graphs]
     return batch_graphs(graphs, feats, dtype=np.float64)
 
 
@@ -581,7 +581,7 @@ def test_colours_identical_under_relabelling():
     rng = np.random.default_rng(8)
     for _ in range(5):
         graphs = [random_molecule(rng) for _ in range(3)]
-        feats = [assemble(g, cfg.k_pe, cfg.rw_steps, seed=0) for g in graphs]
+        feats = [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs]
         batch = batch_graphs(graphs, feats, dtype=np.float64)
         permuted, perm = relabelled(batch, rng)
         node, bond = batch.colours
@@ -602,7 +602,7 @@ def test_relabelled_batch_with_shuffled_edges_bitwise_equal(backbone, dtype):
     rng = np.random.default_rng(12)
     for trial in range(6):
         graphs = [random_molecule(rng) for _ in range(3)]
-        feats = [assemble(g, cfg.k_pe, cfg.rw_steps, seed=0) for g in graphs]
+        feats = [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs]
         batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
         if trial % 2:
             # Without the Laplacian columns many atoms share a feature row,

@@ -10,8 +10,9 @@ import pytest
 
 from minifp import cli
 from minifp.backbones import ModelConfig, build_model, save_model
-from minifp.cli import main, read_feature_cache
+from minifp.cli import main
 from minifp.downstream import HeadConfig
+from minifp.encodings import assemble
 from minifp.fingerprints import FingerprintStore, store_read, store_write
 from minifp.molgraph import parse_smiles
 from minifp.seeding import rng_stream
@@ -88,21 +89,23 @@ def test_featurize_clean(tmp_path, capsys):
     manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC"])
     code = main(["featurize", str(manifest), "--out", str(tmp_path / "cache")])
     assert code == 0
-    header, records = read_feature_cache(tmp_path / "cache" / "features.bin")
-    assert len(records) == 3
-    assert header["k_pe"] == 8
+    assert "featurized 3 molecules, 0 failures" in capsys.readouterr().out
+    files = json.loads((tmp_path / "cache" / "files.json").read_text())["files"]
+    assert files == ["failures.csv", "files.json", "layout.json"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
     failures = (tmp_path / "cache" / "failures.csv").read_text().strip().split("\n")
     assert failures == ["row,smiles,error"]
     layout = json.loads((tmp_path / "cache" / "layout.json").read_text())
-    assert sum(c["width"] for c in layout["node"]) == records[0]["node"].shape[1]
+    feats = assemble(parse_smiles("CCO"))  # the default k_pe and rw_steps, as featurize without --config
+    assert sum(c["width"] for c in layout["node"]) == feats.node_width
+    assert sum(c["width"] for c in layout["edge"]) == feats.edge_width
 
 
-def test_featurize_partial_failure_exit_zero(tmp_path):
+def test_featurize_partial_failure_exit_zero(tmp_path, capsys):
     manifest = write_dataset(tmp_path, smiles=["CCO", "CCN"], include_bad_row=True)
     code = main(["featurize", str(manifest), "--out", str(tmp_path / "cache")])
     assert code == 0
-    _, records = read_feature_cache(tmp_path / "cache" / "features.bin")
-    assert len(records) == 2
+    assert "featurized 2 molecules, 1 failures" in capsys.readouterr().out
     lines = (tmp_path / "cache" / "failures.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # header + one failure
     assert "C(" in lines[1]
@@ -116,15 +119,6 @@ def test_featurize_missing_column_exit_2(tmp_path, capsys):
     code = main(["featurize", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "cache")])
     assert code == 2
     assert "structure" in capsys.readouterr().err
-
-
-def test_featurize_cache_round_trip_bytes(tmp_path):
-    manifest = write_dataset(tmp_path, smiles=["CCO", "c1ccccc1"])
-    main(["featurize", str(manifest), "--out", str(tmp_path / "c1")])
-    main(["featurize", str(manifest), "--out", str(tmp_path / "c2")])
-    a = (tmp_path / "c1" / "features.bin").read_bytes()
-    b = (tmp_path / "c2" / "features.bin").read_bytes()
-    assert a == b
 
 
 def test_pretrain_run_directory(tmp_path, capsys):

@@ -26,7 +26,6 @@ from minifp.downstream import (
     config1_space,
     config2_space,
     correlation_analysis,
-    ensemble_predict,
     kfold_ensemble,
     kfold_partition,
     mae,
@@ -38,7 +37,7 @@ from minifp.fingerprints import FingerprintStore
 from minifp.multitask import LabelSet
 from minifp.seeding import rng_stream
 
-from .util import traced_memory
+from .util import ensemble_predict, traced_memory
 
 
 def make_store(n, d, seed=0):
@@ -219,6 +218,21 @@ def test_spearman_errors():
         spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         spearman_rho([1.0, 2.0], [1.0, 2.0])
+
+
+def test_spearman_metric_is_rho_without_a_p_value(monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal(8), rng.standard_normal(8)
+    y[:2] = y[2]  # a tie group
+    expected = spearman_rho(x, y)[0]
+
+    def no_permutations(*args):
+        raise AssertionError("the spearman metric enumerated permutations")
+
+    monkeypatch.setattr(downstream.itertools, "permutations", no_permutations)
+    assert compute_metric("spearman", x, y) == expected
+    with pytest.raises(ZeroVariance):
+        compute_metric("spearman", x, np.ones(8))
 
 
 # -- head training -----------------------------------------------------------
@@ -535,15 +549,6 @@ def test_correlation_independent_columns_masked():
 def test_correlation_requires_three_runs():
     with pytest.raises(ValueError, match="3 paired runs"):
         correlation_analysis(np.zeros((2, 1)), np.zeros((2, 1)), [+1], [+1])
-
-
-def test_correlation_masked_values_nan():
-    rng = np.random.default_rng(4)
-    pre = rng.standard_normal((6, 2))
-    down = rng.standard_normal((6, 2))
-    table = correlation_analysis(pre, down, [+1, -1], [+1, -1])
-    masked = table.masked_values()
-    assert np.isnan(masked[~table.significant]).all()
 
 
 def test_compute_metric_dispatch():

@@ -7,7 +7,6 @@ from minifp.encodings import (
     atom_features,
     bond_features,
     feature_layout,
-    global_seed_vector,
     laplacian_encoding,
     normalized_laplacian,
     random_walk_encoding,
@@ -198,22 +197,12 @@ def test_diagonal_first_step_zero():
 
 def test_assemble_width_and_determinism():
     g = parse_smiles("CCO")
-    feats = assemble(g, k_pe=2, rw_steps=4, seed=7)
+    feats = assemble(g, k_pe=2, rw_steps=4)
     assert feats.node_width == ATOM_FEATURE_WIDTH + 2 * 2 + 4
     assert feats.edge_width == BOND_FEATURE_WIDTH
-    again = assemble(g, k_pe=2, rw_steps=4, seed=7)
+    again = assemble(g, k_pe=2, rw_steps=4)
     assert np.array_equal(feats.node_features, again.node_features)
     assert np.array_equal(feats.edge_features, again.edge_features)
-    assert np.array_equal(feats.global_seed, again.global_seed)
-    other_seed = assemble(g, k_pe=2, rw_steps=4, seed=8)
-    assert not np.array_equal(feats.global_seed, other_seed.global_seed)
-
-
-def test_global_seed_shared_across_graphs():
-    a = assemble(parse_smiles("CCO"), seed=5)
-    b = assemble(parse_smiles("c1ccccc1"), seed=5)
-    assert np.array_equal(a.global_seed, b.global_seed)
-    assert np.array_equal(a.global_seed, global_seed_vector(5))
 
 
 def test_permutation_equivariance_of_features():

@@ -85,7 +85,7 @@ def test_store_rejects_wrong_dimension_and_duplicates():
 def test_extract_dedups_and_orders():
     model = small_model()
     store, report = extract_fingerprints(model, ["CCO", " CCO", "CCN", "CCO"])
-    assert report.ok
+    assert report.failures == []
     assert len(store) == 2
     assert store.ids() == ["CCO", "CCN"]
 
@@ -118,9 +118,9 @@ def test_extract_deterministic_store_bytes(tmp_path):
 
 def test_extract_does_not_mutate_model():
     model = small_model()
-    before = model.checksum()
+    before = {name: p.value.tobytes() for name, p in model.params.items()}
     extract_fingerprints(model, ["CCO", "c1ccncc1"])
-    assert model.checksum() == before
+    assert {name: p.value.tobytes() for name, p in model.params.items()} == before
 
 
 def test_extract_batching_matches_single():
@@ -145,7 +145,7 @@ def test_fingerprints_equal_pooled_head_input_bitwise(backbone, method):
     molecules = ["CCO", "c1ccccc1O", "CC(=O)Nc1ccc(O)cc1", "C1CC1", "N"]
     store, _ = extract_fingerprints(model, molecules)
     graphs = [parse_smiles(m) for m in molecules]
-    feats = [assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global) for g in graphs]
+    feats = [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs]
     batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
     tape = Tape(recording=False)
     result = forward(tape, batch, model)
@@ -190,7 +190,7 @@ def test_permutation_invariance_through_model():
     rng = np.random.default_rng(5)
     for _ in range(5):
         g = random_molecule(rng)
-        feats = assemble(g, cfg.k_pe, cfg.rw_steps, cfg.seed, cfg.d_global)
+        feats = assemble(g, cfg.k_pe, cfg.rw_steps)
         batch = batch_graphs([g], [feats], dtype=np.float64)
         perm = rng.permutation(g.num_atoms)
         permuted = GraphBatch(

@@ -64,7 +64,7 @@ def test_read_molecules_masks_empty_cells(tmp_path):
 
 def test_build_pretrain_dataset_shapes(tmp_path):
     manifest = load_manifest(write_dataset(tmp_path))
-    dataset, specs, failures, ids = build_pretrain_dataset(manifest, k_pe=2, rw_steps=3, seed=0, global_dim=8)
+    dataset, specs, failures, ids = build_pretrain_dataset(manifest, k_pe=2, rw_steps=3)
     assert not failures
     assert len(dataset) == len(ids) == 20
     assert dataset.graph_labels["gap"].values.shape == (20, 1)
@@ -75,16 +75,19 @@ def test_build_pretrain_dataset_shapes(tmp_path):
 
 
 def test_heavy_atom_filter_and_exclusion(tmp_path):
-    path = write_dataset(tmp_path, smiles=["CCO", "C" * 120, "CCN"])
-    (tmp_path / "excluded.smi").write_text("CCN\n")
+    smiles = ["CCO", "C" * 120, "CCN", "C" * 101, "C" * 100, "C1CC1", "C1CCC1"]
+    path = write_dataset(tmp_path, smiles=smiles)
+    # Exclusion entries match whatever ring digits they were written with.
+    (tmp_path / "excluded.smi").write_text("CCN\nC2CC2\n")
     raw = json.loads(path.read_text())
     raw["exclusion_list"] = "excluded.smi"
     raw["max_heavy_atoms"] = 100
     path.write_text(json.dumps(raw))
     manifest = load_manifest(path)
-    dataset, _, _, ids = build_pretrain_dataset(manifest, 2, 3, 0, 8)
-    assert len(dataset) == 1  # long chain filtered, CCN excluded
-    assert ids == ["mol0"]
+    dataset, _, _, ids = build_pretrain_dataset(manifest, 2, 3)
+    # Chains of 120 and 101 atoms are over the cap, 100 atoms is kept; CCN and C1CC1 are excluded.
+    assert ids == ["mol0", "mol4", "mol6"]
+    assert len(dataset) == 3
 
 
 def test_exclusion_set_normalizes(tmp_path):
@@ -104,7 +107,7 @@ def test_node_label_out_of_range_atom(tmp_path):
     (tmp_path / "node_labels.csv").write_text("\n".join(lines) + "\n")
     manifest = load_manifest(tmp_path / "manifest.json")
     with pytest.raises(ManifestError, match="atom_index"):
-        build_pretrain_dataset(manifest, 2, 3, 0, 8)
+        build_pretrain_dataset(manifest, 2, 3)
 
 
 def test_parse_config_text():

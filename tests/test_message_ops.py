@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from minifp import backbones
-from minifp.autodiff import Parameter, Segments, Tape, finite_difference_check
+from minifp.autodiff import Parameter, Segments, Tape
 from minifp.backbones import (
     GraphBatch,
     ModelConfig,
@@ -31,7 +31,7 @@ from minifp.backbones import (
 from minifp.encodings import assemble
 from minifp.molgraph import parse_smiles
 
-from .util import TOY_SMILES, permute_graph, random_molecule, reference_relu, traced_memory
+from .util import TOY_SMILES, finite_difference_check, permute_graph, random_molecule, reference_relu, traced_memory
 
 
 def reference_linear_relu(tape, x, w, b):
@@ -139,7 +139,7 @@ def shuffled_batch(cfg, seed):
     graphs = [parse_smiles(s) for s in ("c1ccccc1O", "CC(=O)Nc1ccc(O)cc1", "C1CC1", "N")]
     graphs += [random_molecule(rng) for _ in range(3)]
     graphs = [permute_graph(graph, rng.permutation(graph.num_atoms)) for graph in graphs]
-    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps) for graph in graphs]
     batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
     order = rng.permutation(batch.num_edges)
     return GraphBatch(
@@ -269,7 +269,7 @@ COMPOSITE_OPS = {
 def atoms_only_batch(cfg):
     """Three one-atom molecules: a batch with nodes and graphs but no edge."""
     graphs = [parse_smiles(s) for s in ("C", "O", "N")]
-    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps) for graph in graphs]
     return batch_graphs(graphs, feats, dtype=cfg.np_dtype)
 
 
@@ -316,7 +316,7 @@ def toy_model_and_batch(cfg):
     """A default-width model and the 32 toy molecules as one batch, its cached plans and matrices built."""
     state = build_model(cfg)
     graphs = [parse_smiles(s) for s in TOY_SMILES]
-    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps, seed=0) for graph in graphs]
+    feats = [assemble(graph, cfg.k_pe, cfg.rw_steps) for graph in graphs]
     batch = batch_graphs(graphs, feats, dtype=cfg.np_dtype)
     forward(Tape(recording=False), batch, state)
     return state, batch

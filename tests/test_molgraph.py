@@ -12,11 +12,9 @@ from minifp.molgraph import (
     UnbalancedBranch,
     UnclosedRing,
     UnknownAtom,
-    filter_molecules,
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
-    write_smiles,
 )
 
 
@@ -101,6 +99,9 @@ def test_ring_digit_reuse():
     g = parse_smiles("C1CC1C1CC1")
     assert len(g.bonds) == 7
     assert sum(b.in_ring for b in g.bonds) == 6
+    g = parse_smiles("C1CC1" * 120)  # marker 1 reused for 120 rings
+    assert (g.num_atoms, g.num_bonds) == (360, 479)
+    assert sum(b.in_ring for b in g.bonds) == 360
 
 
 def test_stereo_discarded_with_warning():
@@ -147,17 +148,9 @@ def test_heavy_atom_count():
     assert heavy_atom_count(parse_smiles("CCO")) == 3
     chain = "C" * 101
     assert heavy_atom_count(parse_smiles(chain)) == 101
-
-
-def test_filter_molecules_threshold_and_exclusion():
-    ethanol = parse_smiles("CCO")
-    long_chain = parse_smiles("C" * 101)
-    assert filter_molecules([ethanol, long_chain], max_heavy=100) == [ethanol]
-    assert filter_molecules([ethanol], max_heavy=100, exclusion_set={normalize_smiles("CCO")}) == []
-    assert filter_molecules([], max_heavy=100) == []
-    # Boundary: exactly 100 heavy atoms is kept.
-    chain100 = parse_smiles("C" * 100)
-    assert filter_molecules([chain100], max_heavy=100) == [chain100]
+    g = parse_smiles("C" * 1500)  # past the recursion limit
+    assert (heavy_atom_count(g), g.num_bonds) == (1500, 1499)
+    assert not any(b.in_ring for b in g.bonds)
 
 
 def test_normalize_smiles():
@@ -198,61 +191,6 @@ CORPUS = [
     "[Na+]",
     "[nH]1cccc1",
 ]
-
-
-def _as_networkx(g):
-    import networkx as nx
-
-    nxg = nx.Graph()
-    for i, a in enumerate(g.atoms):
-        nxg.add_node(
-            i,
-            element=a.element,
-            charge=a.formal_charge,
-            aromatic=a.aromatic,
-            hydrogens=a.total_hydrogens,
-        )
-    for b in g.bonds:
-        nxg.add_edge(b.u, b.v, order=b.order)
-    return nxg
-
-
-@pytest.mark.parametrize(
-    "smiles",
-    # Past the recursion limit, and more ring bonds than two-digit markers.
-    CORPUS + [pytest.param("C" * 1500, id="chain_1500"), pytest.param("C1CC1" * 120, id="rings_120")],
-)
-def test_round_trip_is_isomorphic(smiles):
-    import networkx as nx
-
-    g = parse_smiles(smiles)
-    text = write_smiles(g)
-    g2 = parse_smiles(text)
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        _as_networkx(g),
-        _as_networkx(g2),
-        node_match=lambda a, b: a == b,
-        edge_match=lambda a, b: a == b,
-    )
-    try:
-        assert matcher.is_isomorphic(), f"{smiles} -> {text} not isomorphic"
-    finally:
-        matcher.reset_recursion_limit()  # raised for large graphs and otherwise left raised
-
-
-def _comb(teeth):
-    """A path x, then a path w, and a tooth c_j bonded to both x_j and w_j:
-    written from x_0, all ``teeth`` w-c ring bonds are open after the last w."""
-    x, c, w = (list(range(k * teeth, (k + 1) * teeth)) for k in range(3))
-    pairs = list(zip(x, x[1:])) + [(x[-1], w[0])] + list(zip(w, w[1:])) + list(zip(x, c)) + list(zip(w, c))
-    atoms = [molgraph.Atom(element="C") for _ in range(3 * teeth)]
-    return molgraph.annotate(molgraph.MolecularGraph(atoms=atoms, bonds=[molgraph.Bond(u, v) for u, v in pairs]))
-
-
-def test_write_smiles_opens_at_most_99_ring_closures_at_once():
-    assert len(parse_smiles(write_smiles(_comb(99))).bonds) == len(_comb(99).bonds)
-    with pytest.raises(molgraph.SmilesError, match="more than 99"):
-        write_smiles(_comb(100))
 
 
 @pytest.mark.parametrize("smiles", CORPUS)

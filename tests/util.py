@@ -1,13 +1,17 @@
-"""Shared helpers for tests: molecular graphs, toy datasets, and memory probes."""
+"""Shared helpers for tests: molecular graphs, toy datasets, gradient and
+ensemble oracles, and memory probes."""
 
 from __future__ import annotations
 
 import dataclasses
 import resource
 import tracemalloc
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from minifp.autodiff import Parameter, Tape, Tensor
+from minifp.downstream import TrainedHead, _mean_output
 from minifp.encodings import assemble
 from minifp.molgraph import Atom, Bond, MolecularGraph, annotate
 from minifp.multitask import LabelSet, TaskSpec
@@ -86,7 +90,7 @@ def build_toy_dataset(smiles=None, k_pe=2, rw_steps=3, seed=0) -> tuple[Pretrain
 
     smiles = smiles if smiles is not None else TOY_SMILES
     graphs = [parse_smiles(s) for s in smiles]
-    feats = [assemble(g, k_pe, rw_steps, seed) for g in graphs]
+    feats = [assemble(g, k_pe, rw_steps) for g in graphs]
     rng = np.random.default_rng(seed + 1)
     n = len(graphs)
     total_atoms = sum(g.num_atoms for g in graphs)
@@ -109,6 +113,45 @@ def build_toy_dataset(smiles=None, k_pe=2, rw_steps=3, seed=0) -> tuple[Pretrain
         },
     )
     return dataset, tasks
+
+
+def finite_difference_check(
+    fn: Callable[[Tape], Tensor],
+    params: Sequence[Parameter],
+    h: float = 1e-5,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``fn`` must be deterministic (dropout off) and is re-evaluated twice per
+    parameter coordinate.  Relative error uses max(|analytic|, |numeric|, 1e-8)
+    as the denominator.
+    """
+    for p in params:
+        p.zero_grad()
+    tape = Tape()
+    tape.backward(fn(tape))
+    analytic = {p.name: np.zeros_like(p.value) if p.grad is None else p.grad for p in params}
+
+    max_rel = 0.0
+    for p in params:
+        flat = p.value.reshape(-1)
+        grad_flat = analytic[p.name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(fn(Tape(recording=False)).data)
+            flat[i] = orig - h
+            down = float(fn(Tape(recording=False)).data)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(grad_flat[i]), abs(numeric), 1e-8)
+            max_rel = max(max_rel, abs(grad_flat[i] - numeric) / denom)
+    return max_rel
+
+
+def ensemble_predict(heads: Iterable[TrainedHead], x: np.ndarray) -> np.ndarray:
+    """Mean of member outputs (probabilities for classification); see :func:`_mean_output`."""
+    return _mean_output(head.predict(x) for head in heads)
 
 
 def reference_relu(tape, a):
