@@ -430,9 +430,10 @@ def heavy_atom_count(graph: MolecularGraph) -> int:
 def normalize_smiles(text: str) -> str:
     """Deterministic textual normal form of a SMILES string.
 
-    Strips whitespace and renumbers ring-closure digits by first appearance;
-    everything else (including atom order) is preserved, so this is a textual
-    normalization, not graph canonicalization: "CCO" and "OCC" stay distinct.
+    Strips whitespace and renumbers ring-closure digits by first appearance
+    (past 99, reusing the lowest number not open); everything else (including
+    atom order) is preserved, so this is a textual normalization, not graph
+    canonicalization: "CCO" and "OCC" stay distinct.
     Parse errors propagate.
     """
     with warnings.catch_warnings():
@@ -465,9 +466,14 @@ def renumber_ring_closures(text: str) -> str:
                 i += 1
             if ring in open_map:
                 new_id = open_map.pop(ring)
-            else:
+            elif next_id < 100:
                 new_id = next_id
                 next_id += 1
+                open_map[ring] = new_id
+            else:
+                # Past %99 a number is reused: the lowest one not open now.
+                in_use = set(open_map.values())
+                new_id = next(k for k in (*range(1, 100), 0) if k not in in_use)
                 open_map[ring] = new_id
             out.append(str(new_id) if new_id < 10 else f"%{new_id:02d}")
             continue

@@ -15,6 +15,7 @@ from minifp.molgraph import (
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
+    renumber_ring_closures,
 )
 
 
@@ -153,6 +154,19 @@ def test_heavy_atom_count():
     assert not any(b.in_ring for b in g.bonds)
 
 
+def test_filter_molecules_threshold_and_exclusion():
+    # The two checks build_pretrain_dataset's filter makes of each molecule.
+    max_heavy = 100
+    assert heavy_atom_count(parse_smiles("C" * 100)) <= max_heavy  # the boundary is kept
+    assert heavy_atom_count(parse_smiles("C" * 101)) > max_heavy
+    assert heavy_atom_count(parse_smiles("[NH4+]")) == 1  # hydrogens do not count
+    exclusion = {normalize_smiles("CCO"), normalize_smiles("C2CC2")}
+    assert renumber_ring_closures("CCO") in exclusion
+    assert renumber_ring_closures("C1CC1") in exclusion
+    assert renumber_ring_closures("OCC") not in exclusion
+    assert renumber_ring_closures("C1CCC1") not in exclusion
+
+
 def test_normalize_smiles():
     assert normalize_smiles(" CCO ") == "CCO"
     assert normalize_smiles("C1CC1") == normalize_smiles("C2CC2")
@@ -191,6 +205,21 @@ CORPUS = [
     "[Na+]",
     "[nH]1cccc1",
 ]
+
+
+@pytest.mark.parametrize(
+    "smiles",
+    # Past the recursion limit, and more ring closures than two-digit markers.
+    CORPUS + [pytest.param("C" * 1500, id="chain_1500"), pytest.param("C1CC1" * 120, id="rings_120")],
+)
+def test_round_trip_is_isomorphic(smiles):
+    # The normal form is a molecule's id, so it must parse back to the same graph, atom for atom.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_smiles(smiles)
+        text = normalize_smiles(smiles)
+        g2 = parse_smiles(text)
+    assert (g2.atoms, g2.bonds) == (g.atoms, g.bonds), f"{smiles} -> {text}"
 
 
 @pytest.mark.parametrize("smiles", CORPUS)
