@@ -12,7 +12,10 @@ becomes ``Parameter.grad`` (taken over when it is a fresh C-contiguous array
 the closure owns, otherwise copied once), later contributions are added to
 it in place, and another tape's backward without ``zero_grad`` adds into it
 too.  A parameter that gets no contribution keeps ``grad is None``, which the
-optimizer reads as a zero gradient.
+optimizer reads as a zero gradient.  The tape counts, as it records, the ops
+that read each watched parameter, so backward can hand a parameter to its
+``on_ready`` callback as soon as the last of them has run: a trainer steps it
+there and drops its gradient while backward goes on.
 
 Backward keeps only its frontier.  Before running an op's closure it takes
 the op output's gradient off the tensor, so every op output's ``grad`` is
@@ -241,7 +244,11 @@ class Tape:
     def __init__(self, recording: bool = True):
         self.recording = recording
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._watched: dict[int, tuple[Parameter, Tensor]] = {}
+        self._watched: dict[Parameter, Tensor] = {}
+        # Watched tensor -> [its parameter, recorded ops still to run that read it].
+        self._readers: dict[Tensor, list] = {}
+        # Recorded op output -> the watched tensors its closure reads.
+        self._reads: dict[Tensor, list[Tensor]] = {}
         self._spent = False
 
     # -- tensor creation ---------------------------------------------------
@@ -251,16 +258,32 @@ class Tape:
 
     def watch(self, param: Parameter) -> Tensor:
         """Tensor view of a parameter; backward() accumulates into param.grad."""
-        key = id(param)
-        if key not in self._watched:
+        if param not in self._watched:
             t = Tensor(param.value, requires_grad=self.recording)
-            self._watched[key] = (param, t)
-        return self._watched[key][1]
+            self._watched[param] = t
+            self._readers[t] = [param, 0]
+        return self._watched[param]
+
+    def _record(self, out: Tensor, inputs: Sequence[Tensor], backward) -> None:
+        """Append ``out``'s op and count it once as a reader of each watched input."""
+        self._ops.append((out, backward))
+        reads = [t for t in dict.fromkeys(inputs) if t in self._readers]
+        if reads:
+            self._reads[out] = reads
+            for t in reads:
+                self._readers[t][1] += 1
+
+    def _pop(self) -> Callable[[np.ndarray], None]:
+        """Take the last op off the tape, uncounted as a reader, and return its closure."""
+        out, backward = self._ops.pop()
+        for t in self._reads.pop(out, ()):
+            self._readers[t][1] -= 1
+        return backward
 
     def _emit(self, data: np.ndarray, inputs: Sequence[Tensor], backward) -> Tensor:
         out = Tensor(data, requires_grad=self.recording and any(t.requires_grad for t in inputs))
         if out.requires_grad:
-            self._ops.append((out, backward))
+            self._record(out, inputs, backward)
         return out
 
     # -- forward ops ---------------------------------------------------------
@@ -466,7 +489,7 @@ class Tape:
             raise ShapeMismatch(f"bias of shape {bias.data.shape} for a product of {out.data.shape}") from None
         if not (self.recording and bias.requires_grad):
             return out
-        product_backward = self._ops.pop()[1] if out.requires_grad else None
+        product_backward = self._pop() if out.requires_grad else None
         out.requires_grad = True
 
         def backward(g):
@@ -474,7 +497,7 @@ class Tape:
                 product_backward(g)
             _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
 
-        self._ops.append((out, backward))
+        self._record(out, (x, weight, bias), backward)
         return out
 
     def linear_relu(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -523,7 +546,7 @@ class Tape:
         products = []
         for a, w, spread in terms:
             product = self.matmul(a, w)
-            products.append(self._ops.pop()[1] if product.requires_grad else None)
+            products.append(self._pop() if product.requires_grad else None)
             if spread is None:
                 part = product.data
             elif isinstance(spread, Segments):
@@ -564,7 +587,7 @@ class Tape:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, on_ready: Callable[[Parameter], None] | None = None) -> None:
         """Accumulate d(loss)/d(param) into every watched parameter's grad, consuming the tape.
 
         Each watched tensor starts from its parameter's ``grad``.  The first
@@ -575,10 +598,19 @@ class Tape:
         from adding their total once.  A parameter that got no contribution
         keeps ``None``.
 
+        A parameter's ``grad`` is complete once the last recorded op that
+        reads it has run (an op folded into ``linear`` or ``linear_relu_sum``
+        is one reader; each ``rows`` block is one).  Then ``on_ready(param)``
+        is called, once per watched parameter, before backward goes on; it may
+        update ``param.value`` in place and drop ``param.grad``, since no op
+        still to run reads either.  Parameters that no op reads come last, in
+        the order they were watched.
+
         Each op is popped before its closure runs, so the closure and what
         only it captured are freed once it returns.  Afterwards, even after a
-        closure raised, the tape holds no op, gradient or watched parameter,
-        and another ``backward`` raises :class:`SpentTape`.
+        closure or ``on_ready`` raised, the tape holds no op, gradient or
+        watched parameter, and another ``backward`` raises :class:`SpentTape`;
+        parameters not yet handed to ``on_ready`` then keep their gradients.
         """
         if self._spent:
             raise SpentTape("this tape was already replayed; record the forward on a fresh tape")
@@ -587,8 +619,8 @@ class Tape:
         if not loss.requires_grad:
             raise DisconnectedGraph("loss does not depend on any watched parameter")
         self._spent = True
-        ops = self._ops
-        for param, t in self._watched.values():
+        ops, readers, reads = self._ops, self._readers, self._reads
+        for param, t in self._watched.items():
             t.grad = param.grad
         try:
             _accum(loss, np.ones_like(loss.data), owned=True)
@@ -597,13 +629,27 @@ class Tape:
                 g, out.grad = out.grad, None  # the closure owns g now; it is freed once consumed
                 if g is not None:
                     backward_fn(g)
+                for t in reads.pop(out, ()):
+                    readers[t][1] -= 1
+                    if not readers[t][1]:
+                        self._release(t, on_ready)
+            for t in list(readers):
+                self._release(t, on_ready)
         finally:
             ops.clear()
-            for param, t in self._watched.values():
-                g, t.grad = t.grad, None
-                # A handed-over view (e.g. a concat part) is copied to the layout the optimizer steps over.
-                param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
+            reads.clear()
+            for t in list(readers):
+                self._release(t, None)
             self._watched.clear()
+
+    def _release(self, t: Tensor, on_ready) -> None:
+        """Move watched ``t``'s gradient to its parameter and hand the parameter to ``on_ready``."""
+        param = self._readers.pop(t)[0]
+        g, t.grad = t.grad, None
+        # A handed-over view (e.g. a concat part) is copied to the layout the optimizer steps over.
+        param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
+        if on_ready is not None:
+            on_ready(param)
 
 
 CHECKPOINT_VERSION = 1

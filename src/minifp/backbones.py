@@ -62,12 +62,13 @@ which keeps no pre-activation.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import shutil
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING, Iterable, get_type_hints
 
 import numpy as np
 
@@ -186,10 +187,25 @@ def default_config(backbone: str, **overrides) -> ModelConfig:
     return cfg
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """One U(±sqrt(6 / (fan_in + fan_out))) float64 draw of shape (fan_in, fan_out) (Glorot & Bengio, 2010)."""
+# Rows per float64 block of a Glorot draw: ~512 KB at a width of 1024.
+_GLOROT_BLOCK = 64
+
+
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    """One U(±sqrt(6 / (fan_in + fan_out))) draw of shape (fan_in, fan_out) (Glorot & Bengio, 2010).
+
+    The same bits as ``rng.uniform(-limit, limit, size).astype(dtype)``:
+    numpy draws ``low + (high - low) * u`` in float64 from the same ``u``
+    stream, so the draw runs in row blocks straight into the dtype array
+    and no float64 copy of the whole weight is made.
+    """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    out = np.empty((fan_in, fan_out), dtype=dtype)
+    for lo in range(0, fan_in, _GLOROT_BLOCK):
+        block = rng.random((min(lo + _GLOROT_BLOCK, fan_in) - lo, fan_out))
+        block *= limit - -limit
+        np.add(block, -limit, out=out[lo : lo + block.shape[0]])
+    return out
 
 
 @dataclass
@@ -228,13 +244,17 @@ class ModelState:
         return param
 
     def glorot(self, name: str, fan_in: int, fan_out: int) -> Parameter:
-        return self.add_parameter(name, glorot_uniform(self._init_rng, fan_in, fan_out))
+        return self.add_parameter(name, glorot_uniform(self._init_rng, fan_in, fan_out, self.config.np_dtype))
+
+    def add_initial(self, name: str, shape: tuple[int, ...]) -> Parameter:
+        """A Glorot draw for a 2-D ``shape``, zeros otherwise."""
+        if len(shape) == 2:
+            return self.glorot(name, *shape)
+        return self.add_parameter(name, np.zeros(shape, dtype=self.config.np_dtype))
 
     def add_mlp(self, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
-        self.glorot(f"{prefix}/w1", d_in, d_hidden)
-        self.add_parameter(f"{prefix}/b1", np.zeros(d_hidden))
-        self.glorot(f"{prefix}/w2", d_hidden, d_out)
-        self.add_parameter(f"{prefix}/b2", np.zeros(d_out))
+        for name, shape in _mlp_shapes(prefix, d_in, d_hidden, d_out):
+            self.add_initial(name, shape)
 
     def add_task_head(self, name: str, level: str, in_dim: int, out_dim: int, hidden_dim: int | None = None) -> HeadSpec:
         hidden = hidden_dim if hidden_dim is not None else in_dim
@@ -246,33 +266,51 @@ class ModelState:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
 
 def count_parameters(state: ModelState) -> int:
     return sum(p.value.size for p in state.params.values())
 
 
-def build_model(config: ModelConfig) -> ModelState:
-    """Create a fresh model: embedding MLPs plus the per-layer parameters."""
-    state = ModelState(config)
-    state.add_mlp("embed_x", config.node_input_width, config.d_node, config.d_node)
-    state.add_mlp("embed_e", config.edge_input_width, config.d_edge, config.d_edge)
-    state.add_mlp("embed_g", config.d_global, config.d_global, config.d_global)
+def _mlp_shapes(prefix: str, d_in: int, d_hidden: int, d_out: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of a two-layer MLP's w1, b1, w2 and b2."""
+    return [
+        (f"{prefix}/w1", (d_in, d_hidden)),
+        (f"{prefix}/b1", (d_hidden,)),
+        (f"{prefix}/w2", (d_hidden, d_out)),
+        (f"{prefix}/b2", (d_out,)),
+    ]
+
+
+def parameter_shapes(config: ModelConfig, heads: Iterable[HeadSpec] = ()) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter of a ``config`` model with task ``heads``, in creation order:
+    the embedding MLPs, the per-layer parameters, then each head's MLP."""
+    d_n, d_e, d_g = config.d_node, config.d_edge, config.d_global
+    shapes = [
+        *_mlp_shapes("embed_x", config.node_input_width, d_n, d_n),
+        *_mlp_shapes("embed_e", config.edge_input_width, d_e, d_e),
+        *_mlp_shapes("embed_g", d_g, d_g, d_g),
+    ]
     for layer in range(config.num_layers):
         if config.backbone == "gcn":
-            state.glorot(f"layer{layer}/w", config.d_node, config.d_node)
-            state.add_parameter(f"layer{layer}/b", np.zeros(config.d_node))
+            shapes += [(f"layer{layer}/w", (d_n, d_n)), (f"layer{layer}/b", (d_n,))]
         elif config.backbone == "gine":
-            state.add_mlp(f"layer{layer}/mlp", config.d_node, config.d_node, config.d_node)
-            state.add_parameter(f"layer{layer}/epsilon", np.zeros(1))
+            shapes += [*_mlp_shapes(f"layer{layer}/mlp", d_n, d_n, d_n), (f"layer{layer}/epsilon", (1,))]
         else:
-            d_n, d_e, d_g = config.d_node, config.d_edge, config.d_global
-            state.add_mlp(f"layer{layer}/mlp_edge", 2 * d_n + d_e + d_g, d_e, d_e)
-            state.add_mlp(f"layer{layer}/mlp_node", 2 * d_n + 2 * d_e + d_g, d_n, d_n)
-            state.add_mlp(f"layer{layer}/mlp_global", d_g + d_n + d_e, d_g, d_g)
+            shapes += [
+                *_mlp_shapes(f"layer{layer}/mlp_edge", 2 * d_n + d_e + d_g, d_e, d_e),
+                *_mlp_shapes(f"layer{layer}/mlp_node", 2 * d_n + 2 * d_e + d_g, d_n, d_n),
+                *_mlp_shapes(f"layer{layer}/mlp_global", d_g + d_n + d_e, d_g, d_g),
+            ]
+    for head in heads:
+        shapes += _mlp_shapes(f"head/{head.name}", head.in_dim, head.hidden_dim, head.out_dim)
+    return shapes
+
+
+def build_model(config: ModelConfig) -> ModelState:
+    """Create a fresh model: embedding MLPs plus the per-layer parameters (:func:`parameter_shapes`)."""
+    state = ModelState(config)
+    for name, shape in parameter_shapes(config):
+        state.add_initial(name, shape)
     return state
 
 
@@ -742,7 +780,9 @@ def _sidecar_record(cls, record) -> dict:
 
 def load_model(path) -> ModelState:
     """The model :func:`save_model` wrote at ``path``.  A sidecar that is not
-    such a record raises CorruptCheckpoint, as a damaged checkpoint does."""
+    such a record, and records whose names or shapes are not those
+    :func:`parameter_shapes` gives for the sidecar's config and heads, raise
+    CorruptCheckpoint, as a damaged checkpoint does."""
     sidecar_path = str(path) + ".json"
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         try:
@@ -752,8 +792,13 @@ def load_model(path) -> ModelState:
             heads = [HeadSpec(**_sidecar_record(HeadSpec, head)) for head in sidecar["heads"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc
-    state = ModelState(config)
     arrays = load_checkpoint(path)
+    found = [(name, value.shape) for name, value in arrays.items()]
+    expected = parameter_shapes(config, heads)
+    if found != expected:
+        got, want = next((f, e) for f, e in itertools.zip_longest(found, expected) if f != e)
+        raise CorruptCheckpoint(f"{path}: record (name, shape) {got} where the sidecar's model has {want}")
+    state = ModelState(config)
     for name, value in arrays.items():
         # load_checkpoint returns arrays it owns, so convert without a second copy.
         state.add_parameter(name, value.astype(config.np_dtype, copy=False))

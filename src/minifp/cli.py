@@ -1,10 +1,11 @@
 """Command-line entry point orchestrating the full pipeline deterministically.
 
 Commands: featurize, pretrain, fingerprint, downstream, correlate.  Every
-command under a fixed master seed is bit-reproducible end to end: output
-files are byte-identical across reruns except wall-clock timings, which are
-confined to timing files.  The MINIFP_SEED environment variable overrides
-the master seed from any other source.
+command is bit-reproducible end to end: output files are byte-identical
+across reruns except wall-clock timings, which are confined to timing files.
+pretrain and downstream draw from a master seed, ``--seed`` (for pretrain
+also the config's ``seed``); the MINIFP_SEED environment variable overrides
+it.  featurize, fingerprint and correlate draw nothing at random.
 
 Exit codes: 0 success (including partial featurization failures), 2
 usage, manifest and data errors, 3 unrecoverable IO, 4 a non-finite training
@@ -494,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, help="accepted and unused: featurization draws nothing at random")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("pretrain", help="multi-task pre-training of one backbone")

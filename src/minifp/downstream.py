@@ -27,7 +27,7 @@ from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
-from .trainer import OptimizerState, TrainConfig, _keep_freed_heap, adam_step, lr_at
+from .trainer import OptimizerState, TrainConfig, _keep_freed_heap, adam_step, backward_and_step, lr_at
 
 
 class MissingFingerprint(KeyError):
@@ -190,16 +190,19 @@ class TrainedHead:
         self.kind = kind
         self.num_classes = num_classes
         self.seed = seed
-        self.params: list[Parameter] = []
         self.val_curve: list[float] = []
         self.best_epoch = -1
-        init = rng_stream(seed, "head-params")
-        names = [f"h{layer}" for layer in range(config.num_layers)] + ["out"]
-        widths = [in_dim] + [config.hidden_dim] * config.num_layers + [out_dim]
-        for name, fan_in, fan_out in zip(names, widths, widths[1:]):
-            self.params.append(Parameter(f"{name}/w", glorot_uniform(init, fan_in, fan_out).astype(np.float32)))
-            self.params.append(Parameter(f"{name}/b", np.zeros(fan_out, dtype=np.float32)))
+        self.params = [Parameter(name, value) for name, value in self.initial_weights()]
         self._by_name = {p.name: p for p in self.params}
+
+    def initial_weights(self):
+        """(name, float32 array) of each parameter as the head's seed draws it, one at a time."""
+        init = rng_stream(self.seed, "head-params")
+        names = [f"h{layer}" for layer in range(self.config.num_layers)] + ["out"]
+        widths = [self.in_dim] + [self.config.hidden_dim] * self.config.num_layers + [self.out_dim]
+        for name, fan_in, fan_out in zip(names, widths, widths[1:]):
+            yield f"{name}/w", glorot_uniform(init, fan_in, fan_out, np.float32)
+            yield f"{name}/b", np.zeros(fan_out, dtype=np.float32)
 
     def forward(self, tape: Tape, x: np.ndarray, training: bool, step: int = 0):
         cfg = self.config
@@ -228,7 +231,7 @@ class TrainedHead:
     def snapshot(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params]
 
-    def restore(self, snapshot: list[np.ndarray]) -> None:
+    def restore(self, snapshot: Iterable[np.ndarray]) -> None:
         for p, value in zip(self.params, snapshot):
             p.value[...] = value
 
@@ -251,9 +254,11 @@ def train_head(
 ) -> TrainedHead:
     """Train one MLP head with Adam under the config schedule.
 
-    The returned head carries its per-epoch validation losses and is restored
-    to the best-validation epoch.  Provide explicit train/valid row indices
-    (e.g. from scaffold-split files); otherwise a seeded 10% split is used.
+    The returned head carries its per-epoch validation losses and holds the
+    weights of its best-validation epoch; if no epoch's loss is below
+    infinity (every one NaN, say), ``best_epoch`` stays -1 and the head holds
+    its initial weights.  Provide explicit train/valid row indices (e.g. from
+    scaffold-split files); otherwise a seeded 10% split is used.
     """
     config.validate()
     _keep_freed_heap()
@@ -277,7 +282,7 @@ def train_head(
     total_steps = config.epochs * batches_per_epoch
 
     best = math.inf
-    best_snapshot = head.snapshot()
+    best_snapshot = None  # the weights of the best epoch, when it is not the last
     step = 0
     for epoch in range(1, config.epochs + 1):
         order = rng_stream(seed, "head-batches", epoch).permutation(len(train_idx))
@@ -289,10 +294,8 @@ def train_head(
             pred = head.forward(tape, features[rows], training=True, step=step)
             loss = _head_loss(tape, head, pred, data.labels.rows(rows))
             if loss.requires_grad:
-                tape.backward(loss)
-                adam_step(head.params, optimizer, lr_at((step + 1) / total_steps, schedule))
-                for p in head.params:
-                    p.zero_grad()
+                lr = lr_at((step + 1) / total_steps, schedule)
+                backward_and_step(tape, loss, head.params, lambda ps: adam_step(ps, optimizer, lr))
             epoch_losses.append(float(loss.data))
             step += 1
         if len(valid_idx):
@@ -305,8 +308,13 @@ def train_head(
         if val < best:
             best = val
             head.best_epoch = epoch
-            best_snapshot = head.snapshot()
-    head.restore(best_snapshot)
+            best_snapshot = None  # before the next copy is made
+            if epoch < config.epochs:
+                best_snapshot = head.snapshot()
+    if head.best_epoch == -1:
+        head.restore(value for _, value in head.initial_weights())
+    elif best_snapshot is not None:
+        head.restore(best_snapshot)
     return head
 
 

@@ -119,7 +119,7 @@ _ADAM_CHUNK = 32768
 
 
 class OptimizerState:
-    """Adam first/second moment accumulators plus the shared step counter.
+    """Adam first/second moment accumulators plus each parameter's step count.
 
     Also holds, per parameter dtype, two chunk-sized scratch buffers and a
     chunk of zeros that stands in for a missing gradient, so a step
@@ -130,7 +130,7 @@ class OptimizerState:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.step = 0
+        self.steps = {p.name: 0 for p in params}
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
         self.scratch = {
@@ -140,24 +140,27 @@ class OptimizerState:
 
 
 def adam_step(params: list[Parameter], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update from the gradients currently in params.
+    """One bias-corrected Adam update of each of ``params`` from its current gradient.
 
-    Updates ``value``, ``m`` and ``v`` in place, chunk by chunk over their
-    flat views, with the textbook op order, so the bits equal the
-    out-of-place formula ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
-    A parameter whose ``grad`` is ``None`` steps with a zero gradient, the
-    same bits as an explicit array of zeros: its moments still decay.
-    Raises ValueError for a parameter whose arrays are not C-contiguous.
+    Each parameter's step count goes up by one and sets its bias correction,
+    so stepping parameters one call at a time gives the same bits as one call
+    over all of them.  Updates ``value``, ``m`` and ``v`` in place, chunk by
+    chunk over their flat views, with the textbook op order, so the bits
+    equal the out-of-place formula
+    ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  A parameter whose
+    ``grad`` is ``None`` steps with a zero gradient, the same bits as an
+    explicit array of zeros: its moments still decay.  Raises ValueError for
+    a parameter whose arrays are not C-contiguous.
     """
-    state.step += 1
-    t = state.step
     beta1, beta2, eps = state.beta1, state.beta2, state.eps
-    correct1 = 1.0 - beta1**t
-    correct2 = 1.0 - beta2**t
     for p in params:
         arrays = (p.value, p.grad, state.m[p.name], state.v[p.name])
         if not all(a is None or a.flags.c_contiguous for a in arrays):
             raise ValueError(f"parameter {p.name!r} has an array that is not C-contiguous")
+        state.steps[p.name] += 1
+        t = state.steps[p.name]
+        correct1 = 1.0 - beta1**t
+        correct2 = 1.0 - beta2**t
         value, grad, m, v = (None if a is None else a.reshape(-1) for a in arrays)
         scratch_a, scratch_b, zeros = state.scratch[value.dtype]
         for lo in range(0, value.size, _ADAM_CHUNK):
@@ -179,6 +182,29 @@ def adam_step(params: list[Parameter], state: OptimizerState, lr: float) -> None
             a *= lr
             a /= b
             value[lo:hi] -= a
+
+
+def backward_and_step(tape: Tape, loss, params: list[Parameter], step) -> None:
+    """``tape.backward(loss)``, calling ``step([p])`` for each parameter as soon
+    as its gradient is complete and dropping the gradient right after.
+
+    So only one parameter's finished gradient lives at a time.  The parameters
+    of ``params`` that backward never hands over take one ``step`` together
+    afterwards, with whatever gradient they hold (none, in both trainers: a
+    zero-gradient Adam step).  If backward raises, the parameters stepped so
+    far stay stepped.
+    """
+    stepped = set()
+
+    def ready(p: Parameter) -> None:
+        step([p])
+        p.zero_grad()
+        stepped.add(p)
+
+    tape.backward(loss, on_ready=ready)
+    rest = [p for p in params if p not in stepped]
+    if rest:
+        step(rest)
 
 
 # -- pre-training ---------------------------------------------------------------
@@ -448,9 +474,7 @@ def pretrain(
                 tape, model, dataset, tasks, chunk, weights, training=True, step=global_step
             )
             if total.requires_grad:
-                tape.backward(total)
-                adam_step(model.parameters(), optimizer, lr)
-                model.zero_grad()
+                backward_and_step(tape, total, model.parameters(), lambda ps: adam_step(ps, optimizer, lr))
             group_values = dict(group_values)
             group_values["total"] = float(total.data)
             per_batch.append((group_values, len(chunk)))

@@ -447,7 +447,7 @@ def test_determinism_criterion(tmp_path):
     outputs = {}
     for run in ("one", "two"):
         base = tmp_path / run
-        assert main(["featurize", str(manifest), "--out", str(base / "cache"), "--seed", "11"]) == 0
+        assert main(["featurize", str(manifest), "--out", str(base / "cache")]) == 0
         assert main([
             "pretrain", str(manifest), "--backbone", "gine", "--config", str(config_path),
             "--out", str(base / "run"), "--seed", "11",

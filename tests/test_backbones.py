@@ -467,19 +467,26 @@ def test_every_single_bit_flip_of_a_checkpoint_loads_or_raises_corrupt_checkpoin
     path = tmp_path / "model.ckpt"
     save_model(build_model(ModelConfig(backbone="gine", num_layers=1, d_node=4, d_edge=4, d_global=4)), path)
     raw = path.read_bytes()
-    outcomes = {"loaded": 0, "corrupt": 0}
+    records = [(name, value.shape) for name, value in load_checkpoint(path).items()]
+    outcomes = {"loaded": 0, "corrupt": 0, "renamed": 0}
     for bit in range(8 * len(raw)):
         flipped = bytearray(raw)
         flipped[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(bytes(flipped))
         try:
-            load_checkpoint(path)
+            arrays = load_checkpoint(path)
         except CorruptCheckpoint:
             outcomes["corrupt"] += 1
-        else:
+            continue
+        if [(name, value.shape) for name, value in arrays.items()] == records:
             outcomes["loaded"] += 1
-    # Flips in the float data load; flips in the header, names and shapes mostly raise.
-    assert outcomes["loaded"] > 0 and outcomes["corrupt"] > 0
+        else:
+            # Readable, but a name or shape is not the model's: the check against the sidecar raises.
+            outcomes["renamed"] += 1
+            with pytest.raises(CorruptCheckpoint):
+                load_model(path)
+    # Flips in the float data load; flips in the header, names and shapes raise.
+    assert outcomes["loaded"] > 0 and outcomes["corrupt"] > 0 and outcomes["renamed"] > 0
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path):

@@ -121,6 +121,15 @@ def test_featurize_missing_column_exit_2(tmp_path, capsys):
     assert "structure" in capsys.readouterr().err
 
 
+def test_featurize_takes_no_seed_exit_2(tmp_path, capsys):
+    manifest = write_dataset(tmp_path, smiles=["CCO"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["featurize", str(manifest), "--out", str(tmp_path / "cache"), "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --seed 3" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "cache").exists()
+
+
 def test_pretrain_run_directory(tmp_path, capsys):
     manifest = write_dataset(tmp_path)
     config = write_config(tmp_path)
@@ -635,6 +644,19 @@ def test_checkpoint_with_a_non_utf8_name_exit_2(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 2
     assert capsys.readouterr().err.startswith("error: record name ")
+
+
+def test_checkpoint_with_a_renamed_record_exit_2(tmp_path, capsys):
+    path, smi = _saved_model(tmp_path)
+    raw = bytearray(path.read_bytes())
+    assert raw[10:20] == b"embed_x/w1"  # the first record's name, past the 8-byte header and the name length
+    raw[10 + 8] ^= 0x02  # "embed_x/w1" -> "embed_x/u1", another valid name
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "fp.mfps"
+    assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'embed_x/u1'" in err and "'embed_x/w1'" in err
+    assert not out.exists()
 
 
 _IMPORTS_CHILD = """

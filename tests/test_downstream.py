@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import rankdata
 
 from minifp import downstream
+from minifp.autodiff import Tape
 from minifp.downstream import (
     FoldTooSmall,
     HeadConfig,
@@ -33,9 +34,11 @@ from minifp.downstream import (
     sweep,
     train_head,
 )
+from minifp.downstream import _head_loss
 from minifp.fingerprints import FingerprintStore
 from minifp.multitask import LabelSet
 from minifp.seeding import rng_stream
+from minifp.trainer import OptimizerState, adam_step, backward_and_step
 
 from .util import ensemble_predict, traced_memory
 
@@ -306,6 +309,76 @@ def test_train_head_best_epoch_restored():
     head = train_head(store, data, quick_config(epochs=10), seed=2)
     assert head.best_epoch >= 1
     assert min(head.val_curve) == head.val_curve[head.best_epoch - 1]
+
+
+def test_train_head_returns_the_best_epochs_weights():
+    # A constant learning rate makes the first epochs of a longer run the same steps as a shorter run.
+    store, data, _ = separable_task(n=40)
+    config = quick_config(epochs=12, learning_rate=0.05)
+    head = train_head(store, data, config, seed=1)
+    assert 1 < head.best_epoch < config.epochs
+    shorter = train_head(store, data, quick_config(epochs=head.best_epoch, learning_rate=0.05), seed=1)
+    assert shorter.best_epoch == head.best_epoch
+    assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in shorter.params]
+
+
+def test_head_whose_validation_loss_is_nan_every_epoch_keeps_its_initial_weights():
+    store, ids, vectors = make_store(60, 6)
+    labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
+    labels[50:] = np.nan  # the validation rows: training is unaffected, every validation loss is NaN
+    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
+    config = quick_config(epochs=3)
+    head = train_head(store, data, config, seed=4, train_idx=np.arange(50), valid_idx=np.arange(50, 60))
+    assert head.best_epoch == -1 and all(math.isnan(v) for v in head.val_curve)
+    initial = TrainedHead(config, 6, 1, "binary", 2, seed=4)
+    assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in initial.params]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_steps_each_parameter_when_ready_matching_backward_then_adam_bitwise(dtype):
+    store, data, vectors = separable_task(n=48, d=16)
+    config = quick_config(hidden_dim=16, num_layers=3, dropout=0.1, skip_connection=True)
+    runs = []
+    for fused in (False, True):
+        head = TrainedHead(config, 16, 1, "binary", 2, seed=3)
+        for p in head.params:
+            p.value = p.value.astype(dtype)
+        state = OptimizerState(head.params)
+        losses = []
+        for step in range(3):
+            rows = np.arange(16 * step, 16 * step + 16)
+            tape = Tape()
+            loss = _head_loss(tape, head, head.forward(tape, vectors[rows], True, step), data.labels.rows(rows))
+            losses.append(loss.data.tobytes())
+            lr = 0.01 * (step + 1)
+            if fused:
+                backward_and_step(tape, loss, head.params, lambda ps: adam_step(ps, state, lr))
+            else:
+                tape.backward(loss)
+                adam_step(head.params, state, lr)
+                for p in head.params:
+                    p.zero_grad()
+        assert all(p.grad is None and p.value.dtype == dtype for p in head.params)
+        runs.append((losses, [(p.value.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes())
+                              for p in head.params]))
+    assert runs[0] == runs[1]
+
+
+def test_one_default_head_step_holds_one_gradient_at_a_time():
+    """One training step of a default-width head (528 -> 1024 x 3 -> 1) peaks below its weights, both
+    Adam moments, its largest single gradient and 16 activation blocks of batch x hidden float32."""
+    store, ids, vectors = make_store(160, 528)
+    labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
+    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
+    config = HeadConfig(epochs=1)  # one batch of 128 rows: one step, and the last epoch keeps no snapshot
+    head, _, peak = traced_memory(
+        lambda: train_head(store, data, config, seed=0, train_idx=np.arange(128), valid_idx=np.arange(128, 160))
+    )
+    weights = sum(p.value.nbytes for p in head.params)
+    largest = max(p.value.nbytes for p in head.params)
+    activations = 16 * config.batch_size * config.hidden_dim * 4
+    bound = 3 * weights + largest + activations
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB over {bound / 2**20:.1f} MB (weights {weights / 2**20:.1f} MB)"
 
 
 # Counts the page faults of two train_head calls in a fresh process, whose heap

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minifp import trainer
-from minifp.autodiff import Parameter
+from minifp.autodiff import Parameter, Tape
 from minifp.backbones import ModelConfig, build_model, default_config, load_model, save_model
 from minifp.multitask import LossWeights
 from minifp.trainer import (
@@ -17,6 +17,7 @@ from minifp.trainer import (
     TrainConfig,
     _ADAM_CHUNK,
     adam_step,
+    backward_and_step,
     ensure_heads,
     evaluate,
     lr_at,
@@ -32,7 +33,7 @@ def test_adam_zero_gradient_keeps_params():
     state = OptimizerState([p])
     adam_step([p], state, lr=0.1)
     np.testing.assert_array_equal(p.value, [1.0, -2.0])
-    assert state.step == 1
+    assert state.steps == {"w": 1}
 
 
 def test_adam_first_step_magnitude():
@@ -131,6 +132,110 @@ def test_adam_missing_gradient_steps_as_explicit_zeros_bitwise(dtype):
             adam_step(params, state, lr=0.003 * (step + 1))
         runs.append([(p.value.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes()) for p in params])
     assert runs[0] == runs[1]
+
+
+def _toy_model(backbone, dtype, tasks):
+    cfg = ModelConfig(backbone=backbone, num_layers=2, d_node=8, d_edge=8, d_global=8, k_pe=2, rw_steps=3,
+                      dtype=dtype, dropout=0.1, graph_head_input="global" if backbone == "mpnnpp" else "pooled")
+    model = build_model(cfg)
+    ensure_heads(model, tasks)
+    return model
+
+
+def _record_step(model, dataset, tasks, step):
+    """A fresh tape holding one training forward over six toy molecules, and its loss."""
+    tape = Tape()
+    molecules = np.arange(6 * step, 6 * step + 6)
+    loss, _, _ = trainer._losses_for_batch(tape, model, dataset, tasks, molecules, LossWeights(), True, step)
+    return tape, loss
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stepping_each_parameter_when_ready_matches_backward_then_adam_bitwise(backbone, dtype):
+    dataset, tasks = build_toy_dataset()
+    runs = []
+    for fused in (False, True):
+        model = _toy_model(backbone, dtype, tasks)
+        params = model.parameters()
+        state = OptimizerState(params)
+        losses = []
+        for step in range(3):
+            tape, loss = _record_step(model, dataset, tasks, step)
+            losses.append(loss.data.tobytes())
+            lr = 0.01 * (step + 1)
+            if fused:
+                backward_and_step(tape, loss, params, lambda ps: adam_step(ps, state, lr))
+            else:
+                tape.backward(loss)
+                adam_step(params, state, lr)
+                for p in params:
+                    p.zero_grad()
+        assert all(p.grad is None for p in params)
+        assert state.steps == {p.name: 3 for p in params}
+        runs.append((losses, [(p.value.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes()) for p in params]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+def test_on_ready_fires_once_per_watched_parameter_after_its_last_reader(backbone):
+    """Each parameter is handed over with its complete gradient, and no op run after that reads its value:
+    a NaN written into it there leaves every other gradient's bits unchanged."""
+    dataset, tasks = build_toy_dataset()
+    model = _toy_model(backbone, "float64", tasks)
+    tape, loss = _record_step(model, dataset, tasks, 0)
+    tape.backward(loss)
+    reference = {name: p.grad for name, p in model.params.items()}
+
+    model = _toy_model(backbone, "float64", tasks)
+    tape, loss = _record_step(model, dataset, tasks, 0)
+    watched = {p.name for p in tape._watched}
+    handed, ops_left = [], []
+
+    def ready(p):
+        handed.append((p.name, p.grad))
+        ops_left.append(len(tape._ops))
+        p.grad = None
+        p.value[...] = np.nan
+
+    tape.backward(loss, on_ready=ready)
+    names = [name for name, _ in handed]
+    assert len(names) == len(set(names)) and set(names) == watched
+    # Handed over as backward goes, not all at its end.
+    assert ops_left == sorted(ops_left, reverse=True) and sum(n > 0 for n in ops_left) > len(ops_left) // 2
+    for name, grad in handed:
+        expected = reference[name]
+        assert (grad is None) == (expected is None), name
+        assert grad is None or grad.tobytes() == expected.tobytes(), name
+    grads = dict(handed)
+    if backbone == "gcn":
+        # gcn records the global embedding but reads no edge embedding: neither gets a gradient.
+        assert "embed_e/w1" not in watched and grads["embed_g/w1"] is None
+    elif backbone == "gine":
+        assert grads["layer0/epsilon"] is not None and grads["layer1/epsilon"] is not None
+    else:
+        # Each first-layer weight is read through its row blocks, one reader per block.
+        assert all(grads[f"layer{i}/mlp_{mlp}/w1"] is not None for i in (0, 1) for mlp in ("edge", "node"))
+
+
+def test_backward_and_step_steps_parameters_backward_never_reaches():
+    """gcn never watches its edge MLP: it still takes one zero-gradient Adam step per training step."""
+    dataset, tasks = build_toy_dataset()
+    model = _toy_model("gcn", "float32", tasks)
+    params = model.parameters()
+    state = OptimizerState(params)
+    calls = []
+
+    def step(ps):
+        calls.append([p.name for p in ps])
+        adam_step(ps, state, 0.01)
+
+    tape, loss = _record_step(model, dataset, tasks, 0)
+    backward_and_step(tape, loss, params, step)
+    assert all(len(names) == 1 for names in calls[:-1])
+    assert calls[-1] == [name for name in model.params if name.startswith("embed_e/")]
+    assert state.steps == {p.name: 1 for p in params}
+    assert all(p.grad is None for p in params)
 
 
 def test_adam_step_rejects_non_contiguous_parameter():
