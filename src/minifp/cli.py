@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import glob as globlib
 import json
 import os
@@ -27,12 +28,12 @@ import numpy as np
 from .autodiff import CorruptCheckpoint
 from .backbones import (
     BACKBONES,
-    DEFAULT_WIDTHS,
     POOL_METHODS,
     ConstantGlobalStream,
     ModelConfig,
     build_model,
     count_parameters,
+    default_config,
     load_model,
 )
 from .downstream import (
@@ -59,9 +60,10 @@ from .fingerprints import (
     store_write_csv,
 )
 from .manifest import (
+    MAX_HEAVY,
+    SPLIT_KEYS,
     ManifestError,
     build_pretrain_dataset,
-    config_defaults,
     format_config,
     load_config_file,
     load_downstream_manifest,
@@ -80,13 +82,20 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _resolve_seed(args, config: dict) -> int:
+def _resolve_seed(args) -> int | None:
+    """The master seed from MINIFP_SEED, else from ``--seed``; None if neither sets it."""
     env = os.environ.get("MINIFP_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(config.get("seed", 0))
+    except ValueError:
+        raise ManifestError(f"MINIFP_SEED must be an integer, got {env!r}") from None
+
+
+def _fields(cls, keys: dict) -> dict:
+    """The entries of ``keys`` that name fields of the dataclass ``cls``."""
+    return {f.name: keys[f.name] for f in dataclasses.fields(cls) if f.name in keys}
 
 
 def _write_failures(path: Path, failures) -> None:
@@ -108,24 +117,23 @@ def _write_files_manifest(out_dir: Path, names: list[str]) -> None:
 
 def cmd_featurize(args) -> int:
     manifest = load_manifest(args.manifest)
-    config = config_defaults()
-    if args.config:
-        config.update(load_config_file(args.config))
-    k_pe, rw_steps = config["k_pe"], config["rw_steps"]
+    keys = load_config_file(args.config) if args.config else {}
+    encoding = ModelConfig(**{name: keys[name] for name in ("k_pe", "rw_steps") if name in keys})
     # A bad encoding size is a usage error, caught before any molecule is read.
-    for name, value in (("k_pe", k_pe), ("rw_steps", rw_steps)):
-        if value < 1:
-            raise ManifestError(f"{args.config}: {name} must be >= 1")
+    try:
+        encoding.validate()
+    except ValueError as exc:
+        raise ManifestError(f"{args.config}: {exc}") from exc
 
     molecules, failures = read_molecules(manifest)
     # Every parsed molecule is featurized as a check; the features are not kept.
     for mol in molecules:
-        assemble(mol.graph, k_pe, rw_steps)
+        assemble(mol.graph, encoding.k_pe, encoding.rw_steps)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "layout.json", "w", encoding="utf-8") as fh:
-        json.dump(feature_layout(k_pe, rw_steps), fh, indent=2, sort_keys=True)
+        json.dump(feature_layout(encoding.k_pe, encoding.rw_steps), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_failures(out_dir / "failures.csv", failures)
     _write_files_manifest(out_dir, ["layout.json", "failures.csv", "files.json"])
@@ -138,64 +146,39 @@ def cmd_featurize(args) -> int:
 
 def cmd_pretrain(args) -> int:
     manifest = load_manifest(args.manifest)
-    config = config_defaults()
-    if args.config:
-        config.update(load_config_file(args.config))
-    config["backbone"] = args.backbone
-    seed = _resolve_seed(args, config)
-    config["seed"] = seed
-
-    widths = DEFAULT_WIDTHS[args.backbone]
-    model_config = ModelConfig(
-        backbone=args.backbone,
-        num_layers=config["num_layers"],
-        d_node=config.get("d_node") or widths[0],
-        d_edge=config.get("d_edge") or widths[1],
-        d_global=config.get("d_global") or widths[2],
-        k_pe=config["k_pe"],
-        rw_steps=config["rw_steps"],
-        dropout=config["dropout"],
-        seed=seed,
-        gine_epsilon_mode=config["gine_epsilon_mode"],
-        graph_head_input=config.get("graph_head_input")
-        or ("global" if args.backbone == "mpnnpp" else "pooled"),
-        pool=config["pool"],
-        dtype=config["dtype"],
-    )
-    train_config = TrainConfig(
-        epochs=config["epochs"],
-        peak_lr=config["peak_lr"],
-        warmup_epochs=config["warmup_epochs"],
-        schedule=config["schedule"],
-        batch_size=config["batch_size"],
-        seed=seed,
-    )
-    split = SplitSpec(
-        fractions=(config["train_fraction"], config["valid_fraction"], config["test_fraction"]),
-        seed=seed,
-    )
+    keys = load_config_file(args.config) if args.config else {}
+    backbone = keys.pop("backbone", args.backbone)
+    if backbone != args.backbone:
+        raise ManifestError(f"{args.config}: backbone = {backbone} conflicts with --backbone {args.backbone}")
+    seed = _resolve_seed(args)
+    if seed is not None:
+        keys["seed"] = seed
+    max_heavy = keys.get("max_heavy", MAX_HEAVY)
     # A bad config value is a usage error, caught before any output is written.
     try:
-        model_config.validate()
+        model_config = default_config(args.backbone, **_fields(ModelConfig, keys))
+        train_config = TrainConfig(**_fields(TrainConfig, keys))
         train_config.validate()
+        fractions = tuple(keys.get(key, value) for key, value in zip(SPLIT_KEYS, SplitSpec.fractions))
+        split = SplitSpec(fractions=fractions, seed=train_config.seed)
         split.validate()
-        weights = LossWeights(k=config["k"])
+        weights = LossWeights(**_fields(LossWeights, keys))
     except ValueError as exc:
         raise ManifestError(f"{args.config}: {exc}") from exc
-    config["d_node"], config["d_edge"], config["d_global"] = (
-        model_config.d_node,
-        model_config.d_edge,
-        model_config.d_global,
-    )
-    config["graph_head_input"] = model_config.graph_head_input
-    manifest.max_heavy_atoms = config["max_heavy"]
 
-    dataset, tasks, failures, _ = build_pretrain_dataset(manifest, model_config.k_pe, model_config.rw_steps)
+    dataset, tasks, failures, _ = build_pretrain_dataset(manifest, model_config.k_pe, model_config.rw_steps, max_heavy)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run_config = {
+        **dataclasses.asdict(model_config),
+        **dataclasses.asdict(train_config),
+        **dataclasses.asdict(weights),
+        **dict(zip(SPLIT_KEYS, split.fractions)),
+        "max_heavy": max_heavy,
+    }
     with open(out_dir / "run_config.txt", "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))
+        fh.write(format_config(run_config))
     _write_failures(out_dir / "failures.csv", failures)
 
     model = build_model(model_config)
@@ -261,12 +244,6 @@ def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
 
 def cmd_fingerprint(args) -> int:
     model = load_model(args.checkpoint)
-    expected = model.config.node_input_width
-    got = model.params["embed_x/w1"].value.shape[0]
-    if got != expected:
-        raise DimensionMismatch(
-            f"checkpoint embed width {got} conflicts with config width {expected}"
-        )
     molecules = _read_molecule_list(Path(args.molecules), args.smiles_col, args.id_col)
     store, report = extract_fingerprints(model, molecules, method=args.pool, source=args.source)
     out = Path(args.out)
@@ -314,7 +291,7 @@ def cmd_downstream(args) -> int:
     task = load_downstream_manifest(args.task_manifest)
     ids, values, mask = read_downstream_labels(task)
     data = TaskData(ids=ids, labels=LabelSet(values, mask), kind=task.kind)
-    seed = _resolve_seed(args, {})
+    seed = _resolve_seed(args)
 
     row_of = {molecule_id: i for i, molecule_id in enumerate(ids)}
     if "train" in task.splits and "test" in task.splits:
@@ -523,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_downstream)
 
     p = sub.add_parser("correlate", help="signed correlation table between runs")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
-from .trainer import OptimizerState, TrainConfig, _keep_freed_heap, adam_step, backward_and_step, lr_at
+from .trainer import SCHEDULES, OptimizerState, TrainConfig, _keep_freed_heap, adam_step, backward_and_step, lr_at
 
 
 class MissingFingerprint(KeyError):
@@ -70,29 +70,23 @@ class HeadConfig:
     batch_size: int = 128
 
     def validate(self) -> None:
-        if self.hidden_dim < 1 or self.num_layers < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise InvalidHeadConfig("hidden_dim, num_layers, epochs and batch_size must be >= 1")
+        if self.hidden_dim < 1 or self.num_layers < 1:
+            raise InvalidHeadConfig("hidden_dim and num_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidHeadConfig(f"dropout must be in [0, 1), got {self.dropout}")
-        if not self.learning_rate > 0:
-            raise InvalidHeadConfig(f"learning rate must be positive, got {self.learning_rate}")
-        if self.schedule not in ("constant", "linear-decay", "cosine"):
-            raise InvalidHeadConfig(f"unknown schedule {self.schedule!r}")
-        if not 0 <= self.warmup_epochs <= self.epochs:
-            raise InvalidHeadConfig("warmup_epochs must lie in [0, epochs]")
+        try:
+            self.schedule_config().validate()
+        except ValueError as exc:
+            raise InvalidHeadConfig(str(exc)) from exc
 
-    def key(self) -> tuple:
-        """Deterministic tie-break tuple for sweep argmin selection."""
-        return (
-            self.hidden_dim,
-            self.num_layers,
-            self.dropout,
-            self.skip_connection,
-            self.learning_rate,
-            self.epochs,
-            self.warmup_epochs,
-            self.schedule,
-            self.batch_size,
+    def schedule_config(self) -> TrainConfig:
+        """The learning-rate schedule and batch size of this head as a TrainConfig."""
+        return TrainConfig(
+            epochs=self.epochs,
+            peak_lr=self.learning_rate,
+            warmup_epochs=self.warmup_epochs,
+            schedule=self.schedule,
+            batch_size=self.batch_size,
         )
 
 
@@ -132,7 +126,7 @@ def config2_space() -> SweepSpace:
             (3, 4),
             (0.0, 0.1),
             (0, 5),
-            ("constant", "linear-decay", "cosine"),
+            SCHEDULES,
         )
     ]
     return SweepSpace("config2", configs)
@@ -270,14 +264,7 @@ def train_head(
 
     head = TrainedHead(config, features.shape[1], data.out_dim, data.kind, data.num_classes, seed)
     optimizer = OptimizerState(head.params)
-    schedule = TrainConfig(
-        epochs=config.epochs,
-        peak_lr=config.learning_rate,
-        warmup_epochs=config.warmup_epochs,
-        schedule=config.schedule,
-        batch_size=config.batch_size,
-        seed=seed,
-    )
+    schedule = config.schedule_config()
     batches_per_epoch = max(1, math.ceil(len(train_idx) / config.batch_size))
     total_steps = config.epochs * batches_per_epoch
 
@@ -494,7 +481,7 @@ def sweep(
     for config in space.configs:
         head = train_head(store, data, config, seed, train_idx, valid_idx)
         rows.append(SweepRow(config=config, val_loss=min(head.val_curve), best_epoch=head.best_epoch))
-    best = min(rows, key=lambda r: (r.val_loss, r.config.key()))
+    best = min(rows, key=lambda r: (r.val_loss, astuple(r.config)))
     return best.config, rows
 
 

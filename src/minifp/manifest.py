@@ -6,10 +6,10 @@ holds SMILES, optionally which holds molecule ids, the task label columns
 exclusion list.  Empty CSV cells are masked-out labels.  Node-level tasks
 read a companion CSV keyed by (molecule id, atom index).
 
-Run configuration files are flat ``key = value`` text with typed keys; every
-key has a documented default matching the pipeline-wide settings (epochs
-100, peak_lr 3e-4, warmup 5, 16 layers, loss-balance k 5, folds 5, reps 5,
-pool max, max_heavy 100).
+Run configuration files are flat ``key = value`` text with typed keys: the
+fields of ``ModelConfig`` and ``TrainConfig``, the loss balance ``k``, the
+three split fractions and the heavy-atom cap ``max_heavy``.  Each key takes
+its default from the one dataclass or function that reads it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from .backbones import ModelConfig
 from .encodings import assemble
 from .molgraph import (
     MolecularGraph,
@@ -31,8 +33,14 @@ from .molgraph import (
     parse_smiles,
     renumber_ring_closures,
 )
-from .multitask import LOSS_FOR_KIND, LabelSet, TaskSpec
-from .trainer import PretrainDataset
+from .multitask import LOSS_FOR_KIND, LabelSet, LossWeights, TaskSpec
+from .trainer import PretrainDataset, TrainConfig
+
+#: Molecules with more heavy atoms are left out of pre-training (the run config's ``max_heavy``).
+MAX_HEAVY = 100
+
+#: The run config's keys for ``SplitSpec.fractions``, in its order.
+SPLIT_KEYS = ("train_fraction", "valid_fraction", "test_fraction")
 
 
 class ManifestError(ValueError):
@@ -53,7 +61,6 @@ class DatasetManifest:
     smiles_column: str
     id_column: str | None
     tasks: list[TaskColumn]
-    max_heavy_atoms: int = 100
     exclusion_list: Path | None = None
     splits: dict[str, Path] = field(default_factory=dict)
 
@@ -71,6 +78,8 @@ def load_manifest(path) -> DatasetManifest:
     for key in ("molecule_csv", "smiles_column", "tasks"):
         if key not in raw:
             raise ManifestError(f"manifest missing required key {key!r}")
+    if "max_heavy_atoms" in raw:
+        raise ManifestError("the heavy-atom cap is the run config's max_heavy, not the manifest key 'max_heavy_atoms'")
 
     tasks = []
     for entry in raw["tasks"]:
@@ -108,7 +117,6 @@ def load_manifest(path) -> DatasetManifest:
         smiles_column=raw["smiles_column"],
         id_column=raw.get("id_column"),
         tasks=tasks,
-        max_heavy_atoms=int(raw.get("max_heavy_atoms", 100)),
         exclusion_list=(base / exclusion) if exclusion else None,
         splits=splits,
     )
@@ -236,17 +244,19 @@ def build_pretrain_dataset(
     manifest: DatasetManifest,
     k_pe: int,
     rw_steps: int,
+    max_heavy: int = MAX_HEAVY,
 ) -> tuple[PretrainDataset, list[TaskSpec], list[ParseFailure], list[str]]:
     """Manifest -> featurized multi-task dataset.
 
-    Applies the heavy-atom filter and the exclusion list before featurizing.
+    Drops molecules with more than ``max_heavy`` heavy atoms and those on the
+    exclusion list before featurizing.
     Returns the dataset, the task specs, parse failures, and kept molecule ids.
     """
     molecules, failures = read_molecules(manifest)
     exclusion = read_exclusion_set(manifest.exclusion_list)
     kept = []
     for mol in molecules:
-        if heavy_atom_count(mol.graph) > manifest.max_heavy_atoms:
+        if heavy_atom_count(mol.graph) > max_heavy:
             continue
         if exclusion and renumber_ring_closures(mol.smiles) in exclusion:
             continue
@@ -361,35 +371,12 @@ def read_id_list(path: Path) -> list[str]:
 # -- flat key-value run configuration ----------------------------------------------
 
 
-CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    # model
-    "backbone": (str, "gine"),
-    "num_layers": (int, 16),
-    "d_node": (int, None),
-    "d_edge": (int, None),
-    "d_global": (int, None),
-    "dropout": (float, 0.0),
-    "gine_epsilon_mode": (str, "standard"),
-    "graph_head_input": (str, None),
-    "pool": (str, "max"),
-    "dtype": (str, "float32"),
-    # encodings
-    "k_pe": (int, 8),
-    "rw_steps": (int, 16),
-    # training
-    "epochs": (int, 100),
-    "peak_lr": (float, 3e-4),
-    "warmup_epochs": (int, 5),
-    "schedule": (str, "linear-decay"),
-    "batch_size": (int, 32),
-    "k": (float, 5.0),
-    # data
-    "max_heavy": (int, 100),
-    "train_fraction": (float, 0.92),
-    "valid_fraction": (float, 0.04),
-    "test_fraction": (float, 0.04),
-    # orchestration
-    "seed": (int, 0),
+CONFIG_SCHEMA: dict[str, type] = {
+    **get_type_hints(ModelConfig),
+    **get_type_hints(TrainConfig),
+    **get_type_hints(LossWeights),
+    **dict.fromkeys(SPLIT_KEYS, float),
+    "max_heavy": int,
 }
 
 
@@ -407,7 +394,7 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in CONFIG_SCHEMA:
             raise ManifestError(f"config line {line_no}: unknown key {key!r}")
-        typ, _ = CONFIG_SCHEMA[key]
+        typ = CONFIG_SCHEMA[key]
         try:
             out[key] = typ(value)
         except ValueError as exc:
@@ -420,10 +407,6 @@ def load_config_file(path) -> dict:
         return parse_config_text(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ManifestError(f"config file not found: {path}") from exc
-
-
-def config_defaults() -> dict:
-    return {key: default for key, (_, default) in CONFIG_SCHEMA.items() if default is not None}
 
 
 def format_config(values: dict) -> str:

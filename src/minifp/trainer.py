@@ -62,8 +62,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
+        if not self.peak_lr > 0:
+            raise ValueError(f"peak learning rate must be positive, got {self.peak_lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.schedule not in SCHEDULES:

@@ -14,6 +14,7 @@ from minifp.cli import main
 from minifp.downstream import HeadConfig
 from minifp.encodings import assemble
 from minifp.fingerprints import FingerprintStore, store_read, store_write
+from minifp.manifest import build_pretrain_dataset
 from minifp.molgraph import parse_smiles
 from minifp.seeding import rng_stream
 
@@ -166,12 +167,80 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert "seed = 99" in frozen
 
 
+@pytest.mark.parametrize("command", ["pretrain", "downstream"])
+def test_non_integer_env_seed_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("MINIFP_SEED", "abc")
+    if command == "pretrain":
+        argv = ["pretrain", str(write_dataset(tmp_path)), "--backbone", "gcn",
+                "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    else:
+        argv = _downstream_args(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MINIFP_SEED" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_heavy_atom_filter_and_exclusion(tmp_path, monkeypatch):
+    smiles = ["CCO", "C" * 120, "CCN", "C" * 101, "C" * 100, "C1CC1", "C1CCC1"]
+    manifest = write_dataset(tmp_path, smiles=smiles)
+    # Exclusion entries match whatever ring digits they were written with.
+    (tmp_path / "excluded.smi").write_text("CCN\nC2CC2\n")
+    raw = json.loads(manifest.read_text())
+    raw["exclusion_list"] = "excluded.smi"
+    manifest.write_text(json.dumps(raw))
+    kept = []
+
+    def build_and_record(*args):
+        built = build_pretrain_dataset(*args)
+        kept.append(built[3])
+        return built
+
+    def stop(*args, **kwargs):
+        raise _Captured
+
+    monkeypatch.setattr(cli, "build_pretrain_dataset", build_and_record)
+    monkeypatch.setattr(cli, "pretrain", stop)
+    for line in ("", "max_heavy = 101\n"):
+        config = write_config(tmp_path, SMALL_CONFIG + line)
+        with pytest.raises(_Captured):
+            main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(config), "--out", str(tmp_path / "run")])
+    # CCN and C1CC1 are excluded. The default cap of 100 keeps the 100-atom chain and drops the
+    # 101- and 120-atom ones; the run config's cap of 101 keeps the 101-atom chain as well.
+    assert kept == [["mol0", "mol4", "mol6"], ["mol0", "mol3", "mol4", "mol6"]]
+
+
+def test_manifest_heavy_atom_key_exit_2(tmp_path, capsys):
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC"])
+    raw = json.loads(manifest.read_text())
+    raw["max_heavy_atoms"] = 50
+    manifest.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    code = main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'max_heavy_atoms'" in err and "run config's max_heavy" in err
+    assert not out.exists()
+
+
 def _pretrained_run(tmp_path, backbone="gine"):
     manifest = write_dataset(tmp_path)
     config = write_config(tmp_path)
     out = tmp_path / f"run-{backbone}"
     assert main(["pretrain", str(manifest), "--backbone", backbone, "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "mpnnpp"])
+def test_run_config_fed_back_reproduces_the_run(tmp_path, backbone):
+    first = _pretrained_run(tmp_path, backbone)
+    again = tmp_path / "again"
+    code = main(["pretrain", str(tmp_path / "manifest.json"), "--backbone", backbone,
+                 "--config", str(first / "run_config.txt"), "--out", str(again)])
+    assert code == 0
+    for name in ("run_config.txt", "log.jsonl", "best.ckpt", "best.ckpt.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_fingerprint_command(tmp_path):
@@ -507,7 +576,8 @@ def test_correlate_metric_missing_from_one_run_uses_the_others(tmp_path):
 
 @pytest.mark.parametrize(
     "line, word",
-    [("dropout = 1.5", "dropout"), ("peak_lr = 0", "learning rate"), ("batch_size = 0", "batch_size")],
+    [("dropout = 1.5", "dropout"), ("peak_lr = 0", "learning rate"), ("peak_lr = nan", "learning rate"),
+     ("batch_size = 0", "batch_size")],
 )
 def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
     args = _downstream_args(tmp_path)
@@ -532,6 +602,8 @@ def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
         ("batch_size = 0", "batch_size"),
         ("warmup_epochs = 500", "warmup_epochs"),
         ("graph_head_input = global", "graph_head_input"),
+        ("backbone = gine", "--backbone gcn"),
+        ("peak_lr = nan", "learning rate"),
     ],
 )
 def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
@@ -656,6 +728,16 @@ def test_checkpoint_with_a_renamed_record_exit_2(tmp_path, capsys):
     assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'embed_x/u1'" in err and "'embed_x/w1'" in err
+    assert not out.exists()
+
+
+def test_sidecar_with_another_k_pe_exit_2(tmp_path, capsys):
+    path, smi = _saved_model(tmp_path)
+    _edit_sidecar(lambda s: s["config"].update(k_pe=3))(Path(str(path) + ".json"))  # saved with k_pe = 8
+    out = tmp_path / "fp.mfps"
+    assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "('embed_x/w1', (54, 4))" in err and "('embed_x/w1', (44, 4))" in err
     assert not out.exists()
 
 

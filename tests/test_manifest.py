@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from minifp import cli
 from minifp.manifest import (
     ManifestError,
     build_pretrain_dataset,
-    config_defaults,
     format_config,
     load_downstream_manifest,
     load_manifest,
@@ -74,22 +74,6 @@ def test_build_pretrain_dataset_shapes(tmp_path):
     assert [s.name for s in specs] == ["gap", "assay", "charge"]
 
 
-def test_heavy_atom_filter_and_exclusion(tmp_path):
-    smiles = ["CCO", "C" * 120, "CCN", "C" * 101, "C" * 100, "C1CC1", "C1CCC1"]
-    path = write_dataset(tmp_path, smiles=smiles)
-    # Exclusion entries match whatever ring digits they were written with.
-    (tmp_path / "excluded.smi").write_text("CCN\nC2CC2\n")
-    raw = json.loads(path.read_text())
-    raw["exclusion_list"] = "excluded.smi"
-    raw["max_heavy_atoms"] = 100
-    path.write_text(json.dumps(raw))
-    manifest = load_manifest(path)
-    dataset, _, _, ids = build_pretrain_dataset(manifest, 2, 3)
-    # Chains of 120 and 101 atoms are over the cap, 100 atoms is kept; CCN and C1CC1 are excluded.
-    assert ids == ["mol0", "mol4", "mol6"]
-    assert len(dataset) == 3
-
-
 def test_exclusion_set_normalizes(tmp_path):
     path = tmp_path / "x.smi"
     path.write_text(" C1CC1 \n# comment\n\n")
@@ -125,15 +109,45 @@ def test_parse_config_bad_value():
         parse_config_text("epochs = ten\n")
 
 
-def test_config_defaults_match_pipeline_constants():
-    defaults = config_defaults()
-    assert defaults["epochs"] == 100
-    assert defaults["peak_lr"] == 3e-4
-    assert defaults["warmup_epochs"] == 5
-    assert defaults["num_layers"] == 16
-    assert defaults["k"] == 5.0
-    assert defaults["pool"] == "max"
-    assert defaults["max_heavy"] == 100
+class _Stop(Exception):
+    pass
+
+
+#: The run config a pretrain run without --config writes, but for the per-backbone keys.
+PIPELINE_DEFAULTS = {
+    "num_layers": "16", "dropout": "0.0", "gine_epsilon_mode": "standard", "pool": "max", "dtype": "float32",
+    "k_pe": "8", "rw_steps": "16", "epochs": "100", "peak_lr": "0.0003", "warmup_epochs": "5",
+    "schedule": "linear-decay", "batch_size": "32", "k": "5.0", "max_heavy": "100", "seed": "0",
+    "train_fraction": "0.92", "valid_fraction": "0.04", "test_fraction": "0.04",
+}
+
+
+def test_config_defaults_match_pipeline_constants(tmp_path, monkeypatch):
+    # run_config.txt is written before the model is built, so a stopped run still writes it.
+    def stop(config):
+        raise _Stop
+
+    monkeypatch.setattr(cli, "build_model", stop)
+    monkeypatch.delenv("MINIFP_SEED", raising=False)
+    manifest = write_dataset(tmp_path)
+    per_backbone = {
+        "gcn": ("704", "704", "704", "pooled"),
+        "gine": ("528", "528", "528", "pooled"),
+        "mpnnpp": ("256", "96", "256", "global"),
+    }
+    for backbone, (d_node, d_edge, d_global, head_input) in per_backbone.items():
+        out = tmp_path / backbone
+        with pytest.raises(_Stop):
+            cli.main(["pretrain", str(manifest), "--backbone", backbone, "--out", str(out)])
+        frozen = dict(line.split(" = ") for line in (out / "run_config.txt").read_text().splitlines())
+        assert frozen == {
+            **PIPELINE_DEFAULTS,
+            "backbone": backbone,
+            "d_node": d_node,
+            "d_edge": d_edge,
+            "d_global": d_global,
+            "graph_head_input": head_input,
+        }
 
 
 def test_format_config_round_trip():
