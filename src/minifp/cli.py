@@ -65,12 +65,15 @@ from .manifest import (
     ManifestError,
     build_pretrain_dataset,
     format_config,
+    label_cells,
     load_config_file,
     load_downstream_manifest,
     load_manifest,
+    read_csv,
     read_downstream_labels,
     read_id_list,
     read_molecules,
+    read_text,
 )
 from .multitask import LabelSet, LossWeights
 from .seeding import seeded_split
@@ -220,26 +223,12 @@ def cmd_pretrain(args) -> int:
 
 
 def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            if smiles_col not in header:
-                raise ManifestError(f"{path.name}: missing column {smiles_col!r}")
-            if id_col and id_col not in header:
-                raise ManifestError(f"{path.name}: missing column {id_col!r}")
-            out = []
-            for row in reader:
-                smiles = (row.get(smiles_col) or "").strip()
-                if not smiles:
-                    continue
-                if id_col:
-                    out.append((row[id_col].strip(), smiles))
-                else:
-                    out.append(smiles)
-            return out
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip() and not line.startswith("#")]
+    """SMILES, or (id, SMILES) pairs with ``id_col``, from a CSV or a list file."""
+    if path.suffix.lower() != ".csv":
+        return read_id_list(path)
+    rows = read_csv(path, [smiles_col, id_col] if id_col else [smiles_col])
+    rows = [row for row in rows if row[smiles_col].strip()]
+    return [(row[id_col].strip(), row[smiles_col].strip()) if id_col else row[smiles_col].strip() for row in rows]
 
 
 def cmd_fingerprint(args) -> int:
@@ -263,25 +252,25 @@ def cmd_fingerprint(args) -> int:
 # -- downstream ------------------------------------------------------------------
 
 
+#: The run-config keys a head config may set, and the ``HeadConfig`` field each sets.
+HEAD_CONFIG_KEYS = {
+    "epochs": "epochs",
+    "peak_lr": "learning_rate",
+    "warmup_epochs": "warmup_epochs",
+    "schedule": "schedule",
+    "batch_size": "batch_size",
+    "dropout": "dropout",
+    "d_node": "hidden_dim",
+    "num_layers": "num_layers",
+}
+
+
 def _head_config_from_file(path) -> HeadConfig:
     values = load_config_file(path)
-    kwargs = {}
-    mapping = {
-        "epochs": "epochs",
-        "peak_lr": "learning_rate",
-        "warmup_epochs": "warmup_epochs",
-        "schedule": "schedule",
-        "batch_size": "batch_size",
-        "dropout": "dropout",
-    }
-    for config_key, head_key in mapping.items():
-        if config_key in values:
-            kwargs[head_key] = values[config_key]
-    if "d_node" in values:
-        kwargs["hidden_dim"] = values["d_node"]
-    if "num_layers" in values:
-        kwargs["num_layers"] = values["num_layers"]
-    config = HeadConfig(**kwargs)
+    for key in values:
+        if key not in HEAD_CONFIG_KEYS:
+            raise ManifestError(f"{path}: {key!r} is not a head-config key (those are {', '.join(HEAD_CONFIG_KEYS)})")
+    config = HeadConfig(**{HEAD_CONFIG_KEYS[key]: value for key, value in values.items()})
     config.validate()
     return config
 
@@ -294,7 +283,7 @@ def cmd_downstream(args) -> int:
     seed = _resolve_seed(args)
 
     row_of = {molecule_id: i for i, molecule_id in enumerate(ids)}
-    if "train" in task.splits and "test" in task.splits:
+    if task.splits:
         train_ids = read_id_list(task.splits["train"])
         test_ids = read_id_list(task.splits["test"])
         missing = [i for i in train_ids + test_ids if i not in row_of]
@@ -383,22 +372,25 @@ def _pretrain_metrics_from_log(path: Path) -> dict[str, float]:
     """Per-group validation losses at the best epoch and the final epoch."""
     records = []
     best = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    for number, line in enumerate(read_text(path).splitlines(), start=1):
+        try:
             entry = json.loads(line)
-            if "epoch" in entry:
-                records.append(entry)
-            elif "best_epoch" in entry:
-                best = entry["best_epoch"]
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ManifestError(f"{path}: line {number}: not valid JSON: {exc}") from exc
+        entry = entry if type(entry) is dict else {}
+        valid = entry.get("valid")
+        if type(entry.get("best_epoch")) is int:
+            best = entry["best_epoch"]
+        elif type(valid) is dict and all(type(value) in (int, float) for value in valid.values()):
+            records.append(valid)
+        else:
+            raise ManifestError(f"{path}: line {number}: neither a best-epoch record nor a 'valid' object of numbers")
     if not records:
         raise ManifestError(f"{path}: empty training log")
     final = records[-1]
     best_record = records[best - 1] if best and 1 <= best <= len(records) else final
-    out = {}
-    for tag, record in (("best", best_record), ("final", final)):
-        for group, value in record["valid"].items():
-            out[f"valid/{group}/{tag}"] = float(value)
-    return out
+    return {f"valid/{group}/{tag}": float(value) for tag, record in (("best", best_record), ("final", final))
+            for group, value in record.items()}
 
 
 def cmd_correlate(args) -> int:
@@ -411,17 +403,13 @@ def cmd_correlate(args) -> int:
 
     downstream: dict[str, dict[str, float]] = {}
     signs: dict[str, int] = {}
-    with open(args.downstream_results, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for needed in ("run", "metric", "value", "higher_is_better"):
-            if needed not in header:
-                raise ManifestError(f"downstream results missing column {needed!r}")
-        for row in reader:
-            run = row["run"].strip()
-            metric = row["metric"].strip()
-            downstream.setdefault(run, {})[metric] = float(row["value"])
-            signs[metric] = 1 if row["higher_is_better"].strip().lower() in ("true", "1", "yes") else -1
+    rows = read_csv(args.downstream_results, ["run", "metric", "value", "higher_is_better"])
+    values, present = label_cells(args.downstream_results, enumerate(rows), ["value"])
+    for row, value, reported in zip(rows, values[:, 0], present[:, 0]):
+        metric = row["metric"].strip()
+        if reported:  # an empty value leaves the metric missing from this run
+            downstream.setdefault(row["run"].strip(), {})[metric] = float(value)
+        signs[metric] = 1 if row["higher_is_better"].strip().lower() in ("true", "1", "yes") else -1
 
     paired = sorted(set(runs) & set(downstream))
     if len(paired) < 3:
@@ -485,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="extract fingerprints with a trained checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("molecules", help="CSV (with --smiles-col) or one SMILES per line")
-    p.add_argument("--pool", choices=POOL_METHODS, default="max")
-    p.add_argument("--source", choices=("nodes", "global"), default="nodes")
+    p.add_argument("--pool", choices=POOL_METHODS, help="default: the checkpoint's pool")
+    p.add_argument("--source", choices=("nodes", "global"), help="default: the checkpoint's graph_head_input")
     p.add_argument("--out", required=True)
     p.add_argument("--smiles-col", default="smiles")
     p.add_argument("--id-col")

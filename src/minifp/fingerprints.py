@@ -1,12 +1,14 @@
 """Extract fingerprint vectors from a trained model and persist them.
 
-A fingerprint is the final node embeddings of one molecule pooled into a
-vector by :func:`minifp.backbones.pool`: sum, mean, or max over the batch's
-graph-node plan, the same readout the pooled graph task heads train on, so a
+A fingerprint is the readout the model's graph task heads train on: the
+final node embeddings of one molecule pooled into a vector by
+:func:`minifp.backbones.pool` (sum, mean, or max over the batch's graph-node
+plan), or MPNN++'s global vector.  By default the readout is the one the
+model was trained with (``ModelConfig.pool`` and ``graph_head_input``), so a
 fingerprint equals its molecule's head-input row bit for bit.  Max is the
-default throughout the pipeline (it gave the best downstream ranks in the
-pooling comparison; sum and mean remain selectable everywhere).  The plan
-adds each molecule's rows in stable 1-WL colour order, so a relabelled
+default pool throughout the pipeline (it gave the best downstream ranks in
+the pooling comparison; sum and mean remain selectable everywhere).  The
+plan adds each molecule's rows in stable 1-WL colour order, so a relabelled
 molecule produces a bitwise identical vector at a given precision.
 
 Store file layout (little-endian): magic ``MFPS``, version byte, dimension
@@ -103,22 +105,25 @@ def extract_fingerprints(
     model: ModelState,
     molecules,
     method: str | None = None,
-    source: str = "nodes",
+    source: str | None = None,
     batch_size: int = 32,
 ) -> tuple[FingerprintStore, ExtractionReport]:
     """Fingerprint every unique molecule with a single forward pass each.
 
     ``molecules`` holds SMILES strings or (id, SMILES) pairs; without an id
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
-    the first occurrence.  ``source="global"`` reads the per-graph global
-    embedding instead of pooled node embeddings; only mpnnpp updates it, so
-    gcn and gine raise :class:`~minifp.backbones.ConstantGlobalStream`.
+    the first occurrence.  ``method`` and ``source`` default to the model's
+    ``pool`` and ``graph_head_input``.  ``source="global"`` reads the
+    per-graph global embedding instead of pooled node embeddings; only mpnnpp
+    updates it, so gcn and gine raise
+    :class:`~minifp.backbones.ConstantGlobalStream`.
     Molecules that fail to parse are collected in the report instead of
     aborting; a parsed graph always featurizes, so an invalid ``k_pe`` or
     ``rw_steps`` raises.
     """
     cfg = model.config
     method = method or cfg.pool
+    source = source or ("global" if cfg.graph_head_input == "global" else "nodes")
     if method not in POOL_METHODS:
         raise ValueError(f"unknown pooling method {method!r}")
     if source not in ("nodes", "global"):

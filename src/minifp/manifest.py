@@ -1,10 +1,22 @@
-"""Dataset manifest ingestion and flat key-value run configuration.
+"""Dataset manifests, label tables, list files and flat key-value run configs.
+
+Every text input is read here, one function per job, and every failure is a
+:class:`ManifestError` that names the file:
+
+- :func:`read_text`: a file's UTF-8 text (missing or not UTF-8 is an error);
+- :func:`read_json` and :func:`json_fields`: a JSON object with required and
+  optional keys, each of one JSON type, and no other key;
+- :func:`read_csv`: the rows of a CSV whose header holds the required columns;
+- :func:`read_id_list`: a list file, one stripped item per line, blank lines
+  and lines starting with ``#`` skipped (split ids, excluded and fingerprinted
+  SMILES);
+- :func:`label_cells`: label cells to ``(values, mask)``; an empty cell is a
+  masked-out label, any other cell must be a finite number.
 
 A dataset manifest is a JSON file describing one molecule CSV: which column
 holds SMILES, optionally which holds molecule ids, the task label columns
-(with level/kind/group metadata), optional split-id files, and an optional
-exclusion list.  Empty CSV cells are masked-out labels.  Node-level tasks
-read a companion CSV keyed by (molecule id, atom index).
+(with level/kind/group metadata), and an optional exclusion list.
+Node-level tasks read a companion CSV keyed by (molecule id, atom index).
 
 Run configuration files are flat ``key = value`` text with typed keys: the
 fields of ``ModelConfig`` and ``TrainConfig``, the loss balance ``k``, the
@@ -15,15 +27,19 @@ its default from the one dataclass or function that reads it.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
 from .backbones import ModelConfig
+from .downstream import METRICS
 from .encodings import assemble
 from .molgraph import (
     MolecularGraph,
@@ -42,59 +58,144 @@ MAX_HEAVY = 100
 #: The run config's keys for ``SplitSpec.fractions``, in its order.
 SPLIT_KEYS = ("train_fraction", "valid_fraction", "test_fraction")
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
 
 class ManifestError(ValueError):
     """Malformed manifest, missing columns, or inconsistent label data."""
+
+
+# -- readers ---------------------------------------------------------------------
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as written."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError as exc:
+        raise ManifestError(f"{path}: no such file") from exc
+    except UnicodeError as exc:  # bytes that are not UTF-8, or a name holding a lone surrogate
+        raise ManifestError(f"{path}: not UTF-8 ({exc.reason} at {exc.start})") from exc
+
+
+def json_fields(value, where: str, required: dict[str, type], optional: dict[str, type]) -> dict:
+    """``value``, checked to be a JSON object with every ``required`` key, no key
+    outside ``required`` and ``optional``, and each value of its key's type."""
+    if type(value) is not dict:
+        raise ManifestError(f"{where} must be a JSON object")
+    schema = {**required, **optional}
+    for key, item in value.items():
+        if key not in schema:
+            raise ManifestError(f"{where}: unknown key {key!r}")
+        if type(item) is not schema[key]:
+            raise ManifestError(f"{where}: {key!r} must be {_JSON_TYPES[schema[key]]}")
+    for key in required:
+        if key not in value:
+            raise ManifestError(f"{where}: missing required key {key!r}")
+    return value
+
+
+def read_json(path, required: dict[str, type], optional: dict[str, type]) -> dict:
+    """A JSON file holding one object, checked by :func:`json_fields`."""
+    try:
+        raw = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
+    return json_fields(raw, str(path), required, optional)
+
+
+def read_csv(path, required: list[str]) -> list[dict[str, str]]:
+    """The rows of a CSV file whose header names every ``required`` column.
+
+    A row shorter than the header reads its missing cells as empty."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+    try:
+        header = reader.fieldnames or []
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ManifestError(f"{path}: not a valid CSV file: {exc}") from exc
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ManifestError(f"{path}: missing required columns {missing}")
+    return rows
+
+
+def read_id_list(path) -> list[str]:
+    """A list file: one stripped item per line; blank lines and ``#`` lines are skipped."""
+    lines = (line.strip() for line in read_text(path).splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def label_cells(path, rows: Iterable[tuple[int, dict]], columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, mask)`` of ``columns`` over ``rows``, (data row index, row) pairs of the CSV ``path``.
+
+    An empty cell is a masked-out label (mask 0); any other cell must be a
+    finite number (mask 1), or the file, data row and column are named in a
+    :class:`ManifestError`.
+    """
+    rows = list(rows)
+    values = np.zeros((len(rows), len(columns)))
+    mask = np.zeros((len(rows), len(columns)))
+    for i, (index, row) in enumerate(rows):
+        for j, column in enumerate(columns):
+            cell = row[column]
+            if not cell.strip():
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ManifestError(
+                    f"{path}: data row {index + 1}, column {column!r}: {cell!r} is not a finite number"
+                )
+            values[i, j] = value
+            mask[i, j] = 1.0
+    return values, mask
+
+
+# -- dataset manifest --------------------------------------------------------------
 
 
 @dataclass
 class TaskColumn:
     spec: TaskSpec
     columns: list[str]
-    node_csv: str | None = None
+    node_csv: Path | None = None
 
 
 @dataclass
 class DatasetManifest:
-    base_dir: Path
     molecule_csv: Path
     smiles_column: str
     id_column: str | None
     tasks: list[TaskColumn]
     exclusion_list: Path | None = None
-    splits: dict[str, Path] = field(default_factory=dict)
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ManifestError(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-
-    base = path.parent
-    for key in ("molecule_csv", "smiles_column", "tasks"):
-        if key not in raw:
-            raise ManifestError(f"manifest missing required key {key!r}")
+    raw = read_json(
+        path,
+        {"molecule_csv": str, "smiles_column": str, "tasks": list},
+        {"id_column": str, "exclusion_list": str, "max_heavy_atoms": int},
+    )
     if "max_heavy_atoms" in raw:
-        raise ManifestError("the heavy-atom cap is the run config's max_heavy, not the manifest key 'max_heavy_atoms'")
+        raise ManifestError(f"{path}: the heavy-atom cap is the run config's max_heavy, not 'max_heavy_atoms'")
 
     tasks = []
-    for entry in raw["tasks"]:
-        for key in ("name", "level", "kind", "columns"):
-            if key not in entry:
-                raise ManifestError(f"task entry missing key {key!r}: {entry}")
-        kind = entry["kind"]
-        if kind not in LOSS_FOR_KIND:
-            raise ManifestError(f"task {entry['name']}: unknown kind {kind!r}")
-        loss = entry.get("loss", LOSS_FOR_KIND[kind])
+    for index, entry in enumerate(raw["tasks"]):
+        json_fields(
+            entry,
+            f"{path}: tasks[{index}]",
+            {"name": str, "level": str, "kind": str, "columns": list},
+            {"loss": str, "group": str, "num_classes": int, "node_csv": str},
+        )
         spec = TaskSpec(
             name=entry["name"],
             level=entry["level"],
-            kind=kind,
-            loss=loss,
+            kind=entry["kind"],
+            loss=entry.get("loss", LOSS_FOR_KIND.get(entry["kind"], "")),
             label_width=len(entry["columns"]),
             group=entry.get("group", "custom"),
             num_classes=entry.get("num_classes", 2),
@@ -102,23 +203,20 @@ def load_manifest(path) -> DatasetManifest:
         try:
             spec.validate()
         except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
-        if spec.level == "node" and "node_csv" not in entry:
-            raise ManifestError(f"node-level task {spec.name} needs a node_csv")
-        tasks.append(
-            TaskColumn(spec=spec, columns=list(entry["columns"]), node_csv=entry.get("node_csv"))
-        )
+            raise ManifestError(f"{path}: {exc}") from exc
+        if spec.level == "node" and not entry.get("node_csv"):
+            raise ManifestError(f"{path}: node-level task {spec.name} needs a node_csv")
+        node_csv = path.parent / entry["node_csv"] if spec.level == "node" else None
+        tasks.append(TaskColumn(spec, entry["columns"], node_csv))
 
-    splits = {name: base / p for name, p in raw.get("splits", {}).items()}
+    base = path.parent
     exclusion = raw.get("exclusion_list")
     return DatasetManifest(
-        base_dir=base,
         molecule_csv=base / raw["molecule_csv"],
         smiles_column=raw["smiles_column"],
         id_column=raw.get("id_column"),
         tasks=tasks,
         exclusion_list=(base / exclusion) if exclusion else None,
-        splits=splits,
     )
 
 
@@ -128,7 +226,7 @@ class MoleculeRow:
     molecule_id: str
     smiles: str
     graph: MolecularGraph
-    labels: dict[str, float | None] = field(default_factory=dict)
+    row: dict[str, str]
 
 
 @dataclass
@@ -138,70 +236,43 @@ class ParseFailure:
     error: str
 
 
-def _read_csv(path: Path, required: list[str]) -> list[dict]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ManifestError(f"{path.name}: missing required columns {missing}")
-            return list(reader)
-    except FileNotFoundError as exc:
-        raise ManifestError(f"CSV not found: {path}") from exc
-
-
 def read_molecules(manifest: DatasetManifest) -> tuple[list[MoleculeRow], list[ParseFailure]]:
-    """Parse every row of the molecule CSV; failures are reported, not fatal."""
+    """Parse every row of the molecule CSV; failures are reported, not fatal.
+
+    Label cells stay unread in each row until :func:`build_pretrain_dataset`
+    keeps the molecule."""
     label_columns = [c for task in manifest.tasks if task.spec.level == "graph" for c in task.columns]
     required = [manifest.smiles_column] + label_columns
     if manifest.id_column:
         required.append(manifest.id_column)
-    rows = _read_csv(manifest.molecule_csv, required)
+    rows = read_csv(manifest.molecule_csv, required)
 
     molecules: list[MoleculeRow] = []
     failures: list[ParseFailure] = []
     for index, row in enumerate(rows):
-        smiles = (row.get(manifest.smiles_column) or "").strip()
+        smiles = row[manifest.smiles_column].strip()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 graph = parse_smiles(smiles)
-                molecule_id = (
-                    row[manifest.id_column].strip()
-                    if manifest.id_column
-                    else renumber_ring_closures(smiles)
-                )
+                molecule_id = row[manifest.id_column].strip() if manifest.id_column else renumber_ring_closures(smiles)
         except SmilesError as exc:
             failures.append(ParseFailure(row_index=index, smiles=smiles, error=str(exc)))
             continue
-        labels: dict[str, float | None] = {}
-        for column in label_columns:
-            cell = (row.get(column) or "").strip()
-            labels[column] = float(cell) if cell else None
-        molecules.append(
-            MoleculeRow(
-                row_index=index,
-                molecule_id=molecule_id,
-                smiles=smiles,
-                graph=graph,
-                labels=labels,
-            )
-        )
+        molecules.append(MoleculeRow(index, molecule_id, smiles, graph, row))
     return molecules, failures
 
 
 def read_exclusion_set(path: Path | None) -> frozenset[str]:
-    """Exclusion list: one SMILES per line, normalized on read."""
+    """Exclusion list: a list file of SMILES, normalized on read."""
     if path is None:
         return frozenset()
     out = set()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.add(normalize_smiles(line))
+    for smiles in read_id_list(path):
+        try:
+            out.add(normalize_smiles(smiles))
+        except SmilesError as exc:
+            raise ManifestError(f"{path}: excluded SMILES {smiles!r} does not parse: {exc}") from exc
     return frozenset(out)
 
 
@@ -210,33 +281,34 @@ def read_node_labels(
 ) -> LabelSet:
     """Companion CSV keyed by (molecule id, atom index) -> node-level LabelSet."""
     id_col = manifest.id_column or "molecule_id"
-    path = manifest.base_dir / task.node_csv
-    rows = _read_csv(path, [id_col, "atom_index"] + task.columns)
-    offsets = {}
-    total = 0
-    for mol in molecules:
-        offsets[mol.molecule_id] = total
-        total += mol.graph.num_atoms
+    path = task.node_csv
+    rows = read_csv(path, [id_col, "atom_index"] + task.columns)
     sizes = {mol.molecule_id: mol.graph.num_atoms for mol in molecules}
+    offsets = dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
+    total = sum(sizes.values())
 
-    width = len(task.columns)
-    values = np.zeros((total, width))
-    mask = np.zeros((total, width))
-    for row in rows:
+    picked: dict[int, tuple[int, dict]] = {}  # node row -> (data row index, row)
+    for index, row in enumerate(rows):
         mol_id = row[id_col].strip()
         if mol_id not in offsets:
             continue  # label for a filtered-out molecule
-        atom_index = int(row["atom_index"])
-        if not 0 <= atom_index < sizes[mol_id]:
+        try:
+            atom = int(row["atom_index"])
+        except ValueError:
+            atom = -1
+        if not 0 <= atom < sizes[mol_id]:
             raise ManifestError(
-                f"{path.name}: atom_index {atom_index} out of range for molecule {mol_id}"
+                f"{path}: data row {index + 1}: atom_index {row['atom_index']!r} is not an atom of molecule {mol_id}"
             )
-        target = offsets[mol_id] + atom_index
-        for j, column in enumerate(task.columns):
-            cell = (row.get(column) or "").strip()
-            if cell:
-                values[target, j] = float(cell)
-                mask[target, j] = 1.0
+        target = offsets[mol_id] + atom
+        if target in picked:
+            raise ManifestError(f"{path}: data row {index + 1}: atom {atom} of {mol_id} is labelled twice")
+        picked[target] = (index, row)
+    cells, present = label_cells(path, picked.values(), task.columns)
+    values = np.zeros((total, len(task.columns)))
+    mask = np.zeros((total, len(task.columns)))
+    values[list(picked)] = cells
+    mask[list(picked)] = present
     return LabelSet(values, mask)
 
 
@@ -249,7 +321,7 @@ def build_pretrain_dataset(
     """Manifest -> featurized multi-task dataset.
 
     Drops molecules with more than ``max_heavy`` heavy atoms and those on the
-    exclusion list before featurizing.
+    exclusion list before featurizing; only kept molecules' labels are read.
     Returns the dataset, the task specs, parse failures, and kept molecule ids.
     """
     molecules, failures = read_molecules(manifest)
@@ -267,7 +339,7 @@ def build_pretrain_dataset(
     seen: set[str] = set()
     for mol in kept:
         if mol.molecule_id in seen:
-            raise ManifestError(f"duplicate molecule id {mol.molecule_id!r}")
+            raise ManifestError(f"{manifest.molecule_csv}: duplicate molecule id {mol.molecule_id!r}")
         seen.add(mol.molecule_id)
 
     graphs = [mol.graph for mol in kept]
@@ -275,34 +347,26 @@ def build_pretrain_dataset(
 
     graph_labels: dict[str, LabelSet] = {}
     node_labels: dict[str, LabelSet] = {}
-    specs = []
     for task in manifest.tasks:
-        specs.append(task.spec)
         if task.spec.level == "graph":
-            width = len(task.columns)
-            values = np.zeros((len(kept), width))
-            mask = np.zeros((len(kept), width))
-            for i, mol in enumerate(kept):
-                for j, column in enumerate(task.columns):
-                    cell = mol.labels.get(column)
-                    if cell is not None:
-                        values[i, j] = cell
-                        mask[i, j] = 1.0
-            graph_labels[task.spec.name] = LabelSet(values, mask)
+            rows = [(mol.row_index, mol.row) for mol in kept]
+            graph_labels[task.spec.name] = LabelSet(*label_cells(manifest.molecule_csv, rows, task.columns))
         else:
             node_labels[task.spec.name] = read_node_labels(manifest, task, kept)
 
     dataset = PretrainDataset(
         graphs=graphs, features=features, graph_labels=graph_labels, node_labels=node_labels
     )
-    return dataset, specs, failures, [mol.molecule_id for mol in kept]
+    return dataset, [task.spec for task in manifest.tasks], failures, [mol.molecule_id for mol in kept]
+
+
+# -- downstream task manifest ------------------------------------------------------
 
 
 @dataclass
 class DownstreamManifest:
     """Labels for one downstream task trained on stored fingerprints."""
 
-    base_dir: Path
     labels_csv: Path
     id_column: str
     task_name: str
@@ -314,58 +378,32 @@ class DownstreamManifest:
 
 def load_downstream_manifest(path) -> DownstreamManifest:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ManifestError(f"task manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"task manifest is not valid JSON: {exc}") from exc
-    for key in ("labels_csv", "id_column", "task"):
-        if key not in raw:
-            raise ManifestError(f"task manifest missing key {key!r}")
-    task = raw["task"]
-    for key in ("name", "kind", "columns"):
-        if key not in task:
-            raise ManifestError(f"task entry missing key {key!r}")
+    raw = read_json(path, {"labels_csv": str, "id_column": str, "task": dict}, {"splits": dict})
+    task = json_fields(raw["task"], f"{path}: task", {"name": str, "kind": str, "columns": list}, {"metric": str})
+    splits = json_fields(raw["splits"], f"{path}: splits", {"train": str, "test": str}, {}) if "splits" in raw else {}
     kind = task["kind"]
     if kind not in ("binary", "regression"):
-        raise ManifestError(f"downstream tasks must be binary or regression, got {kind!r}")
+        raise ManifestError(f"{path}: downstream tasks must be binary or regression, got {kind!r}")
     metric = task.get("metric", "auroc" if kind == "binary" else "mae")
+    if metric not in METRICS:
+        raise ManifestError(f"{path}: unknown metric {metric!r}")
     base = path.parent
     return DownstreamManifest(
-        base_dir=base,
         labels_csv=base / raw["labels_csv"],
         id_column=raw["id_column"],
         task_name=task["name"],
         kind=kind,
         metric=metric,
-        columns=list(task["columns"]),
-        splits={name: base / p for name, p in raw.get("splits", {}).items()},
+        columns=task["columns"],
+        splits={name: base / p for name, p in splits.items()},
     )
 
 
 def read_downstream_labels(manifest: DownstreamManifest) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Labels CSV -> (ids, values, mask); empty cells are masked out."""
-    rows = _read_csv(manifest.labels_csv, [manifest.id_column] + manifest.columns)
-    ids = []
-    width = len(manifest.columns)
-    values = np.zeros((len(rows), width))
-    mask = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        ids.append(row[manifest.id_column].strip())
-        for j, column in enumerate(manifest.columns):
-            cell = (row.get(column) or "").strip()
-            if cell:
-                values[i, j] = float(cell)
-                mask[i, j] = 1.0
-    return ids, values, mask
-
-
-def read_id_list(path: Path) -> list[str]:
-    try:
-        return [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    except FileNotFoundError as exc:
-        raise ManifestError(f"split file not found: {path}") from exc
+    rows = read_csv(manifest.labels_csv, [manifest.id_column] + manifest.columns)
+    values, mask = label_cells(manifest.labels_csv, enumerate(rows), manifest.columns)
+    return [row[manifest.id_column].strip() for row in rows], values, mask
 
 
 # -- flat key-value run configuration ----------------------------------------------
@@ -380,7 +418,7 @@ CONFIG_SCHEMA: dict[str, type] = {
 }
 
 
-def parse_config_text(text: str) -> dict:
+def parse_config_text(text: str, where: str = "config") -> dict:
     """Parse ``key = value`` lines with ``#`` comments into typed values."""
     out: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -388,25 +426,22 @@ def parse_config_text(text: str) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ManifestError(f"config line {line_no}: expected 'key = value'")
+            raise ManifestError(f"{where} line {line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in CONFIG_SCHEMA:
-            raise ManifestError(f"config line {line_no}: unknown key {key!r}")
+            raise ManifestError(f"{where} line {line_no}: unknown key {key!r}")
         typ = CONFIG_SCHEMA[key]
         try:
             out[key] = typ(value)
         except ValueError as exc:
-            raise ManifestError(f"config line {line_no}: bad {typ.__name__} {value!r}") from exc
+            raise ManifestError(f"{where} line {line_no}: bad {typ.__name__} {value!r}") from exc
     return out
 
 
 def load_config_file(path) -> dict:
-    try:
-        return parse_config_text(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ManifestError(f"config file not found: {path}") from exc
+    return parse_config_text(read_text(path), str(path))
 
 
 def format_config(values: dict) -> str:

@@ -1,19 +1,22 @@
 import json
+import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from minifp import cli
 from minifp.manifest import (
     ManifestError,
     build_pretrain_dataset,
     format_config,
+    label_cells,
     load_downstream_manifest,
     load_manifest,
     parse_config_text,
     read_downstream_labels,
     read_exclusion_set,
-    read_molecules,
 )
 
 from .test_cli import write_dataset
@@ -55,11 +58,50 @@ def test_node_task_requires_node_csv(tmp_path):
 
 def test_read_molecules_masks_empty_cells(tmp_path):
     manifest = load_manifest(write_dataset(tmp_path))
-    molecules, failures = read_molecules(manifest)
+    dataset, _, failures, _ = build_pretrain_dataset(manifest, k_pe=2, rw_steps=3)
     assert not failures
-    has_empty = any(v is None for mol in molecules for v in mol.labels.values())
-    has_value = any(v is not None for mol in molecules for v in mol.labels.values())
-    assert has_empty and has_value
+    mask = np.concatenate([labels.mask.ravel() for labels in dataset.graph_labels.values()])
+    assert set(mask) == {0.0, 1.0}
+    for labels in dataset.graph_labels.values():
+        assert not labels.values[labels.mask == 0].any()
+
+
+#: Number texts float() reads, texts it reads as non-finite, and texts it rejects.
+CELL_TEXTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["", " ", "\t", " 2.5 ", "1_000", "1e400", "-inf", "NaN", "0x10", "1,5", "--1", "+.5", "١٢"]),
+    st.text(max_size=8),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.lists(st.tuples(CELL_TEXTS, CELL_TEXTS), min_size=1, max_size=4))
+def test_a_label_cell_is_a_finite_number_a_blank_or_a_named_error(table):
+    rows = [{"a": a, "b": b} for a, b in table]
+    bad = None  # (data row index, column) of the first cell that is neither blank nor a finite number
+    for index, row in enumerate(rows):
+        for column in ("a", "b"):
+            cell = row[column]
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:
+                finite = False
+            if bad is None and cell.strip() and not finite:
+                bad = (index, column)
+    try:
+        values, mask = label_cells("labels.csv", enumerate(rows), ["a", "b"])
+    except ManifestError as exc:
+        assert bad is not None
+        assert str(exc).startswith(f"labels.csv: data row {bad[0] + 1}, column {bad[1]!r}: {rows[bad[0]][bad[1]]!r}")
+        return
+    assert bad is None
+    for i, row in enumerate(rows):
+        for j, column in enumerate(("a", "b")):
+            blank = not row[column].strip()
+            assert mask[i, j] == (0.0 if blank else 1.0)
+            expected = 0.0 if blank else float(row[column])
+            assert values[i, j].tobytes() == np.float64(expected).tobytes()
 
 
 def test_build_pretrain_dataset_shapes(tmp_path):
