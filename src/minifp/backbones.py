@@ -790,7 +790,7 @@ def load_model(path) -> ModelState:
             config = ModelConfig(**_sidecar_record(ModelConfig, sidecar["config"]))
             config.validate()
             heads = [HeadSpec(**_sidecar_record(HeadSpec, head)) for head in sidecar["heads"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CorruptCheckpoint(f"sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc
     arrays = load_checkpoint(path)
     found = [(name, value.shape) for name, value in arrays.items()]

@@ -54,6 +54,7 @@ from .encodings import assemble, feature_layout
 from .fingerprints import (
     CorruptHeader,
     DimensionMismatch,
+    encode_id,
     extract_fingerprints,
     store_read,
     store_write,
@@ -223,12 +224,30 @@ def cmd_pretrain(args) -> int:
 
 
 def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
-    """SMILES, or (id, SMILES) pairs with ``id_col``, from a CSV or a list file."""
+    """SMILES, or (id, SMILES) pairs with ``id_col``, from a CSV or a list file.
+
+    Each id, or a SMILES that stands as its own id, must fit a store record,
+    and no id may repeat, so the store is known to be writable before any
+    model work."""
     if path.suffix.lower() != ".csv":
-        return read_id_list(path)
-    rows = read_csv(path, [smiles_col, id_col] if id_col else [smiles_col])
-    rows = [row for row in rows if row[smiles_col].strip()]
-    return [(row[id_col].strip(), row[smiles_col].strip()) if id_col else row[smiles_col].strip() for row in rows]
+        molecules = read_id_list(path)
+    else:
+        rows = read_csv(path, [smiles_col, id_col] if id_col else [smiles_col])
+        rows = [row for row in rows if row[smiles_col].strip()]
+        molecules = [(row[id_col].strip(), row[smiles_col].strip()) if id_col else row[smiles_col].strip()
+                     for row in rows]
+    seen: set[str] = set()
+    for item in molecules:
+        molecule_id, smiles = item if isinstance(item, tuple) else ("", item)
+        if molecule_id in seen:
+            raise ManifestError(f"{path}: molecule id {molecule_id!r} repeats")
+        if molecule_id:  # an empty id falls back to the normalized SMILES
+            seen.add(molecule_id)
+        try:
+            encode_id(molecule_id or smiles)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from exc
+    return molecules
 
 
 def cmd_fingerprint(args) -> int:

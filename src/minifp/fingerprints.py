@@ -15,6 +15,7 @@ Store file layout (little-endian): magic ``MFPS``, version byte, dimension
 as uint32, record count as uint32, then per record a uint16 id length, the
 UTF-8 id bytes, and ``dimension`` float32 values.  Round-trips are bit-exact; a
 file that departs from this layout or repeats an id raises ``CorruptHeader``.
+An id longer than ``MAX_ID_BYTES`` cannot be stored.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .molgraph import MolecularGraph, normalize_smiles, parse_smiles, renumber_r
 
 STORE_MAGIC = b"MFPS"
 STORE_VERSION = 1
+MAX_ID_BYTES = 0xFFFF  # a record stores its id's length as a uint16
 
 
 class CorruptHeader(ValueError):
@@ -168,13 +170,25 @@ def extract_fingerprints(
     return store, report
 
 
+def encode_id(molecule_id: str) -> bytes:
+    """The UTF-8 bytes a store record holds for ``molecule_id``; ValueError if
+    it cannot be encoded or is longer than ``MAX_ID_BYTES``."""
+    raw = molecule_id.encode("utf-8")
+    if len(raw) > MAX_ID_BYTES:
+        raise ValueError(f"molecule id {molecule_id[:40]!r}... is {len(raw)} UTF-8 bytes, over {MAX_ID_BYTES}")
+    return raw
+
+
 def store_write(store: FingerprintStore, path) -> None:
+    """Write ``store`` to ``path``.  Every id is encoded before the path is
+    opened, so an id :func:`encode_id` rejects leaves no file."""
+    ids = store.ids()
+    raw_ids = [encode_id(molecule_id) for molecule_id in ids]
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
         fh.write(struct.pack("<B", STORE_VERSION))
         fh.write(struct.pack("<II", store.dimension, len(store)))
-        for molecule_id in store.ids():
-            raw = molecule_id.encode("utf-8")
+        for molecule_id, raw in zip(ids, raw_ids):
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(np.ascontiguousarray(store.get(molecule_id), dtype="<f4").tobytes())
@@ -219,11 +233,23 @@ def store_read(path, expect_dimension: int | None = None) -> FingerprintStore:
     return store
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break, so ``csv.reader`` reads it back whole."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def store_write_csv(store: FingerprintStore, path) -> None:
-    """Interoperability export: one row per molecule, id then v0..v{d-1}."""
+    """Interoperability export: one row per molecule, id then v0..v{d-1}.
+
+    Values are written with 9 significant digits, which read back through
+    ``float`` and ``np.float32`` to the stored bits (C11 ``FLT_DECIMAL_DIG``);
+    a NaN reads back as NaN.  One format string formats each row."""
+    row = "%s," + ",".join(["%.9g"] * store.dimension) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = ",".join(["id"] + [f"v{i}" for i in range(store.dimension)])
         fh.write(header + "\n")
         for molecule_id in store.ids():
-            values = ",".join(map(repr, store.get(molecule_id).tolist()))
-            fh.write(f"{molecule_id},{values}\n")
+            fh.write(row % (_csv_cell(molecule_id), *store.get(molecule_id).tolist()))

@@ -289,10 +289,17 @@ def test_fingerprint_csv_input_with_ids(tmp_path):
         writer.writerow(["name", "smiles"])
         writer.writerow(["ethanol", "CCO"])
         writer.writerow(["benzene", "c1ccccc1"])
+        writer.writerow(['mol,"3"', "CCN"])
     out = tmp_path / "fp.mfps"
     code = main(["fingerprint", str(run / "best.ckpt"), str(mols), "--id-col", "name", "--out", str(out)])
     assert code == 0
-    assert store_read(out).ids() == ["ethanol", "benzene"]
+    store = store_read(out)
+    assert store.ids() == ["ethanol", "benzene", 'mol,"3"']
+    with open(str(out) + ".csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == store.ids()
+    values = np.array([[float(cell) for cell in row[1:]] for row in rows], dtype=np.float32)
+    assert values.tobytes() == store.matrix().tobytes()
 
 
 def write_downstream_task(tmp_path, store_path, n=24, margin=0.0):
@@ -695,9 +702,10 @@ def _edit_sidecar(edit):
         _edit_sidecar(lambda s: s["config"].update(num_layers=0)),
         _edit_sidecar(lambda s: s["config"].update(dtype="float16")),
         _edit_sidecar(lambda s: s.update(heads=[{"name": "h"}])),
+        lambda path: path.write_text("[" * 100_000),
     ],
     ids=["not-json", "not-utf8", "not-an-object", "no-config", "no-heads", "unknown-field", "string-int",
-         "bool-int", "invalid-config", "unknown-dtype", "short-head"],
+         "bool-int", "invalid-config", "unknown-dtype", "short-head", "nested-too-deep"],
 )
 def test_malformed_checkpoint_sidecar_exit_2(tmp_path, capsys, damage):
     path, smi = _saved_model(tmp_path)

@@ -1,12 +1,16 @@
+import csv
 import os
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from minifp.autodiff import Tape
 from minifp.backbones import ConstantGlobalStream, GraphBatch, ModelConfig, batch_graphs, build_model, forward, pool
 from minifp.encodings import assemble
 from minifp.fingerprints import (
+    MAX_ID_BYTES,
     CorruptHeader,
     DimensionMismatch,
     FingerprintStore,
@@ -282,14 +286,20 @@ def test_store_dimension_check_on_read(tmp_path):
         store_read(path, expect_dimension=8)
 
 
+def _read_csv_export(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def test_csv_export(tmp_path):
     store = FingerprintStore(2)
     store.add("CCO", np.array([1.5, -2.25], dtype=np.float32))
+    for molecule_id in ("mol,1", 'say "hi"', "two\r\nlines"):
+        store.add(molecule_id, np.ones(2, dtype=np.float32))
     path = tmp_path / "x.csv"
     store_write_csv(store, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "id,v0,v1"
-    assert lines[1] == "CCO,1.5,-2.25"
+    assert path.read_bytes() == b'id,v0,v1\nCCO,1.5,-2.25\n"mol,1",1,1\n"say ""hi""",1,1\n"two\r\nlines",1,1\n'
+    assert [row[0] for row in _read_csv_export(path)[1:]] == store.ids()
 
 
 def test_csv_export_bytes_equal_the_per_value_formatter(tmp_path):
@@ -301,6 +311,55 @@ def test_csv_export_bytes_equal_the_per_value_formatter(tmp_path):
     path = tmp_path / "x.csv"
     store_write_csv(store, path)
     header = ",".join(["id"] + [f"v{i}" for i in range(row.size)])
-    lines = [header] + [f"{i}," + ",".join(repr(float(v)) for v in store.get(i)) for i in ("m0", "m1")]
+    lines = [header] + [f"{i}," + ",".join(format(float(v), ".9g") for v in store.get(i)) for i in ("m0", "m1")]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-    assert path.read_text().split("\n")[1].startswith("m0,-0.0,1.401298464324817e-45,3.4028234663852886e+38,")
+    assert path.read_text().split("\n")[1] == (
+        "m0,-0,1.40129846e-45,3.40282347e+38,-3.40282347e+38,0.100000001,0.333333343,-7,1e-30"
+    )
+
+
+# Any character a UTF-8 file can hold, with the ones CSV gives meaning to drawn often.
+CSV_IDS = st.text(
+    st.one_of(st.sampled_from(',"\r\n '), st.characters(blacklist_categories=("Cs",))), max_size=12
+)
+
+
+@given(
+    ids=st.lists(CSV_IDS, min_size=1, max_size=4, unique=True),
+    dimension=st.integers(1, 6),
+    bits=st.lists(st.integers(0, 2**32 - 1), min_size=24, max_size=24),
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+def test_csv_export_reads_back_bit_equal(tmp_path_factory, ids, dimension, bits):
+    matrix = np.array(bits[: len(ids) * dimension], dtype=np.uint32).view(np.float32).reshape(len(ids), dimension)
+    store = FingerprintStore(dimension)
+    for molecule_id, row in zip(ids, matrix):
+        store.add(molecule_id, row)
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    store_write_csv(store, path)
+    header, *rows = _read_csv_export(path)
+    assert header == ["id"] + [f"v{i}" for i in range(dimension)]
+    assert [row[0] for row in rows] == ids
+    assert all(len(row) == 1 + dimension for row in rows)
+    back = np.array([[float(cell) for cell in row[1:]] for row in rows], dtype=np.float32)
+    nan = np.isnan(matrix)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.uint32)[~nan], matrix.view(np.uint32)[~nan])
+
+
+def test_store_write_rejects_a_long_id_before_opening_the_path(tmp_path):
+    store = FingerprintStore(1)
+    store.add("m", np.ones(1, dtype=np.float32))
+    store.add("x" * (MAX_ID_BYTES - 1) + "é", np.ones(1, dtype=np.float32))  # one character too many bytes
+    path = tmp_path / "x.mfps"
+    with pytest.raises(ValueError, match=f"{MAX_ID_BYTES + 1} UTF-8 bytes"):
+        store_write(store, path)
+    assert not path.exists()
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError):
+        store_write(store, path)
+    assert path.read_bytes() == b"kept"
+    fits = FingerprintStore(1)
+    fits.add("x" * MAX_ID_BYTES, np.ones(1, dtype=np.float32))
+    store_write(fits, path)
+    assert store_read(path) == fits

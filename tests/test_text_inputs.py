@@ -190,6 +190,22 @@ def test_malformed_molecule_list_exit_2(tmp_path, capsys, molecules, content, na
     assert not (tmp_path / "fp.mfps").exists()
 
 
+@pytest.mark.parametrize(
+    "molecules, content, id_col, names",
+    [
+        ("mols.csv", "id,smiles\nm1,CCO\nm2,CCC\nm1,CCN\n", "id", ["mols.csv", "'m1' repeats"]),
+        ("mols.csv", f"id,smiles\n{'m' * 65_536},CCO\n", "id", ["mols.csv", "65536 UTF-8 bytes"]),
+        ("mols.smi", f"CCO\n{'Q' * 65_536}\n", None, ["mols.smi", "65536 UTF-8 bytes"]),
+    ],
+    ids=["repeated-id", "long-id", "long-smiles-as-id"],
+)
+def test_molecule_id_the_store_cannot_hold_exit_2(tmp_path, capsys, molecules, content, id_col, names):
+    argv = _fingerprint_argv(tmp_path, molecules) + (["--id-col", id_col] if id_col else [])
+    (tmp_path / molecules).write_text(content, encoding="utf-8")
+    _expect_exit_2(capsys, argv, *names)
+    assert not (tmp_path / "fp.mfps").exists()
+
+
 # -- correlate: the training logs and the results CSV ---------------------------------
 
 
