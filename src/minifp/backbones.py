@@ -14,28 +14,35 @@ Layer semantics:
 
 Graphs are batched as disjoint unions: node/edge rows concatenated, edge
 indices offset, explicit per-node and per-edge graph ids.  Every undirected
-bond contributes two directed edges.
+bond contributes two directed edges.  Bond features are categorical, so a
+batch has few bond classes (at most 16 rows: four orders × conjugated ×
+in-ring): the edge MLP ``embed_e`` runs once per class
+(:attr:`GraphBatch.bond_rows`), gine reads those class rows, and mpnnpp
+gathers them to its edge stream over the bond plan.
 
-Every sum over neighbours or over a graph runs over one of the batch's four
-:class:`~minifp.autodiff.Segments` plans, which order each segment's rows by
-stable 1-WL colours (Xu et al., arXiv 1810.00826; Morris et al., arXiv
-1810.02244).  Nodes of one graph with equal stable colour carry bitwise-equal
-embeddings at every layer, and so do edges with equal (sender colour,
-receiver colour, bond class); rows that tie on a plan's key are therefore
-equal, and a relabelled graph sums the same values in the same order.
-Gathers run over the same plans, so each one's backward is that plan's sum.
-GCN aggregation and MPNN++'s incoming node sum are one sparse product each,
-with a matrix the batch caches per dtype; its rows follow the receiver plan
-and its transpose's rows the sender plan (:meth:`GraphBatch.propagation`,
-:meth:`GraphBatch.adjacency`).
+Every sum over neighbours, over a graph or over a bond class runs over one
+of the batch's five :class:`~minifp.autodiff.Segments` plans, which order
+each segment's rows by stable 1-WL colours (Xu et al., arXiv 1810.00826;
+Morris et al., arXiv 1810.02244).  Nodes of one graph with equal stable
+colour carry bitwise-equal embeddings at every layer, and so do edges with
+equal (sender colour, receiver colour, bond class); rows that tie on a
+plan's key are therefore equal, and a relabelled graph sums the same values
+in the same order.  Gathers run over the same plans, so each one's backward
+is that plan's sum.  GCN aggregation and MPNN++'s incoming node sum are one
+sparse product each, with a matrix the batch caches per dtype; its rows
+follow the receiver plan and its transpose's rows the sender plan
+(:meth:`GraphBatch.propagation`, :meth:`GraphBatch.adjacency`).
 
 Message passing runs through composite tape ops, each of which keeps for
 backward only what its backward reads:
 
 * :func:`gine_inputs`: GINE's (1 + eps) · x + Σ_j relu(x_j + e_ij) (or the
-  printed (1 - eps) · x ⊙ Σ_j relu(x_j + e_ij)), the messages built in place
-  in one (edges, d) buffer and summed over the receiver plan; backward keeps
-  the boolean relu mask, and the summed messages only in the printed mode.
+  printed (1 - eps) · x ⊙ Σ_j relu(x_j + e_ij)).  A message depends only on
+  its (sender, bond class) pair, so it is built once per distinct pair, in
+  place in one (pairs, d) buffer, and each receiver adds its edges' pairs in
+  receiver-plan order (:meth:`GraphBatch.message_sum`), the sums of one
+  message per edge; backward keeps the boolean relu mask per pair, and the
+  summed messages only in the printed mode.
 * :func:`edge_hidden` and :func:`node_hidden`: the first layers of MPNN++'s
   edge MLP over [x_s | x_r | e | g_e] and node MLP over
   [x | in_e | out_e | A·x | g_n], each one ``Tape.linear_relu_sum`` that
@@ -50,13 +57,13 @@ backward only what its backward reads:
   identity).
 
 :func:`gine_inputs` repeats the arithmetic of the gather, add, sub, mul,
-relu and segment-sum ops it replaces, and adds an input's parts in the order
-their closures would, one ``Tape.custom`` input per contribution, so loss
-and gradients keep the same bits.  The MPNN++ first layers add the same
-terms in another order than the concatenation's product, so their bits
-match the block-order primitive chain, not the concatenated one.  Every
-other hidden layer, in the MLPs and in GCN, is one ``Tape.linear_relu`` op,
-which keeps no pre-activation.
+relu and segment-sum ops it replaces, fed the per-edge rows gathered from
+the class rows, and adds an input's parts in the order their closures would,
+one ``Tape.custom`` input per contribution, so loss and gradients keep the
+same bits.  The MPNN++ first layers add the same terms in another order than
+the concatenation's product, so their bits match the block-order primitive
+chain, not the concatenated one.  Every other hidden layer, in the MLPs and
+in GCN, is one ``Tape.linear_relu`` op, which keeps no pre-activation.
 """
 
 from __future__ import annotations
@@ -330,9 +337,9 @@ def _content_rank(rows: np.ndarray) -> np.ndarray:
 class GraphBatch:
     """Disjoint union of graphs; every bond appears as two directed edges.
 
-    The colours, segment plans and sparse neighbour matrices are computed
-    from the fields on first use and kept, so change no field after a
-    forward pass has read them.
+    The colours, segment plans, bond-class rows, message pairs and sparse
+    matrices are computed from the fields on first use and kept, so change
+    no field after a forward pass has read them.
     """
 
     node_features: np.ndarray
@@ -413,6 +420,31 @@ class GraphBatch:
         return Segments(self.edge_graph_ids, self.num_graphs, key=(node[self.senders], node[self.receivers], bond))
 
     @cached_property
+    def bond_rows(self) -> np.ndarray:
+        """One edge-feature row per bond class, in class order: the rows
+        ``embed_e`` runs on.  Edges of one class hold equal bytes."""
+        _, bond = self.colours
+        rows = np.empty((int(bond.max()) + 1 if bond.size else 0, self.edge_features.shape[1]),
+                        dtype=self.edge_features.dtype)
+        rows[bond] = self.edge_features
+        return rows
+
+    @cached_property
+    def bond_plan(self) -> Segments:
+        """Edges by bond class, ordered by (sender colour, receiver colour)."""
+        node, bond = self.colours
+        return Segments(bond, self.bond_rows.shape[0], key=(node[self.senders], node[self.receivers]))
+
+    @cached_property
+    def message_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sender, bond class) of each distinct pair among the directed
+        edges, ordered by sender then class, and the pair of each edge."""
+        _, bond = self.colours
+        classes = max(self.bond_rows.shape[0], 1)
+        pairs, pair_of_edge = np.unique(self.senders * classes + bond, return_inverse=True)
+        return pairs // classes, pairs % classes, pair_of_edge.reshape(-1)
+
+    @cached_property
     def _operators(self) -> dict:
         return {}
 
@@ -440,6 +472,16 @@ class GraphBatch:
             self._operators[key] = self._plan_matrices(np.ones(self.num_edges, dtype=dtype), None)
         return self._operators[key]
 
+    def message_sum(self, dtype) -> scipy.sparse.csr_matrix:
+        """The (nodes × message pairs) CSR matrix whose row i adds node i's
+        incoming edges' pairs (:attr:`message_pairs`) in ``receiver_plan`` order."""
+        key = ("messages", np.dtype(dtype))
+        if key not in self._operators:
+            senders, _, pair_of_edge = self.message_pairs
+            ones = np.ones(self.num_edges, dtype=dtype)
+            self._operators[key] = _plan_matrix(self.receiver_plan, pair_of_edge, ones, None, senders.shape[0])
+        return self._operators[key]
+
     def _plan_matrices(self, coeff: np.ndarray, loop: np.ndarray | None):
         return (
             _plan_matrix(self.receiver_plan, self.senders, coeff, loop),
@@ -447,9 +489,11 @@ class GraphBatch:
         )
 
 
-def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None):
+def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None,
+                 width: int | None = None):
     """CSR matrix with one row per segment: row s holds (columns[k], coeff[k])
-    for the plan's rows k of segment s in plan order, then (s, loop[s]) last."""
+    for the plan's rows k of segment s in plan order, then (s, loop[s]) last.
+    It is square unless ``width`` gives its column count."""
     import scipy.sparse  # here, not at module level: a command that builds no batch never loads it
 
     n = plan.num_segments
@@ -461,7 +505,7 @@ def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: n
         indices = np.insert(indices, ends, np.arange(n))
         data = np.insert(data, ends, loop)
         indptr = plan.indptr + np.arange(n + 1)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n if width is None else width))
 
 
 def batch_graphs(
@@ -469,30 +513,29 @@ def batch_graphs(
     features: list[AssembledFeatures],
     dtype=np.float32,
 ) -> GraphBatch:
-    node_rows, edge_rows = [], []
-    senders, receivers = [], []
-    node_ids, edge_ids = [], []
-    offset = 0
-    for gid, (graph, feats) in enumerate(zip(graphs, features)):
-        n = graph.num_atoms
-        node_rows.append(np.asarray(feats.node_features, dtype=dtype))
-        node_ids.append(np.full(n, gid, dtype=np.int64))
-        e = np.asarray(feats.edge_features, dtype=dtype)
-        for k, bond in enumerate(graph.bonds):
-            senders.extend((bond.u + offset, bond.v + offset))
-            receivers.extend((bond.v + offset, bond.u + offset))
-            edge_rows.append(e[k])
-            edge_rows.append(e[k])
-            edge_ids.extend((gid, gid))
-        offset += n
-    edge_width = features[0].edge_features.shape[1] if features else 0
+    """The disjoint union of ``graphs``: bond k of a molecule is the directed
+    edges u → v and v → u, in that order, each with the bond's feature row."""
+    atoms = np.array([graph.num_atoms for graph in graphs], dtype=np.int64)
+    bonds = np.array([graph.num_bonds for graph in graphs], dtype=np.int64)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(bond.endpoints for graph in graphs for bond in graph.bonds),
+        dtype=np.int64,
+        count=2 * int(bonds.sum()),
+    ).reshape(-1, 2)
+    ends += np.repeat(np.cumsum(atoms) - atoms, bonds)[:, None]
+    if features:
+        nodes = np.concatenate([np.asarray(f.node_features, dtype=dtype) for f in features], axis=0)
+        edges = np.concatenate([np.asarray(f.edge_features, dtype=dtype) for f in features], axis=0)
+    else:
+        nodes, edges = np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype)
+    ids = np.arange(len(graphs), dtype=np.int64)
     batch = GraphBatch(
-        node_features=np.concatenate(node_rows, axis=0) if node_rows else np.zeros((0, 0), dtype=dtype),
-        edge_features=np.asarray(edge_rows, dtype=dtype).reshape(len(edge_rows), edge_width),
-        senders=np.asarray(senders, dtype=np.int64),
-        receivers=np.asarray(receivers, dtype=np.int64),
-        node_graph_ids=np.concatenate(node_ids) if node_ids else np.zeros(0, dtype=np.int64),
-        edge_graph_ids=np.asarray(edge_ids, dtype=np.int64),
+        node_features=nodes,
+        edge_features=np.repeat(edges, 2, axis=0),
+        senders=ends.reshape(-1),
+        receivers=ends[:, ::-1].reshape(-1),
+        node_graph_ids=np.repeat(ids, atoms),
+        edge_graph_ids=np.repeat(ids, 2 * bonds),
         num_graphs=len(graphs),
     )
     batch.validate()
@@ -532,8 +575,11 @@ def mlp_forward(tape: Tape, state: ModelState, prefix: str, x):
 def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
     """(x0, e0, g0): two-layer MLPs over X0, E0, and the per-model seed vector.
 
-    gcn reads no edge embedding, so for gcn e0 is None; its ``embed_e``
-    parameters stay in the model and never get a gradient.
+    ``embed_e`` runs once per bond class, on :attr:`GraphBatch.bond_rows`.
+    gine reads those class rows as e0; mpnnpp gathers them to its edge
+    stream over the bond plan, whose backward is that plan's sum.  gcn reads
+    no edge embedding, so for gcn e0 is None; its ``embed_e`` parameters stay
+    in the model and never get a gradient.
     """
     cfg = state.config
     if batch.node_features.shape[1] != cfg.node_input_width:
@@ -543,7 +589,9 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
     x0 = mlp_forward(tape, state, "embed_x", tape.constant(batch.node_features))
     e0 = None
     if cfg.backbone != "gcn":
-        e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
+        e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.bond_rows))
+    if cfg.backbone == "mpnnpp":
+        e0 = tape.gather(e0, batch.bond_plan)
     seed_row = tape.constant(state.global_seed.reshape(1, -1))
     g_row = mlp_forward(tape, state, "embed_g", seed_row)
     g0 = tape.gather(g_row, Segments(np.zeros(batch.num_graphs, dtype=np.int64), 1))
@@ -617,31 +665,40 @@ def node_hidden(tape: Tape, x, e_bar, g, w1, b1, batch: GraphBatch):
 def gine_inputs(tape: Tape, x, e, eps, batch: GraphBatch, mode: str):
     """GINE's MLP input as one op: ``(1 + eps) x + agg`` ("standard") or, as
     printed, ``(1 - eps) x ⊙ agg`` ("paper-printed"), with agg = Σ_j relu(x_j + e_ij)
-    per receiver i.
+    per receiver i and ``e`` one row per bond class (:attr:`GraphBatch.bond_rows`).
 
-    The messages are built in place in one (edges, d) buffer and summed over
-    the receiver plan.  Backward keeps the boolean relu mask (none on a
-    non-recording tape), and agg only in "paper-printed" mode, whose backward
-    reads it.  It repeats the arithmetic of the gather, add, relu,
+    An edge's message depends only on its (sender, bond class) pair, so
+    relu(x_s + e_c) is built once per distinct pair (:attr:`GraphBatch.message_pairs`)
+    in one (pairs, d) buffer, and each receiver adds its incoming edges' pairs
+    in receiver-plan order (:meth:`GraphBatch.message_sum`): the same
+    additions, in the same order, as over one message per edge.  Backward
+    keeps the boolean relu mask per pair (none on a non-recording tape), and
+    agg only in "paper-printed" mode, whose backward reads it; it gathers the
+    mask to each edge.  It repeats the arithmetic of the gather, add, relu,
     segment-sum, add, mul and sub ops it replaces, and hands x its parts in
     their closures' order: in "standard" mode g, then g·eps, then the
-    sender-plan sum of the masked message gradient.
+    sender-plan sum of the masked message gradient.  e's part is the
+    bond-plan sum of that gradient.
     """
-    if x.data.shape[1] != e.data.shape[1]:
-        raise ShapeMismatch(f"gine needs d_node == d_edge, got {x.data.shape} vs {e.data.shape}")
+    if x.data.shape[1] != e.data.shape[1] or e.data.shape[0] != batch.bond_rows.shape[0]:
+        raise ShapeMismatch(
+            f"gine needs d_node == d_edge and one e row per bond class ({batch.bond_rows.shape[0]}),"
+            f" got {x.data.shape} vs {e.data.shape}"
+        )
     senders, receivers = batch.sender_plan, batch.receiver_plan
-    messages = x.data[senders.segment_ids]
-    messages += e.data
+    pair_senders, pair_classes, pair_of_edge = batch.message_pairs
+    messages = x.data[pair_senders]
+    messages += e.data[pair_classes]
     np.maximum(messages, 0, out=messages)
     mask = messages > 0 if tape.recording else None
-    agg = receivers.sum(messages)
+    agg = batch.message_sum(messages.dtype) @ messages
     del messages  # before the combine allocates its output
 
     def message_grads(g_agg):
-        """(x's sender-plan part, e's part) from agg's gradient."""
+        """(x's sender-plan part, e's bond-plan part) from agg's gradient."""
         g_msg = g_agg[receivers.segment_ids]
-        g_msg *= mask
-        return senders.sum(g_msg), g_msg
+        g_msg *= mask[pair_of_edge]
+        return senders.sum(g_msg), batch.bond_plan.sum(g_msg)
 
     if mode == "standard":
         out = x.data * eps.data
@@ -697,15 +754,15 @@ def mpnnpp_layer(tape: Tape, state: ModelState, layer: int, x, e, g, batch: Grap
 @dataclass
 class ForwardResult:
     x: object  # Tensor: final node embeddings
-    e: object  # Tensor: final edge embeddings (the input embeddings for gine, None for gcn)
+    e: object  # Tensor: final edge embeddings; for gine the input embedding per bond class; None for gcn
     g: object  # Tensor: final per-graph global embeddings
 
 
 def forward(tape: Tape, batch: GraphBatch, state: ModelState, training: bool = False, step: int = 0) -> ForwardResult:
     """Embed then apply num_layers layer updates.
 
-    gcn threads only x; gine threads x with read-only edge embeddings;
-    mpnnpp threads node, edge, and global streams.
+    gcn threads only x; gine threads x with read-only edge embeddings, one
+    row per bond class; mpnnpp threads node, edge, and global streams.
     """
     x, e, g = embed_inputs(tape, batch, state)
     cfg = state.config

@@ -54,6 +54,7 @@ from .encodings import assemble, feature_layout
 from .fingerprints import (
     CorruptHeader,
     DimensionMismatch,
+    DuplicateId,
     encode_id,
     extract_fingerprints,
     store_read,
@@ -524,7 +525,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, MissingFingerprint,
+    except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, DuplicateId, MissingFingerprint,
             FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance, InvalidHeadConfig,
             TooFewRuns, ConstantGlobalStream) as exc:
         print(f"error: {exc}", file=sys.stderr)

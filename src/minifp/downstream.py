@@ -186,6 +186,8 @@ class TrainedHead:
         self.seed = seed
         self.val_curve: list[float] = []
         self.best_epoch = -1
+        # The logits of the validation pass at best_epoch, when train_head ran one on these weights.
+        self.valid_logits: np.ndarray | None = None
         self.params = [Parameter(name, value) for name, value in self.initial_weights()]
         self._by_name = {p.name: p for p in self.params}
 
@@ -211,7 +213,10 @@ class TrainedHead:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Probabilities for classification, raw values for regression."""
-        logits = self.forward(Tape(recording=False), x, training=False).data
+        return self.activate(self.forward(Tape(recording=False), x, training=False).data)
+
+    def activate(self, logits: np.ndarray) -> np.ndarray:
+        """:meth:`predict`'s output from the head's logits."""
         if self.kind == "binary":
             return 1.0 / (1.0 + np.exp(-logits))
         if self.kind == "multiclass":
@@ -249,7 +254,8 @@ def train_head(
     """Train one MLP head with Adam under the config schedule.
 
     The returned head carries its per-epoch validation losses and holds the
-    weights of its best-validation epoch; if no epoch's loss is below
+    weights of its best-validation epoch, and the logits that epoch's
+    validation pass gave (``valid_logits``); if no epoch's loss is below
     infinity (every one NaN, say), ``best_epoch`` stays -1 and the head holds
     its initial weights.  Provide explicit train/valid row indices (e.g. from
     scaffold-split files); otherwise a seeded 10% split is used.
@@ -285,16 +291,19 @@ def train_head(
                 backward_and_step(tape, loss, head.params, lambda ps: adam_step(ps, optimizer, lr))
             epoch_losses.append(float(loss.data))
             step += 1
+        valid_logits = None
         if len(valid_idx):
             tape = Tape(recording=False)
             pred = head.forward(tape, features[valid_idx], training=False)
             val = float(_head_loss(tape, head, pred, data.labels.rows(valid_idx)).data)
+            valid_logits = pred.data
         else:
             val = float(np.mean(epoch_losses)) if epoch_losses else 0.0
         head.val_curve.append(val)
         if val < best:
             best = val
             head.best_epoch = epoch
+            head.valid_logits = valid_logits
             best_snapshot = None  # before the next copy is made
             if epoch < config.epochs:
                 best_snapshot = head.snapshot()
@@ -594,7 +603,9 @@ def kfold_ensemble(
             held_out = train_rows[fold]
             train_part = train_rows[np.concatenate([f for j, f in enumerate(folds) if j != fold_id])]
             head = train_head(store, data, config, rep_seed + fold_id, train_part, held_out)
-            pred = head.predict(features[held_out])
+            # The best epoch's validation pass ran these weights on these rows already.
+            logits = head.valid_logits
+            pred = head.predict(features[held_out]) if logits is None else head.activate(logits)
             fold_scores.append(compute_metric(metric, pred, data.labels.values[held_out]))
             test_preds.append(head.predict(features[test_rows]))
             del head  # the next fold trains without this one alive

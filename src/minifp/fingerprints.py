@@ -48,6 +48,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class DuplicateId(ValueError):
+    """Two molecules would be stored under one id."""
+
+
 class FingerprintStore:
     """Ordered (molecule id -> vector) map with a fixed dimension."""
 
@@ -121,7 +125,9 @@ def extract_fingerprints(
     :class:`~minifp.backbones.ConstantGlobalStream`.
     Molecules that fail to parse are collected in the report instead of
     aborting; a parsed graph always featurizes, so an invalid ``k_pe`` or
-    ``rw_steps`` raises.
+    ``rw_steps`` raises.  Two molecules whose ids are equal, an id standing
+    in for a missing one included, raise :class:`DuplicateId` before any
+    forward pass.
     """
     cfg = model.config
     method = method or cfg.pool
@@ -138,6 +144,7 @@ def extract_fingerprints(
 
     pending: list[tuple[str, MolecularGraph]] = []
     seen: set[str] = set()
+    taken: set[str] = set()
     for item in molecules:
         molecule_id, smiles = item if isinstance(item, tuple) else (None, item)
         try:
@@ -151,7 +158,11 @@ def extract_fingerprints(
         if key in seen:
             continue
         seen.add(key)
-        pending.append((molecule_id or key, graph))
+        molecule_id = molecule_id or key
+        if molecule_id in taken:
+            raise DuplicateId(f"molecule id {molecule_id!r} is taken by an earlier molecule")
+        taken.add(molecule_id)
+        pending.append((molecule_id, graph))
 
     for start in range(0, len(pending), batch_size):
         chunk = pending[start : start + batch_size]

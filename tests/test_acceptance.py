@@ -153,7 +153,8 @@ def test_gradient_correctness_criterion():
         checks.append((gcn_fn, [p for n, p in gcn_state.params.items() if n.startswith("layer0/")]))
 
         def gine_fn(tape):
-            return sq(tape, gine_layer(tape, gine_state, 0, tape.constant(x_in), tape.constant(e_in), batch, False, 0))
+            e_classes = tape.constant(batch.bond_rows)
+            return sq(tape, gine_layer(tape, gine_state, 0, tape.constant(x_in), e_classes, batch, False, 0))
 
         checks.append((gine_fn, [p for n, p in gine_state.params.items() if n.startswith("layer0/")]))
 

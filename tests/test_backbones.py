@@ -28,7 +28,7 @@ from minifp.molgraph import parse_smiles
 from minifp.multitask import TaskSpec, head_input
 from minifp.seeding import rng_stream
 
-from .util import finite_difference_check, random_molecule, traced_memory
+from .util import TOY_SMILES, finite_difference_check, loop_batch_graphs, random_molecule, traced_memory
 
 
 def tiny_config(backbone, **overrides):
@@ -66,6 +66,22 @@ def single_graph_batch(x, e, senders, receivers, dtype=np.float64):
         edge_graph_ids=np.zeros(len(senders), dtype=np.int64),
         num_graphs=1,
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_graphs_equals_the_loop_over_bonds_bitwise(dtype):
+    rng = np.random.default_rng(4)
+    graphs = [parse_smiles(s) for s in [*TOY_SMILES, "N", "C"]] + [random_molecule(rng) for _ in range(20)]
+    feats = [assemble(g, 2, 3) for g in graphs]
+    no_bonds = slice(len(TOY_SMILES), len(TOY_SMILES) + 2)
+    for chosen in (slice(None), slice(0, 1), no_bonds, slice(0, 0)):
+        args = graphs[chosen], feats[chosen]
+        batch, oracle = batch_graphs(*args, dtype=dtype), loop_batch_graphs(*args, dtype=dtype)
+        for field in ("node_features", "edge_features", "senders", "receivers", "node_graph_ids", "edge_graph_ids"):
+            got, want = getattr(batch, field), getattr(oracle, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        assert batch.num_graphs == oracle.num_graphs
 
 
 def test_config_rejects_zero_layers():
@@ -245,7 +261,7 @@ def test_gine_layer_k2_hand_computed():
     state.params["layer0/mlp/w2"].value[...] = 1.0
     batch = single_graph_batch([[1.0], [1.0]], [[0.0], [0.0]], [0, 1], [1, 0])
     tape = Tape(recording=False)
-    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.edge_features), batch, False, 0)
+    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.bond_rows), batch, False, 0)
     # eps = 0, identity MLP: each node gets 1 + relu(1 + 0) = 2.
     np.testing.assert_allclose(out.data, [[2.0], [2.0]], atol=1e-15)
 
@@ -257,7 +273,7 @@ def test_gine_isolated_node_identity():
     state.params["layer0/mlp/w2"].value[...] = 1.0
     batch = single_graph_batch([[0.7]], [], [], [])
     tape = Tape(recording=False)
-    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.edge_features), batch, False, 0)
+    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.bond_rows), batch, False, 0)
     np.testing.assert_allclose(out.data, [[0.7]], atol=1e-15)
 
 
@@ -269,7 +285,7 @@ def test_gine_paper_printed_mode():
     state.params["layer0/epsilon"].value[...] = 0.25
     batch = single_graph_batch([[2.0], [3.0]], [[0.5], [0.5]], [0, 1], [1, 0])
     tape = Tape(recording=False)
-    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.edge_features), batch, False, 0)
+    out = gine_layer(tape, state, 0, tape.constant(batch.node_features), tape.constant(batch.bond_rows), batch, False, 0)
     # (1 - 0.25) * x ⊙ relu(x_j + e): node0: 0.75*2*relu(3.5)=5.25; node1: 0.75*3*relu(2.5)=5.625
     np.testing.assert_allclose(out.data, [[5.25], [5.625]], atol=1e-12)
 
@@ -395,7 +411,7 @@ def test_edge_feature_sensitivity_separation():
                 if backbone == "gcn":
                     out = gcn_layer(tape, state, 0, xt, batch, False, 0)
                 elif backbone == "gine":
-                    out = gine_layer(tape, state, 0, xt, et, batch, False, 0)
+                    out = gine_layer(tape, state, 0, xt, tape.constant(batch.bond_rows), batch, False, 0)
                 else:
                     gt = tape.constant(rng.standard_normal((1, 4)) * 0 + 0.5)
                     out, _, _ = mpnnpp_layer(tape, state, 0, xt, et, gt, batch, False, 0)
@@ -423,7 +439,7 @@ def test_layer_gradients_match_finite_differences(backbone):
         if backbone == "gcn":
             out = gcn_layer(tape, state, 0, xt, batch, False, 0)
         elif backbone == "gine":
-            out = gine_layer(tape, state, 0, xt, et, batch, False, 0)
+            out = gine_layer(tape, state, 0, xt, tape.constant(batch.bond_rows), batch, False, 0)
         else:
             gt = tape.constant(g_in)
             out, e_out, g_out = mpnnpp_layer(tape, state, 0, xt, et, gt, batch, False, 0)

@@ -322,6 +322,25 @@ def test_train_head_returns_the_best_epochs_weights():
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in shorter.params]
 
 
+@pytest.mark.parametrize("kind", ["binary", "regression", "multiclass"])
+@pytest.mark.parametrize("epochs, learning_rate", [(12, 0.2), (3, 1e-3)], ids=["best-before-last", "best-last"])
+def test_best_epoch_validation_logits_give_the_bits_of_predict(kind, epochs, learning_rate):
+    """``kfold_ensemble`` scores a fold from the logits of the best epoch's
+    validation pass: the same forward, rows and weights as ``predict``."""
+    store, ids, vectors = make_store(60, 6, seed=3)
+    labels = {
+        "binary": (vectors[:, :1] > 0).astype(float),
+        "regression": vectors[:, :2].astype(float),
+        "multiclass": np.digitize(vectors[:, :1], [-0.5, 0.5]).astype(float),
+    }[kind]
+    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind=kind, num_classes=3)
+    config = quick_config(epochs=epochs, learning_rate=learning_rate)
+    valid = np.arange(45, 60)
+    head = train_head(store, data, config, seed=2, train_idx=np.arange(45), valid_idx=valid)
+    assert head.best_epoch >= 1 and (head.best_epoch < epochs) == (epochs == 12)
+    assert head.activate(head.valid_logits).tobytes() == head.predict(vectors[valid]).tobytes()
+
+
 def test_head_whose_validation_loss_is_nan_every_epoch_keeps_its_initial_weights():
     store, ids, vectors = make_store(60, 6)
     labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
@@ -330,6 +349,7 @@ def test_head_whose_validation_loss_is_nan_every_epoch_keeps_its_initial_weights
     config = quick_config(epochs=3)
     head = train_head(store, data, config, seed=4, train_idx=np.arange(50), valid_idx=np.arange(50, 60))
     assert head.best_epoch == -1 and all(math.isnan(v) for v in head.val_curve)
+    assert head.valid_logits is None  # no validation pass ran on the initial weights
     initial = TrainedHead(config, 6, 1, "binary", 2, seed=4)
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in initial.params]
 

@@ -31,7 +31,15 @@ from minifp.backbones import (
 from minifp.encodings import assemble
 from minifp.molgraph import parse_smiles
 
-from .util import TOY_SMILES, finite_difference_check, permute_graph, random_molecule, reference_relu, traced_memory
+from .util import (
+    TOY_SMILES,
+    finite_difference_check,
+    per_edge_embed_inputs,
+    permute_graph,
+    random_molecule,
+    reference_relu,
+    traced_memory,
+)
 
 
 def reference_linear_relu(tape, x, w, b):
@@ -62,9 +70,14 @@ def reference_gine_inputs(tape, x, e, eps, batch, mode):
     return tape.mul(tape.mul(x, one_minus), agg)
 
 
+def gathered_gine_inputs(tape, x, e, eps, batch, mode):
+    """``reference_gine_inputs`` fed the per-edge rows gathered from ``e``'s bond-class rows."""
+    return reference_gine_inputs(tape, x, tape.gather(e, batch.bond_plan), eps, batch, mode)
+
+
 def reference_gine_layer(tape, state, layer, x, e, batch, training, step):
     eps = tape.watch(state.params[f"layer{layer}/epsilon"])
-    pre = reference_gine_inputs(tape, x, e, eps, batch, state.config.gine_epsilon_mode)
+    pre = gathered_gine_inputs(tape, x, e, eps, batch, state.config.gine_epsilon_mode)
     out = reference_mlp_forward(tape, state, f"layer{layer}/mlp", pre)
     return tape.dropout(out, state.config.dropout, (state.config.seed, layer, step), training)
 
@@ -170,7 +183,8 @@ CASES = [("gcn", "standard"), ("gine", "standard"), ("gine", "paper-printed"), (
 def training_step(cfg, batch, layer_fn):
     """Loss and every gradient of a dropout training step through three layers from random inputs.
 
-    The layer inputs are parameters, so their gradients are the stack's input gradients.
+    The layer inputs are parameters, so their gradients are the stack's input
+    gradients; gine's e has one row per bond class.
     """
     state = build_model(cfg)
     rng = np.random.default_rng(1)
@@ -180,7 +194,7 @@ def training_step(cfg, batch, layer_fn):
     dtype = cfg.np_dtype
     shapes = {
         "x": (batch.num_nodes, cfg.d_node),
-        "e": (batch.num_edges, cfg.d_edge),
+        "e": (batch.bond_rows.shape[0] if cfg.backbone == "gine" else batch.num_edges, cfg.d_edge),
         "g": (batch.num_graphs, cfg.d_global),
     }
     inputs = {name: Parameter(name, rng.standard_normal(shape).astype(dtype)) for name, shape in shapes.items()}
@@ -223,6 +237,102 @@ def test_composite_layers_match_primitive_chains_bitwise(backbone, mode, dtype):
         assert bits(grads[name]) == bits(ref_grads[name]), name
 
 
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("mode", ["standard", "paper-printed"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gine_inputs_match_the_reference_fed_gathered_class_rows_bitwise(dtype, mode, recording):
+    """One message per (sender, bond class) pair gives the bits of one message
+    per edge: output and, on a recording tape, the gradients of x, the class
+    rows and eps."""
+    cfg = ModelConfig(backbone="gine", num_layers=1, d_node=6, d_edge=6, d_global=6, k_pe=2, rw_steps=3,
+                      dtype=dtype)
+    batch = shuffled_batch(cfg, seed=7)
+    senders = batch.message_pairs[0]
+    assert np.bincount(senders).max() >= 2  # some sender sends two bond classes
+    assert np.any(batch.receiver_plan.counts == 0)  # "N" has no bond
+    assert senders.shape[0] < batch.num_edges
+    rng = np.random.default_rng(5)
+    shapes = {"x": (batch.num_nodes, 6), "e": (batch.bond_rows.shape[0], 6), "eps": (1,)}
+    values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    weights = rng.standard_normal((batch.num_nodes, 6)).astype(dtype)
+
+    def run(op):
+        params = {name: Parameter(name, value.copy()) for name, value in values.items()}
+        tape = Tape(recording=recording)
+        x, e, eps = (tape.watch(params[name]) for name in ("x", "e", "eps"))
+        out = op(tape, x, e, eps, batch, mode)
+        if recording:
+            tape.backward(tape.sum(tape.mul(out, tape.constant(weights))))
+        return out.data, {name: p.grad for name, p in params.items()}
+
+    out, grads = run(gine_inputs)
+    ref_out, ref_grads = run(gathered_gine_inputs)
+    assert out.dtype == np.dtype(dtype)
+    assert bits(out) == bits(ref_out)
+    for name in shapes:
+        if recording:
+            assert np.any(grads[name]), name
+            assert bits(grads[name]) == bits(ref_grads[name]), name
+        else:
+            assert grads[name] is None and ref_grads[name] is None
+
+
+def per_class_and_per_edge_forwards(backbone, dtype, monkeypatch):
+    """A full forward of a default-width model over the toy molecules, a
+    molecule without bonds and random molecules, with ``embed_e`` once per
+    bond class and, through ``per_edge_embed_inputs``, once per edge."""
+    cfg = default_config(backbone, num_layers=4, dtype=dtype)
+    state = build_model(cfg)
+    rng = np.random.default_rng(9)
+    graphs = [parse_smiles(s) for s in [*TOY_SMILES, "N"]] + [random_molecule(rng) for _ in range(8)]
+    batch = batch_graphs(graphs, [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs], dtype=cfg.np_dtype)
+    per_class = forward(Tape(recording=False), batch, state)
+    with monkeypatch.context() as patch:
+        patch.setattr(backbones, "embed_inputs", per_edge_embed_inputs)
+        patch.setattr(backbones, "gine_inputs", reference_gine_inputs)  # per-edge e
+        per_edge = forward(Tape(recording=False), batch, state)
+    return batch, per_class, per_edge
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("backbone", ["gine", "mpnnpp"])
+def test_forward_with_embed_e_per_class_matches_per_edge_bitwise(backbone, dtype, monkeypatch):
+    batch, per_class, per_edge = per_class_and_per_edge_forwards(backbone, dtype, monkeypatch)
+    assert batch.bond_rows.shape[0] < batch.num_edges
+    assert bits(per_class.x.data) == bits(per_edge.x.data)
+    assert bits(per_class.g.data) == bits(per_edge.g.data)
+    if backbone == "gine":  # the class rows, against the per-edge rows they stand for
+        assert per_class.e.data.shape[0] == batch.bond_rows.shape[0]
+        assert bits(per_class.e.data[batch.colours[1]]) == bits(per_edge.e.data)
+    else:
+        assert bits(per_class.e.data) == bits(per_edge.e.data)
+
+
+@pytest.mark.parametrize("backbone", ["gine", "mpnnpp"])
+def test_a_training_step_moves_only_embed_e_gradient_bits(backbone, monkeypatch):
+    """Embedding once per bond class sums ``embed_e``'s output gradient per
+    class before its products, so only ``embed_e``'s gradients round
+    differently from the per-edge embedding; every other gradient keeps its
+    bits, with dropout on."""
+    cfg = ModelConfig(backbone=backbone, num_layers=3, d_node=16, d_edge=16 if backbone == "gine" else 8,
+                      d_global=12, k_pe=2, rw_steps=3, dropout=0.1, seed=3, dtype="float64")
+    graphs = [parse_smiles(s) for s in TOY_SMILES]
+    batch = batch_graphs(graphs, [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs], dtype=cfg.np_dtype)
+    grads = []
+    for per_edge in (False, True):
+        state = build_model(cfg)
+        with monkeypatch.context() as patch:
+            if per_edge:
+                patch.setattr(backbones, "embed_inputs", per_edge_embed_inputs)
+                patch.setattr(backbones, "gine_inputs", reference_gine_inputs)
+            tape = Tape()
+            out = forward(tape, batch, state, training=True, step=2)
+            tape.backward(tape.sum(tape.mul(out.x, out.x)))
+        grads.append({name: None if p.grad is None else bits(p.grad) for name, p in state.params.items()})
+    moved = [name for name in grads[0] if grads[0][name] != grads[1][name]]
+    assert moved == [f"embed_e/{name}" for name in ("w1", "b1", "w2", "b2")]
+
+
 def test_block_order_matches_the_concatenated_mpnnpp_layer():
     """Summing block products is the paper's concatenation MLP up to rounding:
     over three dropout layers at float64, loss and every gradient agree to 1e-10."""
@@ -252,9 +362,12 @@ def composite_loss(op, params, batch, weights):
 
 def gine_inputs_messages(tape, x, e, batch):
     """Σ_j relu(x_j + e_ij) per receiver alone: ``gine_inputs`` in "standard"
-    mode less its (1 + eps) x part, so x's gradient is the message part only."""
-    eps = tape.constant(np.full(1, 0.3))
-    return tape.sub(gine_inputs(tape, x, e, eps, batch, "standard"), tape.add(x, tape.mul(x, eps)))
+    mode at eps = -1, where x·eps + x and g + g·eps are exactly zero, so
+    output and x's gradient are the message parts with no cancellation error:
+    subtracting (1 + eps) x leaves rounding noise that reads as a relative
+    error of ~0.09 where a sender's every message is dead."""
+    eps = tape.constant(np.full(1, -1.0))
+    return gine_inputs(tape, x, e, eps, batch, "standard")
 
 
 COMPOSITE_OPS = {
@@ -276,17 +389,18 @@ def atoms_only_batch(cfg):
 @pytest.mark.parametrize(
     "op",
     ["gine_inputs-messages", "gine_inputs-standard", "gine_inputs-paper-printed", "edge_hidden", "node_hidden",
-     "edge_hidden-no-edges", "node_hidden-no-edges"],
+     "gine_inputs-standard-no-edges", "edge_hidden-no-edges", "node_hidden-no-edges"],
 )
 def test_composite_ops_match_finite_differences(op):
     cfg = ModelConfig(backbone="mpnnpp", num_layers=1, d_node=3, d_edge=3, d_global=2, k_pe=2, rw_steps=3,
                       dtype="float64")
     name = op.removesuffix("-no-edges")
     batch = atoms_only_batch(cfg) if op != name else shuffled_batch(cfg, seed=4)
+    gine = name.startswith("gine_inputs")  # its e holds one row per bond class
     rng = np.random.default_rng(2)
     params = [
         Parameter("x", rng.standard_normal((batch.num_nodes, 3))),
-        Parameter("e", rng.standard_normal((batch.num_edges, 3))),
+        Parameter("e", rng.standard_normal((batch.bond_rows.shape[0] if gine else batch.num_edges, 3))),
         Parameter("g", rng.standard_normal((batch.num_graphs, 2))),
     ]
     if name in ("gine_inputs-standard", "gine_inputs-paper-printed"):
@@ -304,7 +418,7 @@ def test_composite_ops_match_finite_differences(op):
     assert finite_difference_check(fn, params, h=1e-6) < 1e-4
     if op == "edge_hidden-no-edges":
         assert all(p.grad is not None and not np.any(p.grad) for p in params)
-    elif op == "node_hidden-no-edges":
+    elif op in ("gine_inputs-standard-no-edges", "node_hidden-no-edges"):  # e has no row: no edge, no bond class
         assert params[1].grad.shape == (0, 3)
         assert all(np.any(p.grad) for p in params if p.name != "e")
     else:
@@ -345,15 +459,17 @@ def test_recording_forward_keeps_fewer_bytes_than_the_primitive_chains(backbone,
     assert held <= bound * ref_held, f"{held / 2**20:.1f} MB held, {ref_held / 2**20:.1f} MB by the primitive chains"
 
 
-@pytest.mark.parametrize("mode,bound", [("standard", 0.4), ("paper-printed", 0.55)])
+@pytest.mark.parametrize("mode,bound", [("standard", 0.3), ("paper-printed", 0.42)])
 def test_gine_inputs_keep_no_intermediate_on_the_tape(mode, bound, monkeypatch):
-    """The primitive chain records the gathered rows, their sum with e, the relu
-    output, agg, x·eps and x + x·eps (or x·(1 - eps)), none of which the merged
-    op keeps; only its relu mask (and agg in the printed mode) stays.  16
-    default-width layers hold 0.33x (0.46x printed) of the chain's bytes."""
+    """The primitive chain records the per-edge e rows gathered from the class
+    rows, the gathered x rows, their sum, the relu output, agg, x·eps and
+    x + x·eps (or x·(1 - eps)), none of which the merged op keeps; only its
+    relu mask, one row per (sender, bond class) pair (148 of the 228 edges),
+    stays, and agg in the printed mode.  16 default-width layers hold 0.27x
+    (0.37x printed) of the chain's bytes."""
     state, batch = toy_model_and_batch(default_config("gine", gine_epsilon_mode=mode))
     held = held_bytes(state, batch, monkeypatch)
-    chain_held = held_bytes(state, batch, monkeypatch, gine_inputs=reference_gine_inputs)
+    chain_held = held_bytes(state, batch, monkeypatch, gine_inputs=gathered_gine_inputs)
     assert held <= bound * chain_held, f"{held / 2**20:.1f} MB held, {chain_held / 2**20:.1f} MB with the op chain"
 
 
@@ -369,7 +485,8 @@ def test_recording_mpnnpp_forward_holds_at_most_21_mb(monkeypatch):
 def test_mpnnpp_products_run_on_the_rows_of_each_block(monkeypatch):
     """Over one default-width training step no product has a concatenated MLP
     input's width, and the forward multiply-adds are the block count: x's
-    blocks on node rows, e's on edge rows, g's on graph rows."""
+    blocks on node rows, e's on edge rows, g's on graph rows, and the edge
+    embedding MLP on bond-class rows."""
     cfg = default_config("mpnnpp")
     state, batch = toy_model_and_batch(cfg)
     products = []
@@ -389,7 +506,8 @@ def test_mpnnpp_products_run_on_the_rows_of_each_block(monkeypatch):
     edge_in, node_in = 2 * d_n + d_e + d_g, 2 * d_n + 2 * d_e + d_g
     assert (edge_in, node_in) == (864, 960)
     assert not [p for p in products if p[:2] in ((m, edge_in), (n, node_in))]
-    embed = n * cfg.node_input_width * d_n + n * d_n * d_n + m * cfg.edge_input_width * d_e + m * d_e * d_e
+    classes = batch.bond_rows.shape[0]
+    embed = n * cfg.node_input_width * d_n + n * d_n * d_n + classes * (cfg.edge_input_width * d_e + d_e * d_e)
     embed += 2 * d_g * d_g
     edge_mlp = 2 * n * d_n * d_e + m * d_e * d_e + graphs * d_g * d_e + m * d_e * d_e
     node_mlp = 2 * n * d_n * d_n + 2 * n * d_e * d_n + graphs * d_g * d_n + n * d_n * d_n

@@ -68,7 +68,11 @@ def test_random_split_and_kfold_partition_match_the_inline_splits_bitwise(seed):
 
 
 class _RowEcho:
-    """Stands in for a trained head: records which store rows it is asked about."""
+    """Stands in for a trained head: records which store rows it is asked about.
+
+    It ran no validation pass, so ``kfold_ensemble`` asks it for the held-out rows too."""
+
+    valid_logits = None
 
     def __init__(self, calls: list):
         self.calls = calls

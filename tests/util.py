@@ -10,7 +10,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from minifp.autodiff import Parameter, Tape, Tensor
+from minifp.autodiff import Parameter, Segments, Tape, Tensor
+from minifp.backbones import GraphBatch, mlp_forward
 from minifp.downstream import TrainedHead, _mean_output
 from minifp.encodings import assemble
 from minifp.molgraph import Atom, Bond, MolecularGraph, annotate
@@ -176,3 +177,44 @@ def minor_faults(fn):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = fn()
     return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def loop_batch_graphs(graphs, features, dtype=np.float32) -> GraphBatch:
+    """``backbones.batch_graphs`` as a loop over bonds, two directed edges appended per bond."""
+    node_rows, edge_rows = [], []
+    senders, receivers = [], []
+    node_ids, edge_ids = [], []
+    offset = 0
+    for gid, (graph, feats) in enumerate(zip(graphs, features)):
+        n = graph.num_atoms
+        node_rows.append(np.asarray(feats.node_features, dtype=dtype))
+        node_ids.append(np.full(n, gid, dtype=np.int64))
+        e = np.asarray(feats.edge_features, dtype=dtype)
+        for k, bond in enumerate(graph.bonds):
+            senders.extend((bond.u + offset, bond.v + offset))
+            receivers.extend((bond.v + offset, bond.u + offset))
+            edge_rows.append(e[k])
+            edge_rows.append(e[k])
+            edge_ids.extend((gid, gid))
+        offset += n
+    edge_width = features[0].edge_features.shape[1] if features else 0
+    return GraphBatch(
+        node_features=np.concatenate(node_rows, axis=0) if node_rows else np.zeros((0, 0), dtype=dtype),
+        edge_features=np.asarray(edge_rows, dtype=dtype).reshape(len(edge_rows), edge_width),
+        senders=np.asarray(senders, dtype=np.int64),
+        receivers=np.asarray(receivers, dtype=np.int64),
+        node_graph_ids=np.concatenate(node_ids) if node_ids else np.zeros(0, dtype=np.int64),
+        edge_graph_ids=np.asarray(edge_ids, dtype=np.int64),
+        num_graphs=len(graphs),
+    )
+
+
+def per_edge_embed_inputs(tape, batch, state):
+    """``backbones.embed_inputs`` with ``embed_e`` run on every directed edge's
+    feature row rather than once per bond class: (x0, per-edge e0, g0)."""
+    x0 = mlp_forward(tape, state, "embed_x", tape.constant(batch.node_features))
+    e0 = None
+    if state.config.backbone != "gcn":
+        e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
+    g_row = mlp_forward(tape, state, "embed_g", tape.constant(state.global_seed.reshape(1, -1)))
+    return x0, e0, tape.gather(g_row, Segments(np.zeros(batch.num_graphs, dtype=np.int64), 1))
