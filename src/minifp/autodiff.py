@@ -53,9 +53,12 @@ same bits on every run.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 import os
 import struct
+import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -226,6 +229,26 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad = np.array(g, dtype=t.data.dtype, order="C")
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the heap memory one tape's arrays free for the next tape; runs once per process.
+
+    Each training step or inference batch allocates and frees a tape's arrays:
+    a few hundred MB for a paper-scale pre-training step, about ten MB for a
+    default downstream head's.  glibc maps arrays over its mmap threshold
+    (128 KB at first) afresh and returns a freed heap top over its trim
+    threshold to the OS, so the next tape faults every page in again.  This
+    fixes the mmap threshold at glibc's own dynamic ceiling (32 MB) and never
+    trims.  No result changes; without glibc it does nothing.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+            mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
 class Tape:
     """Single-writer record of forward operations, replayed once, in exact reverse order.
 
@@ -242,6 +265,7 @@ class Tape:
     """
 
     def __init__(self, recording: bool = True):
+        _keep_freed_heap()
         self.recording = recording
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._watched: dict[Parameter, Tensor] = {}

@@ -73,7 +73,7 @@ import itertools
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, get_type_hints
 
@@ -96,6 +96,7 @@ from .encodings import (
     DEFAULT_RW_STEPS,
     AssembledFeatures,
 )
+from .inputs import ManifestError, json_fields, read_json
 from .molgraph import MolecularGraph
 from .seeding import rng_stream
 
@@ -141,6 +142,11 @@ class ModelConfig:
     @property
     def edge_input_width(self) -> int:
         return BOND_FEATURE_WIDTH
+
+    @property
+    def readout_width(self) -> int:
+        """Width of :func:`graph_readout`'s rows."""
+        return self.d_global if self.graph_head_input == "global" else self.d_node
 
     @property
     def np_dtype(self):
@@ -543,11 +549,7 @@ def batch_graphs(
 
 
 def pool(tape: Tape, x, batch: GraphBatch, method: str):
-    """(num_graphs, d) readout: each graph's node rows reduced over the graph-node plan.
-
-    This is the fingerprint and the pooled input of the graph task heads, so
-    both read the same bits.
-    """
+    """(num_graphs, d): each graph's node rows reduced over the graph-node plan."""
     plan = batch.graph_node_plan
     if method == "sum":
         return tape.segment_sum(x, plan)
@@ -776,6 +778,17 @@ def forward(tape: Tape, batch: GraphBatch, state: ModelState, training: bool = F
     return ForwardResult(x=x, e=e, g=g)
 
 
+def graph_readout(tape: Tape, result: ForwardResult, batch: GraphBatch, config: ModelConfig):
+    """The graph-level readout, one row per graph: MPNN++'s global vector when
+    ``graph_head_input`` is "global", else node embeddings pooled by ``config.pool``.
+
+    Graph task heads train on it and a fingerprint is it, so both read the same bits.
+    """
+    if config.graph_head_input == "global":
+        return result.g
+    return pool(tape, result.x, batch, config.pool)
+
+
 # -- persistence ----------------------------------------------------------------
 
 
@@ -817,22 +830,12 @@ def link_model(src, dst) -> None:
             os.replace(tmp, target)
 
 
-#: The JSON types a sidecar value may take, by its field's type; a bool is not a number.
-_SIDECAR_TYPES = {str: (str,), int: (int,), float: (int, float)}
-
-
-def _sidecar_record(cls, record) -> dict:
-    """``record`` if it is an object whose every key is a field of ``cls`` and
-    whose every value has that field's type; TypeError otherwise."""
-    if not isinstance(record, dict):
-        raise TypeError(f"{cls.__name__} record is a {type(record).__name__}, not an object")
-    types = {name: _SIDECAR_TYPES[hint] for name, hint in get_type_hints(cls).items()}
-    for key, value in record.items():
-        if key not in types:
-            raise TypeError(f"unknown {cls.__name__} field {key!r}")
-        if isinstance(value, bool) or not isinstance(value, types[key]):
-            raise TypeError(f"{cls.__name__} field {key!r} holds {value!r}")
-    return record
+def _from_json(cls, record, where: str):
+    """The dataclass ``cls`` built from a JSON object of its fields, checked by
+    :func:`~minifp.inputs.json_fields`: a field without a default is required."""
+    types = get_type_hints(cls)
+    required = {f.name: types[f.name] for f in fields(cls) if f.default is MISSING}
+    return cls(**json_fields(record, where, required, {k: v for k, v in types.items() if k not in required}))
 
 
 def load_model(path) -> ModelState:
@@ -840,15 +843,16 @@ def load_model(path) -> ModelState:
     such a record, and records whose names or shapes are not those
     :func:`parameter_shapes` gives for the sidecar's config and heads, raise
     CorruptCheckpoint, as a damaged checkpoint does."""
-    sidecar_path = str(path) + ".json"
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-            config = ModelConfig(**_sidecar_record(ModelConfig, sidecar["config"]))
-            config.validate()
-            heads = [HeadSpec(**_sidecar_record(HeadSpec, head)) for head in sidecar["heads"]]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise CorruptCheckpoint(f"sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc
+    sidecar_path = f"{path}.json"
+    os.stat(sidecar_path)  # a missing sidecar is an io error, as a missing checkpoint is
+    try:
+        sidecar = read_json(sidecar_path, {"config": dict, "heads": list}, {})
+        config = _from_json(ModelConfig, sidecar["config"], f"{sidecar_path}: config")
+        heads = [_from_json(HeadSpec, head, f"{sidecar_path}: heads[{i}]") for i, head in enumerate(sidecar["heads"])]
+        config.validate()
+    except ValueError as exc:  # a ManifestError names the file itself
+        where = "" if isinstance(exc, ManifestError) else f"{sidecar_path}: "
+        raise CorruptCheckpoint(f"sidecar {where}{exc}") from exc
     arrays = load_checkpoint(path)
     found = [(name, value.shape) for name, value in arrays.items()]
     expected = parameter_shapes(config, heads)

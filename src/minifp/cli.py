@@ -28,8 +28,6 @@ import numpy as np
 from .autodiff import CorruptCheckpoint
 from .backbones import (
     BACKBONES,
-    POOL_METHODS,
-    ConstantGlobalStream,
     ModelConfig,
     build_model,
     count_parameters,
@@ -254,7 +252,7 @@ def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
 def cmd_fingerprint(args) -> int:
     model = load_model(args.checkpoint)
     molecules = _read_molecule_list(Path(args.molecules), args.smiles_col, args.id_col)
-    store, report = extract_fingerprints(model, molecules, method=args.pool, source=args.source)
+    store, report = extract_fingerprints(model, molecules)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -490,11 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("fingerprint", help="extract fingerprints with a trained checkpoint")
+    p = sub.add_parser("fingerprint", help="extract fingerprints, the graph readout of a trained checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("molecules", help="CSV (with --smiles-col) or one SMILES per line")
-    p.add_argument("--pool", choices=POOL_METHODS, help="default: the checkpoint's pool")
-    p.add_argument("--source", choices=("nodes", "global"), help="default: the checkpoint's graph_head_input")
     p.add_argument("--out", required=True)
     p.add_argument("--smiles-col", default="smiles")
     p.add_argument("--id-col")
@@ -527,7 +523,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, DuplicateId, MissingFingerprint,
             FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance, InvalidHeadConfig,
-            TooFewRuns, ConstantGlobalStream) as exc:
+            TooFewRuns) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NaNLossError as exc:

@@ -27,7 +27,7 @@ from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
-from .trainer import SCHEDULES, OptimizerState, TrainConfig, _keep_freed_heap, adam_step, backward_and_step, lr_at
+from .trainer import SCHEDULES, OptimizerState, TrainConfig, adam_step, backward_and_step, lr_at
 
 
 class MissingFingerprint(KeyError):
@@ -261,7 +261,6 @@ def train_head(
     scaffold-split files); otherwise a seeded 10% split is used.
     """
     config.validate()
-    _keep_freed_heap()
     features = gather_fingerprints(store, data.ids)
     if train_idx is None or valid_idx is None:
         train_idx, valid_idx = random_split(len(data), 0.1, seed)

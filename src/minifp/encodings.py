@@ -50,14 +50,6 @@ class AssembledFeatures:
     node_features: np.ndarray
     edge_features: np.ndarray
 
-    @property
-    def node_width(self) -> int:
-        return self.node_features.shape[1]
-
-    @property
-    def edge_width(self) -> int:
-        return self.edge_features.shape[1]
-
 
 def feature_layout(k_pe: int = DEFAULT_K_PE, rw_steps: int = DEFAULT_RW_STEPS) -> dict:
     """Machine-readable column layout of the node and edge matrices."""

@@ -1,15 +1,15 @@
 """Extract fingerprint vectors from a trained model and persist them.
 
-A fingerprint is the readout the model's graph task heads train on: the
-final node embeddings of one molecule pooled into a vector by
-:func:`minifp.backbones.pool` (sum, mean, or max over the batch's graph-node
-plan), or MPNN++'s global vector.  By default the readout is the one the
-model was trained with (``ModelConfig.pool`` and ``graph_head_input``), so a
-fingerprint equals its molecule's head-input row bit for bit.  Max is the
-default pool throughout the pipeline (it gave the best downstream ranks in
-the pooling comparison; sum and mean remain selectable everywhere).  The
-plan adds each molecule's rows in stable 1-WL colour order, so a relabelled
-molecule produces a bitwise identical vector at a given precision.
+A fingerprint is the readout the model's graph task heads train on,
+:func:`minifp.backbones.graph_readout`: the final node embeddings of one
+molecule pooled into a vector (sum, mean, or max over the batch's graph-node
+plan, by ``ModelConfig.pool``), or MPNN++'s global vector when
+``graph_head_input`` is "global".  So a fingerprint equals its molecule's
+head-input row bit for bit.  Max is the default pool throughout the pipeline
+(it gave the best downstream ranks in the pooling comparison; sum and mean
+remain selectable everywhere).  The plan adds each molecule's rows in stable
+1-WL colour order, so a relabelled molecule produces a bitwise identical
+vector at a given precision.
 
 Store file layout (little-endian): magic ``MFPS``, version byte, dimension
 as uint32, record count as uint32, then per record a uint16 id length, the
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .backbones import POOL_METHODS, ConstantGlobalStream, ModelState, batch_graphs, forward, pool
+# pool and normalize_smiles stay importable here: perfbench/instrument.py traces them in this module.
+from .backbones import ModelState, batch_graphs, forward, graph_readout, pool  # noqa: F401
 from .encodings import assemble
-# normalize_smiles stays importable here: perfbench/instrument.py traces it in this module.
 from .molgraph import MolecularGraph, normalize_smiles, parse_smiles, renumber_ring_closures  # noqa: F401
 
 STORE_MAGIC = b"MFPS"
@@ -108,38 +108,20 @@ class ExtractionReport:
 
 
 def extract_fingerprints(
-    model: ModelState,
-    molecules,
-    method: str | None = None,
-    source: str | None = None,
-    batch_size: int = 32,
+    model: ModelState, molecules, batch_size: int = 32
 ) -> tuple[FingerprintStore, ExtractionReport]:
     """Fingerprint every unique molecule with a single forward pass each.
 
     ``molecules`` holds SMILES strings or (id, SMILES) pairs; without an id
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
-    the first occurrence.  ``method`` and ``source`` default to the model's
-    ``pool`` and ``graph_head_input``.  ``source="global"`` reads the
-    per-graph global embedding instead of pooled node embeddings; only mpnnpp
-    updates it, so gcn and gine raise
-    :class:`~minifp.backbones.ConstantGlobalStream`.
-    Molecules that fail to parse are collected in the report instead of
-    aborting; a parsed graph always featurizes, so an invalid ``k_pe`` or
-    ``rw_steps`` raises.  Two molecules whose ids are equal, an id standing
-    in for a missing one included, raise :class:`DuplicateId` before any
-    forward pass.
+    the first occurrence.  Molecules that fail to parse are collected in the
+    report instead of aborting; a parsed graph always featurizes, so an
+    invalid ``k_pe`` or ``rw_steps`` raises.  Two molecules whose ids are
+    equal, an id standing in for a missing one included, raise
+    :class:`DuplicateId` before any forward pass.
     """
     cfg = model.config
-    method = method or cfg.pool
-    source = source or ("global" if cfg.graph_head_input == "global" else "nodes")
-    if method not in POOL_METHODS:
-        raise ValueError(f"unknown pooling method {method!r}")
-    if source not in ("nodes", "global"):
-        raise ValueError(f"unknown fingerprint source {source!r}")
-    if source == "global" and cfg.backbone != "mpnnpp":
-        raise ConstantGlobalStream(f'source "global" needs mpnnpp: {cfg.backbone} never updates the global stream')
-    dimension = cfg.d_global if source == "global" else cfg.d_node
-    store = FingerprintStore(dimension)
+    store = FingerprintStore(cfg.readout_width)
     report = ExtractionReport(failures=[])
 
     pending: list[tuple[str, MolecularGraph]] = []
@@ -165,18 +147,11 @@ def extract_fingerprints(
         pending.append((molecule_id, graph))
 
     for start in range(0, len(pending), batch_size):
-        chunk = pending[start : start + batch_size]
-        featurized = [
-            (molecule_id, graph, assemble(graph, cfg.k_pe, cfg.rw_steps))
-            for molecule_id, graph in chunk
-        ]
-        batch = batch_graphs(
-            [g for _, g, _ in featurized], [f for _, _, f in featurized], dtype=cfg.np_dtype
-        )
+        ids, graphs = zip(*pending[start : start + batch_size])
+        batch = batch_graphs(graphs, [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs], dtype=cfg.np_dtype)
         tape = Tape(recording=False)
-        result = forward(tape, batch, model, training=False)
-        rows = result.g if source == "global" else pool(tape, result.x, batch, method)
-        for (molecule_id, _, _), row in zip(featurized, rows.data):
+        rows = graph_readout(tape, forward(tape, batch, model, training=False), batch, cfg).data
+        for molecule_id, row in zip(ids, rows):
             store.add(molecule_id, row)
     return store, report
 

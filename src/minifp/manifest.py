@@ -3,9 +3,8 @@
 Every text input is read here, one function per job, and every failure is a
 :class:`ManifestError` that names the file:
 
-- :func:`read_text`: a file's UTF-8 text (missing or not UTF-8 is an error);
-- :func:`read_json` and :func:`json_fields`: a JSON object with required and
-  optional keys, each of one JSON type, and no other key;
+- :mod:`minifp.inputs`' ``read_text``, ``read_json`` and ``json_fields``: a
+  file's UTF-8 text, and a JSON object with typed keys;
 - :func:`read_csv`: the rows of a CSV whose header holds the required columns;
 - :func:`read_id_list`: a list file, one stripped item per line, blank lines
   and lines starting with ``#`` skipped (split ids, excluded and fingerprinted
@@ -29,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +39,7 @@ import numpy as np
 from .backbones import ModelConfig
 from .downstream import METRICS
 from .encodings import assemble
+from .inputs import ManifestError, json_fields, read_json, read_text
 from .molgraph import (
     MolecularGraph,
     SmilesError,
@@ -58,50 +57,7 @@ MAX_HEAVY = 100
 #: The run config's keys for ``SplitSpec.fractions``, in its order.
 SPLIT_KEYS = ("train_fraction", "valid_fraction", "test_fraction")
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
-
-
-class ManifestError(ValueError):
-    """Malformed manifest, missing columns, or inconsistent label data."""
-
-
 # -- readers ---------------------------------------------------------------------
-
-
-def read_text(path) -> str:
-    """The text of a UTF-8 file, line endings as written."""
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except FileNotFoundError as exc:
-        raise ManifestError(f"{path}: no such file") from exc
-    except UnicodeError as exc:  # bytes that are not UTF-8, or a name holding a lone surrogate
-        raise ManifestError(f"{path}: not UTF-8 ({exc.reason} at {exc.start})") from exc
-
-
-def json_fields(value, where: str, required: dict[str, type], optional: dict[str, type]) -> dict:
-    """``value``, checked to be a JSON object with every ``required`` key, no key
-    outside ``required`` and ``optional``, and each value of its key's type."""
-    if type(value) is not dict:
-        raise ManifestError(f"{where} must be a JSON object")
-    schema = {**required, **optional}
-    for key, item in value.items():
-        if key not in schema:
-            raise ManifestError(f"{where}: unknown key {key!r}")
-        if type(item) is not schema[key]:
-            raise ManifestError(f"{where}: {key!r} must be {_JSON_TYPES[schema[key]]}")
-    for key in required:
-        if key not in value:
-            raise ManifestError(f"{where}: missing required key {key!r}")
-    return value
-
-
-def read_json(path, required: dict[str, type], optional: dict[str, type]) -> dict:
-    """A JSON file holding one object, checked by :func:`json_fields`."""
-    try:
-        raw = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
-        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    return json_fields(raw, str(path), required, optional)
 
 
 def read_csv(path, required: list[str]) -> list[dict[str, str]]:

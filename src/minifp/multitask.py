@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tape, Tensor
-from .backbones import ForwardResult, GraphBatch, ModelState, mlp_forward, pool
+from .backbones import ForwardResult, GraphBatch, ModelState, graph_readout, mlp_forward
 
 TASK_GROUPS = ("L1000", "PCBA", "N4", "G25", "custom")
 GROUP_ORDER = ("L1000", "PCBA", "N4", "G25")
@@ -110,13 +110,11 @@ def task_head_forward(tape: Tape, state: ModelState, name: str, embedding: Tenso
 def head_input(
     tape: Tape, result: ForwardResult, batch: GraphBatch, state: ModelState, spec: TaskSpec
 ) -> Tensor:
-    """Embedding rows a head reads: x^final for node tasks; pooled nodes or the
-    global vector for graph tasks, per the model's graph_head_input setting."""
+    """Embedding rows a head reads: x^final for node tasks, the model's
+    :func:`~minifp.backbones.graph_readout` for graph tasks."""
     if spec.level == "node":
         return result.x
-    if state.config.graph_head_input == "global":
-        return result.g
-    return pool(tape, result.x, batch, state.config.pool)
+    return graph_readout(tape, result, batch, state.config)
 
 
 def _check_shapes(pred: Tensor, labels: LabelSet, expect_cols: int | None = None) -> None:

@@ -14,10 +14,8 @@ separate timing file.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,10 +242,7 @@ def ensure_heads(model: ModelState, tasks: list[TaskSpec]) -> None:
         spec.validate()
         if spec.name in model.heads:
             continue
-        if spec.level == "node":
-            in_dim = cfg.d_node
-        else:
-            in_dim = cfg.d_global if cfg.graph_head_input == "global" else cfg.d_node
+        in_dim = cfg.d_node if spec.level == "node" else cfg.readout_width
         model.add_task_head(spec.name, spec.level, in_dim, spec.head_output_width)
 
 
@@ -396,29 +391,6 @@ def evaluate(
     return dict(sorted(summary.items()))
 
 
-# glibc ``mallopt`` parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap() -> None:
-    """Keep the heap memory a training step frees for the next step.
-
-    Each step allocates and frees a tape's activations and gradients: a few
-    hundred MB for a paper-scale pre-training step, about ten MB for a default
-    downstream head's.  glibc returns a freed top of the heap to the OS once
-    it passes the trim threshold, and the next step then faults every page in
-    again.  This fixes the mmap threshold at glibc's own dynamic ceiling
-    (32 MB) and never trims, so the heap stays at its high-water mark.  No
-    result changes; without glibc it does nothing.
-    """
-    if sys.platform.startswith("linux"):
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-            mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
-
-
 def pretrain(
     dataset: PretrainDataset,
     model: ModelState,
@@ -439,7 +411,6 @@ def pretrain(
     non-finite task loss aborts with the offending group named.
     """
     config.validate()
-    _keep_freed_heap()
     weights = weights or LossWeights()
     split = split or SplitSpec(seed=config.seed)
     ensure_heads(model, tasks)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,8 +99,8 @@ def test_featurize_clean(tmp_path, capsys):
     assert failures == ["row,smiles,error"]
     layout = json.loads((tmp_path / "cache" / "layout.json").read_text())
     feats = assemble(parse_smiles("CCO"))  # the default k_pe and rw_steps, as featurize without --config
-    assert sum(c["width"] for c in layout["node"]) == feats.node_width
-    assert sum(c["width"] for c in layout["edge"]) == feats.edge_width
+    assert sum(c["width"] for c in layout["node"]) == feats.node_features.shape[1]
+    assert sum(c["width"] for c in layout["edge"]) == feats.edge_features.shape[1]
 
 
 def test_featurize_partial_failure_exit_zero(tmp_path, capsys):
@@ -256,6 +257,16 @@ def test_fingerprint_command(tmp_path):
     assert (tmp_path / "fp.mfps.csv").exists()
 
 
+def _reconfigured(run, tmp_path, **changes):
+    """A copy of ``run``'s best checkpoint whose sidecar config takes ``changes``."""
+    path = tmp_path / "reconfigured.ckpt"
+    shutil.copyfile(run / "best.ckpt", path)
+    sidecar = json.loads((run / "best.ckpt.json").read_text())
+    sidecar["config"].update(changes)
+    Path(str(path) + ".json").write_text(json.dumps(sidecar))
+    return path
+
+
 def test_fingerprint_determinism_and_pool_choice(tmp_path):
     run = _pretrained_run(tmp_path)
     smi = tmp_path / "mols.smi"
@@ -265,7 +276,8 @@ def test_fingerprint_determinism_and_pool_choice(tmp_path):
         main(["fingerprint", str(run / "best.ckpt"), str(smi), "--out", str(tmp_path / name)])
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
-    main(["fingerprint", str(run / "best.ckpt"), str(smi), "--pool", "sum", "--out", str(tmp_path / "c.mfps")])
+    # The same weights configured with another pool give another readout.
+    main(["fingerprint", str(_reconfigured(run, tmp_path, pool="sum")), str(smi), "--out", str(tmp_path / "c.mfps")])
     assert (tmp_path / "c.mfps").read_bytes() != outs[0]
 
 
@@ -275,7 +287,8 @@ def test_global_fingerprint_source_on_gine_exit_2(tmp_path, capsys):
     smi = tmp_path / "mols.smi"
     smi.write_text("CCO\nCCN\n")
     out = tmp_path / "fp.mfps"
-    assert main(["fingerprint", str(run / "best.ckpt"), str(smi), "--source", "global", "--out", str(out)]) == 2
+    checkpoint = _reconfigured(run, tmp_path, graph_head_input="global")
+    assert main(["fingerprint", str(checkpoint), str(smi), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "global" in err
     assert not out.exists()
@@ -715,6 +728,23 @@ def test_malformed_checkpoint_sidecar_exit_2(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: sidecar ") and "model.ckpt.json" in err
     assert not out.exists()
+
+
+def test_missing_checkpoint_sidecar_exit_3(tmp_path, capsys):
+    path, smi = _saved_model(tmp_path)
+    os.remove(str(path) + ".json")
+    out = tmp_path / "fp.mfps"
+    assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "model.ckpt.json" in err
+    assert not out.exists()
+
+
+def test_sidecar_float_written_as_an_integer_loads(tmp_path):
+    path, smi = _saved_model(tmp_path)
+    _edit_sidecar(lambda s: s["config"].update(dropout=0))(Path(str(path) + ".json"))
+    assert '"dropout": 0,' in Path(str(path) + ".json").read_text()
+    assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 0
 
 
 def test_checkpoint_with_a_non_utf8_name_exit_2(tmp_path, capsys):

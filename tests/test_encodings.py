@@ -198,8 +198,8 @@ def test_diagonal_first_step_zero():
 def test_assemble_width_and_determinism():
     g = parse_smiles("CCO")
     feats = assemble(g, k_pe=2, rw_steps=4)
-    assert feats.node_width == ATOM_FEATURE_WIDTH + 2 * 2 + 4
-    assert feats.edge_width == BOND_FEATURE_WIDTH
+    assert feats.node_features.shape[1] == ATOM_FEATURE_WIDTH + 2 * 2 + 4
+    assert feats.edge_features.shape[1] == BOND_FEATURE_WIDTH
     again = assemble(g, k_pe=2, rw_steps=4)
     assert np.array_equal(feats.node_features, again.node_features)
     assert np.array_equal(feats.edge_features, again.edge_features)

@@ -133,11 +133,11 @@ def test_extract_batching_matches_single():
     molecules = [f"{'C' * k}O" for k in range(1, 8)] + ["c1ccccc1O", "CC(C)(C)N"]
     for backbone in ("gcn", "gine"):
         for dtype in ("float32", "float64"):
-            model = small_model(backbone, dtype=dtype)
             for method in ("sum", "mean", "max"):
-                single, _ = extract_fingerprints(model, molecules, method=method, batch_size=1)
+                model = small_model(backbone, dtype=dtype, pool=method)
+                single, _ = extract_fingerprints(model, molecules, batch_size=1)
                 for batch_size in (4, 32):
-                    batched, _ = extract_fingerprints(model, molecules, method=method, batch_size=batch_size)
+                    batched, _ = extract_fingerprints(model, molecules, batch_size=batch_size)
                     assert batched == single, (backbone, dtype, method, batch_size)
 
 
@@ -158,8 +158,8 @@ def test_fingerprints_equal_pooled_head_input_bitwise(backbone, method):
 
 
 def test_extract_global_source_dimension():
-    model = small_model(backbone="mpnnpp", d_node=5, d_edge=4, d_global=7)
-    store, _ = extract_fingerprints(model, ["CCO"], source="global")
+    model = small_model(backbone="mpnnpp", d_node=5, d_edge=4, d_global=7, graph_head_input="global")
+    store, _ = extract_fingerprints(model, ["CCO"])
     assert store.dimension == 7
 
 
@@ -167,12 +167,11 @@ def test_extract_global_source_dimension():
 def test_global_source_rejected_where_the_global_stream_is_constant(backbone):
     with pytest.raises(ConstantGlobalStream):
         ModelConfig(backbone=backbone, graph_head_input="global").validate()
-    with pytest.raises(ConstantGlobalStream):
-        extract_fingerprints(small_model(backbone), ["CCO", "CCN"], source="global")
 
 
 def test_global_source_distinguishes_molecules_on_mpnnpp():
-    store, _ = extract_fingerprints(small_model("mpnnpp"), ["CCO", "CCN", "c1ccccc1", "CC(=O)O"], source="global")
+    model = small_model("mpnnpp", graph_head_input="global")
+    store, _ = extract_fingerprints(model, ["CCO", "CCN", "c1ccccc1", "CC(=O)O"])
     assert len(np.unique(store.matrix(), axis=0)) == 4
 
 
