@@ -47,6 +47,7 @@ from .downstream import (
     correlation_analysis,
     kfold_ensemble,
     sweep,
+    worker_count,
 )
 from .encodings import assemble, feature_layout
 from .fingerprints import (
@@ -316,6 +317,7 @@ def cmd_downstream(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = ["files.json"]
+    timing = []  # wall-clock lines, kept out of every CSV
 
     if args.sweep != "none":
         inner_valid = max(1, len(train_rows) // 10)
@@ -338,6 +340,8 @@ def cmd_downstream(args) -> int:
                      repr(row.val_loss), row.best_epoch]
                 )
         produced.append("sweep_table.csv")
+        timing.append(f"sweep workers: {worker_count(len(rows))}\n")
+        timing += [f"sweep row {i}: {row.seconds:.3f}s\n" for i, row in enumerate(rows)]
     elif args.head_config:
         best_config = _head_config_from_file(args.head_config)
     else:
@@ -374,7 +378,13 @@ def cmd_downstream(args) -> int:
                 "val_mean", "val_std", "test_mean", "test_std"]
         writer.writerow(keys)
         writer.writerow([repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys])
-    produced += ["ensemble.csv", "summary.csv"]
+    timing.append(f"ensemble workers: {worker_count(args.folds * args.reps)}\n")
+    for rep_index, rep in enumerate(result.repetitions):
+        for fold_index, seconds in enumerate(rep.fold_seconds):
+            timing.append(f"ensemble repetition {rep_index} fold {fold_index}: {seconds:.3f}s\n")
+    with open(out_dir / "timing.txt", "w", encoding="utf-8") as fh:
+        fh.writelines(timing)
+    produced += ["ensemble.csv", "summary.csv", "timing.txt"]
     _write_files_manifest(out_dir, produced)
     print(
         f"{task.task_name} [{task.metric}]: test {result.test_mean:.4f} +/- {result.test_std:.4f} "

@@ -10,15 +10,28 @@ into num_folds folds, train one model per fold with best-epoch selection on
 its held-out fold, average the fold models' outputs (post-sigmoid for
 classification) for the ensemble prediction, and report mean and standard
 deviation of validation/test scores across repetitions.
+
+Sweep configs and fold heads are independent, so both train in up to one
+forked worker per available core (:func:`_run_tasks`), each on one BLAS
+thread: their bits do not depend on how many cores there are.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
+import os
+import pickle
+import signal
+import sys
+import time
 import warnings
 from dataclasses import astuple, dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -460,14 +473,190 @@ def metric_higher_is_better(name: str) -> bool:
     return METRICS[name][1]
 
 
+# -- independent tasks in forked workers ---------------------------------------------
+
+
+@functools.cache
+def _blas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels bundle
+    under ``numpy.libs`` (named as numpy 2 or numpy 1 builds name them); None
+    without those symbols or without ``os.fork``.
+
+    Loading the library again by path returns the copy numpy already uses.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _available_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def worker_count(num_tasks: int) -> int:
+    """The processes :func:`_run_tasks` spreads ``num_tasks`` tasks over: one per
+    available core and at most one per task, or 1 without OpenBLAS thread control."""
+    if _blas_thread_control() is None:
+        return 1
+    return max(1, min(num_tasks, _available_cores()))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
+def _outcome(task: Callable[[], object]):
+    """Run ``task``: (raised, its result or exception, the warnings it issued, wall seconds)."""
+    started = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value, raised = task(), False
+        except Exception as exc:
+            value, raised = exc, True
+    issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return raised, value, issued, time.perf_counter() - started
+
+
+def _run_share(tasks: list, share: range) -> list[tuple[int, tuple]]:
+    """(index, outcome) of the tasks in ``share``, stopping after the first that raises."""
+    outcomes = []
+    for index in share:
+        outcome = _outcome(tasks[index])
+        outcomes.append((index, outcome))
+        if outcome[0]:  # the task raised
+            break
+    return outcomes
+
+
+def _worker(tasks: list, share: range, write_end: int) -> NoReturn:
+    """A forked child: run its share, send the outcomes down the pipe, exit."""
+    code = 1
+    try:
+        outcomes = _run_share(tasks, share)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcomes))
+        code = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(Exception):
+                stream.flush()
+        os._exit(code)
+
+
+def _forked_outcomes(tasks: list, workers: int) -> list:
+    """Every task's outcome by index; ``workers - 1`` forked children run all
+    shares but the first, which runs here meanwhile.  A share stops at its
+    first raise, so later tasks of that share have no outcome.
+
+    Forked children share the tasks' closures and data without pickling
+    them.  The process's one other thread, OpenBLAS's pool, is stopped by
+    OpenBLAS's own fork handler before each fork.
+    """
+    shares = [range(w, len(tasks), workers) for w in range(workers)]
+    outcomes: list = [None] * len(tasks)
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            sys.stdout.flush()
+            sys.stderr.flush()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(tasks, share, write_end)
+            finally:
+                os.close(write_end)  # the child's copy is its only one
+            pids.append(pid)
+        for index, outcome in _run_share(tasks, shares[0]):
+            outcomes[index] = outcome
+        for pipe in pipes:
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError("a worker process ended without sending its results")
+            for index, outcome in pickle.loads(payload):
+                outcomes[index] = outcome
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _run_tasks(tasks: list[Callable[[], object]]) -> Iterator[tuple[object, float]]:
+    """Run independent tasks; yield each one's result and wall seconds, in task order.
+
+    Every task runs on one BLAS thread, the caller's count restored after.
+    With :func:`worker_count` > 1 the caller runs one share of the tasks and
+    forked children run the rest, each sending its results back through a
+    pipe; every child is reaped before the first result is yielded.  A
+    task's exception is raised here, and the warnings each task issued are
+    issued here, both in task order.  With one worker the tasks run here, one
+    per ``next``; without OpenBLAS thread control, also on the caller's BLAS
+    threads.
+    """
+    workers = worker_count(len(tasks))
+    if workers == 1:
+        for task in tasks:
+            with _one_blas_thread():
+                started = time.perf_counter()
+                result = task()
+            yield result, time.perf_counter() - started
+        return
+    with _one_blas_thread():
+        outcomes = _forked_outcomes(tasks, workers)
+    registry: dict = {}
+    for raised, value, issued, seconds in outcomes:
+        for category, text, filename, lineno in issued:
+            warnings.warn_explicit(text, category, filename, lineno, registry=registry)
+        if raised:
+            raise value
+        yield value, seconds
+
+
 # -- sweeping and ensembling -------------------------------------------------------
 
 
 @dataclass
 class SweepRow:
     config: HeadConfig
-    val_loss: float
+    val_curve: list[float]
     best_epoch: int
+    seconds: float = field(default=0.0, compare=False)  # wall time of its training
+
+    @property
+    def val_loss(self) -> float:
+        return min(self.val_curve)
 
 
 def sweep(
@@ -485,10 +674,16 @@ def sweep(
     """
     if not space.configs:
         raise ValueError("sweep space is empty")
-    rows = []
-    for config in space.configs:
+
+    def evaluate(config: HeadConfig) -> tuple[list[float], int]:
         head = train_head(store, data, config, seed, train_idx, valid_idx)
-        rows.append(SweepRow(config=config, val_loss=min(head.val_curve), best_epoch=head.best_epoch))
+        return head.val_curve, head.best_epoch
+
+    trained = _run_tasks([functools.partial(evaluate, config) for config in space.configs])
+    rows = [
+        SweepRow(config=config, val_curve=curve, best_epoch=best_epoch, seconds=seconds)
+        for config, ((curve, best_epoch), seconds) in zip(space.configs, trained)
+    ]
     best = min(rows, key=lambda r: (r.val_loss, astuple(r.config)))
     return best.config, rows
 
@@ -527,6 +722,7 @@ class RepetitionResult:
     fold_val_scores: list[float]
     val_score: float
     test_score: float
+    fold_seconds: list[float] = field(default_factory=list, compare=False)  # wall time of each fold head
 
 
 @dataclass
@@ -579,8 +775,10 @@ def kfold_ensemble(
     by validation loss), ensemble = mean of fold-model outputs, metrics on
     validation (mean over held-out folds) and on the test partition.
 
-    Each fold model lives only while it trains and predicts: the repetition
-    keeps its held-out score and its test predictions."""
+    Every fold head of every repetition trains at once, spread over
+    :func:`worker_count` processes; each worker holds one head at a time,
+    which lives only while it trains and predicts.  Only its held-out score
+    and its test predictions come back to the caller."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if train_rows is None or test_rows is None:
@@ -588,33 +786,41 @@ def kfold_ensemble(
         train_rows, test_rows = seeded_split(len(data), seed, "ensemble-split", [cut])
     train_rows = np.asarray(train_rows, dtype=np.int64)
     test_rows = np.asarray(test_rows, dtype=np.int64)
-    features = gather_fingerprints(store, data.ids)
+    test_features = gather_fingerprints(store, data.ids)[test_rows]  # the full matrix is not kept
     if num_reps == 1:
         warnings.warn("std over a single repetition is reported as 0", stacklevel=2)
-
-    result = EnsembleResult(metric=metric, higher_is_better=metric_higher_is_better(metric), num_folds=num_folds)
+    partitions = []
     for rep in range(num_reps):
         rep_seed = derive_seed(seed, "ensemble-rep", rep)
-        folds = kfold_partition(len(train_rows), num_folds, rep_seed)
-        fold_scores = []
-        test_preds = []
-        for fold_id, fold in enumerate(folds):
-            held_out = train_rows[fold]
-            train_part = train_rows[np.concatenate([f for j, f in enumerate(folds) if j != fold_id])]
-            head = train_head(store, data, config, rep_seed + fold_id, train_part, held_out)
-            # The best epoch's validation pass ran these weights on these rows already.
-            logits = head.valid_logits
-            pred = head.predict(features[held_out]) if logits is None else head.activate(logits)
-            fold_scores.append(compute_metric(metric, pred, data.labels.values[held_out]))
-            test_preds.append(head.predict(features[test_rows]))
-            del head  # the next fold trains without this one alive
-        test_score = compute_metric(metric, _mean_output(test_preds), data.labels.values[test_rows])
+        partitions.append((rep_seed, kfold_partition(len(train_rows), num_folds, rep_seed)))
+
+    def fold_head(rep_seed: int, folds: list[np.ndarray], fold_id: int) -> tuple[float, np.ndarray]:
+        held_out = train_rows[folds[fold_id]]
+        train_part = train_rows[np.concatenate([f for j, f in enumerate(folds) if j != fold_id])]
+        head = train_head(store, data, config, rep_seed + fold_id, train_part, held_out)
+        # The best epoch's validation pass ran these weights on these rows already.
+        logits = head.valid_logits
+        pred = head.predict(store.matrix(data.ids)[held_out]) if logits is None else head.activate(logits)
+        return compute_metric(metric, pred, data.labels.values[held_out]), head.predict(test_features)
+
+    trained = _run_tasks([
+        functools.partial(fold_head, rep_seed, folds, fold_id)
+        for rep_seed, folds in partitions
+        for fold_id in range(num_folds)
+    ])
+    result = EnsembleResult(metric=metric, higher_is_better=metric_higher_is_better(metric), num_folds=num_folds)
+    for rep_seed, _ in partitions:
+        outputs = list(itertools.islice(trained, num_folds))  # ((held-out score, test predictions), seconds)
+        fold_scores = [score for (score, _), _ in outputs]
+        test_pred = _mean_output(pred for (_, pred), _ in outputs)
+        test_score = compute_metric(metric, test_pred, data.labels.values[test_rows])
         result.repetitions.append(
             RepetitionResult(
                 seed=rep_seed,
                 fold_val_scores=fold_scores,
                 val_score=float(np.mean(fold_scores)),
                 test_score=test_score,
+                fold_seconds=[seconds for _, seconds in outputs],
             )
         )
     return result

@@ -12,7 +12,7 @@ import pytest
 from minifp import cli
 from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main
-from minifp.downstream import HeadConfig
+from minifp.downstream import HeadConfig, SweepSpace, worker_count
 from minifp.encodings import assemble
 from minifp.fingerprints import FingerprintStore, store_read, store_write
 from minifp.manifest import build_pretrain_dataset
@@ -372,6 +372,28 @@ def test_downstream_command_shape_and_determinism(tmp_path):
     assert rows[0]["metric"] == "auroc"
     assert rows[0]["num_folds"] == "2"
     assert 0.0 <= float(rows[0]["test_mean"]) <= 1.0
+
+
+def test_downstream_writes_wall_times_to_timing_txt_only(tmp_path, monkeypatch):
+    store_path = tmp_path / "fp.mfps"
+    task = write_downstream_task(tmp_path, store_path)
+    configs = [HeadConfig(hidden_dim=8, num_layers=1, epochs=2, learning_rate=lr) for lr in (1e-2, 1e-3)]
+    monkeypatch.setitem(cli.SWEEP_PRESETS, "config1", lambda: SweepSpace("config1", configs))
+    code = main(["downstream", str(store_path), str(task), "--folds", "2", "--reps", "3",
+                 "--out", str(tmp_path / "out"), "--seed", "1"])
+    assert code == 0
+    out = tmp_path / "out"
+    assert "timing.txt" in json.loads((out / "files.json").read_text())["files"]
+    lines = (out / "timing.txt").read_text().splitlines()
+    workers = worker_count(2), worker_count(6)
+    assert lines[0] == f"sweep workers: {workers[0]}" and lines[3] == f"ensemble workers: {workers[1]}"
+    assert [line.split(": ")[0] for line in lines[1:3]] == ["sweep row 0", "sweep row 1"]
+    heads = [f"ensemble repetition {rep} fold {fold}" for rep in range(3) for fold in range(2)]
+    assert [line.split(": ")[0] for line in lines[4:]] == heads
+    assert all(float(line.split(": ")[1].rstrip("s")) >= 0 for line in lines if "workers" not in line)
+    for name in ("summary.csv", "ensemble.csv", "sweep_table.csv"):
+        header = (out / name).read_text().splitlines()[0]
+        assert "second" not in header and "time" not in header, name
 
 
 def test_downstream_missing_fingerprints_exit_2(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import contextlib
+import csv
+import functools
+import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +40,8 @@ from minifp.downstream import (
     train_head,
 )
 from minifp.downstream import _head_loss
-from minifp.fingerprints import FingerprintStore
+from minifp.cli import main
+from minifp.fingerprints import FingerprintStore, store_write
 from minifp.multitask import LabelSet
 from minifp.seeding import rng_stream
 from minifp.trainer import OptimizerState, adam_step, backward_and_step
@@ -552,6 +558,7 @@ def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch
 
     monkeypatch.setattr(downstream, "train_head", recording_train_head)
     monkeypatch.setattr(downstream, "compute_metric", recording_metric)
+    monkeypatch.setattr(downstream, "_available_cores", lambda: 1)  # the recorders run in this process
     train_rows, test_rows = np.arange(48), np.arange(48, 60)
     kfold_ensemble(store, data, quick_config(epochs=1), num_folds, 2, "mae", train_rows, test_rows, seed=1)
     assert len(heads) == 2 * num_folds and all(p.grad is None for head in heads for p in head.params)
@@ -620,6 +627,118 @@ def test_kfold_ensemble_regression_metric():
     result = kfold_ensemble(store, data, quick_config(epochs=10), num_folds=2, num_reps=2, metric="mae", seed=0)
     assert result.higher_is_better is False
     assert result.test_mean >= 0.0
+
+
+# -- forked workers ---------------------------------------------------------------
+
+forks = pytest.mark.skipif(
+    downstream._blas_thread_control() is None, reason="without os.fork or OpenBLAS thread control tasks run serially"
+)
+
+
+def on_cores(monkeypatch, cores):
+    monkeypatch.setattr(downstream, "_available_cores", lambda: cores)
+
+
+def _raise(exc):
+    raise exc
+
+
+def _warn(text):
+    warnings.warn(text, UserWarning)
+    return text
+
+
+def test_fold_heads_and_sweep_configs_train_to_the_same_bits_on_one_worker_and_two(monkeypatch):
+    # 528-deep products, as in the paper's heads: two BLAS threads round them differently from one.
+    store, data, _ = separable_task(n=90, d=528)
+    configs = [quick_config(hidden_dim=64, epochs=3, learning_rate=lr) for lr in (1e-2, 1e-3, 1e-4)]
+    outputs = []
+    for cores in (1, 2):
+        on_cores(monkeypatch, cores)
+        result = kfold_ensemble(store, data, configs[0], num_folds=3, num_reps=2, metric="mae", seed=2)
+        _, rows = sweep(SweepSpace("lr", configs), store, data, seed=2)
+        scores = [(r.fold_val_scores, r.test_score) for r in result.repetitions]
+        outputs.append((scores, [row.val_curve for row in rows]))
+    assert outputs[0] == outputs[1]
+
+
+@forks
+def test_tasks_run_in_forked_workers_and_come_back_in_task_order(monkeypatch):
+    on_cores(monkeypatch, 3)
+    tasks = [functools.partial(lambda i: (i, os.getpid()), i) for i in range(7)]
+    results = [result for result, _ in downstream._run_tasks(tasks)]
+    assert [i for i, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    assert pids[0::3] == [os.getpid()] * 3 and len(set(pids)) == 3
+
+
+@forks
+def test_a_single_class_raised_in_a_worker_reaches_the_caller_as_single_class(monkeypatch):
+    on_cores(monkeypatch, 2)
+    tasks = [os.getpid, functools.partial(_raise, SingleClass("AUROC needs both classes present"))]
+    with pytest.raises(SingleClass, match="^AUROC needs both classes present$"):
+        list(downstream._run_tasks(tasks))
+
+
+@forks
+def test_the_first_task_to_raise_in_task_order_is_the_one_raised(monkeypatch):
+    on_cores(monkeypatch, 2)
+    tasks = [os.getpid, functools.partial(_raise, ZeroVariance("in a worker")), functools.partial(_raise, KeyError("here"))]
+    with pytest.raises(ZeroVariance, match="in a worker"):
+        list(downstream._run_tasks(tasks))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_warnings_of_the_tasks_are_issued_in_task_order(monkeypatch, cores):
+    on_cores(monkeypatch, cores)
+    with pytest.warns(UserWarning) as record:
+        results = [result for result, _ in downstream._run_tasks([functools.partial(_warn, t) for t in "abcde"])]
+    assert results == list("abcde")
+    assert [str(w.message) for w in record] == list("abcde")
+
+
+@forks
+@pytest.mark.parametrize("single_class", [False, True], ids=["returns", "raises"])
+def test_every_worker_is_reaped_and_the_blas_thread_count_restored(monkeypatch, single_class):
+    on_cores(monkeypatch, 2)
+    store, data, _ = separable_task(n=40)
+    if single_class:
+        data = TaskData(data.ids, LabelSet(np.zeros_like(data.labels.values), data.labels.mask), "binary")
+    get, put = downstream._blas_thread_control()
+    original = get()
+    put(2)
+    try:
+        with pytest.raises(SingleClass) if single_class else contextlib.nullcontext():
+            kfold_ensemble(store, data, quick_config(epochs=1), num_folds=2, num_reps=2, metric="auroc", seed=0)
+        assert get() == 2
+    finally:
+        put(original)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_downstream_command_exits_2_when_a_held_out_fold_has_one_class(tmp_path, monkeypatch, capsys):
+    on_cores(monkeypatch, 2)
+    store, ids, _ = make_store(30, 4)
+    store_write(store, tmp_path / "fp.mfps")
+    with open(tmp_path / "labels.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["mol_id", "y"])
+        writer.writerows([molecule_id, int(i == 0)] for i, molecule_id in enumerate(ids))
+    (tmp_path / "task.json").write_text(json.dumps({
+        "labels_csv": "labels.csv",
+        "id_column": "mol_id",
+        "task": {"name": "one-positive", "kind": "binary", "metric": "auroc", "columns": ["y"]},
+    }))
+    (tmp_path / "head.cfg").write_text("d_node = 8\nnum_layers = 1\nepochs = 1\n")
+    code = main([
+        "downstream", str(tmp_path / "fp.mfps"), str(tmp_path / "task.json"), "--sweep", "none",
+        "--head-config", str(tmp_path / "head.cfg"), "--folds", "3", "--reps", "2", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "both classes" in err and "Traceback" not in err
 
 
 # -- correlation analysis --------------------------------------------------------
