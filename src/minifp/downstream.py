@@ -11,9 +11,10 @@ its held-out fold, average the fold models' outputs (post-sigmoid for
 classification) for the ensemble prediction, and report mean and standard
 deviation of validation/test scores across repetitions.
 
-Sweep configs and fold heads are independent, so both train in up to one
-forked worker per available core (:func:`_run_tasks`), each on one BLAS
-thread: their bits do not depend on how many cores there are.
+Sweep configs and fold heads are independent, so both train in a ``fork``
+process pool of up to one worker per available core (:func:`_run_tasks`),
+each worker on one BLAS thread: their bits do not depend on how many cores
+there are.
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ import glob
 import itertools
 import math
 import os
-import pickle
-import signal
-import sys
 import time
 import warnings
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -371,23 +369,13 @@ def auprc(scores, labels) -> float:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i : j + 1] == 1).sum())
-        fp += int((sorted_labels[i : j + 1] == 0).sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    # The last row of each run of equal scores ends a threshold; NaNs never equal, so each is its own.
+    ends = np.flatnonzero(np.r_[sorted_scores[1:] != sorted_scores[:-1], True])
+    tp = np.cumsum(sorted_labels == 1)[ends]
+    fp = np.cumsum(sorted_labels == 0)[ends]
+    recall = tp / n_pos
+    # Summed in threshold order, one term at a time: np.sum's pairwise order rounds differently.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tp / (tp + fp)))[-1])
 
 
 def mae(pred, labels) -> float:
@@ -433,18 +421,12 @@ def spearman_rho(x, y) -> tuple[float, float]:
     rho = _pearson(rx, ry)
 
     if n <= 8:
+        # Centred midranks are multiples of 1/2, so every sum below is exact in any order.
         rxc = rx - rx.mean()
-        denom_x = math.sqrt((rxc * rxc).sum())
-        hits = 0
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            ryp = ry[list(perm)]
-            ryc = ryp - ryp.mean()
-            r = float((rxc * ryc).sum() / (denom_x * math.sqrt((ryc * ryc).sum())))
-            if abs(r) >= abs(rho) - 1e-12:
-                hits += 1
-            total += 1
-        return rho, hits / total
+        ryc = ry - ry.mean()
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.intp)
+        r = (ryc[perms.reshape(-1, n)] @ rxc) / (math.sqrt((rxc * rxc).sum()) * math.sqrt((ryc * ryc).sum()))
+        return rho, int(np.count_nonzero(np.abs(r) >= abs(rho) - 1e-12)) / math.factorial(n)
 
     if abs(rho) >= 1.0 - 1e-15:
         return rho, 0.0
@@ -473,7 +455,7 @@ def metric_higher_is_better(name: str) -> bool:
     return METRICS[name][1]
 
 
-# -- independent tasks in forked workers ---------------------------------------------
+# -- independent tasks in a fork process pool --------------------------------------
 
 
 @functools.cache
@@ -542,88 +524,33 @@ def _outcome(task: Callable[[], object]):
     return raised, value, issued, time.perf_counter() - started
 
 
-def _run_share(tasks: list, share: range) -> list[tuple[int, tuple]]:
-    """(index, outcome) of the tasks in ``share``, stopping after the first that raises."""
-    outcomes = []
-    for index in share:
-        outcome = _outcome(tasks[index])
-        outcomes.append((index, outcome))
-        if outcome[0]:  # the task raised
-            break
-    return outcomes
+_inherited_tasks: list = []  # a pool worker's copy of the tasks, set by _pin_worker
 
 
-def _worker(tasks: list, share: range, write_end: int) -> NoReturn:
-    """A forked child: run its share, send the outcomes down the pipe, exit."""
-    code = 1
-    try:
-        outcomes = _run_share(tasks, share)
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(outcomes))
-        code = 0
-    finally:
-        for stream in (sys.stdout, sys.stderr):
-            with contextlib.suppress(Exception):
-                stream.flush()
-        os._exit(code)
+def _pin_worker(tasks: list) -> None:
+    """A pool worker's initializer: keep the task list it inherited and run on one BLAS thread."""
+    global _inherited_tasks
+    _inherited_tasks = tasks
+    _blas_thread_control()[1](1)
 
 
-def _forked_outcomes(tasks: list, workers: int) -> list:
-    """Every task's outcome by index; ``workers - 1`` forked children run all
-    shares but the first, which runs here meanwhile.  A share stops at its
-    first raise, so later tasks of that share have no outcome.
-
-    Forked children share the tasks' closures and data without pickling
-    them.  The process's one other thread, OpenBLAS's pool, is stopped by
-    OpenBLAS's own fork handler before each fork.
-    """
-    shares = [range(w, len(tasks), workers) for w in range(workers)]
-    outcomes: list = [None] * len(tasks)
-    pids, pipes = [], []
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            sys.stdout.flush()
-            sys.stderr.flush()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(tasks, share, write_end)
-            finally:
-                os.close(write_end)  # the child's copy is its only one
-            pids.append(pid)
-        for index, outcome in _run_share(tasks, shares[0]):
-            outcomes[index] = outcome
-        for pipe in pipes:
-            payload = pipe.read()
-            if not payload:
-                raise RuntimeError("a worker process ended without sending its results")
-            for index, outcome in pickle.loads(payload):
-                outcomes[index] = outcome
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    return outcomes
+def _run_inherited(index: int):
+    return _outcome(_inherited_tasks[index])
 
 
 def _run_tasks(tasks: list[Callable[[], object]]) -> Iterator[tuple[object, float]]:
     """Run independent tasks; yield each one's result and wall seconds, in task order.
 
-    Every task runs on one BLAS thread, the caller's count restored after.
-    With :func:`worker_count` > 1 the caller runs one share of the tasks and
-    forked children run the rest, each sending its results back through a
-    pipe; every child is reaped before the first result is yielded.  A
-    task's exception is raised here, and the warnings each task issued are
-    issued here, both in task order.  With one worker the tasks run here, one
-    per ``next``; without OpenBLAS thread control, also on the caller's BLAS
-    threads.
+    Every task runs on one BLAS thread.  With :func:`worker_count` > 1 the
+    tasks run in a ``fork`` process pool while the caller waits: each worker
+    inherits the tasks' closures and data, so they are never pickled, and
+    only each task's outcome comes back.  Every worker has exited before the
+    first result is yielded.  A task's exception is raised here, and the
+    warnings each task issued are issued here, both in task order; a worker
+    that dies raises ``BrokenProcessPool``, a ``RuntimeError``.  With one
+    worker the tasks run here, one per ``next``, the caller's BLAS thread
+    count restored after each; without OpenBLAS thread control, on the
+    caller's BLAS threads.
     """
     workers = worker_count(len(tasks))
     if workers == 1:
@@ -633,8 +560,16 @@ def _run_tasks(tasks: list[Callable[[], object]]) -> Iterator[tuple[object, floa
                 result = task()
             yield result, time.perf_counter() - started
         return
-    with _one_blas_thread():
-        outcomes = _forked_outcomes(tasks, workers)
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_pin_worker,
+        initargs=(tasks,),
+    ) as pool:
+        outcomes = list(pool.map(_run_inherited, range(len(tasks))))
     registry: dict = {}
     for raised, value, issued, seconds in outcomes:
         for category, text, filename, lineno in issued:
@@ -775,10 +710,11 @@ def kfold_ensemble(
     by validation loss), ensemble = mean of fold-model outputs, metrics on
     validation (mean over held-out folds) and on the test partition.
 
-    Every fold head of every repetition trains at once, spread over
-    :func:`worker_count` processes; each worker holds one head at a time,
-    which lives only while it trains and predicts.  Only its held-out score
-    and its test predictions come back to the caller."""
+    Every fold head of every repetition is a task of one :func:`_run_tasks`
+    call, spread over :func:`worker_count` pool workers; each worker holds
+    one head at a time, which lives only while it trains and predicts.  Only
+    its held-out score and its test predictions come back to the caller,
+    which holds no head unless it is the one worker."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if train_rows is None or test_rows is None:

@@ -46,7 +46,7 @@ from minifp.multitask import LabelSet
 from minifp.seeding import rng_stream
 from minifp.trainer import OptimizerState, adam_step, backward_and_step
 
-from .util import ensemble_predict, traced_memory
+from .util import auprc_loop, ensemble_predict, spearman_p_loop, traced_memory
 
 
 def make_store(n, d, seed=0):
@@ -111,6 +111,18 @@ def test_auprc_perfect_and_known_case():
     # Descending walk: hits at ranks 1 and 3 -> AP = (1/2)(1 + 2/3) = 5/6.
     value = auprc([0.9, 0.8, 0.7], [1, 0, 1])
     assert value == pytest.approx(5 / 6, rel=1e-12)
+
+
+def test_auprc_equals_the_threshold_loop_bitwise():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        n = int(rng.integers(2, 120))
+        # Even trials round to one decimal, so tie groups hold both classes; odd ones are continuous.
+        scores = np.round(rng.random(n), 1) if trial % 2 == 0 else rng.standard_normal(n)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        assert auprc(scores, labels) == auprc_loop(scores, labels), trial
+    assert auprc([0.5, np.nan, 0.5, 0.2], [1, 0, 0, 1]) == auprc_loop([0.5, np.nan, 0.5, 0.2], [1, 0, 0, 1])
 
 
 def test_mae_metric():
@@ -198,6 +210,18 @@ def test_spearman_exact_permutation_p_value():
     # |rho| = 1 (identity and reversal): p = 1/12.
     _, p = spearman_rho([1, 2, 3, 4], [10, 20, 30, 40])
     assert p == pytest.approx(2 / 24, rel=1e-12)
+
+
+def test_spearman_exact_p_value_equals_the_permutation_loop_bitwise():
+    rng = np.random.default_rng(13)
+    for n in range(3, 9):
+        for trial in range(12 if n < 8 else 4):  # the loop takes ~0.4 s at n = 8
+            # Even trials draw from few values, so both inputs carry tie groups.
+            x, y = rng.integers(0, 4, (2, n)) if trial % 2 == 0 else rng.standard_normal((2, n))
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            rho, p = spearman_rho(x, y)
+            assert p == spearman_p_loop(average_ranks(x), average_ranks(y), rho), (n, trial)
 
 
 def test_spearman_t_approximation_branch():
@@ -567,8 +591,9 @@ def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch
         assert scored[(rep + 1) * (num_folds + 1) - 1].tobytes() == expected.tobytes()
 
 
-def test_kfold_ensemble_memory_does_not_grow_with_folds():
+def test_kfold_ensemble_memory_does_not_grow_with_folds(monkeypatch):
     """Each fold head is dropped once it has predicted, so 6 folds peak no higher than 2."""
+    on_cores(monkeypatch, 1)  # the heads train in the process tracemalloc measures
     store, data, _ = separable_task(n=60, d=32)
     config = quick_config(hidden_dim=256, epochs=1, batch_size=64)
     peaks = [
@@ -629,7 +654,7 @@ def test_kfold_ensemble_regression_metric():
     assert result.test_mean >= 0.0
 
 
-# -- forked workers ---------------------------------------------------------------
+# -- the fork process pool -----------------------------------------------------------
 
 forks = pytest.mark.skipif(
     downstream._blas_thread_control() is None, reason="without os.fork or OpenBLAS thread control tasks run serially"
@@ -669,8 +694,18 @@ def test_tasks_run_in_forked_workers_and_come_back_in_task_order(monkeypatch):
     tasks = [functools.partial(lambda i: (i, os.getpid()), i) for i in range(7)]
     results = [result for result, _ in downstream._run_tasks(tasks)]
     assert [i for i, _ in results] == list(range(7))
-    pids = [pid for _, pid in results]
-    assert pids[0::3] == [os.getpid()] * 3 and len(set(pids)) == 3
+    pids = {pid for _, pid in results}  # the pool may hand every one of these to one worker
+    assert os.getpid() not in pids and len(pids) <= 3
+
+
+@forks
+def test_a_worker_that_dies_raises_runtime_error_and_leaves_no_child(monkeypatch):
+    on_cores(monkeypatch, 2)
+    tasks = [os.getpid, functools.partial(os._exit, 1), os.getpid]
+    with pytest.raises(RuntimeError):
+        list(downstream._run_tasks(tasks))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @forks

@@ -1,9 +1,11 @@
-"""Shared helpers for tests: molecular graphs, toy datasets, gradient and
-ensemble oracles, and memory probes."""
+"""Shared helpers for tests: molecular graphs, toy datasets, gradient,
+ensemble and metric oracles, and memory probes."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import resource
 import tracemalloc
 from typing import Callable, Iterable, Sequence
@@ -153,6 +155,52 @@ def finite_difference_check(
 def ensemble_predict(heads: Iterable[TrainedHead], x: np.ndarray) -> np.ndarray:
     """Mean of member outputs (probabilities for classification); see :func:`_mean_output`."""
     return _mean_output(head.predict(x) for head in heads)
+
+
+def auprc_loop(scores, labels) -> float:
+    """AUPRC by a walk over the distinct thresholds, best first: the loop
+    ``downstream.auprc`` ran before it became array code, kept as its oracle."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    area = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int((sorted_labels[i : j + 1] == 1).sum())
+        fp += int((sorted_labels[i : j + 1] == 0).sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return float(area)
+
+
+def spearman_p_loop(rx: np.ndarray, ry: np.ndarray, rho: float) -> float:
+    """The exact two-sided p-value of ``rho`` over every permutation of the
+    midranks ``ry``, one permutation at a time: the loop ``downstream.spearman_rho``
+    ran before it became array code, kept as its oracle."""
+    rxc = rx - rx.mean()
+    denom_x = math.sqrt((rxc * rxc).sum())
+    hits = 0
+    total = 0
+    for perm in itertools.permutations(range(len(rx))):
+        ryp = ry[list(perm)]
+        ryc = ryp - ryp.mean()
+        r = float((rxc * ryc).sum() / (denom_x * math.sqrt((ryc * ryc).sum())))
+        if abs(r) >= abs(rho) - 1e-12:
+            hits += 1
+        total += 1
+    return hits / total
 
 
 def reference_relu(tape, a):
