@@ -1,6 +1,7 @@
 """Downstream task heads on fingerprints: training, sweeps, ensembling, metrics.
 
-A head is a plain MLP over stored fingerprint vectors.  Hyperparameter
+A head is a plain MLP over stored fingerprint vectors, trained by
+``trainer.fit``, the loop pre-training also runs.  Hyperparameter
 sweeps evaluate every grid point on one fixed seed and return the config
 with the smallest validation loss (ties broken lexicographically on the
 config tuple, so the argmin is enumeration-order independent).
@@ -28,7 +29,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -38,7 +39,8 @@ from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
-from .trainer import SCHEDULES, OptimizerState, TrainConfig, adam_step, backward_and_step, lr_at
+# adam_step stays importable here: perfbench/instrument.py traces it in this module.
+from .trainer import SCHEDULES, TrainConfig, adam_step, fit  # noqa: F401
 
 
 class MissingFingerprint(KeyError):
@@ -279,44 +281,35 @@ def train_head(
     valid_idx = np.asarray(valid_idx, dtype=np.int64)
 
     head = TrainedHead(config, features.shape[1], data.out_dim, data.kind, data.num_classes, seed)
-    optimizer = OptimizerState(head.params)
-    schedule = config.schedule_config()
-    batches_per_epoch = max(1, math.ceil(len(train_idx) / config.batch_size))
-    total_steps = config.epochs * batches_per_epoch
-
-    best = math.inf
+    latest_logits = None  # the logits of the last validation pass
     best_snapshot = None  # the weights of the best epoch, when it is not the last
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = rng_stream(seed, "head-batches", epoch).permutation(len(train_idx))
-        shuffled = train_idx[order]
-        epoch_losses = []
-        for start in range(0, len(shuffled), config.batch_size):
-            rows = shuffled[start : start + config.batch_size]
-            tape = Tape()
-            pred = head.forward(tape, features[rows], training=True, step=step)
-            loss = _head_loss(tape, head, pred, data.labels.rows(rows))
-            if loss.requires_grad:
-                lr = lr_at((step + 1) / total_steps, schedule)
-                backward_and_step(tape, loss, head.params, lambda ps: adam_step(ps, optimizer, lr))
-            epoch_losses.append(float(loss.data))
-            step += 1
-        valid_logits = None
+
+    def batch_loss(tape: Tape, rows: np.ndarray, step: int):
+        pred = head.forward(tape, features[rows], training=True, step=step)
+        loss = _head_loss(tape, head, pred, data.labels.rows(rows))
+        return loss, float(loss.data)
+
+    def end_epoch(epoch: int, lr: float, losses: list[float], started: float) -> float:
+        nonlocal latest_logits
         if len(valid_idx):
             tape = Tape(recording=False)
             pred = head.forward(tape, features[valid_idx], training=False)
             val = float(_head_loss(tape, head, pred, data.labels.rows(valid_idx)).data)
-            valid_logits = pred.data
+            latest_logits = pred.data
         else:
-            val = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+            val = float(np.mean(losses)) if losses else 0.0
         head.val_curve.append(val)
-        if val < best:
-            best = val
-            head.best_epoch = epoch
-            head.valid_logits = valid_logits
-            best_snapshot = None  # before the next copy is made
-            if epoch < config.epochs:
-                best_snapshot = head.snapshot()
+        return val
+
+    def on_best(epoch: int) -> None:
+        nonlocal best_snapshot
+        head.valid_logits = latest_logits
+        best_snapshot = None  # before the next copy is made
+        if epoch < config.epochs:
+            best_snapshot = head.snapshot()
+
+    schedule = replace(config.schedule_config(), seed=seed)
+    head.best_epoch = fit(head.params, train_idx, schedule, "head-batches", batch_loss, end_epoch, on_best)
     if head.best_epoch == -1:
         head.restore(value for _, value in head.initial_weights())
     elif best_snapshot is not None:

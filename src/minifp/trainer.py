@@ -1,4 +1,8 @@
-"""Adam optimization, learning-rate schedules, splits, and the pre-training loop.
+"""Adam optimization, learning-rate schedules, splits, the training loop, and pre-training.
+
+:func:`fit` is the one training loop: pre-training (:func:`pretrain`) and
+the downstream heads (``downstream.train_head``) pass it only their batch
+loss, their validation value and what a new best epoch does.
 
 The schedule ramps linearly from 0 to the peak learning rate over the warmup
 epochs (interpolated per step), then follows the configured decay: constant,
@@ -19,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -205,6 +210,44 @@ def backward_and_step(tape: Tape, loss, params: list[Parameter], step) -> None:
         step(rest)
 
 
+def fit(params: list[Parameter], rows, config: TrainConfig, stream: str, batch_loss: Callable[..., tuple],
+        end_epoch: Callable[[int, float, list, float], float], on_best: Callable[[int], None]) -> int:
+    """The one training loop, of pre-training and of the downstream heads; returns
+    the best epoch, or -1 when no validation value was below infinity.
+
+    Each epoch walks ``rows`` in batches of ``config.batch_size``, in the order
+    ``rng_stream(config.seed, stream, epoch)`` draws.  ``batch_loss(tape, batch,
+    step)`` records one on a fresh tape and returns (loss, a record of the
+    caller's); a loss that requires a gradient steps ``params`` by Adam at
+    ``lr_at((step + 1) / total_steps)``, each as soon as its gradient is ready.
+    ``end_epoch(epoch, lr, records, started)`` returns the epoch's validation
+    value (``lr``: its last batch's rate; ``started``: ``time.perf_counter()``
+    at the epoch's start), and a value below every earlier one calls
+    ``on_best(epoch)``.
+    """
+    optimizer = OptimizerState(params)
+    rows = np.asarray(rows)
+    total_steps = config.epochs * max(1, math.ceil(len(rows) / config.batch_size))
+    best, best_epoch, step = math.inf, -1, 0
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        shuffled = rows[rng_stream(config.seed, stream, epoch).permutation(len(rows))]
+        records, lr = [], 0.0
+        for start in range(0, len(shuffled), config.batch_size):
+            lr = lr_at((step + 1) / total_steps, config)
+            tape = Tape()
+            loss, record = batch_loss(tape, shuffled[start : start + config.batch_size], step)
+            if loss.requires_grad:
+                backward_and_step(tape, loss, params, lambda ps: adam_step(ps, optimizer, lr))
+            records.append(record)
+            step += 1
+        value = end_epoch(epoch, lr, records, started)
+        if value < best:
+            best, best_epoch = value, epoch
+            on_best(epoch)
+    return best_epoch
+
+
 # -- pre-training ---------------------------------------------------------------
 
 
@@ -291,7 +334,6 @@ def _losses_for_batch(
     node_rows = dataset.node_rows(molecule_indices)
 
     group_terms: dict[str, list] = {}
-    task_values: dict[str, float] = {}
     for spec in tasks:
         if spec.level == "graph":
             labels = dataset.graph_labels[spec.name].rows(np.asarray(molecule_indices))
@@ -307,7 +349,6 @@ def _losses_for_batch(
             raise NaNLossError(
                 f"non-finite loss for task {spec.name!r} in group {spec.group!r} at step {step}"
             )
-        task_values[spec.name] = value
         group_terms.setdefault(spec.group, []).append(loss)
         if collect_predictions is not None:
             collect_predictions.setdefault(spec.name, []).append((pred.data.copy(), labels))
@@ -320,32 +361,20 @@ def _losses_for_batch(
         group_losses[group] = tape.scale(total, 1.0 / len(terms)) if len(terms) > 1 else total
     total = combined_loss(tape, group_losses, weights)
     group_values = {g: float(t.data) for g, t in group_losses.items()}
-    return total, group_values, task_values
+    return total, {**group_values, "total": float(total.data)}
 
 
 def _epoch_summary(per_batch: list[tuple[dict[str, float], int]]) -> dict[str, float]:
-    """Weighted mean of per-group losses over batches (weights = batch sizes)."""
+    """Weighted mean of per-group losses and of the total over batches (weights =
+    batch sizes); a group counts only the batches it has labels in.  No batch: a total of 0."""
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    total_sum = 0.0
-    total_count = 0
     for values, size in per_batch:
         for group, value in values.items():
-            if group == "total":
-                total_sum += value * size
-                total_count += size
-                continue
             sums[group] = sums.get(group, 0.0) + value * size
             counts[group] = counts.get(group, 0) + size
-    out = {g: sums[g] / counts[g] for g in sums}
-    out["total"] = total_sum / total_count if total_count else 0.0
-    return dict(sorted(out.items()))
-
-
-def _masked_auroc(logits: np.ndarray, labels: np.ndarray) -> float:
-    from .downstream import auroc  # local import: downstream depends on this module
-
-    return auroc(logits, labels)
+    means = {g: sums[g] / counts[g] for g in sums}
+    return dict(sorted({"total": 0.0, **means}.items()))
 
 
 def evaluate(
@@ -362,21 +391,19 @@ def evaluate(
     label entry, under the key ``auroc_<task>`` (omitted when the evaluated
     labels are single-class).
     """
+    from .downstream import auroc  # here: downstream imports this module
+
     per_batch = []
     predictions: dict[str, list] = {}
     indices = np.asarray(indices)
     for start in range(0, len(indices), batch_size):
         chunk = indices[start : start + batch_size]
         tape = Tape(recording=False)
-        total, group_values, _ = _losses_for_batch(
+        _, group_values = _losses_for_batch(
             tape, model, dataset, tasks, chunk, weights, training=False, step=0,
             collect_predictions=predictions,
         )
-        group_values = dict(group_values)
-        group_values["total"] = float(total.data)
         per_batch.append((group_values, len(chunk)))
-    if not per_batch:
-        return {"total": 0.0}
     summary = _epoch_summary(per_batch)
     for spec in tasks:
         if spec.kind != "binary" or spec.name not in predictions:
@@ -387,7 +414,7 @@ def evaluate(
         labels = values[mask]
         if labels.size == 0 or labels.min() == labels.max():
             continue
-        summary[f"auroc_{spec.name}"] = _masked_auroc(logits[mask], labels)
+        summary[f"auroc_{spec.name}"] = auroc(logits[mask], labels)
     return dict(sorted(summary.items()))
 
 
@@ -423,48 +450,29 @@ def pretrain(
             json.dump({"train": train_idx, "valid": valid_idx, "test": test_idx}, fh, sort_keys=True)
             fh.write("\n")
 
-    optimizer = OptimizerState(model.parameters())
-    batches_per_epoch = max(1, math.ceil(len(train_idx) / config.batch_size))
-    total_steps = config.epochs * batches_per_epoch
     log = TrainingLog()
     timings: list[float] = []
-    global_step = 0
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        order = rng_stream(config.seed, "batch-order", epoch).permutation(len(train_idx))
-        shuffled = np.asarray(train_idx)[order]
-        per_batch = []
-        epoch_lr = 0.0
-        for start in range(0, len(shuffled), config.batch_size):
-            chunk = shuffled[start : start + config.batch_size]
-            lr = lr_at((global_step + 1) / total_steps, config)
-            epoch_lr = lr
-            tape = Tape()
-            total, group_values, _ = _losses_for_batch(
-                tape, model, dataset, tasks, chunk, weights, training=True, step=global_step
-            )
-            if total.requires_grad:
-                backward_and_step(tape, total, model.parameters(), lambda ps: adam_step(ps, optimizer, lr))
-            group_values = dict(group_values)
-            group_values["total"] = float(total.data)
-            per_batch.append((group_values, len(chunk)))
-            global_step += 1
+    def batch_loss(tape: Tape, chunk: np.ndarray, step: int):
+        total, group_values = _losses_for_batch(tape, model, dataset, tasks, chunk, weights, training=True, step=step)
+        return total, (group_values, len(chunk))
 
+    def end_epoch(epoch: int, lr: float, per_batch: list, started: float) -> float:
         train_summary = _epoch_summary(per_batch)
         if valid_idx:
             valid_summary = evaluate(model, dataset, tasks, valid_idx, weights, config.batch_size)
         else:
             valid_summary = dict(train_summary)
-        record = EpochRecord(epoch=epoch, lr=epoch_lr, train=train_summary, valid=valid_summary)
-        log.records.append(record)
+        log.records.append(EpochRecord(epoch=epoch, lr=lr, train=train_summary, valid=valid_summary))
         timings.append(time.perf_counter() - started)
+        return valid_summary["total"]
 
-        if valid_summary["total"] < log.best_valid:
-            log.best_valid = valid_summary["total"]
-            log.best_epoch = epoch
-            if out_path is not None:
-                save_model(model, out_path / "best.ckpt")
+    def on_best(epoch: int) -> None:
+        log.best_epoch, log.best_valid = epoch, log.records[-1].valid["total"]
+        if out_path is not None:
+            save_model(model, out_path / "best.ckpt")
+
+    fit(model.parameters(), train_idx, config, "batch-order", batch_loss, end_epoch, on_best)
 
     if out_path is not None:
         if log.best_epoch == config.epochs:

@@ -384,6 +384,33 @@ def test_head_whose_validation_loss_is_nan_every_epoch_keeps_its_initial_weights
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in initial.params]
 
 
+def test_head_without_validation_rows_picks_its_best_epoch_by_mean_training_loss(monkeypatch):
+    store, data, _ = separable_task(n=40)
+    batch_losses = []
+
+    def recording_loss(tape, head, pred, labels):
+        loss = head_loss(tape, head, pred, labels)
+        batch_losses.append(float(loss.data))
+        return loss
+
+    head_loss = downstream._head_loss
+    monkeypatch.setattr(downstream, "_head_loss", recording_loss)
+    config = quick_config(epochs=12, learning_rate=0.5, batch_size=16)  # three batches an epoch; loss oscillates
+    head = train_head(store, data, config, seed=3, train_idx=np.arange(40), valid_idx=np.array([], dtype=np.int64))
+    monkeypatch.undo()
+    assert len(batch_losses) == 3 * config.epochs  # no validation pass ran
+    assert head.val_curve == [float(np.mean(batch_losses[i : i + 3])) for i in range(0, len(batch_losses), 3)]
+    assert 1 < head.best_epoch < config.epochs
+    assert head.best_epoch == 1 + int(np.argmin(head.val_curve))
+    assert head.valid_logits is None
+    # The head holds the best epoch's weights: those of a run that stops there.
+    shorter = train_head(
+        store, data, quick_config(epochs=head.best_epoch, learning_rate=0.5, batch_size=16), seed=3,
+        train_idx=np.arange(40), valid_idx=np.array([], dtype=np.int64),
+    )
+    assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in shorter.params]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_head_steps_each_parameter_when_ready_matching_backward_then_adam_bitwise(dtype):
     store, data, vectors = separable_task(n=48, d=16)

@@ -146,7 +146,7 @@ def _record_step(model, dataset, tasks, step):
     """A fresh tape holding one training forward over six toy molecules, and its loss."""
     tape = Tape()
     molecules = np.arange(6 * step, 6 * step + 6)
-    loss, _, _ = trainer._losses_for_batch(tape, model, dataset, tasks, molecules, LossWeights(), True, step)
+    loss, _ = trainer._losses_for_batch(tape, model, dataset, tasks, molecules, LossWeights(), True, step)
     return tape, loss
 
 
@@ -398,6 +398,25 @@ def test_pretrain_links_final_to_a_best_last_epoch(tmp_path):
     save_model(later, tmp_path / "best.ckpt")
     assert (tmp_path / "final.ckpt").read_bytes() == final_bytes
     assert (tmp_path / "best.ckpt").read_bytes() != final_bytes
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+def test_pretrain_rerun_into_the_same_directory_rewrites_it_byte_for_byte(tmp_path):
+    """The second run replaces final.ckpt, which the first linked to its best.ckpt,
+    with a link to its own best.ckpt, and leaves no temporary file."""
+    cfg = TrainConfig(epochs=3, peak_lr=3e-3, warmup_epochs=0, schedule="constant", batch_size=16, seed=5)
+    names = ("log.jsonl", "split.json", "best.ckpt", "best.ckpt.json")
+    outputs, first_inode = [], None
+    for _ in range(2):
+        dataset, tasks = build_toy_dataset()
+        log = pretrain(dataset, small_model(seed=4), tasks, cfg, out_dir=tmp_path)
+        assert log.best_epoch == cfg.epochs  # so final.ckpt is linked, not written
+        outputs.append({name: (tmp_path / name).read_bytes() for name in names})
+        for suffix in ("", ".json"):
+            assert os.path.samefile(tmp_path / f"best.ckpt{suffix}", tmp_path / f"final.ckpt{suffix}")
+        first_inode = first_inode or os.stat(tmp_path / "final.ckpt").st_ino
+    assert outputs[0] == outputs[1]
+    assert os.stat(tmp_path / "final.ckpt").st_ino != first_inode  # the second run's link replaced the first's
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
