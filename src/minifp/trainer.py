@@ -1,8 +1,4 @@
-"""Adam optimization, learning-rate schedules, splits, the training loop, and pre-training.
-
-:func:`fit` is the one training loop: pre-training (:func:`pretrain`) and
-the downstream heads (``downstream.train_head``) pass it only their batch
-loss, their validation value and what a new best epoch does.
+"""Adam, learning-rate schedules, splits, and :func:`fit`, the one training loop of pre-training and heads.
 
 The schedule ramps linearly from 0 to the peak learning rate over the warmup
 epochs (interpolated per step), then follows the configured decay: constant,
@@ -373,8 +369,7 @@ def _epoch_summary(per_batch: list[tuple[dict[str, float], int]]) -> dict[str, f
         for group, value in values.items():
             sums[group] = sums.get(group, 0.0) + value * size
             counts[group] = counts.get(group, 0) + size
-    means = {g: sums[g] / counts[g] for g in sums}
-    return dict(sorted({"total": 0.0, **means}.items()))
+    return dict(sorted({"total": 0.0, **{g: sums[g] / counts[g] for g in sums}}.items()))
 
 
 def evaluate(
