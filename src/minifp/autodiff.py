@@ -34,14 +34,18 @@ inference forward frees each layer's arrays as soon as the caller stops
 referring to them.  A tape is replayed once: backward pops each op before
 running its closure, so every closure and the arrays only it captured are
 freed as backward passes them, and a second ``backward`` raises
-:class:`SpentTape`.  A hidden layer is one ``linear_relu`` op, or one
-``linear_relu_sum`` op when its input is a concatenation of blocks on
-different rows; either backward reads its output, not its pre-activation.
+:class:`SpentTape`.  ``linear``, ``linear_relu`` and ``linear_relu_sum``
+are one op, ``Tape._affine``, which folds the bias, and the relu if asked,
+into its products; a hidden layer is one such op with relu, whose backward
+reads its output, not its pre-activation.
 
 Segment reductions run over a :class:`Segments` plan, which fixes once the
 order in which each segment's rows are added: by segment, then by the plan's
 key columns, then by row index.  Every sum is a product with a CSR matrix
-that adds each segment's rows in exactly that order.  Relabelling invariance
+that adds each segment's rows in exactly that order, and every CSR matrix
+whose rows follow a plan's order, the graph operators of
+:class:`~minifp.backbones.GraphBatch` included, comes from
+:meth:`Segments.csr`.  Relabelling invariance
 comes from the keys the caller chooses: :class:`~minifp.backbones.GraphBatch`
 keys its plans on stable 1-WL colours, which do not depend on the labelling,
 and rows that tie on those keys carry bitwise-equal values at inference, so
@@ -139,12 +143,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Segments:
     """Rows grouped into segments, each segment's rows in one fixed order.
 
-    Rows are ordered by (segment, ``key`` columns in turn, row index).  The
-    plan holds that order as a CSR matrix whose rows are segments, whose
-    column indices are the input rows in order and whose entries are ones;
-    ``sum`` multiplies by it, and scipy's CSR product adds each output row's
-    entries in stored order.  One matrix is kept per dtype, so values are
-    never upcast.  Empty segments sum to zero.
+    Rows are ordered by (segment, ``key`` columns in turn, row index).  Every
+    CSR matrix whose rows follow that order comes from :meth:`csr`; ``sum``
+    multiplies by the plain one, whose entries are ones, and scipy's CSR
+    product adds each output row's entries in stored order.  One sum matrix
+    is kept per dtype, so values are never upcast.  Empty segments sum to
+    zero.
     """
 
     def __init__(self, segment_ids, num_segments: int, key: Sequence[np.ndarray] = ()):
@@ -165,7 +169,7 @@ class Segments:
             self.order = np.argsort(segment_ids, kind="stable")
         self.counts = np.bincount(segment_ids, minlength=self.num_segments)
         self.indptr = np.concatenate(([0], np.cumsum(self.counts)))
-        self._matrices: dict[np.dtype, scipy.sparse.csr_matrix] = {}
+        self._sums: dict[np.dtype, scipy.sparse.csr_matrix] = {}
 
     def _check(self, values: np.ndarray) -> None:
         if values.ndim != 2 or values.shape[0] != self.segment_ids.shape[0]:
@@ -173,22 +177,33 @@ class Segments:
                 f"segment plan over {self.segment_ids.shape[0]} rows got values of shape {values.shape}"
             )
 
-    def _matrix(self, dtype) -> scipy.sparse.csr_matrix:
-        dtype = np.dtype(dtype)
-        if dtype not in self._matrices:
-            import scipy.sparse  # here, not at module level: a command that sums no plan never loads it
+    def csr(self, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None = None,
+            width: int | None = None) -> scipy.sparse.csr_matrix:
+        """CSR matrix in ``coeff``'s dtype with one row per segment: row s holds
+        (columns[k], coeff[k]) for the plan's rows k of segment s in plan order,
+        then (s, loop[s]) last if ``loop`` is given.  It is square unless
+        ``width`` gives its column count."""
+        import scipy.sparse  # here, not at module level: a command that builds no matrix never loads it
 
-            ones = np.ones(self.order.shape[0], dtype=dtype)
-            self._matrices[dtype] = scipy.sparse.csr_matrix(
-                (ones, self.order, self.indptr), shape=(self.num_segments, self.order.shape[0])
-            )
-        return self._matrices[dtype]
+        n = self.num_segments
+        indices, data, indptr = columns[self.order], coeff[self.order], self.indptr
+        if loop is not None:
+            # Row s's entries end at indptr[s + 1]: each loop goes in there, and
+            # every row starts one entry later per loop before it.
+            ends = self.indptr[1:]
+            indices = np.insert(indices, ends, np.arange(n))
+            data = np.insert(data, ends, loop)
+            indptr = self.indptr + np.arange(n + 1)
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n if width is None else width))
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-segment column sums of 2-D ``values``, each added in plan order."""
         values = np.asarray(values)
         self._check(values)
-        return self._matrix(values.dtype) @ values
+        if values.dtype not in self._sums:
+            rows = values.shape[0]
+            self._sums[values.dtype] = self.csr(np.arange(rows), np.ones(rows, dtype=values.dtype), width=rows)
+        return self._sums[values.dtype] @ values
 
     def max(self, values: np.ndarray) -> np.ndarray:
         """Per-segment column maxima; empty segments are zero."""
@@ -288,15 +303,6 @@ class Tape:
             self._readers[t] = [param, 0]
         return self._watched[param]
 
-    def _record(self, out: Tensor, inputs: Sequence[Tensor], backward) -> None:
-        """Append ``out``'s op and count it once as a reader of each watched input."""
-        self._ops.append((out, backward))
-        reads = [t for t in dict.fromkeys(inputs) if t in self._readers]
-        if reads:
-            self._reads[out] = reads
-            for t in reads:
-                self._readers[t][1] += 1
-
     def _pop(self) -> Callable[[np.ndarray], None]:
         """Take the last op off the tape, uncounted as a reader, and return its closure."""
         out, backward = self._ops.pop()
@@ -305,9 +311,16 @@ class Tape:
         return backward
 
     def _emit(self, data: np.ndarray, inputs: Sequence[Tensor], backward) -> Tensor:
+        """The op's output; if it needs a gradient, its op is appended and
+        counted once as a reader of each watched input."""
         out = Tensor(data, requires_grad=self.recording and any(t.requires_grad for t in inputs))
         if out.requires_grad:
-            self._record(out, inputs, backward)
+            self._ops.append((out, backward))
+            reads = [t for t in dict.fromkeys(inputs) if t in self._readers]
+            if reads:
+                self._reads[out] = reads
+                for t in reads:
+                    self._readers[t][1] += 1
         return out
 
     # -- forward ops ---------------------------------------------------------
@@ -499,34 +512,12 @@ class Tape:
         return self._emit(np.asarray(out_data), tuple(inputs), run)
 
     def linear(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-        """``x @ weight + bias`` as one op: the bias is added in place into the fresh product.
-
-        The product still goes through ``matmul``, whose closure the bias's
-        backward then runs before handing the bias its column sums.
-        """
-        out = self.matmul(x, weight)
-        if bias is None:
-            return out
-        try:
-            out.data += bias.data
-        except ValueError:
-            raise ShapeMismatch(f"bias of shape {bias.data.shape} for a product of {out.data.shape}") from None
-        if not (self.recording and bias.requires_grad):
-            return out
-        product_backward = self._pop() if out.requires_grad else None
-        out.requires_grad = True
-
-        def backward(g):
-            if product_backward is not None:
-                product_backward(g)
-            _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
-
-        self._record(out, (x, weight, bias), backward)
-        return out
+        """``x @ weight + bias`` as one op: :meth:`_affine` with one term and no relu."""
+        return self._affine([(x, weight, None)], bias, relu=False)
 
     def linear_relu(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-        """``relu(x @ weight + bias)`` as one op: ``linear_relu_sum`` with one term."""
-        return self.linear_relu_sum([(x, weight, None)], bias)
+        """``relu(x @ weight + bias)`` as one op: :meth:`_affine` with one term."""
+        return self._affine([(x, weight, None)], bias, relu=True)
 
     def rows(self, a: Tensor, lo: int, hi: int) -> Tensor:
         """Rows ``lo:hi`` of ``a`` as a view; backward adds into that block of ``a``'s gradient.
@@ -544,7 +535,11 @@ class Tape:
         return self._emit(a.data[lo:hi], (a,), backward)
 
     def linear_relu_sum(self, terms: Sequence[tuple[Tensor, Tensor, object]], bias: Tensor | None) -> Tensor:
-        """``relu(Σ_k spread_k(a_k @ w_k) + bias)`` as one op.
+        """``relu(Σ_k spread_k(a_k @ w_k) + bias)`` as one op: :meth:`_affine` with relu."""
+        return self._affine(terms, bias, relu=True)
+
+    def _affine(self, terms: Sequence[tuple[Tensor, Tensor, object]], bias: Tensor | None, relu: bool) -> Tensor:
+        """``Σ_k spread_k(a_k @ w_k) + bias``, then relu if ``relu``, as one op.
 
         A product with a column concatenation is the sum of its block
         products, ``[a_1 | a_2] @ w = a_1 @ w_1 + a_2 @ w_2`` for the row
@@ -556,15 +551,16 @@ class Tape:
         ``plan.segment_ids[i]``; backward is ``plan.sum``) or a CSR pair
         ``(matrix, transpose)`` with ``transpose == matrix.T`` (``matrix @``
         the product; backward ``transpose @ g``).  The spread terms are added
-        in order into the first, then the bias, and relu is applied in place.
+        in order into the first, then the bias, in place, and relu is applied
+        in place.
 
-        Every product goes through :meth:`matmul`; the op takes the products'
-        closures off the tape and keeps no product or spread term.  Backward
-        masks the gradient with ``out > 0``, which equals the pre-activation's
-        ``> 0`` (a NaN stays NaN and is masked either way), so no
-        pre-activation is kept either.  Then it hands each term, last first,
-        its spread's backward of the masked gradient, and the bias its column
-        sums.
+        Every product goes through :meth:`matmul`; this is the one op that
+        takes the products' closures off the tape, and it keeps no product or
+        spread term.  With relu, backward masks the gradient with
+        ``out > 0``, which equals the pre-activation's ``> 0`` (a NaN stays
+        NaN and is masked either way), so no pre-activation is kept either.
+        Then it hands each term, last first, its spread's backward of the
+        gradient, and the bias its column sums.
         """
         out_data = None
         products = []
@@ -589,11 +585,13 @@ class Tape:
                 out_data += bias.data
             except ValueError:
                 raise ShapeMismatch(f"bias of shape {bias.data.shape} for a sum of {out_data.shape}") from None
-        np.maximum(out_data, 0, out=out_data)
+        if relu:
+            np.maximum(out_data, 0, out=out_data)
         spreads = [spread for _, _, spread in terms]
 
         def backward(g):
-            g *= out_data > 0
+            if relu:
+                g *= out_data > 0
             for spread, product_backward in zip(reversed(spreads), reversed(products)):
                 if product_backward is None:
                     continue
@@ -623,12 +621,13 @@ class Tape:
         keeps ``None``.
 
         A parameter's ``grad`` is complete once the last recorded op that
-        reads it has run (an op folded into ``linear`` or ``linear_relu_sum``
-        is one reader; each ``rows`` block is one).  Then ``on_ready(param)``
-        is called, once per watched parameter, before backward goes on; it may
-        update ``param.value`` in place and drop ``param.grad``, since no op
-        still to run reads either.  Parameters that no op reads come last, in
-        the order they were watched.
+        reads it has run (a product folded into ``linear``, ``linear_relu``
+        or ``linear_relu_sum`` is one reader; each ``rows`` block is one).
+        Then ``on_ready(param)`` is called, once per watched parameter,
+        before backward goes on; it may update ``param.value`` in place and
+        drop ``param.grad``, since no op still to run reads either.
+        Parameters that no op reads come last, in the order they were
+        watched.
 
         Each op is popped before its closure runs, so the closure and what
         only it captured are freed once it returns.  Afterwards, even after a

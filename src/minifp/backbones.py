@@ -29,9 +29,11 @@ equal (sender colour, receiver colour, bond class); rows that tie on a
 plan's key are therefore equal, and a relabelled graph sums the same values
 in the same order.  Gathers run over the same plans, so each one's backward
 is that plan's sum.  GCN aggregation and MPNN++'s incoming node sum are one
-sparse product each, with a matrix the batch caches per dtype; its rows
-follow the receiver plan and its transpose's rows the sender plan
-(:meth:`GraphBatch.propagation`, :meth:`GraphBatch.adjacency`).
+sparse product each, with a matrix the batch keeps as an attribute in its
+own dtype; its rows follow the receiver plan and its transpose's rows the
+sender plan (:attr:`GraphBatch.propagation`, :attr:`GraphBatch.adjacency`).
+Those matrices, like every plan-ordered CSR matrix, come from
+:meth:`~minifp.autodiff.Segments.csr`.
 
 Message passing runs through composite tape ops, each of which keeps for
 backward only what its backward reads:
@@ -40,7 +42,7 @@ backward only what its backward reads:
   printed (1 - eps) · x ⊙ Σ_j relu(x_j + e_ij)).  A message depends only on
   its (sender, bond class) pair, so it is built once per distinct pair, in
   place in one (pairs, d) buffer, and each receiver adds its edges' pairs in
-  receiver-plan order (:meth:`GraphBatch.message_sum`), the sums of one
+  receiver-plan order (:attr:`GraphBatch.message_sum`), the sums of one
   message per edge; backward keeps the boolean relu mask per pair, and the
   summed messages only in the printed mode.
 * :func:`edge_hidden` and :func:`node_hidden`: the first layers of MPNN++'s
@@ -344,8 +346,11 @@ class GraphBatch:
     """Disjoint union of graphs; every bond appears as two directed edges.
 
     The colours, segment plans, bond-class rows, message pairs and sparse
-    matrices are computed from the fields on first use and kept, so change
-    no field after a forward pass has read them.
+    operators are computed from the fields on first use and kept, so change
+    no field after a forward pass has read them.  The operators are CSR
+    matrices in the batch's dtype, its node features', each built by
+    :meth:`~minifp.autodiff.Segments.csr` over a plan; a model runs only on
+    a batch of its own dtype.
     """
 
     node_features: np.ndarray
@@ -451,67 +456,35 @@ class GraphBatch:
         return pairs // classes, pairs % classes, pair_of_edge.reshape(-1)
 
     @cached_property
-    def _operators(self) -> dict:
-        return {}
-
-    def propagation(self, dtype) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-        """GCN's Â = D^-½(A+I)D^-½ and its transpose, as CSR matrices in ``dtype``.
+    def propagation(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """GCN's Â = D^-½(A+I)D^-½ and its transpose, as CSR matrices in the batch's dtype.
 
         Row i of Â holds node i's incoming edges in ``receiver_plan`` order,
         then its self-loop; row j of the transpose holds node j's outgoing
         edges in ``sender_plan`` order, then its self-loop.  Degrees count
         incoming edges plus the self-loop.
         """
-        key = ("propagation", np.dtype(dtype))
-        if key not in self._operators:
-            degrees = (self.receiver_plan.counts + 1.0).astype(dtype)
-            inv_sqrt = 1.0 / np.sqrt(degrees)
-            coeff = inv_sqrt[self.senders] * inv_sqrt[self.receivers]
-            self._operators[key] = self._plan_matrices(coeff, 1.0 / degrees)
-        return self._operators[key]
+        degrees = (self.receiver_plan.counts + 1.0).astype(self.node_features.dtype)
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+        return self._both_ways(inv_sqrt[self.senders] * inv_sqrt[self.receivers], 1.0 / degrees)
 
-    def adjacency(self, dtype) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    @cached_property
+    def adjacency(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The plain adjacency (row i sums node i's incoming senders) and its
-        transpose, in ``receiver_plan`` and ``sender_plan`` order."""
-        key = ("adjacency", np.dtype(dtype))
-        if key not in self._operators:
-            self._operators[key] = self._plan_matrices(np.ones(self.num_edges, dtype=dtype), None)
-        return self._operators[key]
+        transpose, in ``receiver_plan`` and ``sender_plan`` order and the batch's dtype."""
+        return self._both_ways(np.ones(self.num_edges, dtype=self.node_features.dtype), None)
 
-    def message_sum(self, dtype) -> scipy.sparse.csr_matrix:
-        """The (nodes × message pairs) CSR matrix whose row i adds node i's
-        incoming edges' pairs (:attr:`message_pairs`) in ``receiver_plan`` order."""
-        key = ("messages", np.dtype(dtype))
-        if key not in self._operators:
-            senders, _, pair_of_edge = self.message_pairs
-            ones = np.ones(self.num_edges, dtype=dtype)
-            self._operators[key] = _plan_matrix(self.receiver_plan, pair_of_edge, ones, None, senders.shape[0])
-        return self._operators[key]
+    @cached_property
+    def message_sum(self) -> scipy.sparse.csr_matrix:
+        """The (nodes × message pairs) CSR matrix in the batch's dtype whose row i
+        adds node i's incoming edges' pairs (:attr:`message_pairs`) in ``receiver_plan`` order."""
+        senders, _, pair_of_edge = self.message_pairs
+        ones = np.ones(self.num_edges, dtype=self.node_features.dtype)
+        return self.receiver_plan.csr(pair_of_edge, ones, width=senders.shape[0])
 
-    def _plan_matrices(self, coeff: np.ndarray, loop: np.ndarray | None):
-        return (
-            _plan_matrix(self.receiver_plan, self.senders, coeff, loop),
-            _plan_matrix(self.sender_plan, self.receivers, coeff, loop),
-        )
-
-
-def _plan_matrix(plan: Segments, columns: np.ndarray, coeff: np.ndarray, loop: np.ndarray | None,
-                 width: int | None = None):
-    """CSR matrix with one row per segment: row s holds (columns[k], coeff[k])
-    for the plan's rows k of segment s in plan order, then (s, loop[s]) last.
-    It is square unless ``width`` gives its column count."""
-    import scipy.sparse  # here, not at module level: a command that builds no batch never loads it
-
-    n = plan.num_segments
-    indices, data, indptr = columns[plan.order], coeff[plan.order], plan.indptr
-    if loop is not None:
-        # Row s's entries end at indptr[s + 1]: each loop goes in there, and
-        # every row starts one entry later per loop before it.
-        ends = plan.indptr[1:]
-        indices = np.insert(indices, ends, np.arange(n))
-        data = np.insert(data, ends, loop)
-        indptr = plan.indptr + np.arange(n + 1)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n if width is None else width))
+    def _both_ways(self, coeff: np.ndarray, loop: np.ndarray | None):
+        """The receiver-plan matrix of the edges' ``coeff`` and its transpose, built over the sender plan."""
+        return self.receiver_plan.csr(self.senders, coeff, loop), self.sender_plan.csr(self.receivers, coeff, loop)
 
 
 def batch_graphs(
@@ -588,6 +561,8 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
         raise ShapeMismatch(
             f"node features width {batch.node_features.shape[1]} != expected {cfg.node_input_width}"
         )
+    if batch.node_features.dtype != cfg.np_dtype:
+        raise ShapeMismatch(f"a {batch.node_features.dtype} batch for a {cfg.dtype} model")
     x0 = mlp_forward(tape, state, "embed_x", tape.constant(batch.node_features))
     e0 = None
     if cfg.backbone != "gcn":
@@ -603,10 +578,10 @@ def embed_inputs(tape: Tape, batch: GraphBatch, state: ModelState):
 def gcn_aggregate(tape: Tape, x, batch: GraphBatch):
     """The weight-free normalized aggregation sum_{j in N(i) ∪ {i}} x_j / sqrt(d_i d_j).
 
-    One product with the batch's cached Â = D^-½(A+I)D^-½ (Kipf & Welling,
-    arXiv 1609.02907); see :meth:`GraphBatch.propagation`.
+    One product with the batch's Â = D^-½(A+I)D^-½ (Kipf & Welling,
+    arXiv 1609.02907); see :attr:`GraphBatch.propagation`.
     """
-    return tape.sparse_matmul(x, *batch.propagation(x.data.dtype))
+    return tape.sparse_matmul(x, *batch.propagation)
 
 
 def gcn_layer(tape: Tape, state: ModelState, layer: int, x, batch: GraphBatch, training: bool, step: int):
@@ -646,7 +621,7 @@ def node_hidden(tape: Tape, x, e_bar, g, w1, b1, batch: GraphBatch):
     in_e and out_e sum each node's incoming and outgoing rows of e_bar (two
     segment sums); then one ``Tape.linear_relu_sum`` adds x·W_x + in_e·W_in +
     out_e·W_out + A·(x·W_ax) + (g·W_g)[node graph] + b1 over the row blocks of
-    W1, with A the batch's adjacency (:meth:`GraphBatch.adjacency`).
+    W1, with A the batch's adjacency (:attr:`GraphBatch.adjacency`).
     """
     incoming = tape.segment_sum(e_bar, batch.receiver_plan)
     outgoing = tape.segment_sum(e_bar, batch.sender_plan)
@@ -657,7 +632,7 @@ def node_hidden(tape: Tape, x, e_bar, g, w1, b1, batch: GraphBatch):
             (x, w_x, None),
             (incoming, w_in, None),
             (outgoing, w_out, None),
-            (x, w_ax, batch.adjacency(x.data.dtype)),
+            (x, w_ax, batch.adjacency),
             (g, w_g, batch.graph_node_plan),
         ],
         b1,
@@ -672,7 +647,7 @@ def gine_inputs(tape: Tape, x, e, eps, batch: GraphBatch, mode: str):
     An edge's message depends only on its (sender, bond class) pair, so
     relu(x_s + e_c) is built once per distinct pair (:attr:`GraphBatch.message_pairs`)
     in one (pairs, d) buffer, and each receiver adds its incoming edges' pairs
-    in receiver-plan order (:meth:`GraphBatch.message_sum`): the same
+    in receiver-plan order (:attr:`GraphBatch.message_sum`): the same
     additions, in the same order, as over one message per edge.  Backward
     keeps the boolean relu mask per pair (none on a non-recording tape), and
     agg only in "paper-printed" mode, whose backward reads it; it gathers the
@@ -693,7 +668,7 @@ def gine_inputs(tape: Tape, x, e, eps, batch: GraphBatch, mode: str):
     messages += e.data[pair_classes]
     np.maximum(messages, 0, out=messages)
     mask = messages > 0 if tape.recording else None
-    agg = batch.message_sum(messages.dtype) @ messages
+    agg = batch.message_sum @ messages
     del messages  # before the combine allocates its output
 
     def message_grads(g_agg):

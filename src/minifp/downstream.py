@@ -710,6 +710,8 @@ def kfold_ensemble(
     which holds no head unless it is the one worker."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if num_reps < 1:
+        raise TooFewRuns(f"need at least 1 repetition, got {num_reps}")
     if train_rows is None or test_rows is None:
         cut = max(1, int(round(len(data) * 0.8)))
         train_rows, test_rows = seeded_split(len(data), seed, "ensemble-split", [cut])

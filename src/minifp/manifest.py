@@ -375,7 +375,7 @@ CONFIG_SCHEMA: dict[str, type] = {
 
 
 def parse_config_text(text: str, where: str = "config") -> dict:
-    """Parse ``key = value`` lines with ``#`` comments into typed values."""
+    """Parse ``key = value`` lines with ``#`` comments into typed values; a float must be finite."""
     out: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -393,6 +393,8 @@ def parse_config_text(text: str, where: str = "config") -> dict:
             out[key] = typ(value)
         except ValueError as exc:
             raise ManifestError(f"{where} line {line_no}: bad {typ.__name__} {value!r}") from exc
+        if typ is float and not math.isfinite(out[key]):
+            raise ManifestError(f"{where} line {line_no}: {key} = {value!r} is not a finite number")
     return out
 
 

@@ -197,6 +197,15 @@ def test_embed_width_mismatch_raises():
         embed_inputs(Tape(recording=False), batch, state)
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+def test_forward_on_a_batch_of_another_dtype_raises(backbone):
+    # The batch's operators are in its own dtype, so a model runs only on a batch of its dtype.
+    state = build_model(tiny_config(backbone))
+    _, batch = featurized_batch(["CC(=O)O"], tiny_config(backbone, dtype="float32"))
+    with pytest.raises(ShapeMismatch, match="float32 batch for a float64 model"):
+        forward(Tape(recording=False), batch, state)
+
+
 def test_gcn_embeds_no_edges_but_keeps_the_edge_mlp():
     cfg = tiny_config("gcn")
     state = build_model(cfg)
@@ -237,7 +246,9 @@ def _gathered_gcn_aggregate(x, batch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sparse_neighbour_sums_match_the_gather_composition_bitwise(dtype):
     rng = np.random.default_rng(21)
-    graphs = [random_molecule(rng) for _ in range(6)] + [parse_smiles("C")]
+    graphs = [random_molecule(rng) for _ in range(6)]
+    # Isolated atoms: two next to each other (consecutive empty rows take their self-loops at one offset), one last.
+    graphs = graphs[:3] + [parse_smiles("C"), parse_smiles("O")] + graphs[3:] + [parse_smiles("C")]
     batch = batch_graphs(graphs, [assemble(g, 2, 3) for g in graphs], dtype=dtype)
     one_way = single_graph_batch(np.zeros((4, 1)), np.zeros((4, 1)), [0, 1, 2, 0], [1, 2, 0, 2], dtype=dtype)
     for b in (batch, one_way):
@@ -248,9 +259,9 @@ def test_sparse_neighbour_sums_match_the_gather_composition_bitwise(dtype):
         assert agg.data.dtype == dtype
         assert np.array_equal(agg.data, _gathered_gcn_aggregate(x, b))
         # MPNN++'s incoming_x: the senders' rows summed over the receiver plan.
-        incoming = tape.sparse_matmul(tape.constant(x), *b.adjacency(dtype))
+        incoming = tape.sparse_matmul(tape.constant(x), *b.adjacency)
         assert np.array_equal(incoming.data, b.receiver_plan.sum(x[b.senders]))
-        for matrix, transpose in (b.propagation(dtype), b.adjacency(dtype)):
+        for matrix, transpose in (b.propagation, b.adjacency):
             assert np.array_equal(matrix.T.toarray(), transpose.toarray())
 
 

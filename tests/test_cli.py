@@ -15,7 +15,7 @@ from minifp.cli import main
 from minifp.downstream import HeadConfig, SweepSpace, worker_count
 from minifp.encodings import assemble
 from minifp.fingerprints import FingerprintStore, store_read, store_write
-from minifp.manifest import build_pretrain_dataset
+from minifp.manifest import CONFIG_SCHEMA, build_pretrain_dataset
 from minifp.molgraph import parse_smiles
 from minifp.seeding import rng_stream
 
@@ -488,13 +488,13 @@ def test_downstream_splits_match_the_inline_splits_bitwise(tmp_path, monkeypatch
             assert got.dtype == want.dtype and np.array_equal(got, want), site
 
 
-def _downstream_args(tmp_path, folds="2"):
+def _downstream_args(tmp_path, folds="2", reps="1"):
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
     head_cfg = tmp_path / "head.txt"
     head_cfg.write_text(HEAD_CONFIG)
     return ["downstream", str(store_path), str(task), "--sweep", "none", "--head-config", str(head_cfg),
-            "--folds", folds, "--reps", "1", "--out", str(tmp_path / "out")]
+            "--folds", folds, "--reps", reps, "--out", str(tmp_path / "out")]
 
 
 def _single_class_args(tmp_path):
@@ -516,14 +516,18 @@ def _two_molecule_pretrain_args(tmp_path):
     [
         lambda tmp_path: _downstream_args(tmp_path, folds="1"),
         lambda tmp_path: _downstream_args(tmp_path, folds="30"),
+        lambda tmp_path: _downstream_args(tmp_path, reps="0"),
+        lambda tmp_path: _downstream_args(tmp_path, reps="-1"),
         _single_class_args,
         _two_molecule_pretrain_args,
     ],
-    ids=["one-fold", "more-folds-than-rows", "single-class-auroc", "too-few-molecules"],
+    ids=["one-fold", "more-folds-than-rows", "zero-reps", "negative-reps", "single-class-auroc", "too-few-molecules"],
 )
 def test_data_errors_exit_2(tmp_path, capsys, make_args):
     assert main(make_args(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def write_correlate_inputs(tmp_path, n_runs=5, coupled=True):
@@ -618,8 +622,8 @@ def test_correlate_metric_missing_from_one_run_uses_the_others(tmp_path):
 
 @pytest.mark.parametrize(
     "line, word",
-    [("dropout = 1.5", "dropout"), ("peak_lr = 0", "learning rate"), ("peak_lr = nan", "learning rate"),
-     ("batch_size = 0", "batch_size")],
+    [("dropout = 1.5", "dropout"), ("peak_lr = 0", "learning rate"),
+     ("peak_lr = inf", "peak_lr = 'inf' is not a finite number"), ("batch_size = 0", "batch_size")],
 )
 def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
     args = _downstream_args(tmp_path)
@@ -645,7 +649,7 @@ def test_invalid_head_config_exit_2(tmp_path, capsys, line, word):
         ("warmup_epochs = 500", "warmup_epochs"),
         ("graph_head_input = global", "graph_head_input"),
         ("backbone = gine", "--backbone gcn"),
-        ("peak_lr = nan", "learning rate"),
+        ("peak_lr = 0", "learning rate"),
     ],
 )
 def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
@@ -655,6 +659,20 @@ def test_invalid_run_config_exit_2(tmp_path, capsys, line, word):
     assert main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ") and word in err
+    assert not (out / "run_config.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [key for key, typ in CONFIG_SCHEMA.items() if typ is float])
+def test_non_finite_run_config_number_exit_2(tmp_path, capsys, key, value):
+    manifest = write_dataset(tmp_path, smiles=["CCO", "CCN", "CCC", "CCCl"])
+    config = write_config(tmp_path, SMALL_CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "run"
+    assert main(["pretrain", str(manifest), "--backbone", "gcn", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    line_no = len(SMALL_CONFIG.splitlines()) + 1
+    assert err.startswith(f"error: {config} line {line_no}: {key} = '{value}' is not a finite number")
+    assert "Traceback" not in err
     assert not (out / "run_config.txt").exists()
 
 

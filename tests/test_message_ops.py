@@ -124,7 +124,7 @@ def reference_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
     w1, b1, w2, b2 = watched_mlp(tape, state, f"layer{layer}/mlp_node")
     node = reference_block_hidden(
         tape, w1, b1,
-        [(x, None), (incoming_e, None), (outgoing_e, None), (x, batch.adjacency(x.data.dtype)),
+        [(x, None), (incoming_e, None), (outgoing_e, None), (x, batch.adjacency),
          (g, batch.graph_node_plan)],
     )
     x_bar = tape.linear(node, w2, b2)
@@ -140,7 +140,7 @@ def concat_mpnnpp_layer(tape, state, layer, x, e, g, batch, training, step):
     e_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_edge", edge_in)
     incoming_e = tape.segment_sum(e_bar, batch.receiver_plan)
     outgoing_e = tape.segment_sum(e_bar, batch.sender_plan)
-    incoming_x = tape.sparse_matmul(x, *batch.adjacency(x.data.dtype))
+    incoming_x = tape.sparse_matmul(x, *batch.adjacency)
     node_in = tape.concat([x, incoming_e, outgoing_e, incoming_x, g_per_node], axis=1)
     x_bar = reference_mlp_forward(tape, state, f"layer{layer}/mlp_node", node_in)
     return mpnnpp_streams(tape, state, layer, x, e, g, e_bar, x_bar, batch, training, step)
