@@ -59,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import glob
 import math
 import os
 import struct
@@ -262,6 +263,64 @@ def _keep_freed_heap() -> None:
             mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
             mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
             mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
+@functools.cache
+def _blas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels bundle
+    under ``numpy.libs`` (named as numpy 2 or numpy 1 builds name them); None
+    without those symbols or without ``os.fork``.
+
+    Loading the library again by path returns the copy numpy already uses.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _available_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def worker_count(num_tasks: int) -> int:
+    """The workers ``num_tasks`` independent tasks are spread over, each on one
+    BLAS thread: one per available core and at most one per task, or 1 without
+    OpenBLAS thread control."""
+    if _blas_thread_control() is None:
+        return 1
+    return max(1, min(num_tasks, _available_cores()))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    The count is the process's, so threads started inside the block run their
+    products on one BLAS thread each, and every product rounds as it does on
+    one core."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 class Tape:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import CorruptCheckpoint
+from .autodiff import CorruptCheckpoint, worker_count
 from .backbones import (
     BACKBONES,
     ModelConfig,
@@ -44,10 +44,10 @@ from .downstream import (
     TaskData,
     TooFewRuns,
     ZeroVariance,
+    check_ensemble_counts,
     correlation_analysis,
     kfold_ensemble,
     sweep,
-    worker_count,
 )
 from .encodings import assemble, feature_layout
 from .fingerprints import (
@@ -313,6 +313,7 @@ def cmd_downstream(args) -> int:
     else:
         cut = max(1, int(round(len(ids) * 0.8)))
         train_rows, test_rows = seeded_split(len(ids), seed, "downstream-split", [cut])
+    check_ensemble_counts(len(train_rows), args.folds, args.reps)  # before the sweep trains anything
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

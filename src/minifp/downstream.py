@@ -20,13 +20,9 @@ there are.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import glob
 import itertools
 import math
-import os
 import time
 import warnings
 from dataclasses import astuple, dataclass, field, replace
@@ -34,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Parameter, Tape
+from .autodiff import Parameter, Tape, _blas_thread_control, _one_blas_thread, worker_count
 from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
@@ -451,59 +447,6 @@ def metric_higher_is_better(name: str) -> bool:
 # -- independent tasks in a fork process pool --------------------------------------
 
 
-@functools.cache
-def _blas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the thread count of the OpenBLAS that numpy's wheels bundle
-    under ``numpy.libs`` (named as numpy 2 or numpy 1 builds name them); None
-    without those symbols or without ``os.fork``.
-
-    Loading the library again by path returns the copy numpy already uses.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
-def _available_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def worker_count(num_tasks: int) -> int:
-    """The processes :func:`_run_tasks` spreads ``num_tasks`` tasks over: one per
-    available core and at most one per task, or 1 without OpenBLAS thread control."""
-    if _blas_thread_control() is None:
-        return 1
-    return max(1, min(num_tasks, _available_cores()))
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, then restore the caller's count."""
-    control = _blas_thread_control()
-    if control is None:
-        yield
-        return
-    get, put = control
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
 def _outcome(task: Callable[[], object]):
     """Run ``task``: (raised, its result or exception, the warnings it issued, wall seconds)."""
     started = time.perf_counter()
@@ -616,12 +559,20 @@ def sweep(
     return best.config, rows
 
 
-def kfold_partition(n: int, num_folds: int, seed: int) -> list[np.ndarray]:
-    """Disjoint, exhaustive, seed-deterministic folds of range(n)."""
+def check_ensemble_counts(num_rows: int, num_folds: int, num_reps: int = 1) -> None:
+    """Raise :class:`TooFewRuns` or :class:`FoldTooSmall` unless ``num_reps``
+    repetitions of ``num_folds`` folds over ``num_rows`` training rows can run."""
+    if num_reps < 1:
+        raise TooFewRuns(f"need at least 1 repetition, got {num_reps}")
     if num_folds < 2:
         raise FoldTooSmall(f"need at least 2 folds, got {num_folds}")
-    if n < num_folds:
-        raise FoldTooSmall(f"cannot split {n} examples into {num_folds} folds")
+    if num_rows < num_folds:
+        raise FoldTooSmall(f"cannot split {num_rows} examples into {num_folds} folds")
+
+
+def kfold_partition(n: int, num_folds: int, seed: int) -> list[np.ndarray]:
+    """Disjoint, exhaustive, seed-deterministic folds of range(n)."""
+    check_ensemble_counts(n, num_folds)
     return seeded_split(n, seed, "kfold", num_folds)
 
 
@@ -710,13 +661,12 @@ def kfold_ensemble(
     which holds no head unless it is the one worker."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if num_reps < 1:
-        raise TooFewRuns(f"need at least 1 repetition, got {num_reps}")
     if train_rows is None or test_rows is None:
         cut = max(1, int(round(len(data) * 0.8)))
         train_rows, test_rows = seeded_split(len(data), seed, "ensemble-split", [cut])
     train_rows = np.asarray(train_rows, dtype=np.int64)
     test_rows = np.asarray(test_rows, dtype=np.int64)
+    check_ensemble_counts(len(train_rows), num_folds, num_reps)
     test_features = gather_fingerprints(store, data.ids)[test_rows]  # the full matrix is not kept
     if num_reps == 1:
         warnings.warn("std over a single repetition is reported as 0", stacklevel=2)

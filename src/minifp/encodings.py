@@ -7,7 +7,10 @@ are the bond features alone.  All encodings are computed in float64; the
 model casts to its own precision when batching.
 
 Everything here is pure given (graph, config), so batch featurization is
-safe to run concurrently.
+safe to run concurrently.  The Laplacian's ``eigh`` runs on one BLAS thread;
+the thread count is the process's, so threads that featurize at once hold
+one :func:`~minifp.autodiff._one_blas_thread` region around all of them, as
+fingerprint extraction does.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _one_blas_thread
 from .molgraph import BOND_ORDERS, ORGANIC_ELEMENTS, MolecularGraph
 
 
@@ -147,7 +151,8 @@ def laplacian_encoding(graph: MolecularGraph, k_pe: int = DEFAULT_K_PE) -> Lapla
         raise ValueError("k_pe must be >= 1")
     n = graph.num_atoms
     lap = normalized_laplacian(graph)
-    values, vectors = np.linalg.eigh(lap)
+    with _one_blas_thread():  # threaded LAPACK only slows a molecule-sized eigh
+        values, vectors = np.linalg.eigh(lap)
     keep = min(k_pe, n)
     vec_out = np.zeros((n, k_pe), dtype=np.float64)
     val_out = np.zeros((n, k_pe), dtype=np.float64)

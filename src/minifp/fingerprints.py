@@ -20,6 +20,7 @@ An id longer than ``MAX_ID_BYTES`` cannot be stored.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 import stat
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, _one_blas_thread, worker_count
 # pool and normalize_smiles stay importable here: perfbench/instrument.py traces them in this module.
 from .backbones import ModelState, batch_graphs, forward, graph_readout, pool  # noqa: F401
 from .encodings import assemble
@@ -119,6 +120,14 @@ def extract_fingerprints(
     invalid ``k_pe`` or ``rw_steps`` raises.  Two molecules whose ids are
     equal, an id standing in for a missing one included, raise
     :class:`DuplicateId` before any forward pass.
+
+    Each batch is featurized and forwarded as one task, on one BLAS thread,
+    so the stored bits do not depend on the core count.  With
+    :func:`~minifp.autodiff.worker_count` > 1 the tasks run on a thread pool
+    (numpy releases the GIL in its products) and their rows are stored in
+    batch order; the first batch to raise, in batch order, raises here, the
+    batches not yet started are cancelled, and every pool thread has exited
+    before this returns.
     """
     cfg = model.config
     store = FingerprintStore(cfg.readout_width)
@@ -146,13 +155,18 @@ def extract_fingerprints(
         taken.add(molecule_id)
         pending.append((molecule_id, graph))
 
-    for start in range(0, len(pending), batch_size):
-        ids, graphs = zip(*pending[start : start + batch_size])
+    def fingerprint_batch(chunk: list[tuple[str, MolecularGraph]]) -> np.ndarray:
+        graphs = [graph for _, graph in chunk]
         batch = batch_graphs(graphs, [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs], dtype=cfg.np_dtype)
         tape = Tape(recording=False)
-        rows = graph_readout(tape, forward(tape, batch, model, training=False), batch, cfg).data
-        for molecule_id, row in zip(ids, rows):
-            store.add(molecule_id, row)
+        return graph_readout(tape, forward(tape, batch, model, training=False), batch, cfg).data
+
+    chunks = [pending[start : start + batch_size] for start in range(0, len(pending), batch_size)]
+    workers = worker_count(len(chunks))
+    with _one_blas_thread(), concurrent.futures.ThreadPoolExecutor(workers) as executor:
+        for chunk, rows in zip(chunks, (executor.map if workers > 1 else map)(fingerprint_batch, chunks)):
+            for (molecule_id, _), row in zip(chunk, rows):
+                store.add(molecule_id, row)
     return store, report
 
 

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from minifp.autodiff import _blas_thread_control, _one_blas_thread
 from minifp.cli import main
-from minifp.downstream import _blas_thread_control, _one_blas_thread
 from minifp.fingerprints import store_read
 from minifp.molgraph import normalize_smiles
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from minifp import cli
+from minifp.autodiff import worker_count
 from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main
-from minifp.downstream import HeadConfig, SweepSpace, worker_count
+from minifp.downstream import HeadConfig, SweepSpace
 from minifp.encodings import assemble
 from minifp.fingerprints import FingerprintStore, store_read, store_write
 from minifp.manifest import CONFIG_SCHEMA, build_pretrain_dataset
@@ -488,12 +489,13 @@ def test_downstream_splits_match_the_inline_splits_bitwise(tmp_path, monkeypatch
             assert got.dtype == want.dtype and np.array_equal(got, want), site
 
 
-def _downstream_args(tmp_path, folds="2", reps="1"):
+def _downstream_args(tmp_path, folds="2", reps="1", sweep="none"):
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
     head_cfg = tmp_path / "head.txt"
     head_cfg.write_text(HEAD_CONFIG)
-    return ["downstream", str(store_path), str(task), "--sweep", "none", "--head-config", str(head_cfg),
+    head = ["--head-config", str(head_cfg)] if sweep == "none" else []
+    return ["downstream", str(store_path), str(task), "--sweep", sweep, *head,
             "--folds", folds, "--reps", reps, "--out", str(tmp_path / "out")]
 
 
@@ -528,6 +530,16 @@ def test_data_errors_exit_2(tmp_path, capsys, make_args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("folds, reps", [("1", "1"), ("30", "1"), ("2", "0")],
+                         ids=["one-fold", "more-folds-than-rows", "zero-reps"])
+def test_ensemble_counts_that_cannot_run_exit_2_before_the_sweep(tmp_path, capsys, folds, reps):
+    assert main(_downstream_args(tmp_path, folds=folds, reps=reps, sweep="config1")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for name in ("sweep_table.csv", "chosen_config.json", "summary.csv"):
+        assert not (tmp_path / "out" / name).exists(), name
 
 
 def write_correlate_inputs(tmp_path, n_runs=5, coupled=True):

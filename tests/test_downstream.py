@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from minifp import downstream
+from minifp import autodiff, downstream
 from minifp.autodiff import Tape
 from minifp.downstream import (
     FoldTooSmall,
@@ -609,7 +609,7 @@ def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch
 
     monkeypatch.setattr(downstream, "train_head", recording_train_head)
     monkeypatch.setattr(downstream, "compute_metric", recording_metric)
-    monkeypatch.setattr(downstream, "_available_cores", lambda: 1)  # the recorders run in this process
+    monkeypatch.setattr(autodiff, "_available_cores", lambda: 1)  # the recorders run in this process
     train_rows, test_rows = np.arange(48), np.arange(48, 60)
     kfold_ensemble(store, data, quick_config(epochs=1), num_folds, 2, "mae", train_rows, test_rows, seed=1)
     assert len(heads) == 2 * num_folds and all(p.grad is None for head in heads for p in head.params)
@@ -684,12 +684,12 @@ def test_kfold_ensemble_regression_metric():
 # -- the fork process pool -----------------------------------------------------------
 
 forks = pytest.mark.skipif(
-    downstream._blas_thread_control() is None, reason="without os.fork or OpenBLAS thread control tasks run serially"
+    autodiff._blas_thread_control() is None, reason="without os.fork or OpenBLAS thread control tasks run serially"
 )
 
 
 def on_cores(monkeypatch, cores):
-    monkeypatch.setattr(downstream, "_available_cores", lambda: cores)
+    monkeypatch.setattr(autodiff, "_available_cores", lambda: cores)
 
 
 def _raise(exc):
@@ -767,7 +767,7 @@ def test_every_worker_is_reaped_and_the_blas_thread_count_restored(monkeypatch, 
     store, data, _ = separable_task(n=40)
     if single_class:
         data = TaskData(data.ids, LabelSet(np.zeros_like(data.labels.values), data.labels.mask), "binary")
-    get, put = downstream._blas_thread_control()
+    get, put = autodiff._blas_thread_control()
     original = get()
     put(2)
     try:

@@ -1,13 +1,26 @@
 import csv
 import os
+import sys
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from minifp.autodiff import Tape
-from minifp.backbones import ConstantGlobalStream, GraphBatch, ModelConfig, batch_graphs, build_model, forward, pool
+from minifp import autodiff, fingerprints
+from minifp.autodiff import Tape, _one_blas_thread
+from minifp.backbones import (
+    ConstantGlobalStream,
+    GraphBatch,
+    ModelConfig,
+    batch_graphs,
+    build_model,
+    default_config,
+    forward,
+    graph_readout,
+    pool,
+)
 from minifp.encodings import assemble
 from minifp.fingerprints import (
     MAX_ID_BYTES,
@@ -22,7 +35,7 @@ from minifp.fingerprints import (
 from minifp.molgraph import parse_smiles
 from minifp.multitask import TaskSpec, head_input
 
-from .util import random_molecule
+from .util import TOY_SMILES, random_molecule
 
 
 def small_model(backbone="gine", **overrides):
@@ -125,6 +138,69 @@ def test_extract_does_not_mutate_model():
     before = {name: p.value.tobytes() for name, p in model.params.items()}
     extract_fingerprints(model, ["CCO", "c1ccncc1"])
     assert {name: p.value.tobytes() for name, p in model.params.items()} == before
+
+
+def on_cores(monkeypatch, cores):
+    monkeypatch.setattr(autodiff, "_available_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_extracted_rows_equal_serial_forwards_on_one_blas_thread(monkeypatch, cores):
+    # At default gine widths two BLAS threads round the products differently from one.
+    model = build_model(default_config("gine", num_layers=2))
+    cfg = model.config
+    threads = set()
+
+    def recording_forward(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return forward(*args, **kwargs)
+
+    on_cores(monkeypatch, cores)
+    monkeypatch.setattr(fingerprints, "forward", recording_forward)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent switches: a pool thread that reset the BLAS count would show
+    try:
+        store, _ = extract_fingerprints(model, TOY_SMILES, batch_size=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(store) == len(TOY_SMILES) and cfg.np_dtype == np.float32
+    uses_pool = cores > 1 and autodiff._blas_thread_control() is not None
+    assert (threading.main_thread() in threads) != uses_pool
+    for start in range(0, len(TOY_SMILES), 8):
+        graphs = [parse_smiles(text) for text in TOY_SMILES[start : start + 8]]
+        with _one_blas_thread():
+            batch = batch_graphs(graphs, [assemble(g, cfg.k_pe, cfg.rw_steps) for g in graphs], dtype=cfg.np_dtype)
+            tape = Tape(recording=False)
+            rows = graph_readout(tape, forward(tape, batch, model, training=False), batch, cfg).data
+        assert store.matrix()[start : start + 8].tobytes() == rows.tobytes(), start
+
+
+@pytest.mark.skipif(autodiff._blas_thread_control() is None, reason="no OpenBLAS thread count to restore")
+@pytest.mark.parametrize("cores", [1, 2])
+def test_the_first_batch_to_raise_propagates_and_the_pool_and_blas_count_are_restored(monkeypatch, cores):
+    # Batches of two: the second holds sulfur, the third chlorine.
+    molecules = ["CCO", "CCN", "CCS", "CS", "CCCl", "CCl", "CCC", "CCCC"]
+
+    def failing_assemble(graph, *args):
+        elements = {atom.element for atom in graph.atoms}
+        if "S" in elements:
+            raise ValueError("the second batch")
+        if "Cl" in elements:
+            raise KeyError("the third batch")
+        return assemble(graph, *args)
+
+    on_cores(monkeypatch, cores)
+    monkeypatch.setattr(fingerprints, "assemble", failing_assemble)
+    get, put = autodiff._blas_thread_control()
+    original, threads_before = get(), threading.active_count()
+    put(2)
+    try:
+        with pytest.raises(ValueError, match="the second batch"):
+            extract_fingerprints(small_model(), molecules, batch_size=2)
+        assert get() == 2
+    finally:
+        put(original)
+    assert threading.active_count() == threads_before
 
 
 def test_extract_batching_matches_single():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from minifp import downstream
+from minifp import autodiff, downstream
 from minifp.downstream import HeadConfig, TaskData, kfold_ensemble, kfold_partition, random_split
 from minifp.fingerprints import FingerprintStore
 from minifp.multitask import LabelSet
@@ -98,7 +98,7 @@ def test_kfold_ensemble_fallback_split_matches_the_inline_split_bitwise(seed, mo
         return _RowEcho(predicted)
 
     monkeypatch.setattr(downstream, "train_head", fake_train_head)
-    monkeypatch.setattr(downstream, "_available_cores", lambda: 1)  # the fake heads run in this process
+    monkeypatch.setattr(autodiff, "_available_cores", lambda: 1)  # the fake heads run in this process
     kfold_ensemble(store, data, HeadConfig(), num_folds=num_folds, num_reps=num_reps, metric="mae", seed=seed)
 
     order = rng_stream(seed, "ensemble-split").permutation(n)
