@@ -46,6 +46,7 @@ from .downstream import (
     ZeroVariance,
     check_ensemble_counts,
     correlation_analysis,
+    holdout_split,
     kfold_ensemble,
     sweep,
 )
@@ -311,47 +312,24 @@ def cmd_downstream(args) -> int:
         train_rows = np.array([row_of[i] for i in train_ids], dtype=np.int64)
         test_rows = np.array([row_of[i] for i in test_ids], dtype=np.int64)
     else:
-        cut = max(1, int(round(len(ids) * 0.8)))
-        train_rows, test_rows = seeded_split(len(ids), seed, "downstream-split", [cut])
+        train_rows, test_rows = holdout_split(len(ids), seed)
     check_ensemble_counts(len(train_rows), args.folds, args.reps)  # before the sweep trains anything
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    produced = ["files.json"]
-    timing = []  # wall-clock lines, kept out of every CSV
 
+    sweep_rows = None
     if args.sweep != "none":
         inner_valid = max(1, len(train_rows) // 10)
         valid_part, train_part = seeded_split(len(train_rows), seed, "sweep-split", [inner_valid])
         # Split files list ids in any order, so the picked rows are sorted again.
         sweep_valid, sweep_train = np.sort(train_rows[valid_part]), np.sort(train_rows[train_part])
         space = SWEEP_PRESETS[args.sweep]()
-        best_config, rows = sweep(space, store, data, seed, sweep_train, sweep_valid)
-        with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["hidden_dim", "num_layers", "dropout", "skip_connection",
-                 "learning_rate", "epochs", "warmup_epochs", "schedule", "val_loss", "best_epoch"]
-            )
-            for row in rows:
-                c = row.config
-                writer.writerow(
-                    [c.hidden_dim, c.num_layers, c.dropout, c.skip_connection,
-                     repr(c.learning_rate), c.epochs, c.warmup_epochs, c.schedule,
-                     repr(row.val_loss), row.best_epoch]
-                )
-        produced.append("sweep_table.csv")
-        timing.append(f"sweep workers: {worker_count(len(rows))}\n")
-        timing += [f"sweep row {i}: {row.seconds:.3f}s\n" for i, row in enumerate(rows)]
+        best_config, sweep_rows = sweep(space, store, data, seed, sweep_train, sweep_valid)
     elif args.head_config:
         best_config = _head_config_from_file(args.head_config)
     else:
         best_config = HeadConfig()
-
-    with open(out_dir / "chosen_config.json", "w", encoding="utf-8") as fh:
-        json.dump(best_config.__dict__, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    produced.append("chosen_config.json")
 
     result = kfold_ensemble(
         store,
@@ -364,6 +342,30 @@ def cmd_downstream(args) -> int:
         test_rows=test_rows,
         seed=seed,
     )
+    # Every output is written only now, so a run that fails above leaves none.
+    produced = ["files.json"]
+    timing = []  # wall-clock lines, kept out of every CSV
+    if sweep_rows is not None:
+        with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["hidden_dim", "num_layers", "dropout", "skip_connection",
+                 "learning_rate", "epochs", "warmup_epochs", "schedule", "val_loss", "best_epoch"]
+            )
+            for row in sweep_rows:
+                c = row.config
+                writer.writerow(
+                    [c.hidden_dim, c.num_layers, c.dropout, c.skip_connection,
+                     repr(c.learning_rate), c.epochs, c.warmup_epochs, c.schedule,
+                     repr(row.val_loss), row.best_epoch]
+                )
+        produced.append("sweep_table.csv")
+        timing.append(f"sweep workers: {worker_count(len(sweep_rows))}\n")
+        timing += [f"sweep row {i}: {row.seconds:.3f}s\n" for i, row in enumerate(sweep_rows)]
+    with open(out_dir / "chosen_config.json", "w", encoding="utf-8") as fh:
+        json.dump(best_config.__dict__, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    produced.append("chosen_config.json")
     with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["repetition", "fold", "val_score"])

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, _blas_thread_control, _one_blas_thread, worker_count
+from .autodiff import Parameter, Tape, _one_blas_thread, worker_count
 from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
@@ -177,6 +177,12 @@ def random_split(n: int, valid_fraction: float, seed: int) -> tuple[np.ndarray, 
     n_valid = max(1, math.floor(n * valid_fraction)) if n > 1 else 0
     valid, train = seeded_split(n, seed, "head-split", [n_valid])
     return train, valid
+
+
+def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded 80/20 (train, test) fallback split when no split files are given."""
+    train, test = seeded_split(n, seed, "downstream-split", [max(1, int(round(n * 0.8)))])
+    return train, test
 
 
 # -- the head model ---------------------------------------------------------------
@@ -460,14 +466,13 @@ def _outcome(task: Callable[[], object]):
     return raised, value, issued, time.perf_counter() - started
 
 
-_inherited_tasks: list = []  # a pool worker's copy of the tasks, set by _pin_worker
+_inherited_tasks: list = []  # a pool worker's copy of the tasks, set by _inherit_tasks
 
 
-def _pin_worker(tasks: list) -> None:
-    """A pool worker's initializer: keep the task list it inherited and run on one BLAS thread."""
+def _inherit_tasks(tasks: list) -> None:
+    """A pool worker's initializer: keep the task list it inherited."""
     global _inherited_tasks
     _inherited_tasks = tasks
-    _blas_thread_control()[1](1)
 
 
 def _run_inherited(index: int):
@@ -478,15 +483,17 @@ def _run_tasks(tasks: list[Callable[[], object]]) -> Iterator[tuple[object, floa
     """Run independent tasks; yield each one's result and wall seconds, in task order.
 
     Every task runs on one BLAS thread.  With :func:`worker_count` > 1 the
-    tasks run in a ``fork`` process pool while the caller waits: each worker
-    inherits the tasks' closures and data, so they are never pickled, and
-    only each task's outcome comes back.  Every worker has exited before the
-    first result is yielded.  A task's exception is raised here, and the
-    warnings each task issued are issued here, both in task order; a worker
-    that dies raises ``BrokenProcessPool``, a ``RuntimeError``.  With one
-    worker the tasks run here, one per ``next``, the caller's BLAS thread
-    count restored after each; without OpenBLAS thread control, on the
-    caller's BLAS threads.
+    tasks run in a ``fork`` process pool while the caller waits, the pool's
+    whole life inside one :func:`_one_blas_thread` region: each worker
+    inherits the one-thread count and the tasks' closures and data, so they
+    are never pickled, and only each task's outcome comes back.  Every
+    worker has exited before the first result is yielded.  A task's
+    exception is raised here, and the warnings each task issued are issued
+    here, both in task order; a worker that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``.  With one worker the tasks
+    run here, one per ``next``, the caller's BLAS thread count restored
+    after each; without OpenBLAS thread control, on the caller's BLAS
+    threads.
     """
     workers = worker_count(len(tasks))
     if workers == 1:
@@ -499,10 +506,10 @@ def _run_tasks(tasks: list[Callable[[], object]]) -> Iterator[tuple[object, floa
     import concurrent.futures
     import multiprocessing
 
-    with concurrent.futures.ProcessPoolExecutor(
+    with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_pin_worker,
+        initializer=_inherit_tasks,
         initargs=(tasks,),
     ) as pool:
         outcomes = list(pool.map(_run_inherited, range(len(tasks))))
@@ -662,8 +669,7 @@ def kfold_ensemble(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if train_rows is None or test_rows is None:
-        cut = max(1, int(round(len(data) * 0.8)))
-        train_rows, test_rows = seeded_split(len(data), seed, "ensemble-split", [cut])
+        train_rows, test_rows = holdout_split(len(data), seed)
     train_rows = np.asarray(train_rows, dtype=np.int64)
     test_rows = np.asarray(test_rows, dtype=np.int64)
     check_ensemble_counts(len(train_rows), num_folds, num_reps)

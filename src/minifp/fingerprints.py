@@ -34,7 +34,7 @@ from .autodiff import Tape, _one_blas_thread, worker_count
 # pool and normalize_smiles stay importable here: perfbench/instrument.py traces them in this module.
 from .backbones import ModelState, batch_graphs, forward, graph_readout, pool  # noqa: F401
 from .encodings import assemble
-from .molgraph import MolecularGraph, normalize_smiles, parse_smiles, renumber_ring_closures  # noqa: F401
+from .molgraph import MolecularGraph, normalize_smiles, parse_smiles  # noqa: F401
 
 STORE_MAGIC = b"MFPS"
 STORE_VERSION = 1
@@ -142,14 +142,13 @@ def extract_fingerprints(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 graph = parse_smiles(smiles)
-            key = renumber_ring_closures(smiles)
         except Exception as exc:  # collected, not raised
             report.failures.append((molecule_id or smiles, str(exc)))
             continue
-        if key in seen:
+        if graph.smiles in seen:
             continue
-        seen.add(key)
-        molecule_id = molecule_id or key
+        seen.add(graph.smiles)
+        molecule_id = molecule_id or graph.smiles
         if molecule_id in taken:
             raise DuplicateId(f"molecule id {molecule_id!r} is taken by an earlier molecule")
         taken.add(molecule_id)

@@ -46,7 +46,6 @@ from .molgraph import (
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
-    renumber_ring_closures,
 )
 from .multitask import LOSS_FOR_KIND, LabelSet, LossWeights, TaskSpec
 from .trainer import PretrainDataset, TrainConfig
@@ -180,7 +179,6 @@ def load_manifest(path) -> DatasetManifest:
 class MoleculeRow:
     row_index: int
     molecule_id: str
-    smiles: str
     graph: MolecularGraph
     row: dict[str, str]
 
@@ -211,11 +209,11 @@ def read_molecules(manifest: DatasetManifest) -> tuple[list[MoleculeRow], list[P
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 graph = parse_smiles(smiles)
-                molecule_id = row[manifest.id_column].strip() if manifest.id_column else renumber_ring_closures(smiles)
         except SmilesError as exc:
             failures.append(ParseFailure(row_index=index, smiles=smiles, error=str(exc)))
             continue
-        molecules.append(MoleculeRow(index, molecule_id, smiles, graph, row))
+        molecule_id = row[manifest.id_column].strip() if manifest.id_column else graph.smiles
+        molecules.append(MoleculeRow(index, molecule_id, graph, row))
     return molecules, failures
 
 
@@ -286,7 +284,7 @@ def build_pretrain_dataset(
     for mol in molecules:
         if heavy_atom_count(mol.graph) > max_heavy:
             continue
-        if exclusion and renumber_ring_closures(mol.smiles) in exclusion:
+        if mol.graph.smiles in exclusion:
             continue
         kept.append(mol)
     if not kept:

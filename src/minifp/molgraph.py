@@ -1,14 +1,15 @@
 """SMILES parsing into molecular graphs, plus the heavy-atom count and textual
-normal form the dataset filters use.
+normal form the dataset filters use.  The parser computes the normal form in
+the same pass as the graph.
 
 The supported grammar subset covers organic-subset atoms (B, C, N, O, P, S,
 F, Cl, Br, I and their aromatic lowercase forms), bracket atoms with charge
 and hydrogen count, branches, ring closures ``1``-``9`` and ``%nn``, and the
 bond symbols ``-``, ``=``, ``#``, ``:``.  Stereo markers (``/``, ``\\``,
 ``@``) are parsed and discarded with a warning: the pipeline's 2D graph
-features ignore stereochemistry.  Hydrogens are never materialized as graph
-nodes; implicit counts are derived from standard valence tables so that
-degree-style features are well-defined.
+features ignore stereochemistry (the normal form keeps the markers).
+Hydrogens are never materialized as graph nodes; implicit counts are derived
+from standard valence tables so that degree-style features are well-defined.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ VALENCES = {
 
 _BOND_SYMBOLS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _BOND_VALENCE = {SINGLE: 1.0, DOUBLE: 2.0, TRIPLE: 3.0, AROMATIC: 1.5}
+_RING_LABELS = tuple(str(k) if k < 10 else f"%{k:02d}" for k in range(100))  # a label's text
 
 _BRACKET_RE = re.compile(
     r"^(?P<isotope>\d+)?"
@@ -118,7 +120,7 @@ class MolecularGraph:
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
-    source_text: str = ""
+    smiles: str = ""  # the normal form (see normalize_smiles); empty for a graph built by hand
 
     @property
     def num_atoms(self) -> int:
@@ -166,7 +168,7 @@ class MolecularGraph:
 
 
 def _tokenize(text: str):
-    """Yield (kind, payload) tokens; kinds: atom, bracket, bond, open, close, ring."""
+    """Yield (kind, payload) tokens; kinds: atom, bracket, bond, stereo, open, close, ring."""
     i = 0
     n = len(text)
     while i < n:
@@ -194,6 +196,7 @@ def _tokenize(text: str):
                 f"stereo bond marker {ch!r} at position {i} is not supported and was discarded",
                 stacklevel=3,
             )
+            yield "stereo", ch
             i += 1
         elif ch == "%":
             if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
@@ -253,6 +256,8 @@ def parse_smiles(text: str) -> MolecularGraph:
 
     Atoms are numbered by first appearance in the string.  A bond with no
     explicit symbol between two aromatic atoms is aromatic, otherwise single.
+    The graph's ``smiles`` is the text's normal form (see
+    :func:`normalize_smiles`), built token by token in the same pass.
 
     Raises:
         EmptyInput: blank input.
@@ -263,11 +268,13 @@ def parse_smiles(text: str) -> MolecularGraph:
     if not text or not text.strip():
         raise EmptyInput("empty SMILES string")
 
-    graph = MolecularGraph(source_text=text)
+    graph = MolecularGraph()
+    normal: list[str] = []  # the normal form's pieces, one per token
     anchor: int | None = None
     pending_bond: str | None = None
     branch_stack: list[int | None] = []
-    open_rings: dict[int, tuple[int, str | None]] = {}
+    open_rings: dict[int, tuple[int, str | None, int]] = {}  # ring -> (atom, bond, new label)
+    next_label = 1
 
     def attach(new_idx: int) -> None:
         nonlocal pending_bond
@@ -281,37 +288,26 @@ def parse_smiles(text: str) -> MolecularGraph:
 
     for kind, payload in _tokenize(text):
         if kind == "atom":
-            symbol = payload
-            if symbol.islower():
-                atom = Atom(element=symbol.capitalize(), aromatic=True)
+            normal.append(payload)
+            if payload.islower():
+                atom = Atom(element=payload.capitalize(), aromatic=True)
             else:
-                atom = Atom(element=symbol)
+                atom = Atom(element=payload)
             graph.atoms.append(atom)
             idx = len(graph.atoms) - 1
             attach(idx)
             anchor = idx
         elif kind == "bracket":
+            normal.append(f"[{payload}]")
             graph.atoms.append(_parse_bracket(payload))
             idx = len(graph.atoms) - 1
             attach(idx)
             anchor = idx
-        elif kind == "bond":
-            if pending_bond is not None:
-                raise SmilesError(f"two consecutive bond symbols before position of {payload!r}")
-            pending_bond = _BOND_SYMBOLS[payload]
-        elif kind == "open":
-            if anchor is None:
-                raise UnbalancedBranch("branch opened before any atom")
-            branch_stack.append(anchor)
-        elif kind == "close":
-            if not branch_stack:
-                raise UnbalancedBranch("unmatched ')'")
-            anchor = branch_stack.pop()
         elif kind == "ring":
             if anchor is None:
                 raise UnclosedRing(f"ring closure {payload} before any atom")
             if payload in open_rings:
-                partner, partner_order = open_rings.pop(payload)
+                partner, partner_order, label = open_rings.pop(payload)
                 order = pending_bond if pending_bond is not None else partner_order
                 if (
                     pending_bond is not None
@@ -325,10 +321,31 @@ def parse_smiles(text: str) -> MolecularGraph:
                 if partner == anchor:
                     raise SmilesError(f"ring closure {payload} bonds an atom to itself")
                 graph.bonds.append(Bond(partner, anchor, order))
-                pending_bond = None
             else:
-                open_rings[payload] = (anchor, pending_bond)
-                pending_bond = None
+                if next_label < 100:
+                    label = next_label
+                    next_label += 1
+                else:  # past %99 a label is reused: the lowest one not open now
+                    in_use = {entry[2] for entry in open_rings.values()}
+                    label = next(k for k in (*range(1, 100), 0) if k not in in_use)
+                open_rings[payload] = (anchor, pending_bond, label)
+            pending_bond = None
+            normal.append(_RING_LABELS[label])
+        else:
+            normal.append(payload)
+            if kind == "bond":
+                if pending_bond is not None:
+                    raise SmilesError(f"two consecutive bond symbols before position of {payload!r}")
+                pending_bond = _BOND_SYMBOLS[payload]
+            elif kind == "open":
+                if anchor is None:
+                    raise UnbalancedBranch("branch opened before any atom")
+                branch_stack.append(anchor)
+            elif kind == "close":
+                if not branch_stack:
+                    raise UnbalancedBranch("unmatched ')'")
+                anchor = branch_stack.pop()
+            # a stereo mark stays in the normal form; the graph ignores it
 
     if branch_stack:
         raise UnbalancedBranch(f"{len(branch_stack)} unclosed '('")
@@ -337,6 +354,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     if pending_bond is not None:
         raise SmilesError("trailing bond symbol")
 
+    graph.smiles = "".join(normal)
     annotate(graph)
     return graph
 
@@ -430,53 +448,12 @@ def heavy_atom_count(graph: MolecularGraph) -> int:
 def normalize_smiles(text: str) -> str:
     """Deterministic textual normal form of a SMILES string.
 
-    Strips whitespace and renumbers ring-closure digits by first appearance
-    (past 99, reusing the lowest number not open); everything else (including
-    atom order) is preserved, so this is a textual normalization, not graph
-    canonicalization: "CCO" and "OCC" stay distinct.
-    Parse errors propagate.
+    Strips whitespace and renumbers ring-closure labels by first appearance
+    (past 99, reusing the lowest label not open); everything else (including
+    atom order and stereo markers) is preserved, so this is a textual
+    normalization, not graph canonicalization: "CCO" and "OCC" stay distinct.
+    It is the ``smiles`` of the parsed graph; parse errors propagate.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        parse_smiles(text)
-    return renumber_ring_closures(text)
-
-
-def renumber_ring_closures(text: str) -> str:
-    """:func:`normalize_smiles` of a text that has already parsed, without parsing it again."""
-    out: list[str] = []
-    open_map: dict[int, int] = {}
-    next_id = 1
-    i = 0
-    stripped = "".join(text.split())
-    n = len(stripped)
-    while i < n:
-        ch = stripped[i]
-        if ch == "[":
-            j = stripped.find("]", i)
-            out.append(stripped[i : j + 1])
-            i = j + 1
-            continue
-        if ch == "%" or ch.isdigit():
-            if ch == "%":
-                ring = int(stripped[i + 1 : i + 3])
-                i += 3
-            else:
-                ring = int(ch)
-                i += 1
-            if ring in open_map:
-                new_id = open_map.pop(ring)
-            elif next_id < 100:
-                new_id = next_id
-                next_id += 1
-                open_map[ring] = new_id
-            else:
-                # Past %99 a number is reused: the lowest one not open now.
-                in_use = set(open_map.values())
-                new_id = next(k for k in (*range(1, 100), 0) if k not in in_use)
-                open_map[ring] = new_id
-            out.append(str(new_id) if new_id < 10 else f"%{new_id:02d}")
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+        return parse_smiles(text).smiles

@@ -7,9 +7,9 @@ streams never alias each other.
 
 Every split is :func:`seeded_split` on its own stream: ``"split"`` (92/4/4
 pre-training), ``"head-split"`` (a head's 10% validation fallback),
-``"kfold"`` (one ensemble repetition's folds), ``"ensemble-split"`` and
-``"downstream-split"`` (the 80/20 fallbacks of ``kfold_ensemble`` and
-``minifp downstream``), ``"sweep-split"`` (the CLI sweep's 10% cut).
+``"kfold"`` (one ensemble repetition's folds), ``"downstream-split"`` (the
+80/20 fallback of ``kfold_ensemble`` and ``minifp downstream``),
+``"sweep-split"`` (the CLI sweep's 10% cut).
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ def test_spectral_oracle_criterion():
     """P3 eigenvalues {0, 1, 2} within 1e-9; eigenpair residuals < 1e-8 on
     200 random molecular graphs."""
     p3 = annotate(
-        MolecularGraph(atoms=[Atom(element="C") for _ in range(3)], bonds=[Bond(0, 1), Bond(1, 2)], source_text="CCC")
+        MolecularGraph(atoms=[Atom(element="C") for _ in range(3)], bonds=[Bond(0, 1), Bond(1, 2)], smiles="CCC")
     )
     enc = laplacian_encoding(p3, k_pe=3)
     assert np.abs(enc.values[0] - np.array([0.0, 1.0, 2.0])).max() < 1e-9
@@ -234,7 +234,7 @@ def test_spectral_oracle_criterion():
 def test_random_walk_oracle_criterion():
     """Encoding equals the dense matrix-power computation within 1e-12 for
     N <= 12; the K2 pattern [0, 1, 0, 1] is exact."""
-    k2 = annotate(MolecularGraph(atoms=[Atom(element="C"), Atom(element="C")], bonds=[Bond(0, 1)], source_text="CC"))
+    k2 = annotate(MolecularGraph(atoms=[Atom(element="C"), Atom(element="C")], bonds=[Bond(0, 1)], smiles="CC"))
     np.testing.assert_array_equal(random_walk_encoding(k2, 4).probs, [[0, 1, 0, 1], [0, 1, 0, 1]])
 
     rng = np.random.default_rng(2)

@@ -499,8 +499,8 @@ def _downstream_args(tmp_path, folds="2", reps="1", sweep="none"):
             "--folds", folds, "--reps", reps, "--out", str(tmp_path / "out")]
 
 
-def _single_class_args(tmp_path):
-    args = _downstream_args(tmp_path)
+def _single_class_args(tmp_path, sweep="none"):
+    args = _downstream_args(tmp_path, sweep=sweep)
     labels = tmp_path / "labels.csv"
     rows = labels.read_text().splitlines()
     labels.write_text("\n".join([rows[0]] + [row.rsplit(",", 1)[0] + ",1" for row in rows[1:]]) + "\n")
@@ -521,15 +521,19 @@ def _two_molecule_pretrain_args(tmp_path):
         lambda tmp_path: _downstream_args(tmp_path, reps="0"),
         lambda tmp_path: _downstream_args(tmp_path, reps="-1"),
         _single_class_args,
+        lambda tmp_path: _single_class_args(tmp_path, sweep="config1"),
         _two_molecule_pretrain_args,
     ],
-    ids=["one-fold", "more-folds-than-rows", "zero-reps", "negative-reps", "single-class-auroc", "too-few-molecules"],
+    ids=["one-fold", "more-folds-than-rows", "zero-reps", "negative-reps", "single-class-auroc",
+         "single-class-auroc-after-a-sweep", "too-few-molecules"],
 )
 def test_data_errors_exit_2(tmp_path, capsys, make_args):
     assert main(make_args(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "out" / "summary.csv").exists()
+    # A downstream run writes its outputs only after the ensemble: a failed one leaves none.
+    for name in ("sweep_table.csv", "chosen_config.json", "ensemble.csv", "summary.csv"):
+        assert not (tmp_path / "out" / name).exists(), name
 
 
 @pytest.mark.parametrize("folds, reps", [("1", "1"), ("30", "1"), ("2", "0")],

@@ -726,6 +726,21 @@ def test_tasks_run_in_forked_workers_and_come_back_in_task_order(monkeypatch):
 
 
 @forks
+def test_every_pool_task_runs_on_one_blas_thread(monkeypatch):
+    on_cores(monkeypatch, 2)
+    get, put = autodiff._blas_thread_control()
+    original = get()
+    put(2)
+    try:
+        results = [result for result, _ in downstream._run_tasks([lambda: (get(), os.getpid())] * 6)]
+        assert get() == 2
+    finally:
+        put(original)
+    assert [count for count, _ in results] == [1] * 6
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+@forks
 def test_a_worker_that_dies_raises_runtime_error_and_leaves_no_child(monkeypatch):
     on_cores(monkeypatch, 2)
     tasks = [os.getpid, functools.partial(os._exit, 1), os.getpid]

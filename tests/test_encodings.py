@@ -20,7 +20,7 @@ def path_graph(n):
     g = MolecularGraph(
         atoms=[Atom(element="C") for _ in range(n)],
         bonds=[Bond(i, i + 1) for i in range(n - 1)],
-        source_text="P" + str(n),
+        smiles="C" * n,
     )
     return annotate(g)
 
@@ -29,7 +29,7 @@ def triangle():
     g = MolecularGraph(
         atoms=[Atom(element="C") for _ in range(3)],
         bonds=[Bond(0, 1), Bond(1, 2), Bond(0, 2)],
-        source_text="C3",
+        smiles="C1CC1",
     )
     return annotate(g)
 
@@ -82,7 +82,7 @@ def test_p3_laplacian_eigenvalues():
 
 
 def test_single_node_laplacian_is_zero():
-    g = annotate(MolecularGraph(atoms=[Atom(element="C")], bonds=[], source_text="C"))
+    g = annotate(MolecularGraph(atoms=[Atom(element="C")], bonds=[], smiles="C"))
     np.testing.assert_array_equal(normalized_laplacian(g), [[0.0]])
     enc = laplacian_encoding(g, k_pe=2)
     np.testing.assert_array_equal(enc.values, [[0.0, 0.0]])
@@ -162,7 +162,7 @@ def test_random_walk_triangle():
 
 
 def test_random_walk_single_node():
-    g = annotate(MolecularGraph(atoms=[Atom(element="C")], bonds=[], source_text="C"))
+    g = annotate(MolecularGraph(atoms=[Atom(element="C")], bonds=[], smiles="C"))
     np.testing.assert_array_equal(random_walk_encoding(g, rw_steps=3).probs, [[0, 0, 0]])
 
 

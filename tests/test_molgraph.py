@@ -15,7 +15,6 @@ from minifp.molgraph import (
     heavy_atom_count,
     normalize_smiles,
     parse_smiles,
-    renumber_ring_closures,
 )
 
 
@@ -161,10 +160,10 @@ def test_filter_molecules_threshold_and_exclusion():
     assert heavy_atom_count(parse_smiles("C" * 101)) > max_heavy
     assert heavy_atom_count(parse_smiles("[NH4+]")) == 1  # hydrogens do not count
     exclusion = {normalize_smiles("CCO"), normalize_smiles("C2CC2")}
-    assert renumber_ring_closures("CCO") in exclusion
-    assert renumber_ring_closures("C1CC1") in exclusion
-    assert renumber_ring_closures("OCC") not in exclusion
-    assert renumber_ring_closures("C1CCC1") not in exclusion
+    assert parse_smiles("CCO").smiles in exclusion
+    assert parse_smiles("C1CC1").smiles in exclusion
+    assert parse_smiles("OCC").smiles not in exclusion
+    assert parse_smiles("C1CCC1").smiles not in exclusion
 
 
 def test_normalize_smiles():
@@ -174,6 +173,36 @@ def test_normalize_smiles():
     assert normalize_smiles("C%11CCCCC%11") == "C1CCCCC1"
     with pytest.raises(UnbalancedBranch):
         normalize_smiles("C(C")
+
+
+# Past label 99 the lowest label not open is reused: 120 rings in a row read 1..99, then 1 again.
+_RINGS_120 = "".join(f"C{k}CC{k}" if k < 10 else f"C%{k}CC%{k}" for k in range(1, 100)) + "C1CC1" * 21
+
+
+@pytest.mark.parametrize(
+    "smiles, normal",
+    [
+        ("C2CC2", "C1CC1"),
+        ("C1CC1C1CC1", "C1CC1C2CC2"),
+        ("C3CC12CC2C1C3", "C1CC23CC3C2C1"),
+        ("C%11CCCCC%11", "C1CCCCC1"),
+        ("c1ccc%12ccccc%12c1", "c1ccc2ccccc2c1"),
+        ("C1CC1" * 120, _RINGS_120),
+        ("F/C=C/F", "F/C=C/F"),
+        ("F\\C=C/F", "F\\C=C/F"),
+        ("[C@@H](F)(Cl)Br", "[C@@H](F)(Cl)Br"),
+        ("[13CH3]", "[13CH3]"),
+        ("[13CH3]C7CC7", "[13CH3]C1CC1"),
+        (" C C(\tO) N\n", "CC(O)N"),
+    ],
+    ids=["first-appearance", "no-reuse-below-100", "nested", "percent", "percent-aromatic", "past-99",
+         "stereo-slash", "stereo-backslash", "chirality", "isotope", "isotope-then-ring", "whitespace"],
+)
+def test_the_parsed_graph_carries_the_normal_form(smiles, normal):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert parse_smiles(smiles).smiles == normal
+    assert normalize_smiles(smiles) == normal
 
 
 def test_atom_order_is_first_appearance():

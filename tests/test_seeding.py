@@ -101,7 +101,7 @@ def test_kfold_ensemble_fallback_split_matches_the_inline_split_bitwise(seed, mo
     monkeypatch.setattr(autodiff, "_available_cores", lambda: 1)  # the fake heads run in this process
     kfold_ensemble(store, data, HeadConfig(), num_folds=num_folds, num_reps=num_reps, metric="mae", seed=seed)
 
-    order = rng_stream(seed, "ensemble-split").permutation(n)
+    order = rng_stream(seed, "downstream-split").permutation(n)
     split = max(1, int(round(n * 0.8)))
     train_rows, test_rows = np.sort(order[:split]), np.sort(order[split:])
     for rep in range(num_reps):

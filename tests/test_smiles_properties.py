@@ -4,6 +4,7 @@ Seeded (``derandomize=True``) with bounded example counts, so every run
 checks the same inputs and stays fast.
 """
 
+import re
 import warnings
 
 import hypothesis.strategies as st
@@ -100,3 +101,27 @@ def test_normalized_smiles_parses_to_the_same_graph(text):
         normal = normalize_smiles(text)
         again = parse_smiles(normal)
     assert (again.atoms, again.bonds) == (graph.atoms, graph.bonds), f"{text} -> {normal}"
+
+
+def _ring_labels(normal):
+    """The ring-closure labels of a normal form, in text order; bracket atoms hold none."""
+    return [int(label.lstrip("%")) for label in re.findall(r"%\d\d|\d", re.sub(r"\[[^\]]*\]", "", normal))]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(smiles_texts())
+def test_the_normal_form_is_idempotent_and_opens_labels_in_order(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        normal = parse_smiles(text).smiles
+        assert parse_smiles(normal).smiles == normal
+    open_labels: set[int] = set()
+    opened = []
+    for label in _ring_labels(normal):
+        if label in open_labels:
+            open_labels.remove(label)
+        else:
+            open_labels.add(label)
+            opened.append(label)
+    # The first 99 rings to open are labelled 1, 2, 3, ... (smiles_texts never opens more).
+    assert opened == list(range(1, len(opened) + 1)), f"{text} -> {normal}"

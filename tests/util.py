@@ -54,7 +54,7 @@ def random_molecule(rng: np.random.Generator, max_atoms: int = 12) -> MolecularG
         present.add((u, v))
         degrees[u] += 1
         degrees[v] += 1
-    graph = MolecularGraph(atoms=atoms, bonds=bonds, source_text=f"<random-{n}>")
+    graph = MolecularGraph(atoms=atoms, bonds=bonds)
     return annotate(graph)
 
 
@@ -74,7 +74,7 @@ def permute_graph(graph: MolecularGraph, perm: np.ndarray) -> MolecularGraph:
         )
         for b in graph.bonds
     ]
-    permuted = MolecularGraph(atoms=new_atoms, bonds=new_bonds, source_text=graph.source_text)
+    permuted = MolecularGraph(atoms=new_atoms, bonds=new_bonds)
     permuted.validate()
     return permuted
 
