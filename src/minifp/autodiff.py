@@ -71,6 +71,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
+from .inputs import InputError
 from .seeding import rng_stream
 
 
@@ -770,7 +771,7 @@ def save_checkpoint(path, params: Sequence[Parameter]) -> None:
             fh.write(np.ascontiguousarray(p.value, dtype="<f4"))  # the array's own buffer, no bytes copy
 
 
-class CorruptCheckpoint(ValueError):
+class CorruptCheckpoint(InputError):
     pass
 
 

@@ -767,18 +767,24 @@ def graph_readout(tape: Tape, result: ForwardResult, batch: GraphBatch, config: 
 # -- persistence ----------------------------------------------------------------
 
 
+def model_files(path) -> tuple[str, str]:
+    """The checkpoint and the sidecar that :func:`save_model` writes for ``path``."""
+    return os.fspath(path), f"{os.fspath(path)}.json"
+
+
 def save_model(state: ModelState, path) -> None:
     """Checkpoint plus a sidecar config/head record for reload validation.
 
     Each file is written under a temp name and moved over the old one
     (``autodiff.atomic_open``), so a failed save leaves the previous files.
     """
-    save_checkpoint(path, state.parameters())
+    checkpoint, sidecar_path = model_files(path)
+    save_checkpoint(checkpoint, state.parameters())
     sidecar = {
         "config": asdict(state.config),
         "heads": [asdict(h) for h in state.heads.values()],
     }
-    with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -791,8 +797,7 @@ def link_model(src, dst) -> None:
     replaces files rather than rewriting them, so a later save to ``src``
     leaves ``dst`` as it was.
     """
-    for suffix in ("", ".json"):
-        source, target = f"{os.fspath(src)}{suffix}", f"{os.fspath(dst)}{suffix}"
+    for source, target in zip(model_files(src), model_files(dst)):
         tmp = f"{target}.tmp"
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)  # left by an interrupted run, it would refuse the link
@@ -818,7 +823,7 @@ def load_model(path) -> ModelState:
     such a record, and records whose names or shapes are not those
     :func:`parameter_shapes` gives for the sidecar's config and heads, raise
     CorruptCheckpoint, as a damaged checkpoint does."""
-    sidecar_path = f"{path}.json"
+    path, sidecar_path = model_files(path)
     os.stat(sidecar_path)  # a missing sidecar is an io error, as a missing checkpoint is
     try:
         sidecar = read_json(sidecar_path, {"config": dict, "heads": list}, {})

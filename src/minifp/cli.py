@@ -8,8 +8,8 @@ also the config's ``seed``); the MINIFP_SEED environment variable overrides
 it.  featurize, fingerprint and correlate draw nothing at random.
 
 Exit codes: 0 success (including partial featurization failures), 2
-usage, manifest and data errors, 3 unrecoverable IO, 4 a non-finite training
-loss.
+usage, manifest and data errors (any ``inputs.InputError``), 3 unrecoverable
+IO (``OSError``), 4 a non-finite training loss (``trainer.NaNLossError``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import CorruptCheckpoint, worker_count
+from .autodiff import worker_count
 from .backbones import (
     BACKBONES,
     ModelConfig,
@@ -36,14 +36,9 @@ from .backbones import (
 )
 from .downstream import (
     SWEEP_PRESETS,
-    FoldTooSmall,
     HeadConfig,
-    InvalidHeadConfig,
-    MissingFingerprint,
-    SingleClass,
     TaskData,
     TooFewRuns,
-    ZeroVariance,
     check_ensemble_counts,
     correlation_analysis,
     holdout_split,
@@ -51,16 +46,8 @@ from .downstream import (
     sweep,
 )
 from .encodings import assemble, feature_layout
-from .fingerprints import (
-    CorruptHeader,
-    DimensionMismatch,
-    DuplicateId,
-    encode_id,
-    extract_fingerprints,
-    store_read,
-    store_write,
-    store_write_csv,
-)
+from .fingerprints import encode_id, extract_fingerprints, store_read, store_write, store_write_csv
+from .inputs import InputError
 from .manifest import (
     MAX_HEAVY,
     SPLIT_KEYS,
@@ -79,7 +66,7 @@ from .manifest import (
 )
 from .multitask import LabelSet, LossWeights
 from .seeding import seeded_split
-from .trainer import NaNLossError, SplitSpec, TooFewMolecules, TrainConfig, pretrain
+from .trainer import PRETRAIN_FILES, NaNLossError, SplitSpec, TrainConfig, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,18 +90,32 @@ def _fields(cls, keys: dict) -> dict:
     return {f.name: keys[f.name] for f in dataclasses.fields(cls) if f.name in keys}
 
 
-def _write_failures(path: Path, failures) -> None:
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; return the file's name, for files.json, as every writer here does."""
+    path.write_text(text, encoding="utf-8")
+    return path.name
+
+
+def _write_csv(path: Path, header: list[str], rows) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "smiles", "error"])
-        for failure in failures:
-            writer.writerow([failure.row_index, failure.smiles, failure.error])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.name
 
 
-def _write_files_manifest(out_dir: Path, names: list[str]) -> None:
-    with open(out_dir / "files.json", "w", encoding="utf-8") as fh:
-        json.dump({"files": sorted(names)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: Path, value) -> str:
+    return _write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def _write_failures(path: Path, failures) -> str:
+    return _write_csv(path, ["row", "smiles", "error"], [(f.row_index, f.smiles, f.error) for f in failures])
+
+
+def _write_files_manifest(out_dir: Path, written: list[str]) -> None:
+    """``files.json``: the sorted names of the files a command wrote into ``out_dir``, its own included."""
+    path = out_dir / "files.json"
+    _write_json(path, {"files": sorted([*written, path.name])})
 
 
 # -- featurize -------------------------------------------------------------------
@@ -137,11 +138,11 @@ def cmd_featurize(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "layout.json", "w", encoding="utf-8") as fh:
-        json.dump(feature_layout(encoding.k_pe, encoding.rw_steps), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_failures(out_dir / "failures.csv", failures)
-    _write_files_manifest(out_dir, ["layout.json", "failures.csv", "files.json"])
+    written = [
+        _write_json(out_dir / "layout.json", feature_layout(encoding.k_pe, encoding.rw_steps)),
+        _write_failures(out_dir / "failures.csv", failures),
+    ]
+    _write_files_manifest(out_dir, written)
     print(f"featurized {len(molecules)} molecules, {len(failures)} failures -> {out_dir}")
     return EXIT_OK
 
@@ -182,41 +183,18 @@ def cmd_pretrain(args) -> int:
         **dict(zip(SPLIT_KEYS, split.fractions)),
         "max_heavy": max_heavy,
     }
-    with open(out_dir / "run_config.txt", "w", encoding="utf-8") as fh:
-        fh.write(format_config(run_config))
-    _write_failures(out_dir / "failures.csv", failures)
+    written = [
+        _write_text(out_dir / "run_config.txt", format_config(run_config)),
+        _write_failures(out_dir / "failures.csv", failures),
+    ]
 
     model = build_model(model_config)
     params = count_parameters(model)
     print(f"{args.backbone}: {params} parameters, {len(dataset)} molecules, {len(tasks)} tasks")
 
-    log = pretrain(
-        dataset,
-        model,
-        tasks,
-        train_config,
-        out_dir=out_dir,
-        split=split,
-        weights=weights,
-    )
-    with open(out_dir / "param_count.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"{params}\n")
-    _write_files_manifest(
-        out_dir,
-        [
-            "run_config.txt",
-            "failures.csv",
-            "split.json",
-            "best.ckpt",
-            "best.ckpt.json",
-            "final.ckpt",
-            "final.ckpt.json",
-            "log.jsonl",
-            "timing.txt",
-            "param_count.txt",
-            "files.json",
-        ],
-    )
+    log = pretrain(dataset, model, tasks, train_config, out_dir=out_dir, split=split, weights=weights)
+    written += [*PRETRAIN_FILES, _write_text(out_dir / "param_count.txt", f"{params}\n")]
+    _write_files_manifest(out_dir, written)
     print(f"best epoch {log.best_epoch} (valid total {log.best_valid:.6f}) -> {out_dir}")
     return EXIT_OK
 
@@ -261,10 +239,7 @@ def cmd_fingerprint(args) -> int:
     store_write(store, out)
     store_write_csv(store, str(out) + ".csv")
     if report.failures:
-        with open(str(out) + ".failures.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["molecule", "error"])
-            writer.writerows(report.failures)
+        _write_csv(Path(f"{out}.failures.csv"), ["molecule", "error"], report.failures)
     print(f"{len(store)} fingerprints (dim {store.dimension}), {len(report.failures)} failures -> {out}")
     return EXIT_OK
 
@@ -296,6 +271,8 @@ def _head_config_from_file(path) -> HeadConfig:
 
 
 def cmd_downstream(args) -> int:
+    if args.head_config and args.sweep != "none":
+        raise InputError(f"--head-config needs --sweep none; --sweep {args.sweep} picks the head config itself")
     store = store_read(args.store)
     task = load_downstream_manifest(args.task_manifest)
     ids, values, mask = read_downstream_labels(task)
@@ -343,52 +320,37 @@ def cmd_downstream(args) -> int:
         seed=seed,
     )
     # Every output is written only now, so a run that fails above leaves none.
-    produced = ["files.json"]
+    written = []
     timing = []  # wall-clock lines, kept out of every CSV
     if sweep_rows is not None:
-        with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["hidden_dim", "num_layers", "dropout", "skip_connection",
-                 "learning_rate", "epochs", "warmup_epochs", "schedule", "val_loss", "best_epoch"]
-            )
-            for row in sweep_rows:
-                c = row.config
-                writer.writerow(
-                    [c.hidden_dim, c.num_layers, c.dropout, c.skip_connection,
-                     repr(c.learning_rate), c.epochs, c.warmup_epochs, c.schedule,
-                     repr(row.val_loss), row.best_epoch]
-                )
-        produced.append("sweep_table.csv")
+        written.append(_write_csv(
+            out_dir / "sweep_table.csv",
+            ["hidden_dim", "num_layers", "dropout", "skip_connection",
+             "learning_rate", "epochs", "warmup_epochs", "schedule", "val_loss", "best_epoch"],
+            [[row.config.hidden_dim, row.config.num_layers, row.config.dropout, row.config.skip_connection,
+              repr(row.config.learning_rate), row.config.epochs, row.config.warmup_epochs, row.config.schedule,
+              repr(row.val_loss), row.best_epoch] for row in sweep_rows],
+        ))
         timing.append(f"sweep workers: {worker_count(len(sweep_rows))}\n")
         timing += [f"sweep row {i}: {row.seconds:.3f}s\n" for i, row in enumerate(sweep_rows)]
-    with open(out_dir / "chosen_config.json", "w", encoding="utf-8") as fh:
-        json.dump(best_config.__dict__, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    produced.append("chosen_config.json")
-    with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["repetition", "fold", "val_score"])
-        for rep_index, rep in enumerate(result.repetitions):
-            for fold_index, score in enumerate(rep.fold_val_scores):
-                writer.writerow([rep_index, fold_index, repr(score)])
-    summary = result.summary()
-    summary["task"] = task.task_name
-    summary["higher_is_better"] = result.higher_is_better
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        keys = ["task", "metric", "higher_is_better", "num_folds", "num_reps",
-                "val_mean", "val_std", "test_mean", "test_std"]
-        writer.writerow(keys)
-        writer.writerow([repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys])
+    written.append(_write_json(out_dir / "chosen_config.json", best_config.__dict__))
+    written.append(_write_csv(
+        out_dir / "ensemble.csv",
+        ["repetition", "fold", "val_score"],
+        [[rep_index, fold_index, repr(score)]
+         for rep_index, rep in enumerate(result.repetitions) for fold_index, score in enumerate(rep.fold_val_scores)],
+    ))
+    summary = {**result.summary(), "task": task.task_name, "higher_is_better": result.higher_is_better}
+    keys = ["task", "metric", "higher_is_better", "num_folds", "num_reps",
+            "val_mean", "val_std", "test_mean", "test_std"]
+    cells = [repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys]
+    written.append(_write_csv(out_dir / "summary.csv", keys, [cells]))
     timing.append(f"ensemble workers: {worker_count(args.folds * args.reps)}\n")
     for rep_index, rep in enumerate(result.repetitions):
         for fold_index, seconds in enumerate(rep.fold_seconds):
             timing.append(f"ensemble repetition {rep_index} fold {fold_index}: {seconds:.3f}s\n")
-    with open(out_dir / "timing.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(timing)
-    produced += ["ensemble.csv", "summary.csv", "timing.txt"]
-    _write_files_manifest(out_dir, produced)
+    written.append(_write_text(out_dir / "timing.txt", "".join(timing)))
+    _write_files_manifest(out_dir, written)
     print(
         f"{task.task_name} [{task.metric}]: test {result.test_mean:.4f} +/- {result.test_std:.4f} "
         f"(val {result.val_mean:.4f} +/- {result.val_std:.4f}) -> {out_dir}"
@@ -464,15 +426,13 @@ def cmd_correlate(args) -> int:
         downstream_names=downstream_names,
     )
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pretrain_metric", "downstream_metric", "signed_rho", "p_value", "significant"])
-        for i, row_name in enumerate(table.row_names):
-            for j, col_name in enumerate(table.col_names):
-                writer.writerow(
-                    [row_name, col_name, repr(float(table.values[i, j])),
-                     repr(float(table.p_values[i, j])), bool(table.significant[i, j])]
-                )
+    _write_csv(
+        out,
+        ["pretrain_metric", "downstream_metric", "signed_rho", "p_value", "significant"],
+        [[row_name, col_name, repr(float(table.values[i, j])), repr(float(table.p_values[i, j])),
+          bool(table.significant[i, j])]
+         for i, row_name in enumerate(table.row_names) for j, col_name in enumerate(table.col_names)],
+    )
     print(f"correlated {len(paired)} runs: {len(pretrain_names)}x{len(downstream_names)} table -> {out}")
     return EXIT_OK
 
@@ -513,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("store")
     p.add_argument("task_manifest")
     p.add_argument("--sweep", choices=("config1", "config2", "none"), default="config1")
-    p.add_argument("--head-config", help="flat config file used when --sweep none")
+    p.add_argument("--head-config", help="flat head config file; needs --sweep none")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
@@ -534,9 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, CorruptHeader, CorruptCheckpoint, DimensionMismatch, DuplicateId, MissingFingerprint,
-            FoldTooSmall, SingleClass, TooFewMolecules, ZeroVariance, InvalidHeadConfig,
-            TooFewRuns) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NaNLossError as exc:

@@ -33,33 +33,34 @@ import numpy as np
 from .autodiff import Parameter, Tape, _one_blas_thread, worker_count
 from .backbones import glorot_uniform
 from .fingerprints import FingerprintStore
+from .inputs import InputError
 from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
 from .seeding import derive_seed, rng_stream, seeded_split
 # adam_step stays importable here: perfbench/instrument.py traces it in this module.
 from .trainer import SCHEDULES, TrainConfig, adam_step, fit  # noqa: F401
 
 
-class MissingFingerprint(KeyError):
+class MissingFingerprint(InputError, KeyError):
+    """A labelled id the store lacks; its text is quoted, as a KeyError's is."""
+
+
+class FoldTooSmall(InputError):
     pass
 
 
-class FoldTooSmall(ValueError):
+class SingleClass(InputError):
     pass
 
 
-class SingleClass(ValueError):
+class ZeroVariance(InputError):
     pass
 
 
-class ZeroVariance(ValueError):
+class TooFewRuns(InputError):
     pass
 
 
-class TooFewRuns(ValueError):
-    pass
-
-
-class InvalidHeadConfig(ValueError):
+class InvalidHeadConfig(InputError):
     pass
 
 

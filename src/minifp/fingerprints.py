@@ -34,22 +34,23 @@ from .autodiff import Tape, _one_blas_thread, worker_count
 # pool and normalize_smiles stay importable here: perfbench/instrument.py traces them in this module.
 from .backbones import ModelState, batch_graphs, forward, graph_readout, pool  # noqa: F401
 from .encodings import assemble
-from .molgraph import MolecularGraph, normalize_smiles, parse_smiles  # noqa: F401
+from .inputs import InputError
+from .molgraph import MolecularGraph, SmilesError, normalize_smiles, parse_smiles  # noqa: F401
 
 STORE_MAGIC = b"MFPS"
 STORE_VERSION = 1
 MAX_ID_BYTES = 0xFFFF  # a record stores its id's length as a uint16
 
 
-class CorruptHeader(ValueError):
+class CorruptHeader(InputError):
     pass
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     pass
 
 
-class DuplicateId(ValueError):
+class DuplicateId(InputError):
     """Two molecules would be stored under one id."""
 
 
@@ -142,7 +143,7 @@ def extract_fingerprints(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 graph = parse_smiles(smiles)
-        except Exception as exc:  # collected, not raised
+        except SmilesError as exc:  # collected, not raised
             report.failures.append((molecule_id or smiles, str(exc)))
             continue
         if graph.smiles in seen:

@@ -1,7 +1,8 @@
 """UTF-8 text and JSON inputs, each failure a :class:`ManifestError` naming the file.
 
 A leaf module: the dataset readers in :mod:`minifp.manifest` and the
-checkpoint sidecar reader in :mod:`minifp.backbones` share its one checker.
+checkpoint sidecar reader in :mod:`minifp.backbones` share its one checker,
+and every module's bad-input error derives from its :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from pathlib import Path
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}
 
 
-class ManifestError(ValueError):
+class InputError(ValueError):
+    """An input the pipeline cannot use: the command line exits 2 on any subclass."""
+
+
+class ManifestError(InputError):
     """Malformed manifest, sidecar or run config, missing columns, or inconsistent label data."""
 
 

@@ -10,7 +10,8 @@ Every text input is read here, one function per job, and every failure is a
   and lines starting with ``#`` skipped (split ids, excluded and fingerprinted
   SMILES);
 - :func:`label_cells`: label cells to ``(values, mask)``; an empty cell is a
-  masked-out label, any other cell must be a finite number.
+  masked-out label, any other cell must be a finite number, and a class index
+  of a multiclass task an integer in ``[0, num_classes)``.
 
 A dataset manifest is a JSON file describing one molecule CSV: which column
 holds SMILES, optionally which holds molecule ids, the task label columns
@@ -81,11 +82,14 @@ def read_id_list(path) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def label_cells(path, rows: Iterable[tuple[int, dict]], columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def label_cells(
+    path, rows: Iterable[tuple[int, dict]], columns: list[str], num_classes: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(values, mask)`` of ``columns`` over ``rows``, (data row index, row) pairs of the CSV ``path``.
 
     An empty cell is a masked-out label (mask 0); any other cell must be a
-    finite number (mask 1), or the file, data row and column are named in a
+    finite number (mask 1), with ``num_classes`` an integer in
+    ``[0, num_classes)``, or the file, data row and column are named in a
     :class:`ManifestError`.
     """
     rows = list(rows)
@@ -103,6 +107,10 @@ def label_cells(path, rows: Iterable[tuple[int, dict]], columns: list[str]) -> t
             if not math.isfinite(value):
                 raise ManifestError(
                     f"{path}: data row {index + 1}, column {column!r}: {cell!r} is not a finite number"
+                )
+            if num_classes is not None and not (value.is_integer() and 0 <= value < num_classes):
+                raise ManifestError(
+                    f"{path}: data row {index + 1}, column {column!r}: {cell!r} is not a class in [0, {num_classes})"
                 )
             values[i, j] = value
             mask[i, j] = 1.0
@@ -231,9 +239,9 @@ def read_exclusion_set(path: Path | None) -> frozenset[str]:
 
 
 def read_node_labels(
-    manifest: DatasetManifest, task: TaskColumn, molecules: list[MoleculeRow]
+    manifest: DatasetManifest, task: TaskColumn, molecules: list[MoleculeRow], num_classes: int | None = None
 ) -> LabelSet:
-    """Companion CSV keyed by (molecule id, atom index) -> node-level LabelSet."""
+    """Companion CSV keyed by (molecule id, atom index) -> node-level LabelSet; see :func:`label_cells`."""
     id_col = manifest.id_column or "molecule_id"
     path = task.node_csv
     rows = read_csv(path, [id_col, "atom_index"] + task.columns)
@@ -258,7 +266,7 @@ def read_node_labels(
         if target in picked:
             raise ManifestError(f"{path}: data row {index + 1}: atom {atom} of {mol_id} is labelled twice")
         picked[target] = (index, row)
-    cells, present = label_cells(path, picked.values(), task.columns)
+    cells, present = label_cells(path, picked.values(), task.columns, num_classes)
     values = np.zeros((total, len(task.columns)))
     mask = np.zeros((total, len(task.columns)))
     values[list(picked)] = cells
@@ -302,11 +310,12 @@ def build_pretrain_dataset(
     graph_labels: dict[str, LabelSet] = {}
     node_labels: dict[str, LabelSet] = {}
     for task in manifest.tasks:
+        classes = task.spec.num_classes if task.spec.kind == "multiclass" else None
         if task.spec.level == "graph":
             rows = [(mol.row_index, mol.row) for mol in kept]
-            graph_labels[task.spec.name] = LabelSet(*label_cells(manifest.molecule_csv, rows, task.columns))
+            graph_labels[task.spec.name] = LabelSet(*label_cells(manifest.molecule_csv, rows, task.columns, classes))
         else:
-            node_labels[task.spec.name] = read_node_labels(manifest, task, kept)
+            node_labels[task.spec.name] = read_node_labels(manifest, task, kept, classes)
 
     dataset = PretrainDataset(
         graphs=graphs, features=features, graph_labels=graph_labels, node_labels=node_labels

@@ -19,8 +19,10 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
+from .inputs import InputError
 
-class SmilesError(ValueError):
+
+class SmilesError(InputError):
     """Base class for SMILES parse failures."""
 
 
@@ -69,13 +71,14 @@ _BOND_SYMBOLS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _BOND_VALENCE = {SINGLE: 1.0, DOUBLE: 2.0, TRIPLE: 3.0, AROMATIC: 1.5}
 _RING_LABELS = tuple(str(k) if k < 10 else f"%{k:02d}" for k in range(100))  # a label's text
 
-_BRACKET_RE = re.compile(
+_BRACKET_RE = re.compile(  # re.ASCII: \d is 0-9 only, as in ring labels
     r"^(?P<isotope>\d+)?"
     r"(?P<element>[A-Z][a-z]?|b|c|n|o|p|s|se|as)"
     r"(?P<stereo>@{1,2})?"
     r"(?P<hcount>H\d*)?"
     r"(?P<charge>\+{1,4}|-{1,4}|[+-]\d)?"
-    r"(?::(?P<cls>\d+))?$"
+    r"(?::(?P<cls>\d+))?$",
+    re.ASCII,
 )
 
 
@@ -199,11 +202,12 @@ def _tokenize(text: str):
             yield "stereo", ch
             i += 1
         elif ch == "%":
-            if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
+            digits = text[i + 1 : i + 3]
+            if len(digits) != 2 or not (digits.isascii() and digits.isdigit()):
                 raise UnclosedRing(f"malformed %nn ring closure at position {i}")
-            yield "ring", int(text[i + 1 : i + 3])
+            yield "ring", int(digits)
             i += 3
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit also holds for '²' and '٣'
             yield "ring", int(ch)
             i += 1
         else:

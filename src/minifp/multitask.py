@@ -20,6 +20,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch, Tape, Tensor
 from .backbones import ForwardResult, GraphBatch, ModelState, graph_readout, mlp_forward
+from .inputs import InputError
 
 TASK_GROUPS = ("L1000", "PCBA", "N4", "G25", "custom")
 GROUP_ORDER = ("L1000", "PCBA", "N4", "G25")
@@ -27,7 +28,7 @@ GROUP_ORDER = ("L1000", "PCBA", "N4", "G25")
 LOSS_FOR_KIND = {"regression": "MAE", "binary": "BCE", "multiclass": "HCE"}
 
 
-class ClassOutOfRange(ValueError):
+class ClassOutOfRange(InputError):
     pass
 
 

@@ -24,8 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Parameter, Tape
-from .backbones import ModelState, batch_graphs, forward, link_model, save_model
+from .backbones import ModelState, batch_graphs, forward, link_model, model_files, save_model
 from .encodings import AssembledFeatures
+from .inputs import InputError
 from .molgraph import MolecularGraph
 from .multitask import (
     LabelSet,
@@ -40,8 +41,12 @@ from .seeding import rng_stream, seeded_split
 
 SCHEDULES = ("constant", "linear-decay", "cosine")
 
+#: The files :func:`pretrain` writes into ``out_dir``: the split, the best and
+#: the final checkpoint each with its sidecar, the log and the epoch timings.
+PRETRAIN_FILES = ("split.json", *model_files("best.ckpt"), *model_files("final.ckpt"), "log.jsonl", "timing.txt")
 
-class TooFewMolecules(ValueError):
+
+class TooFewMolecules(InputError):
     pass
 
 
@@ -441,7 +446,8 @@ def pretrain(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        with open(out_path / "split.json", "w", encoding="utf-8") as fh:
+        split_file, best, _, final, _, log_file, timing_file = (out_path / name for name in PRETRAIN_FILES)
+        with open(split_file, "w", encoding="utf-8") as fh:
             json.dump({"train": train_idx, "valid": valid_idx, "test": test_idx}, fh, sort_keys=True)
             fh.write("\n")
 
@@ -465,17 +471,17 @@ def pretrain(
     def on_best(epoch: int) -> None:
         log.best_epoch, log.best_valid = epoch, log.records[-1].valid["total"]
         if out_path is not None:
-            save_model(model, out_path / "best.ckpt")
+            save_model(model, best)
 
     fit(model.parameters(), train_idx, config, "batch-order", batch_loss, end_epoch, on_best)
 
     if out_path is not None:
         if log.best_epoch == config.epochs:
-            link_model(out_path / "best.ckpt", out_path / "final.ckpt")  # the same weights: no second write
+            link_model(best, final)  # the same weights: no second write
         else:
-            save_model(model, out_path / "final.ckpt")
-        log.write_jsonl(out_path / "log.jsonl")
-        with open(out_path / "timing.txt", "w", encoding="utf-8") as fh:
+            save_model(model, final)
+        log.write_jsonl(log_file)
+        with open(timing_file, "w", encoding="utf-8") as fh:
             for epoch, seconds in enumerate(timings, start=1):
                 fh.write(f"epoch {epoch}: {seconds:.3f}s\n")
     return log

@@ -10,15 +10,27 @@ import numpy as np
 import pytest
 
 from minifp import cli
-from minifp.autodiff import worker_count
+from minifp.autodiff import CorruptCheckpoint, worker_count
 from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main
-from minifp.downstream import HeadConfig, SweepSpace
+from minifp.downstream import (
+    FoldTooSmall,
+    HeadConfig,
+    InvalidHeadConfig,
+    MissingFingerprint,
+    SingleClass,
+    SweepSpace,
+    TooFewRuns,
+    ZeroVariance,
+)
 from minifp.encodings import assemble
-from minifp.fingerprints import FingerprintStore, store_read, store_write
+from minifp.fingerprints import CorruptHeader, DimensionMismatch, DuplicateId, FingerprintStore, store_read, store_write
+from minifp.inputs import InputError, ManifestError
 from minifp.manifest import CONFIG_SCHEMA, build_pretrain_dataset
-from minifp.molgraph import parse_smiles
+from minifp.molgraph import SmilesError, parse_smiles
+from minifp.multitask import ClassOutOfRange
 from minifp.seeding import rng_stream
+from minifp.trainer import TooFewMolecules
 
 from .util import TOY_SMILES
 
@@ -112,6 +124,17 @@ def test_featurize_partial_failure_exit_zero(tmp_path, capsys):
     lines = (tmp_path / "cache" / "failures.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # header + one failure
     assert "C(" in lines[1]
+
+
+def test_featurize_reports_a_non_ascii_ring_digit_as_a_parse_failure(tmp_path, capsys):
+    (tmp_path / "molecules.csv").write_text("id,smiles\nmol0,CCO\nmol1,CC\u00b2\n", encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"molecule_csv": "molecules.csv", "smiles_column": "smiles", "id_column": "id", "tasks": []})
+    )
+    assert main(["featurize", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "cache")]) == 0
+    assert "featurized 1 molecules, 1 failures" in capsys.readouterr().out
+    failures = (tmp_path / "cache" / "failures.csv").read_text(encoding="utf-8")
+    assert failures == "row,smiles,error\n1,CC\u00b2,unsupported symbol '\u00b2' at position 2\n"
 
 
 def test_featurize_missing_column_exit_2(tmp_path, capsys):
@@ -408,7 +431,8 @@ def test_downstream_missing_fingerprints_exit_2(tmp_path, capsys):
     code = main(["downstream", str(store_path), str(task), "--sweep", "none",
                  "--folds", "2", "--reps", "1", "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "d22" in capsys.readouterr().err
+    # The message keeps the quotes that KeyError's text gave it when MissingFingerprint was only a KeyError.
+    assert capsys.readouterr().err == "error: \"ids absent from store: ['d22', 'd23']\"\n"
 
 
 def test_downstream_separable_task_reaches_auroc_one(tmp_path):
@@ -534,6 +558,54 @@ def test_data_errors_exit_2(tmp_path, capsys, make_args):
     # A downstream run writes its outputs only after the ensemble: a failed one leaves none.
     for name in ("sweep_table.csv", "chosen_config.json", "ensemble.csv", "summary.csv"):
         assert not (tmp_path / "out" / name).exists(), name
+
+
+def _multiclass_pretrain_args(tmp_path, label):
+    """Eight toy molecules with a three-class graph task; the sixth molecule's label is ``label``."""
+    write_dataset(tmp_path, smiles=TOY_SMILES[:8])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tasks"] = [{"name": "family", "level": "graph", "kind": "multiclass", "num_classes": 3, "columns": ["gap"]}]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with open(tmp_path / "molecules.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for i, row in enumerate(rows):
+        row[2] = label if i == 5 else str(i % 3)
+    with open(tmp_path / "molecules.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return ["pretrain", str(tmp_path / "manifest.json"), "--backbone", "gcn", "--config", str(write_config(tmp_path)),
+            "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("label", ["7", "1.5"])
+def test_multiclass_label_outside_its_classes_exit_2_before_training(tmp_path, capsys, label):
+    assert main(_multiclass_pretrain_args(tmp_path, label)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'molecules.csv'}: data row 6, column 'gap': '{label}' is not a class in [0, 3)\n"
+    assert not (tmp_path / "run" / "log.jsonl").exists()
+
+
+def test_multiclass_labels_in_range_train(tmp_path):
+    assert main(_multiclass_pretrain_args(tmp_path, "2")) == 0
+
+
+@pytest.mark.parametrize("sweep", [["--sweep", "config1"], ["--sweep", "config2"], []])
+def test_head_config_with_a_sweep_exit_2(tmp_path, capsys, sweep):
+    args = [arg for arg in _downstream_args(tmp_path) if arg not in ("--sweep", "none")]
+    assert main([*args, *sweep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --head-config needs --sweep none") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ManifestError, CorruptCheckpoint, CorruptHeader, DimensionMismatch, DuplicateId, MissingFingerprint, FoldTooSmall,
+     SingleClass, ZeroVariance, TooFewRuns, InvalidHeadConfig, TooFewMolecules, SmilesError, ClassOutOfRange],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_bad_input_error_is_an_input_error(cls):
+    # main maps InputError to exit 2, so each of these exits 2 with an error: line, never a traceback.
+    assert issubclass(cls, InputError)
 
 
 @pytest.mark.parametrize("folds, reps", [("1", "1"), ("30", "1"), ("2", "0")],

@@ -220,3 +220,45 @@ def test_downstream_manifest_rejects_multiclass(tmp_path):
     }))
     with pytest.raises(ManifestError):
         load_downstream_manifest(tmp_path / "task.json")
+
+
+def _multiclass_manifest(tmp_path, graph_cell="1", node_cell="2"):
+    """Four molecules with a graph-level and a node-level three-class task; the last
+    molecule's graph label and its first atom's node label are the given cells."""
+    smiles = ["CCO", "CCN", "CCC", "CCCl"]
+    graph_cells = ["0", "2", "", graph_cell]
+    (tmp_path / "molecules.csv").write_text(
+        "mol_id,smiles,cls\n" + "".join(f"mol{i},{s},{c}\n" for i, (s, c) in enumerate(zip(smiles, graph_cells)))
+    )
+    (tmp_path / "nodes.csv").write_text("mol_id,atom_index,site\nmol0,1,0\nmol3,0," + node_cell + "\n")
+    manifest = {
+        "molecule_csv": "molecules.csv",
+        "smiles_column": "smiles",
+        "id_column": "mol_id",
+        "tasks": [
+            {"name": "family", "level": "graph", "kind": "multiclass", "num_classes": 3, "columns": ["cls"]},
+            {"name": "site", "level": "node", "kind": "multiclass", "num_classes": 3, "columns": ["site"],
+             "node_csv": "nodes.csv"},
+        ],
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    return load_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("cell", ["0", "2", "2.0", " 1 ", ""])
+def test_multiclass_labels_are_class_indices_or_blank(tmp_path, cell):
+    dataset, *_ = build_pretrain_dataset(_multiclass_manifest(tmp_path, cell, cell), 2, 3)
+    expected = float(cell) if cell.strip() else 0.0
+    assert dataset.graph_labels["family"].values[3, 0] == expected
+    assert dataset.graph_labels["family"].mask[3, 0] == (1.0 if cell.strip() else 0.0)
+    assert dataset.node_labels["site"].values[9, 0] == expected  # mol3's first atom, after 3 + 3 + 3 atoms
+
+
+@pytest.mark.parametrize("cell", ["3", "7", "-1", "1.5", "1e9"])
+@pytest.mark.parametrize("level", ["graph", "node"])
+def test_a_multiclass_label_outside_its_classes_is_a_named_error(tmp_path, level, cell):
+    # Checked where the cell is read, whichever split the molecule lands in, not when a batch first scores it.
+    manifest = _multiclass_manifest(tmp_path, *((cell, "1") if level == "graph" else ("1", cell)))
+    where = ("molecules.csv: data row 4, column 'cls'" if level == "graph" else "nodes.csv: data row 2, column 'site'")
+    with pytest.raises(ManifestError, match=f"{where}: '{cell}' is not a class in \\[0, 3\\)"):
+        build_pretrain_dataset(manifest, 2, 3)

@@ -60,6 +60,11 @@ def test_bracket_ammonium():
         ("CXC", UnknownAtom),
         ("[+]", UnknownAtom),
         ("C[", UnknownAtom),
+        # Ring labels are ASCII digits: str.isdigit also holds for a superscript or an Arabic-Indic digit.
+        ("CC\u00b2", UnknownAtom),
+        ("C\u0663CC\u0663", UnknownAtom),
+        ("C%\u0663\u0664CC%\u0663\u0664", UnclosedRing),
+        ("[CH\u0663]", UnknownAtom),
     ],
 )
 def test_parse_errors(text, exc):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 
 from minifp.molgraph import SmilesError, normalize_smiles, parse_smiles
 
-# Every character the tokenizer or a bracket atom gives meaning to, plus a few it rejects.
-SMILES_ALPHABET = "BCNOPSFIlrbcnopsHaeX[]()=#-:+/\\%@.*0123456789 "
+# Every character the tokenizer or a bracket atom gives meaning to, plus a few it rejects,
+# among them two that str.isdigit accepts: a superscript two and an Arabic-Indic three.
+SMILES_ALPHABET = "BCNOPSFIlrbcnopsHaeX[]()=#-:+/\\%@.*0123456789 \u00b2\u0663"
 
 ORGANIC = ["C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I", "c", "n", "o", "s", "p", "b"]
 BRACKETS = ["[nH]", "[NH4+]", "[O-]", "[Na+]", "[13CH3]", "[Fe+2]", "[se]", "[NH2-]", "[Cu:1]", "[S--]"]
