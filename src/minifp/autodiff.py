@@ -60,9 +60,7 @@ import contextlib
 import ctypes
 import functools
 import glob
-import math
 import os
-import struct
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -71,7 +69,6 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .inputs import InputError
 from .seeding import rng_stream
 
 
@@ -733,80 +730,3 @@ class Tape:
         param.grad = g if g is None or g.flags.c_contiguous else np.ascontiguousarray(g)
         if on_ready is not None:
             on_ready(param)
-
-
-CHECKPOINT_VERSION = 1
-
-
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Write ``<path>.tmp`` and move it over ``path`` once the block returns.
-
-    ``path`` is never seen half written: if the block raises, the temp file
-    is removed and whatever ``path`` held before stays as it was.  Replacing
-    gives ``path`` a new inode, so a hard link to the old file keeps the old
-    contents.
-    """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def save_checkpoint(path, params: Sequence[Parameter]) -> None:
-    """Binary checkpoint: version, count, then (name, shape, float32 LE) records, written atomically."""
-    with atomic_open(path) as fh:
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for p in params:
-            name_bytes = p.name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<B", p.value.ndim))
-            fh.write(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f4"))  # the array's own buffer, no bytes copy
-
-
-class CorruptCheckpoint(InputError):
-    pass
-
-
-def _read_exact(fh, size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise CorruptCheckpoint(f"truncated {what}")
-    return raw
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into name -> float32 array (bit-exact round trip)."""
-    with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "record"))
-            raw_name = _read_exact(fh, name_len, "record")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError:
-                raise CorruptCheckpoint(f"record name {raw_name!r} is not UTF-8") from None
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"shape for {name!r}"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape for {name!r}"))
-            # A corrupt shape must not size the array: check it against the bytes left first.
-            if 4 * math.prod(shape) > file_size - fh.tell():
-                raise CorruptCheckpoint(f"truncated data for {name!r}")
-            try:
-                data = np.empty(shape, dtype="<f4")
-            except ValueError as exc:  # more dimensions, or larger extents, than numpy can index
-                raise CorruptCheckpoint(f"shape {shape} for {name!r}: {exc}") from None
-            if fh.readinto(data) != data.nbytes:
-                raise CorruptCheckpoint(f"truncated data for {name!r}")
-            out[name] = data
-        return out

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 import shutil
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -81,16 +80,8 @@ from typing import TYPE_CHECKING, Iterable, get_type_hints
 
 import numpy as np
 
-from .autodiff import (
-    CorruptCheckpoint,
-    Parameter,
-    Segments,
-    ShapeMismatch,
-    Tape,
-    atomic_open,
-    load_checkpoint,
-    save_checkpoint,
-)
+from . import container
+from .autodiff import Parameter, Segments, ShapeMismatch, Tape
 from .encodings import (
     ATOM_FEATURE_WIDTH,
     BOND_FEATURE_WIDTH,
@@ -98,7 +89,7 @@ from .encodings import (
     DEFAULT_RW_STEPS,
     AssembledFeatures,
 )
-from .inputs import ManifestError, json_fields, read_json
+from .inputs import ManifestError, json_fields
 from .molgraph import MolecularGraph
 from .seeding import rng_stream
 
@@ -225,7 +216,7 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -
 
 @dataclass
 class HeadSpec:
-    """Shape record for one task head, kept in the checkpoint sidecar."""
+    """Shape record for one task head, kept in the checkpoint's header."""
 
     name: str
     level: str  # "node" | "graph"
@@ -767,47 +758,35 @@ def graph_readout(tape: Tape, result: ForwardResult, batch: GraphBatch, config: 
 # -- persistence ----------------------------------------------------------------
 
 
-def model_files(path) -> tuple[str, str]:
-    """The checkpoint and the sidecar that :func:`save_model` writes for ``path``."""
-    return os.fspath(path), f"{os.fspath(path)}.json"
-
-
 def save_model(state: ModelState, path) -> None:
-    """Checkpoint plus a sidecar config/head record for reload validation.
+    """One container file (:mod:`minifp.container`): the config and the heads
+    in its header, then every parameter in :func:`parameter_shapes` order.
 
-    Each file is written under a temp name and moved over the old one
-    (``autodiff.atomic_open``), so a failed save leaves the previous files.
+    It is written under a temp name and moved over the old file, so a failed
+    save leaves the previous one.
     """
-    checkpoint, sidecar_path = model_files(path)
-    save_checkpoint(checkpoint, state.parameters())
-    sidecar = {
-        "config": asdict(state.config),
-        "heads": [asdict(h) for h in state.heads.values()],
-    }
-    with atomic_open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    header = {"config": asdict(state.config), "heads": [asdict(h) for h in state.heads.values()]}
+    container.write(path, header, {p.name: p.value for p in state.parameters()})
 
 
 def link_model(src, dst) -> None:
-    """Make the model files at ``dst`` (checkpoint and sidecar) the ones at ``src``.
+    """Make the model file at ``dst`` the one at ``src``.
 
-    Each file is hard-linked under ``<dst>.tmp`` and moved over ``dst``; where
-    the filesystem refuses the link it is copied instead.  ``save_model``
+    It is hard-linked under ``<dst>.tmp`` and moved over ``dst``; where the
+    filesystem refuses the link it is copied instead.  ``save_model``
     replaces files rather than rewriting them, so a later save to ``src``
     leaves ``dst`` as it was.
     """
-    for source, target in zip(model_files(src), model_files(dst)):
-        tmp = f"{target}.tmp"
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)  # left by an interrupted run, it would refuse the link
-        try:
-            os.link(source, tmp)
-        except OSError:
-            with open(source, "rb") as fin, atomic_open(target) as fout:
-                shutil.copyfileobj(fin, fout)
-        else:
-            os.replace(tmp, target)
+    tmp = f"{os.fspath(dst)}.tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(tmp)  # left by an interrupted run, it would refuse the link
+    try:
+        os.link(src, tmp)
+    except OSError:
+        with open(src, "rb") as fin, container.atomic_open(dst) as fout:
+            shutil.copyfileobj(fin, fout)
+    else:
+        os.replace(tmp, dst)
 
 
 def _from_json(cls, record, where: str):
@@ -819,29 +798,26 @@ def _from_json(cls, record, where: str):
 
 
 def load_model(path) -> ModelState:
-    """The model :func:`save_model` wrote at ``path``.  A sidecar that is not
-    such a record, and records whose names or shapes are not those
-    :func:`parameter_shapes` gives for the sidecar's config and heads, raise
-    CorruptCheckpoint, as a damaged checkpoint does."""
-    path, sidecar_path = model_files(path)
-    os.stat(sidecar_path)  # a missing sidecar is an io error, as a missing checkpoint is
+    """The model :func:`save_model` wrote at ``path``.  A header whose config
+    or heads are not such records, and records whose names or shapes are not
+    those :func:`parameter_shapes` gives for them, raise ``container.CorruptFile``,
+    as any other damage does."""
+    header, arrays = container.read(path, {"config": dict, "heads": list})
+    where = f"{path}: header"
     try:
-        sidecar = read_json(sidecar_path, {"config": dict, "heads": list}, {})
-        config = _from_json(ModelConfig, sidecar["config"], f"{sidecar_path}: config")
-        heads = [_from_json(HeadSpec, head, f"{sidecar_path}: heads[{i}]") for i, head in enumerate(sidecar["heads"])]
+        config = _from_json(ModelConfig, header["config"], f"{where}: config")
+        heads = [_from_json(HeadSpec, head, f"{where}: heads[{i}]") for i, head in enumerate(header["heads"])]
         config.validate()
     except ValueError as exc:  # a ManifestError names the file itself
-        where = "" if isinstance(exc, ManifestError) else f"{sidecar_path}: "
-        raise CorruptCheckpoint(f"sidecar {where}{exc}") from exc
-    arrays = load_checkpoint(path)
+        raise container.CorruptFile(str(exc) if isinstance(exc, ManifestError) else f"{where}: {exc}") from exc
     found = [(name, value.shape) for name, value in arrays.items()]
     expected = parameter_shapes(config, heads)
     if found != expected:
         got, want = next((f, e) for f, e in itertools.zip_longest(found, expected) if f != e)
-        raise CorruptCheckpoint(f"{path}: record (name, shape) {got} where the sidecar's model has {want}")
+        raise container.CorruptFile(f"{path}: record (name, shape) {got} where the header's model has {want}")
     state = ModelState(config)
     for name, value in arrays.items():
-        # load_checkpoint returns arrays it owns, so convert without a second copy.
+        # container.read returns arrays it owns, so convert without a second copy.
         state.add_parameter(name, value.astype(config.np_dtype, copy=False))
     for head in heads:
         state.heads[head.name] = head

@@ -46,7 +46,7 @@ from .downstream import (
     sweep,
 )
 from .encodings import assemble, feature_layout
-from .fingerprints import encode_id, extract_fingerprints, store_read, store_write, store_write_csv
+from .fingerprints import extract_fingerprints, store_read, store_write, store_write_csv
 from .inputs import InputError
 from .manifest import (
     MAX_HEAVY,
@@ -205,9 +205,7 @@ def cmd_pretrain(args) -> int:
 def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
     """SMILES, or (id, SMILES) pairs with ``id_col``, from a CSV or a list file.
 
-    Each id, or a SMILES that stands as its own id, must fit a store record,
-    and no id may repeat, so the store is known to be writable before any
-    model work."""
+    No id may repeat, which is checked before any model work."""
     if path.suffix.lower() != ".csv":
         molecules = read_id_list(path)
     else:
@@ -216,16 +214,11 @@ def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
         molecules = [(row[id_col].strip(), row[smiles_col].strip()) if id_col else row[smiles_col].strip()
                      for row in rows]
     seen: set[str] = set()
-    for item in molecules:
-        molecule_id, smiles = item if isinstance(item, tuple) else ("", item)
+    # An empty id falls back to the normalized SMILES, which extract_fingerprints checks.
+    for molecule_id in (item[0] for item in molecules if isinstance(item, tuple) and item[0]):
         if molecule_id in seen:
             raise ManifestError(f"{path}: molecule id {molecule_id!r} repeats")
-        if molecule_id:  # an empty id falls back to the normalized SMILES
-            seen.add(molecule_id)
-        try:
-            encode_id(molecule_id or smiles)
-        except ValueError as exc:
-            raise ManifestError(f"{path}: {exc}") from exc
+        seen.add(molecule_id)
     return molecules
 
 

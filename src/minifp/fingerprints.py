@@ -11,39 +11,28 @@ remain selectable everywhere).  The plan adds each molecule's rows in stable
 1-WL colour order, so a relabelled molecule produces a bitwise identical
 vector at a given precision.
 
-Store file layout (little-endian): magic ``MFPS``, version byte, dimension
-as uint32, record count as uint32, then per record a uint16 id length, the
-UTF-8 id bytes, and ``dimension`` float32 values.  Round-trips are bit-exact; a
-file that departs from this layout or repeats an id raises ``CorruptHeader``.
-An id longer than ``MAX_ID_BYTES`` cannot be stored.
+A store file is one :mod:`minifp.container`: its header holds the dimension
+and the ids in store order, and its one record, ``vectors``, the (n,
+dimension) float32 matrix, so the file ends with the last vector's values.
+Round trips are bit-exact; a file that is not such a container, or whose ids
+repeat or do not match the matrix, raises ``container.CorruptFile``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import math
-import os
-import stat
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .autodiff import Tape, _one_blas_thread, worker_count
 # pool and normalize_smiles stay importable here: perfbench/instrument.py traces them in this module.
 from .backbones import ModelState, batch_graphs, forward, graph_readout, pool  # noqa: F401
 from .encodings import assemble
 from .inputs import InputError
 from .molgraph import MolecularGraph, SmilesError, normalize_smiles, parse_smiles  # noqa: F401
-
-STORE_MAGIC = b"MFPS"
-STORE_VERSION = 1
-MAX_ID_BYTES = 0xFFFF  # a record stores its id's length as a uint16
-
-
-class CorruptHeader(InputError):
-    pass
 
 
 class DimensionMismatch(InputError):
@@ -170,66 +159,24 @@ def extract_fingerprints(
     return store, report
 
 
-def encode_id(molecule_id: str) -> bytes:
-    """The UTF-8 bytes a store record holds for ``molecule_id``; ValueError if
-    it cannot be encoded or is longer than ``MAX_ID_BYTES``."""
-    raw = molecule_id.encode("utf-8")
-    if len(raw) > MAX_ID_BYTES:
-        raise ValueError(f"molecule id {molecule_id[:40]!r}... is {len(raw)} UTF-8 bytes, over {MAX_ID_BYTES}")
-    return raw
-
-
 def store_write(store: FingerprintStore, path) -> None:
-    """Write ``store`` to ``path``.  Every id is encoded before the path is
-    opened, so an id :func:`encode_id` rejects leaves no file."""
-    ids = store.ids()
-    raw_ids = [encode_id(molecule_id) for molecule_id in ids]
-    with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<B", STORE_VERSION))
-        fh.write(struct.pack("<II", store.dimension, len(store)))
-        for molecule_id, raw in zip(ids, raw_ids):
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(np.ascontiguousarray(store.get(molecule_id), dtype="<f4").tobytes())
+    """Write ``store`` to ``path`` as one container, under a temp name moved over the old file."""
+    container.write(path, {"dimension": store.dimension, "ids": store.ids()}, {"vectors": store.matrix()})
 
 
 def store_read(path, expect_dimension: int | None = None) -> FingerprintStore:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != STORE_MAGIC:
-            raise CorruptHeader(f"bad magic {magic!r}")
-        head = fh.read(9)
-        if len(head) != 9:
-            raise CorruptHeader("truncated header")
-        version, dimension, count = struct.unpack("<BII", head)
-        if version != STORE_VERSION:
-            raise CorruptHeader(f"unsupported store version {version}")
-        if expect_dimension is not None and dimension != expect_dimension:
-            raise DimensionMismatch(f"store dimension {dimension}, expected {expect_dimension}")
-        # Records are checked against a file's size before they are read, so a
-        # corrupt dimension cannot ask for gigabytes; a pipe has no size.
-        info = os.fstat(fh.fileno())
-        left = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else math.inf
-        store = FingerprintStore(dimension)
-        for _ in range(count):
-            raw_len = fh.read(2)
-            if len(raw_len) != 2:
-                raise CorruptHeader("truncated record")
-            (id_len,) = struct.unpack("<H", raw_len)
-            left -= 2 + id_len + 4 * dimension
-            if left < 0:
-                raise CorruptHeader("truncated record")
-            raw_id = fh.read(id_len)
-            payload = fh.read(4 * dimension)
-            if len(raw_id) != id_len or len(payload) != 4 * dimension:
-                raise CorruptHeader("truncated record")
-            try:
-                store.add(raw_id.decode("utf-8"), np.frombuffer(payload, dtype="<f4").copy())
-            except ValueError as exc:  # an id that is not UTF-8 (UnicodeDecodeError) or repeats
-                raise CorruptHeader(f"record {len(store)}: {exc}") from exc
-        if fh.read(1):
-            raise CorruptHeader("trailing bytes after the declared records")
+    header, arrays = container.read(path, {"dimension": int, "ids": list})
+    dimension, ids = header["dimension"], header["ids"]
+    shape = arrays["vectors"].shape if list(arrays) == ["vectors"] else None
+    if shape != (len(ids), dimension):
+        raise container.CorruptFile(f"{path}: the records are not one ({len(ids)}, {dimension}) matrix 'vectors'")
+    if expect_dimension is not None and dimension != expect_dimension:
+        raise DimensionMismatch(f"store dimension {dimension}, expected {expect_dimension}")
+    store = FingerprintStore(dimension)
+    for molecule_id, vector in zip(ids, arrays["vectors"]):
+        if type(molecule_id) is not str or molecule_id in store:
+            raise container.CorruptFile(f"{path}: header: id {molecule_id!r} is not a string or repeats")
+        store.add(molecule_id, vector)
     return store
 
 
@@ -246,9 +193,11 @@ def store_write_csv(store: FingerprintStore, path) -> None:
 
     Values are written with 9 significant digits, which read back through
     ``float`` and ``np.float32`` to the stored bits (C11 ``FLT_DECIMAL_DIG``);
-    a NaN reads back as NaN.  One format string formats each row."""
+    a NaN reads back as NaN.  One format string formats each row.  The file
+    is written under a temp name and moved over ``path``, so an interrupted
+    export leaves no partial file."""
     row = "%s," + ",".join(["%.9g"] * store.dimension) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with container.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = ",".join(["id"] + [f"v{i}" for i in range(store.dimension)])
         fh.write(header + "\n")
         for molecule_id in store.ids():

@@ -1,7 +1,7 @@
 """UTF-8 text and JSON inputs, each failure a :class:`ManifestError` naming the file.
 
 A leaf module: the dataset readers in :mod:`minifp.manifest` and the
-checkpoint sidecar reader in :mod:`minifp.backbones` share its one checker,
+container header reader in :mod:`minifp.container` share its one checker,
 and every module's bad-input error derives from its :class:`InputError`.
 """
 
@@ -18,7 +18,7 @@ class InputError(ValueError):
 
 
 class ManifestError(InputError):
-    """Malformed manifest, sidecar or run config, missing columns, or inconsistent label data."""
+    """Malformed manifest or run config, missing columns, or inconsistent label data."""
 
 
 def read_text(path) -> str:

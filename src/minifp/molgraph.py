@@ -150,9 +150,6 @@ class MolecularGraph:
                 out.append(bond.u)
         return out
 
-    def degree(self, idx: int) -> int:
-        return len(self.neighbors(idx))
-
     def validate(self) -> None:
         n = self.num_atoms
         seen: set[tuple[int, int]] = set()

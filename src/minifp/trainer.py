@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Parameter, Tape
-from .backbones import ModelState, batch_graphs, forward, link_model, model_files, save_model
+from .backbones import ModelState, batch_graphs, forward, link_model, save_model
 from .encodings import AssembledFeatures
 from .inputs import InputError
 from .molgraph import MolecularGraph
@@ -42,8 +42,8 @@ from .seeding import rng_stream, seeded_split
 SCHEDULES = ("constant", "linear-decay", "cosine")
 
 #: The files :func:`pretrain` writes into ``out_dir``: the split, the best and
-#: the final checkpoint each with its sidecar, the log and the epoch timings.
-PRETRAIN_FILES = ("split.json", *model_files("best.ckpt"), *model_files("final.ckpt"), "log.jsonl", "timing.txt")
+#: the final checkpoint, the log and the epoch timings.
+PRETRAIN_FILES = ("split.json", "best.ckpt", "final.ckpt", "log.jsonl", "timing.txt")
 
 
 class TooFewMolecules(InputError):
@@ -446,7 +446,7 @@ def pretrain(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        split_file, best, _, final, _, log_file, timing_file = (out_path / name for name in PRETRAIN_FILES)
+        split_file, best, final, log_file, timing_file = (out_path / name for name in PRETRAIN_FILES)
         with open(split_file, "w", encoding="utf-8") as fh:
             json.dump({"train": train_idx, "valid": valid_idx, "test": test_idx}, fh, sort_keys=True)
             fh.write("\n")

@@ -5,17 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from minifp.autodiff import (
-    CorruptCheckpoint,
-    DisconnectedGraph,
-    Parameter,
-    Segments,
-    ShapeMismatch,
-    SpentTape,
-    Tape,
-    load_checkpoint,
-    save_checkpoint,
-)
+from minifp.autodiff import DisconnectedGraph, Parameter, Segments, ShapeMismatch, SpentTape, Tape
 from minifp.seeding import rng_stream
 
 from .util import finite_difference_check, reference_relu
@@ -531,58 +521,3 @@ def test_float64_constant_times_float32_tensor_gradient():
 
     assert finite_difference_check(fn, [w], h=1 / 64) < 1e-4
     assert w.grad.dtype == np.float32
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    params = [
-        Parameter("layer0/w", rng.standard_normal((3, 5)).astype(np.float32)),
-        Parameter("layer0/b", rng.standard_normal(5).astype(np.float32)),
-        Parameter("eps", np.array([0.25], dtype=np.float32)),
-    ]
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == {"layer0/w", "layer0/b", "eps"}
-    for p in params:
-        assert loaded[p.name].dtype == np.float32
-        assert np.array_equal(loaded[p.name], p.value)
-    # Byte-identical on rewrite.
-    path2 = tmp_path / "model2.ckpt"
-    save_checkpoint(path2, params)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_truncation_detected(tmp_path):
-    p = Parameter("w", np.ones((2, 2), dtype=np.float32))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, [p])
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("shape", [(3, 2**30), (2**20, 2**20), (2**31, 2**31)])
-def test_checkpoint_shape_beyond_the_file_raises_typed_error(tmp_path, shape):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, [Parameter("w", np.ones((2, 3), dtype=np.float32))])
-    raw = bytearray(path.read_bytes())
-    raw[12:20] = np.array(shape, dtype="<u4").tobytes()  # after header, name length, "w" and ndim
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(path)
-
-
-def test_checkpoint_truncated_at_every_offset_raises_typed_error(tmp_path):
-    params = [
-        Parameter("layer0/w", np.ones((2, 3), dtype=np.float32)),
-        Parameter("layer0/b", np.zeros(3, dtype=np.float32)),
-    ]
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params)
-    raw = path.read_bytes()
-    for offset in range(len(raw)):
-        path.write_bytes(raw[:offset])
-        with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(path)

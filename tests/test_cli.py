@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from minifp import cli
-from minifp.autodiff import CorruptCheckpoint, worker_count
+from minifp.autodiff import worker_count
 from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main
+from minifp.container import CorruptFile
 from minifp.downstream import (
     FoldTooSmall,
     HeadConfig,
@@ -24,7 +25,7 @@ from minifp.downstream import (
     ZeroVariance,
 )
 from minifp.encodings import assemble
-from minifp.fingerprints import CorruptHeader, DimensionMismatch, DuplicateId, FingerprintStore, store_read, store_write
+from minifp.fingerprints import DimensionMismatch, DuplicateId, FingerprintStore, store_read, store_write
 from minifp.inputs import InputError, ManifestError
 from minifp.manifest import CONFIG_SCHEMA, build_pretrain_dataset
 from minifp.molgraph import SmilesError, parse_smiles
@@ -32,7 +33,7 @@ from minifp.multitask import ClassOutOfRange
 from minifp.seeding import rng_stream
 from minifp.trainer import TooFewMolecules
 
-from .util import TOY_SMILES
+from .util import TOY_SMILES, edit_header, rewrite_header
 
 
 def write_dataset(tmp_path, smiles=None, include_bad_row=False):
@@ -264,8 +265,16 @@ def test_run_config_fed_back_reproduces_the_run(tmp_path, backbone):
     code = main(["pretrain", str(tmp_path / "manifest.json"), "--backbone", backbone,
                  "--config", str(first / "run_config.txt"), "--out", str(again)])
     assert code == 0
-    for name in ("run_config.txt", "log.jsonl", "best.ckpt", "best.ckpt.json"):
+    for name in ("run_config.txt", "log.jsonl", "best.ckpt"):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_pretrain_files_json_lists_exactly_what_was_written(tmp_path):
+    run = _pretrained_run(tmp_path)
+    files = json.loads((run / "files.json").read_text())["files"]
+    assert files == sorted(p.name for p in run.iterdir())
+    assert files == ["best.ckpt", "failures.csv", "files.json", "final.ckpt", "log.jsonl", "param_count.txt",
+                     "run_config.txt", "split.json", "timing.txt"]
 
 
 def test_fingerprint_command(tmp_path):
@@ -282,12 +291,10 @@ def test_fingerprint_command(tmp_path):
 
 
 def _reconfigured(run, tmp_path, **changes):
-    """A copy of ``run``'s best checkpoint whose sidecar config takes ``changes``."""
+    """A copy of ``run``'s best checkpoint whose header config takes ``changes``."""
     path = tmp_path / "reconfigured.ckpt"
     shutil.copyfile(run / "best.ckpt", path)
-    sidecar = json.loads((run / "best.ckpt.json").read_text())
-    sidecar["config"].update(changes)
-    Path(str(path) + ".json").write_text(json.dumps(sidecar))
+    edit_header(path, lambda header: header["config"].update(changes))
     return path
 
 
@@ -599,7 +606,7 @@ def test_head_config_with_a_sweep_exit_2(tmp_path, capsys, sweep):
 
 @pytest.mark.parametrize(
     "cls",
-    [ManifestError, CorruptCheckpoint, CorruptHeader, DimensionMismatch, DuplicateId, MissingFingerprint, FoldTooSmall,
+    [ManifestError, CorruptFile, DimensionMismatch, DuplicateId, MissingFingerprint, FoldTooSmall,
      SingleClass, ZeroVariance, TooFewRuns, InvalidHeadConfig, TooFewMolecules, SmilesError, ClassOutOfRange],
     ids=lambda cls: cls.__name__,
 )
@@ -801,10 +808,18 @@ def test_store_with_a_flipped_id_byte_exit_2(tmp_path, capsys):
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
     raw = bytearray(store_path.read_bytes())
-    raw[13 + 2] ^= 0x80  # the first record's first id byte, past the 13-byte header and the id length
+    raw[raw.index(b'"d0"') + 1] ^= 0x80  # the first id's first byte, in the header: no longer UTF-8
     store_path.write_bytes(bytes(raw))
     assert main(["downstream", str(store_path), str(task), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {store_path}: header is not UTF-8 JSON")
+
+
+def test_store_with_a_byte_appended_exit_2(tmp_path, capsys):
+    store_path = tmp_path / "fp.mfps"
+    task = write_downstream_task(tmp_path, store_path)
+    store_path.write_bytes(store_path.read_bytes() + b"\0")
+    assert main(["downstream", str(store_path), str(task), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {store_path}: bytes after the last record\n"
 
 
 def test_missing_manifest_exit_2(tmp_path):
@@ -812,7 +827,7 @@ def test_missing_manifest_exit_2(tmp_path):
 
 
 def _saved_model(tmp_path):
-    """A one-layer width-4 gine checkpoint, its sidecar and a two-line SMILES file."""
+    """A one-layer width-4 gine checkpoint and a two-line SMILES file."""
     path = tmp_path / "model.ckpt"
     save_model(build_model(ModelConfig(backbone="gine", num_layers=1, d_node=4, d_edge=4, d_global=4)), path)
     smi = tmp_path / "mols.smi"
@@ -820,75 +835,83 @@ def _saved_model(tmp_path):
     return path, smi
 
 
-def _edit_sidecar(edit):
-    def rewrite(path):
-        sidecar = json.loads(path.read_text())
-        edit(sidecar)
-        path.write_text(json.dumps(sidecar))
+def _edit(edit):
+    return lambda path: edit_header(path, edit)
 
-    return rewrite
+
+def _replace(header: bytes):
+    return lambda path: rewrite_header(path, lambda _: header)
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda path: path.write_text('{"config": {'),
-        lambda path: path.write_bytes(b'{"config": "\xff"}'),
-        lambda path: path.write_text("[]"),
-        _edit_sidecar(lambda s: s.pop("config")),
-        _edit_sidecar(lambda s: s.pop("heads")),
-        _edit_sidecar(lambda s: s["config"].update(width=4)),
-        _edit_sidecar(lambda s: s["config"].update(num_layers="1")),
-        _edit_sidecar(lambda s: s["config"].update(d_node=True)),
-        _edit_sidecar(lambda s: s["config"].update(num_layers=0)),
-        _edit_sidecar(lambda s: s["config"].update(dtype="float16")),
-        _edit_sidecar(lambda s: s.update(heads=[{"name": "h"}])),
-        lambda path: path.write_text("[" * 100_000),
+        _replace(b'{"config": {'),
+        _replace(b'{"config": "\xff"}'),
+        _replace(b"[]"),
+        _edit(lambda h: h.pop("config")),
+        _edit(lambda h: h.pop("heads")),
+        _edit(lambda h: h.pop("records")),
+        _edit(lambda h: h["config"].update(width=4)),
+        _edit(lambda h: h["config"].update(num_layers="1")),
+        _edit(lambda h: h["config"].update(d_node=True)),
+        _edit(lambda h: h["config"].update(num_layers=0)),
+        _edit(lambda h: h["config"].update(dtype="float16")),
+        _edit(lambda h: h.update(heads=[{"name": "h"}])),
+        _replace(b"[" * 100_000),
+        lambda path: path.write_bytes(path.read_bytes() + b"\0"),
     ],
-    ids=["not-json", "not-utf8", "not-an-object", "no-config", "no-heads", "unknown-field", "string-int",
-         "bool-int", "invalid-config", "unknown-dtype", "short-head", "nested-too-deep"],
+    ids=["not-json", "not-utf8", "not-an-object", "no-config", "no-heads", "no-records", "unknown-field",
+         "string-int", "bool-int", "invalid-config", "unknown-dtype", "short-head", "nested-too-deep", "byte-appended"],
 )
-def test_malformed_checkpoint_sidecar_exit_2(tmp_path, capsys, damage):
+def test_damaged_checkpoint_exit_2(tmp_path, capsys, damage):
     path, smi = _saved_model(tmp_path)
-    damage(Path(str(path) + ".json"))
+    damage(path)
     out = tmp_path / "fp.mfps"
     assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sidecar ") and "model.ckpt.json" in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
     assert not out.exists()
 
 
-def test_missing_checkpoint_sidecar_exit_3(tmp_path, capsys):
+def test_missing_checkpoint_exit_3(tmp_path, capsys):
     path, smi = _saved_model(tmp_path)
-    os.remove(str(path) + ".json")
+    os.remove(path)
     out = tmp_path / "fp.mfps"
     assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("io error: ") and "model.ckpt.json" in err
+    assert err.startswith("io error: ") and "model.ckpt" in err
     assert not out.exists()
 
 
-def test_sidecar_float_written_as_an_integer_loads(tmp_path):
+def test_checkpoint_written_before_the_container_format_exit_2(tmp_path, capsys):
+    # The former layout began with a uint32 version, 1, and the record count.
     path, smi = _saved_model(tmp_path)
-    _edit_sidecar(lambda s: s["config"].update(dropout=0))(Path(str(path) + ".json"))
-    assert '"dropout": 0,' in Path(str(path) + ".json").read_text()
+    path.write_bytes(b"\x01\x00\x00\x00\x08\x00\x00\x00" + path.read_bytes())
+    assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a minifp container")
+
+
+def test_header_float_written_as_an_integer_loads(tmp_path):
+    path, smi = _saved_model(tmp_path)
+    _edit(lambda h: h["config"].update(dropout=0))(path)
+    assert b'"dropout": 0,' in path.read_bytes()
     assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 0
 
 
 def test_checkpoint_with_a_non_utf8_name_exit_2(tmp_path, capsys):
     path, smi = _saved_model(tmp_path)
     raw = bytearray(path.read_bytes())
-    raw[8 + 2] ^= 0x80  # the first record's first name byte, past the 8-byte header and the name length
+    raw[raw.index(b'"embed_x/w1"') + 1] ^= 0x80  # the first record's first name byte
     path.write_bytes(bytes(raw))
     assert main(["fingerprint", str(path), str(smi), "--out", str(tmp_path / "fp.mfps")]) == 2
-    assert capsys.readouterr().err.startswith("error: record name ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: header is not UTF-8 JSON")
 
 
 def test_checkpoint_with_a_renamed_record_exit_2(tmp_path, capsys):
     path, smi = _saved_model(tmp_path)
     raw = bytearray(path.read_bytes())
-    assert raw[10:20] == b"embed_x/w1"  # the first record's name, past the 8-byte header and the name length
-    raw[10 + 8] ^= 0x02  # "embed_x/w1" -> "embed_x/u1", another valid name
+    raw[raw.index(b'"embed_x/w1"') + 9] ^= 0x02  # "embed_x/w1" -> "embed_x/u1", another valid name
     path.write_bytes(bytes(raw))
     out = tmp_path / "fp.mfps"
     assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
@@ -897,9 +920,9 @@ def test_checkpoint_with_a_renamed_record_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sidecar_with_another_k_pe_exit_2(tmp_path, capsys):
+def test_header_with_another_k_pe_exit_2(tmp_path, capsys):
     path, smi = _saved_model(tmp_path)
-    _edit_sidecar(lambda s: s["config"].update(k_pe=3))(Path(str(path) + ".json"))  # saved with k_pe = 8
+    _edit(lambda h: h["config"].update(k_pe=3))(path)  # saved with k_pe = 8
     out = tmp_path / "fp.mfps"
     assert main(["fingerprint", str(path), str(smi), "--out", str(out)]) == 2
     err = capsys.readouterr().err

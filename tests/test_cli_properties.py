@@ -29,7 +29,7 @@ from minifp.molgraph import SmilesError, parse_smiles
 
 from .test_cli import HEAD_CONFIG, write_dataset, write_downstream_task
 from .test_smiles_properties import SMILES_ALPHABET
-from .util import TOY_SMILES
+from .util import TOY_SMILES, header_span, rewrite_header
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -336,15 +336,13 @@ def parses(text: str) -> bool:
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(st.lists(st.tuples(st.text("abc", min_size=1, max_size=2), SMILES_TEXT), min_size=1, max_size=5),
-       st.sampled_from(["repeated-id", "long-id", "not-utf8", "absent-column", "id-is-another-smiles"]))
+       st.sampled_from(["repeated-id", "not-utf8", "absent-column", "id-is-another-smiles"]))
 def test_damaged_smiles_list_exit_2(inputs, rows, damage):
     data, work = inputs
     case = fresh(work)
     rows = [[f"{molecule_id}{i}", text] for i, (molecule_id, text) in enumerate(rows)]
     if damage == "repeated-id":  # a row with a blank SMILES is skipped, so both rows hold one
         rows += [["twice", "CCO"], ["twice", "CCN"]]
-    elif damage == "long-id":
-        rows.append(["x" * 65_536, "CCO"])
     elif damage == "id-is-another-smiles":  # a row without an id is stored under its normal form, another row's id
         rows += [["CCO", "CCN"], ["", "CCO"]]
     buffer = io.StringIO()
@@ -362,10 +360,10 @@ def test_damaged_smiles_list_exit_2(inputs, rows, damage):
 
 
 @st.composite
-def byte_damages(draw, regions, append=True):
-    """``damage(raw) -> raw`` for a file: a strict prefix, bytes appended (with ``append``), or a
-    byte of one of ``regions`` (name -> (start, stop)) replaced by another value."""
-    kind = draw(st.sampled_from(["truncate", *(["append"] if append else []), *regions]))
+def byte_damages(draw, regions):
+    """``damage(raw) -> raw`` for a file: a strict prefix, bytes appended, or a byte of one of
+    ``regions`` (name -> (start, stop)) replaced by another value."""
+    kind = draw(st.sampled_from(["truncate", "append", *regions]))
     if kind == "truncate":
         fraction = draw(st.floats(0, 1, exclude_max=True))
         return lambda raw: raw[: int(fraction * len(raw))]
@@ -378,19 +376,27 @@ def byte_damages(draw, regions, append=True):
     return lambda raw: raw[:offset] + bytes([raw[offset] ^ flip]) + raw[offset + 1:]
 
 
-# A store: magic, version, dimension, count, then per record an id length, the id and the values.
-# A change to the magic, the version or the count is caught by the store reader; one to the first
-# byte of the first id ("d0") too, or else the labelled id "d0" is missing from the store.
-STORE_REGIONS = {"magic": (0, 4), "version": (4, 5), "count": (9, 13), "id": (15, 16)}
+# A container: magic, version and header length (9 bytes), then the JSON header; the first and
+# the last byte of the header open and close its object, so any other byte there breaks the JSON.
+# In a store's header a change to the first id's first byte ("d0") is caught by the store reader
+# (not UTF-8, or a JSON string no longer) or else the labelled id "d0" is missing from the store.
+PREFIX_REGIONS = {"magic": (0, 4), "version": (4, 5), "header-length": (5, 9)}
+
+
+def header_regions(raw: bytes) -> dict[str, tuple[int, int]]:
+    start, stop = header_span(raw)
+    return {**PREFIX_REGIONS, "header-open": (start, start + 1), "header-close": (stop - 1, stop)}
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
-@given(byte_damages(STORE_REGIONS))
-def test_damaged_store_exit_2(inputs, damage):
+@given(st.data())
+def test_damaged_store_exit_2(inputs, data_strategy):
     data, work = inputs
     case = fresh(work)
     raw = (data / "fp.mfps").read_bytes()
-    assert store_read(data / "fp.mfps").ids()[0] == "d0" and raw[13:15] == b"\x02\x00"
+    assert store_read(data / "fp.mfps").ids()[0] == "d0"
+    first_id = raw.index(b'"d0"') + 1
+    damage = data_strategy.draw(byte_damages({**header_regions(raw), "id": (first_id, first_id + 1)}))
     (case / "fp.mfps").write_bytes(damage(raw))
     argv = ["downstream", case / "fp.mfps", data / "task.json", "--sweep", "none", "--head-config", data / "head.txt",
             "--folds", "2", "--reps", "1", "--out", case / "out"]
@@ -398,37 +404,30 @@ def test_damaged_store_exit_2(inputs, damage):
     assert not (case / "out" / "summary.csv").exists()
 
 
-# A checkpoint: version, record count, then the first record's name length and name ("embed_x/w1").
-# A checkpoint does not check for bytes after its last record, so no damage appends any.
-CHECKPOINT_REGIONS = {"version": (0, 4), "count": (4, 8), "name-length": (8, 10), "name": (10, 11)}
-
-
 @settings(PROPERTY_SETTINGS, max_examples=40)
-@given(st.one_of(byte_damages(CHECKPOINT_REGIONS, append=False),
-                 st.sampled_from(["sidecar-truncated", "sidecar-not-utf8", "sidecar-retyped", "no-sidecar",
-                                  "no-checkpoint"])))
-def test_damaged_checkpoint_exit_2_or_3(inputs, damage):
+@given(st.data(), st.sampled_from(["bytes", "header-truncated", "header-not-utf8", "header-retyped",
+                                   "header-nested-too-deep", "no-checkpoint"]))
+def test_damaged_checkpoint_exit_2_or_3(inputs, data_strategy, damage):
     data, work = inputs
     case = fresh(work)
-    checkpoint, sidecar = case / "model.ckpt", case / "model.ckpt.json"
-    raw, text = (data / "model.ckpt").read_bytes(), (data / "model.ckpt.json").read_text()
-    assert raw[10:20] == b"embed_x/w1"
+    checkpoint = case / "model.ckpt"
+    raw = (data / "model.ckpt").read_bytes()
+    checkpoint.write_bytes(raw)
     expected = 2
-    if callable(damage):
-        checkpoint.write_bytes(damage(raw))
-        sidecar.write_text(text)
+    if damage == "bytes":
+        checkpoint.write_bytes(data_strategy.draw(byte_damages(header_regions(raw)))(raw))
+    elif damage == "header-truncated":
+        rewrite_header(checkpoint, lambda header: header[: len(header) // 2])
+    elif damage == "header-not-utf8":
+        rewrite_header(checkpoint, lambda header: b"\xff" + header)
+    elif damage == "header-retyped":
+        rewrite_header(checkpoint, lambda header: header.replace(b'"num_layers":1', b'"num_layers":"1"'))
+        assert checkpoint.read_bytes() != raw
+    elif damage == "header-nested-too-deep":
+        rewrite_header(checkpoint, lambda header: b"[" * 100_000)
     else:
-        checkpoint.write_bytes(raw)
-        sidecar.write_text(text)
-        if damage == "sidecar-truncated":
-            sidecar.write_text(text[: len(text) // 2])
-        elif damage == "sidecar-not-utf8":
-            sidecar.write_bytes(b"\xff" + text.encode())
-        elif damage == "sidecar-retyped":
-            sidecar.write_text(text.replace('"num_layers": 1', '"num_layers": "1"'))
-        else:
-            os.remove(sidecar if damage == "no-sidecar" else checkpoint)
-            expected = 3
+        os.remove(checkpoint)
+        expected = 3
     argv = ["fingerprint", checkpoint, data / "mols.smi", "--out", case / "fp.mfps"]
     assert_exits_as_documented(argv, case, codes=(expected,))
     assert not (case / "fp.mfps").exists()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from minifp import autodiff, fingerprints
+from minifp import autodiff, container, fingerprints
 from minifp.autodiff import Tape, _one_blas_thread
 from minifp.backbones import (
     ConstantGlobalStream,
@@ -21,10 +21,9 @@ from minifp.backbones import (
     graph_readout,
     pool,
 )
+from minifp.container import CorruptFile
 from minifp.encodings import assemble
 from minifp.fingerprints import (
-    MAX_ID_BYTES,
-    CorruptHeader,
     DimensionMismatch,
     FingerprintStore,
     extract_fingerprints,
@@ -35,7 +34,7 @@ from minifp.fingerprints import (
 from minifp.molgraph import parse_smiles
 from minifp.multitask import TaskSpec, head_input
 
-from .util import TOY_SMILES, random_molecule
+from .util import TOY_SMILES, InterruptingArray, header_span, random_molecule
 
 
 def small_model(backbone="gine", **overrides):
@@ -307,35 +306,72 @@ def test_store_truncated_raises(tmp_path):
     store_write(store, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
-    with pytest.raises(CorruptHeader):
+    with pytest.raises(CorruptFile):
         store_read(path)
     path.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(CorruptHeader):
+    with pytest.raises(CorruptFile):
         store_read(path)
 
 
-def test_store_truncation_and_every_bit_flip_read_back_or_raise_typed_errors(tmp_path):
+def test_store_truncation_and_every_bit_flip_read_back_or_raise_corrupt_file(tmp_path):
     store = FingerprintStore(3)
     store.add("abc", np.array([1.0, -2.0, 0.5], dtype=np.float32))
     store.add("abb", np.array([0.25, 3.0, -1.5], dtype=np.float32))  # one bit flip from a duplicate id
     path = tmp_path / "x.mfps"
     store_write(store, path)
     raw = path.read_bytes()
-    assert len(raw) == 47
+    assert raw.endswith(store.matrix().tobytes())  # the file ends with the vectors
     for data in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]:
         path.write_bytes(data)
-        with pytest.raises(CorruptHeader):
+        with pytest.raises(CorruptFile):
             store_read(path)
     outcomes = set()
+    data_flips = 0
     for bit in range(8 * len(raw)):
         flipped = bytearray(raw)
         flipped[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(bytes(flipped))
         try:
             outcomes.add(len(store_read(path)))
-        except (CorruptHeader, DimensionMismatch) as exc:
+            data_flips += bit // 8 >= header_span(raw)[1]
+        except CorruptFile as exc:
             outcomes.add(type(exc).__name__)
-    assert outcomes == {2, "CorruptHeader"}
+    assert outcomes == {2, "CorruptFile"}
+    assert data_flips == 8 * store.matrix().nbytes  # every flip of a vector bit reads back
+
+
+def test_store_rejects_a_header_whose_ids_do_not_match_its_vectors(tmp_path):
+    store = FingerprintStore(2)
+    store.add("a", np.ones(2, dtype=np.float32))
+    store.add("b", np.zeros(2, dtype=np.float32))
+    path = tmp_path / "x.mfps"
+    for header, message in [
+        ({"dimension": 2, "ids": ["a", "a"]}, "repeats"),
+        ({"dimension": 2, "ids": ["a", 1]}, "not a string"),
+        ({"dimension": 2, "ids": ["a"]}, r"not one \(1, 2\) matrix"),
+        ({"dimension": 1, "ids": ["a", "b"]}, r"not one \(2, 1\) matrix"),
+    ]:
+        container.write(path, header, {"vectors": store.matrix()})
+        with pytest.raises(CorruptFile, match=message):
+            store_read(path)
+    container.write(path, {"dimension": 2, "ids": ["a", "b"]}, {"vectors": store.matrix(), "extra": np.ones(1)})
+    with pytest.raises(CorruptFile, match="matrix 'vectors'"):
+        store_read(path)
+
+
+def test_interrupted_store_write_leaves_the_previous_store(tmp_path, monkeypatch):
+    store = FingerprintStore(3)
+    store.add("m", np.ones(3, dtype=np.float32))
+    path = tmp_path / "x.mfps"
+    store_write(store, path)
+    before = path.read_bytes()
+    store.add("n", np.zeros(3, dtype=np.float32))
+    # The write is interrupted after the new header, while the vectors are converted.
+    monkeypatch.setattr(FingerprintStore, "matrix", lambda self: InterruptingArray((2, 3)))
+    with pytest.raises(KeyboardInterrupt):
+        store_write(store, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.mfps"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
@@ -422,19 +458,28 @@ def test_csv_export_reads_back_bit_equal(tmp_path_factory, ids, dimension, bits)
     assert np.array_equal(back.view(np.uint32)[~nan], matrix.view(np.uint32)[~nan])
 
 
-def test_store_write_rejects_a_long_id_before_opening_the_path(tmp_path):
+def test_store_holds_ids_of_any_length_and_character(tmp_path):
+    store = FingerprintStore(1)
+    for molecule_id in ("x" * 70_000, "é,\"\n", "\ud800", ""):
+        store.add(molecule_id, np.ones(1, dtype=np.float32))
+    store_write(store, tmp_path / "x.mfps")
+    assert store_read(tmp_path / "x.mfps") == store
+
+
+def test_interrupted_csv_export_leaves_the_previous_file(tmp_path, monkeypatch):
     store = FingerprintStore(1)
     store.add("m", np.ones(1, dtype=np.float32))
-    store.add("x" * (MAX_ID_BYTES - 1) + "é", np.ones(1, dtype=np.float32))  # one character too many bytes
-    path = tmp_path / "x.mfps"
-    with pytest.raises(ValueError, match=f"{MAX_ID_BYTES + 1} UTF-8 bytes"):
-        store_write(store, path)
-    assert not path.exists()
-    path.write_bytes(b"kept")
-    with pytest.raises(ValueError):
-        store_write(store, path)
-    assert path.read_bytes() == b"kept"
-    fits = FingerprintStore(1)
-    fits.add("x" * MAX_ID_BYTES, np.ones(1, dtype=np.float32))
-    store_write(fits, path)
-    assert store_read(path) == fits
+    store.add("n", np.zeros(1, dtype=np.float32))
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"previous")
+
+    def interrupt_at_n(text):
+        if text == "n":
+            raise KeyboardInterrupt
+        return text
+
+    monkeypatch.setattr(fingerprints, "_csv_cell", interrupt_at_n)
+    with pytest.raises(KeyboardInterrupt):
+        store_write_csv(store, path)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]

@@ -194,13 +194,11 @@ def test_malformed_molecule_list_exit_2(tmp_path, capsys, molecules, content, na
     "molecules, content, id_col, names",
     [
         ("mols.csv", "id,smiles\nm1,CCO\nm2,CCC\nm1,CCN\n", "id", ["mols.csv", "'m1' repeats"]),
-        ("mols.csv", f"id,smiles\n{'m' * 65_536},CCO\n", "id", ["mols.csv", "65536 UTF-8 bytes"]),
-        ("mols.smi", f"CCO\n{'Q' * 65_536}\n", None, ["mols.smi", "65536 UTF-8 bytes"]),
         # A row without an id is stored under its normalized SMILES, which may be another row's id.
         ("mols.csv", "id,smiles\nCCO,CCN\n,CCO\n", "id", ["molecule id 'CCO'"]),
         ("mols.csv", "id,smiles\n,CCO\nCCO,CCN\n", "id", ["molecule id 'CCO'"]),
     ],
-    ids=["repeated-id", "long-id", "long-smiles-as-id", "fallback-id-taken", "fallback-id-taken-first"],
+    ids=["repeated-id", "fallback-id-taken", "fallback-id-taken-first"],
 )
 def test_molecule_id_the_store_cannot_hold_exit_2(tmp_path, capsys, monkeypatch, molecules, content, id_col, names):
     argv = _fingerprint_argv(tmp_path, molecules) + (["--id-col", id_col] if id_col else [])

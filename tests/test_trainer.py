@@ -381,14 +381,13 @@ def test_pretrain_best_checkpoint_matches_log(tmp_path):
 
 
 def test_pretrain_links_final_to_a_best_last_epoch(tmp_path):
-    """A best last epoch gives final.ckpt the best files, not a second write; a
+    """A best last epoch gives final.ckpt the best file, not a second write; a
     later save to best.ckpt replaces it and leaves that final as it was."""
     dataset, tasks = build_toy_dataset()
     model = small_model(seed=1)
     log = pretrain(dataset, model, tasks, TrainConfig(epochs=1, warmup_epochs=0, batch_size=16), out_dir=tmp_path)
     assert log.best_epoch == 1
-    for suffix in ("", ".json"):
-        assert os.path.samefile(tmp_path / f"best.ckpt{suffix}", tmp_path / f"final.ckpt{suffix}")
+    assert os.path.samefile(tmp_path / "best.ckpt", tmp_path / "final.ckpt")
     best, final = load_model(tmp_path / "best.ckpt"), load_model(tmp_path / "final.ckpt")
     assert all(final.params[name].value.tobytes() == p.value.tobytes() for name, p in best.params.items())
     final_bytes = (tmp_path / "final.ckpt").read_bytes()
@@ -405,15 +404,14 @@ def test_pretrain_rerun_into_the_same_directory_rewrites_it_byte_for_byte(tmp_pa
     """The second run replaces final.ckpt, which the first linked to its best.ckpt,
     with a link to its own best.ckpt, and leaves no temporary file."""
     cfg = TrainConfig(epochs=3, peak_lr=3e-3, warmup_epochs=0, schedule="constant", batch_size=16, seed=5)
-    names = ("log.jsonl", "split.json", "best.ckpt", "best.ckpt.json")
+    names = ("log.jsonl", "split.json", "best.ckpt")
     outputs, first_inode = [], None
     for _ in range(2):
         dataset, tasks = build_toy_dataset()
         log = pretrain(dataset, small_model(seed=4), tasks, cfg, out_dir=tmp_path)
         assert log.best_epoch == cfg.epochs  # so final.ckpt is linked, not written
         outputs.append({name: (tmp_path / name).read_bytes() for name in names})
-        for suffix in ("", ".json"):
-            assert os.path.samefile(tmp_path / f"best.ckpt{suffix}", tmp_path / f"final.ckpt{suffix}")
+        assert os.path.samefile(tmp_path / "best.ckpt", tmp_path / "final.ckpt")
         first_inode = first_inode or os.stat(tmp_path / "final.ckpt").st_ino
     assert outputs[0] == outputs[1]
     assert os.stat(tmp_path / "final.ckpt").st_ino != first_inode  # the second run's link replaced the first's

@@ -1,13 +1,16 @@
 """Shared helpers for tests: molecular graphs, toy datasets, gradient,
-ensemble and metric oracles, and memory probes."""
+ensemble and metric oracles, memory probes and container-file surgery."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import resource
+import struct
 import tracemalloc
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -266,3 +269,42 @@ def per_edge_embed_inputs(tape, batch, state):
         e0 = mlp_forward(tape, state, "embed_e", tape.constant(batch.edge_features))
     g_row = mlp_forward(tape, state, "embed_g", tape.constant(state.global_seed.reshape(1, -1)))
     return x0, e0, tape.gather(g_row, Segments(np.zeros(batch.num_graphs, dtype=np.int64), 1))
+
+
+# A container file starts with the magic (4 bytes), the version (1) and the header's length (uint32).
+HEADER_START = 9
+
+
+def header_span(raw: bytes) -> tuple[int, int]:
+    """(start, stop) of the JSON header in the bytes of a container file."""
+    (length,) = struct.unpack_from("<I", raw, HEADER_START - 4)
+    return HEADER_START, HEADER_START + length
+
+
+def rewrite_header(path, edit: Callable[[bytes], bytes]) -> None:
+    """Replace the header of the container file at ``path`` by ``edit(header)``, with its length."""
+    raw = Path(path).read_bytes()
+    start, stop = header_span(raw)
+    header = edit(raw[start:stop])
+    Path(path).write_bytes(raw[: start - 4] + struct.pack("<I", len(header)) + header + raw[stop:])
+
+
+def edit_header(path, edit: Callable[[dict], None]) -> None:
+    """Apply ``edit`` to the decoded JSON header of the container file at ``path``."""
+
+    def change(raw: bytes) -> bytes:
+        header = json.loads(raw)
+        edit(header)
+        return json.dumps(header).encode()
+
+    rewrite_header(path, change)
+
+
+class InterruptingArray:
+    """Stands for an array whose conversion is interrupted, as by Ctrl-C in the middle of a write."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        raise KeyboardInterrupt
