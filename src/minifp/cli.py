@@ -41,6 +41,7 @@ from .downstream import (
     TooFewRuns,
     check_ensemble_counts,
     correlation_analysis,
+    gather_fingerprints,
     holdout_split,
     kfold_ensemble,
     sweep,
@@ -227,8 +228,7 @@ def cmd_fingerprint(args) -> int:
     molecules = _read_molecule_list(Path(args.molecules), args.smiles_col, args.id_col)
     store, report = extract_fingerprints(model, molecules)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     store_write(store, out)
     store_write_csv(store, str(out) + ".csv")
     if report.failures:
@@ -266,10 +266,11 @@ def _head_config_from_file(path) -> HeadConfig:
 def cmd_downstream(args) -> int:
     if args.head_config and args.sweep != "none":
         raise InputError(f"--head-config needs --sweep none; --sweep {args.sweep} picks the head config itself")
-    store = store_read(args.store)
+    store = store_read(args.store)  # before the task manifest: a damaged store is named first
     task = load_downstream_manifest(args.task_manifest)
     ids, values, mask = read_downstream_labels(task)
-    data = TaskData(ids=ids, labels=LabelSet(values, mask), kind=task.kind)
+    # Every head reads this one matrix; a labelled id the store lacks is raised before any trains.
+    data = TaskData(gather_fingerprints(store, ids), LabelSet(values, mask), task.kind)
     seed = _resolve_seed(args)
 
     row_of = {molecule_id: i for i, molecule_id in enumerate(ids)}
@@ -285,9 +286,6 @@ def cmd_downstream(args) -> int:
         train_rows, test_rows = holdout_split(len(ids), seed)
     check_ensemble_counts(len(train_rows), args.folds, args.reps)  # before the sweep trains anything
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     sweep_rows = None
     if args.sweep != "none":
         inner_valid = max(1, len(train_rows) // 10)
@@ -295,24 +293,25 @@ def cmd_downstream(args) -> int:
         # Split files list ids in any order, so the picked rows are sorted again.
         sweep_valid, sweep_train = np.sort(train_rows[valid_part]), np.sort(train_rows[train_part])
         space = SWEEP_PRESETS[args.sweep]()
-        best_config, sweep_rows = sweep(space, store, data, seed, sweep_train, sweep_valid)
+        best_config, sweep_rows = sweep(space, data, seed, sweep_train, sweep_valid)
     elif args.head_config:
         best_config = _head_config_from_file(args.head_config)
     else:
         best_config = HeadConfig()
 
     result = kfold_ensemble(
-        store,
         data,
         best_config,
+        train_rows,
+        test_rows,
         num_folds=args.folds,
         num_reps=args.reps,
         metric=task.metric,
-        train_rows=train_rows,
-        test_rows=test_rows,
         seed=seed,
     )
     # Every output is written only now, so a run that fails above leaves none.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     timing = []  # wall-clock lines, kept out of every CSV
     if sweep_rows is not None:

@@ -1,10 +1,14 @@
 """Downstream task heads on fingerprints: training, sweeps, ensembling, metrics.
 
-A head is a plain MLP over stored fingerprint vectors, trained by
-``trainer.fit``, the loop pre-training also runs.  Hyperparameter
-sweeps evaluate every grid point on one fixed seed and return the config
-with the smallest validation loss (ties broken lexicographically on the
-config tuple, so the argmin is enumeration-order independent).
+A task is one :class:`TaskData`: a feature matrix, gathered from a
+fingerprint store once by the caller, its labels and its kind (binary or
+regression).  A head is a plain MLP over rows of that matrix, trained by
+``trainer.fit``, the loop pre-training also runs.  The caller picks every
+row: each function here trains and scores on the rows it is given.
+Hyperparameter sweeps evaluate every grid point on one fixed seed and
+return the config with the smallest validation loss (ties broken
+lexicographically on the config tuple, so the argmin is
+enumeration-order independent).
 
 The ensembling procedure: per repetition, re-partition the training ids
 into num_folds folds, train one model per fold with best-epoch selection on
@@ -15,7 +19,7 @@ deviation of validation/test scores across repetitions.
 Sweep configs and fold heads are independent, so both train in a ``fork``
 process pool of up to one worker per available core (:func:`_run_tasks`),
 each worker on one BLAS thread: their bits do not depend on how many cores
-there are.
+there are.  The workers read the task's matrix copy-on-write.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, _one_blas_thread, worker_count
 from .backbones import glorot_uniform
-from .fingerprints import FingerprintStore
 from .inputs import InputError
-from .multitask import LabelSet, bce_loss, hce_loss, mae_loss
+# hce_loss stays importable here: perfbench/instrument.py traces every loss in this module.
+from .multitask import LabelSet, bce_loss, hce_loss, mae_loss  # noqa: F401
 from .seeding import derive_seed, rng_stream, seeded_split
 # adam_step stays importable here: perfbench/instrument.py traces it in this module.
 from .trainer import SCHEDULES, TrainConfig, adam_step, fit  # noqa: F401
@@ -150,38 +154,34 @@ SWEEP_PRESETS = {"config1": config1_space, "config2": config2_space}
 
 @dataclass
 class TaskData:
-    """Labeled molecules for one downstream task, aligned with ``ids``."""
+    """One downstream task: an (n, d) float32 feature matrix, row i labelled by row i of ``labels``."""
 
-    ids: list[str]
+    features: np.ndarray
     labels: LabelSet
-    kind: str = "binary"  # regression | binary | multiclass
-    num_classes: int = 2
+    kind: str = "binary"  # binary | regression
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float32)
+        if self.kind not in ("binary", "regression"):
+            raise ValueError(f"a head task is binary or regression, not {self.kind!r}")
+        if self.features.ndim != 2 or len(self.features) != len(self.labels.values):
+            raise ValueError(f"features {self.features.shape} do not have one row per label row "
+                             f"({len(self.labels.values)})")
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def out_dim(self) -> int:
-        width = self.labels.values.shape[1]
-        return width * self.num_classes if self.kind == "multiclass" else width
+        return len(self.features)
 
 
-def gather_fingerprints(store: FingerprintStore, ids) -> np.ndarray:
+def gather_fingerprints(store, ids) -> np.ndarray:
+    """The (len(ids), dimension) matrix of the store's vectors for ``ids``, in that order."""
     missing = [i for i in ids if i not in store]
     if missing:
         raise MissingFingerprint(f"ids absent from store: {missing[:10]}")
     return store.matrix(ids)
 
 
-def random_split(n: int, valid_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded fallback split when no scaffold-split files are provided."""
-    n_valid = max(1, math.floor(n * valid_fraction)) if n > 1 else 0
-    valid, train = seeded_split(n, seed, "head-split", [n_valid])
-    return train, valid
-
-
 def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded 80/20 (train, test) fallback split when no split files are given."""
+    """Seeded 80/20 (train, test) split, ``minifp downstream``'s when no split files are given."""
     train, test = seeded_split(n, seed, "downstream-split", [max(1, int(round(n * 0.8)))])
     return train, test
 
@@ -192,13 +192,12 @@ def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 class TrainedHead:
     """MLP over fingerprints; num_layers hidden layers then a linear readout."""
 
-    def __init__(self, config: HeadConfig, in_dim: int, out_dim: int, kind: str, num_classes: int, seed: int):
+    def __init__(self, config: HeadConfig, in_dim: int, out_dim: int, kind: str, seed: int):
         config.validate()
         self.config = config
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.kind = kind
-        self.num_classes = num_classes
         self.seed = seed
         self.val_curve: list[float] = []
         self.best_epoch = -1
@@ -233,15 +232,7 @@ class TrainedHead:
 
     def activate(self, logits: np.ndarray) -> np.ndarray:
         """:meth:`predict`'s output from the head's logits."""
-        if self.kind == "binary":
-            return 1.0 / (1.0 + np.exp(-logits))
-        if self.kind == "multiclass":
-            rows = logits.shape[0]
-            z = logits.reshape(rows, -1, self.num_classes)
-            z = z - z.max(axis=2, keepdims=True)
-            e = np.exp(z)
-            return (e / e.sum(axis=2, keepdims=True)).reshape(rows, -1)
-        return logits
+        return 1.0 / (1.0 + np.exp(-logits)) if self.kind == "binary" else logits
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params]
@@ -252,38 +243,26 @@ class TrainedHead:
 
 
 def _head_loss(tape: Tape, head: TrainedHead, pred, labels: LabelSet):
-    if head.kind == "regression":
-        return mae_loss(tape, pred, labels)
-    if head.kind == "binary":
-        return bce_loss(tape, pred, labels)
-    return hce_loss(tape, pred, labels, head.num_classes)
+    return (bce_loss if head.kind == "binary" else mae_loss)(tape, pred, labels)
 
 
-def train_head(
-    store: FingerprintStore,
-    data: TaskData,
-    config: HeadConfig,
-    seed: int,
-    train_idx: np.ndarray | None = None,
-    valid_idx: np.ndarray | None = None,
-) -> TrainedHead:
+def train_head(data: TaskData, config: HeadConfig, seed: int, train_idx, valid_idx) -> TrainedHead:
     """Train one MLP head with Adam under the config schedule.
 
     The returned head carries its per-epoch validation losses and holds the
     weights of its best-validation epoch, and the logits that epoch's
     validation pass gave (``valid_logits``); if no epoch's loss is below
     infinity (every one NaN, say), ``best_epoch`` stays -1 and the head holds
-    its initial weights.  Provide explicit train/valid row indices (e.g. from
-    scaffold-split files); otherwise a seeded 10% split is used.
+    its initial weights.  It trains on the rows ``train_idx`` of ``data`` and
+    validates on ``valid_idx``; with no validation rows, an epoch's mean
+    training loss stands in for its validation loss.
     """
     config.validate()
-    features = gather_fingerprints(store, data.ids)
-    if train_idx is None or valid_idx is None:
-        train_idx, valid_idx = random_split(len(data), 0.1, seed)
+    features = data.features
     train_idx = np.asarray(train_idx, dtype=np.int64)
     valid_idx = np.asarray(valid_idx, dtype=np.int64)
 
-    head = TrainedHead(config, features.shape[1], data.out_dim, data.kind, data.num_classes, seed)
+    head = TrainedHead(config, features.shape[1], data.labels.values.shape[1], data.kind, seed)
     latest_logits = None  # the logits of the last validation pass
     best_snapshot = None  # the weights of the best epoch, when it is not the last
 
@@ -538,15 +517,9 @@ class SweepRow:
         return min(self.val_curve)
 
 
-def sweep(
-    space: SweepSpace,
-    store: FingerprintStore,
-    data: TaskData,
-    seed: int,
-    train_idx: np.ndarray | None = None,
-    valid_idx: np.ndarray | None = None,
-) -> tuple[HeadConfig, list[SweepRow]]:
-    """Evaluate every grid point on one fixed seed; smallest validation loss wins.
+def sweep(space: SweepSpace, data: TaskData, seed: int, train_idx, valid_idx) -> tuple[HeadConfig, list[SweepRow]]:
+    """Train every grid point on the rows ``train_idx`` with one fixed seed;
+    the smallest loss on the rows ``valid_idx`` wins.
 
     The returned argmin is canonical: ties break on the lexicographic config
     tuple, so enumeration order cannot change the winner.
@@ -555,7 +528,7 @@ def sweep(
         raise ValueError("sweep space is empty")
 
     def evaluate(config: HeadConfig) -> tuple[list[float], int]:
-        head = train_head(store, data, config, seed, train_idx, valid_idx)
+        head = train_head(data, config, seed, train_idx, valid_idx)
         return head.val_curve, head.best_epoch
 
     trained = _run_tasks([functools.partial(evaluate, config) for config in space.configs])
@@ -648,19 +621,19 @@ class EnsembleResult:
 
 
 def kfold_ensemble(
-    store: FingerprintStore,
     data: TaskData,
     config: HeadConfig,
+    train_rows,
+    test_rows,
     num_folds: int = 5,
     num_reps: int = 5,
     metric: str = "auroc",
-    train_rows: np.ndarray | None = None,
-    test_rows: np.ndarray | None = None,
     seed: int = 0,
 ) -> EnsembleResult:
-    """Fold-ensemble evaluation: per repetition, one model per fold (best epoch
-    by validation loss), ensemble = mean of fold-model outputs, metrics on
-    validation (mean over held-out folds) and on the test partition.
+    """Fold-ensemble evaluation: per repetition, one model per fold of
+    ``train_rows`` (best epoch by validation loss), ensemble = mean of
+    fold-model outputs, metrics on validation (mean over held-out folds) and
+    on ``test_rows``.
 
     Every fold head of every repetition is a task of one :func:`_run_tasks`
     call, spread over :func:`worker_count` pool workers; each worker holds
@@ -669,12 +642,9 @@ def kfold_ensemble(
     which holds no head unless it is the one worker."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if train_rows is None or test_rows is None:
-        train_rows, test_rows = holdout_split(len(data), seed)
     train_rows = np.asarray(train_rows, dtype=np.int64)
     test_rows = np.asarray(test_rows, dtype=np.int64)
     check_ensemble_counts(len(train_rows), num_folds, num_reps)
-    test_features = gather_fingerprints(store, data.ids)[test_rows]  # the full matrix is not kept
     if num_reps == 1:
         warnings.warn("std over a single repetition is reported as 0", stacklevel=2)
     partitions = []
@@ -685,11 +655,11 @@ def kfold_ensemble(
     def fold_head(rep_seed: int, folds: list[np.ndarray], fold_id: int) -> tuple[float, np.ndarray]:
         held_out = train_rows[folds[fold_id]]
         train_part = train_rows[np.concatenate([f for j, f in enumerate(folds) if j != fold_id])]
-        head = train_head(store, data, config, rep_seed + fold_id, train_part, held_out)
+        head = train_head(data, config, rep_seed + fold_id, train_part, held_out)
         # The best epoch's validation pass ran these weights on these rows already.
         logits = head.valid_logits
-        pred = head.predict(store.matrix(data.ids)[held_out]) if logits is None else head.activate(logits)
-        return compute_metric(metric, pred, data.labels.values[held_out]), head.predict(test_features)
+        pred = head.predict(data.features[held_out]) if logits is None else head.activate(logits)
+        return compute_metric(metric, pred, data.labels.values[held_out]), head.predict(data.features[test_rows])
 
     trained = _run_tasks([
         functools.partial(fold_head, rep_seed, folds, fold_id)

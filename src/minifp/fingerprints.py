@@ -164,14 +164,12 @@ def store_write(store: FingerprintStore, path) -> None:
     container.write(path, {"dimension": store.dimension, "ids": store.ids()}, {"vectors": store.matrix()})
 
 
-def store_read(path, expect_dimension: int | None = None) -> FingerprintStore:
+def store_read(path) -> FingerprintStore:
     header, arrays = container.read(path, {"dimension": int, "ids": list})
     dimension, ids = header["dimension"], header["ids"]
     shape = arrays["vectors"].shape if list(arrays) == ["vectors"] else None
     if shape != (len(ids), dimension):
         raise container.CorruptFile(f"{path}: the records are not one ({len(ids)}, {dimension}) matrix 'vectors'")
-    if expect_dimension is not None and dimension != expect_dimension:
-        raise DimensionMismatch(f"store dimension {dimension}, expected {expect_dimension}")
     store = FingerprintStore(dimension)
     for molecule_id, vector in zip(ids, arrays["vectors"]):
         if type(molecule_id) is not str or molecule_id in store:

@@ -141,15 +141,6 @@ class MolecularGraph:
             inc[bond.v].append(b_idx)
         return inc
 
-    def neighbors(self, idx: int) -> list[int]:
-        out = []
-        for bond in self.bonds:
-            if bond.u == idx:
-                out.append(bond.v)
-            elif bond.v == idx:
-                out.append(bond.u)
-        return out
-
     def validate(self) -> None:
         n = self.num_atoms
         seen: set[tuple[int, int]] = set()

@@ -6,10 +6,9 @@ from ``(master_seed, stream_name)`` so that runs are bit-reproducible and
 streams never alias each other.
 
 Every split is :func:`seeded_split` on its own stream: ``"split"`` (92/4/4
-pre-training), ``"head-split"`` (a head's 10% validation fallback),
-``"kfold"`` (one ensemble repetition's folds), ``"downstream-split"`` (the
-80/20 fallback of ``kfold_ensemble`` and ``minifp downstream``),
-``"sweep-split"`` (the CLI sweep's 10% cut).
+pre-training), ``"kfold"`` (one ensemble repetition's folds),
+``"downstream-split"`` (``minifp downstream``'s 80/20 split when no split
+files are given), ``"sweep-split"`` (the CLI sweep's 10% cut).
 """
 
 from __future__ import annotations

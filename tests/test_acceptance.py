@@ -29,6 +29,7 @@ from minifp.downstream import (
     HeadConfig,
     TaskData,
     auroc,
+    holdout_split,
     kfold_ensemble,
     spearman_rho,
     train_head,
@@ -39,7 +40,6 @@ from minifp.encodings import (
     normalized_laplacian,
     random_walk_encoding,
 )
-from minifp.fingerprints import FingerprintStore
 from minifp.molgraph import Atom, Bond, MolecularGraph, annotate, parse_smiles
 from minifp.multitask import (
     LabelSet,
@@ -384,23 +384,20 @@ def test_ensembling_criterion(tmp_path):
     run on a 500-sample synthetic task completes < 10 min with mean/std output."""
     started = time.monotonic()
     rng = np.random.default_rng(8)
-    store = FingerprintStore(8)
-    ids = [f"s{i}" for i in range(500)]
     vectors = rng.standard_normal((500, 8)).astype(np.float32)
-    for molecule_id, vec in zip(ids, vectors):
-        store.add(molecule_id, vec)
     labels = (vectors[:, 0] + 0.25 * vectors[:, 1] > 0).astype(float).reshape(-1, 1)
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
+    data = TaskData(vectors, LabelSet(labels, np.ones_like(labels)), "binary")
+    train_rows, test_rows = holdout_split(500, 0)
 
     config = HeadConfig(hidden_dim=32, num_layers=2, dropout=0.0, learning_rate=1e-2, epochs=8, batch_size=128)
-    head = train_head(store, data, config, seed=0)
+    head = train_head(data, config, 0, train_rows, test_rows)
     single = head.predict(vectors)
     np.testing.assert_array_equal(ensemble_predict([head] * 5, vectors), single)
     single_metric = auroc(single.ravel(), labels.ravel())
     ensemble_metric = auroc(ensemble_predict([head] * 5, vectors).ravel(), labels.ravel())
     assert ensemble_metric == single_metric
 
-    result = kfold_ensemble(store, data, config, num_folds=5, num_reps=5, metric="auroc", seed=0)
+    result = kfold_ensemble(data, config, train_rows, test_rows, num_folds=5, num_reps=5, metric="auroc", seed=0)
     summary = result.summary()
     assert summary["num_folds"] == 5 and summary["num_reps"] == 5
     for key in ("val_mean", "val_std", "test_mean", "test_std"):

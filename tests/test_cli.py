@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minifp import cli
+from minifp import autodiff, cli
 from minifp.autodiff import worker_count
 from minifp.backbones import ModelConfig, build_model, save_model
 from minifp.cli import main
@@ -427,7 +428,8 @@ def test_downstream_writes_wall_times_to_timing_txt_only(tmp_path, monkeypatch):
         assert "second" not in header and "time" not in header, name
 
 
-def test_downstream_missing_fingerprints_exit_2(tmp_path, capsys):
+def _task_missing_two_fingerprints(tmp_path):
+    """A downstream task whose last two labelled ids, d22 and d23, the store lacks."""
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
     store = store_read(store_path)
@@ -435,11 +437,31 @@ def test_downstream_missing_fingerprints_exit_2(tmp_path, capsys):
     for molecule_id in store.ids()[:-2]:
         trimmed.add(molecule_id, store.get(molecule_id))
     store_write(trimmed, store_path)
+    return store_path, task
+
+
+def test_downstream_missing_fingerprints_exit_2(tmp_path, capsys):
+    store_path, task = _task_missing_two_fingerprints(tmp_path)
     code = main(["downstream", str(store_path), str(task), "--sweep", "none",
                  "--folds", "2", "--reps", "1", "--out", str(tmp_path / "out")])
     assert code == 2
     # The message keeps the quotes that KeyError's text gave it when MissingFingerprint was only a KeyError.
     assert capsys.readouterr().err == "error: \"ids absent from store: ['d22', 'd23']\"\n"
+
+
+def test_downstream_sweep_missing_a_fingerprint_exits_2_before_any_process_pool_starts(tmp_path, capsys, monkeypatch):
+    store_path, task = _task_missing_two_fingerprints(tmp_path)
+    monkeypatch.setattr(autodiff, "_available_cores", lambda: 2)  # the sweep's configs would go to a pool
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code = main(["downstream", str(store_path), str(task), "--sweep", "config1",
+                 "--folds", "2", "--reps", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: \"ids absent from store: ['d22', 'd23']")
+    assert not (tmp_path / "out").exists()
 
 
 def test_downstream_separable_task_reaches_auroc_one(tmp_path):
@@ -488,12 +510,12 @@ def test_downstream_splits_match_the_inline_splits_bitwise(tmp_path, monkeypatch
         task.write_text(json.dumps(manifest))
     seen = {}
 
-    def fake_sweep(space, store, data, seed, train_idx, valid_idx):
+    def fake_sweep(space, data, seed, train_idx, valid_idx):
         seen["sweep"] = (train_idx, valid_idx)
         return HeadConfig(), []
 
-    def fake_kfold_ensemble(store, data, config, **kwargs):
-        seen["ensemble"] = (kwargs["train_rows"], kwargs["test_rows"])
+    def fake_kfold_ensemble(data, config, train_rows, test_rows, **kwargs):
+        seen["ensemble"] = (train_rows, test_rows)
         raise _Captured
 
     monkeypatch.setattr(cli, "sweep", fake_sweep)

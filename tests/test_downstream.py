@@ -32,6 +32,8 @@ from minifp.downstream import (
     config1_space,
     config2_space,
     correlation_analysis,
+    gather_fingerprints,
+    holdout_split,
     kfold_ensemble,
     kfold_partition,
     mae,
@@ -49,21 +51,26 @@ from minifp.trainer import OptimizerState, adam_step, backward_and_step
 from .util import auprc_loop, ensemble_predict, spearman_p_loop, traced_memory
 
 
+def make_vectors(n, d, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, d)).astype(np.float32)
+
+
 def make_store(n, d, seed=0):
-    rng = np.random.default_rng(seed)
     store = FingerprintStore(d)
-    vectors = rng.standard_normal((n, d)).astype(np.float32)
+    vectors = make_vectors(n, d, seed)
     ids = [f"m{i}" for i in range(n)]
     for i, vec in zip(ids, vectors):
         store.add(i, vec)
     return store, ids, vectors
 
 
+def task(vectors, labels, kind="binary"):
+    return TaskData(vectors, LabelSet(labels, np.ones_like(labels)), kind)
+
+
 def separable_task(n=60, d=6, seed=0):
-    store, ids, vectors = make_store(n, d, seed)
-    labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
-    return store, data, vectors
+    vectors = make_vectors(n, d, seed)
+    return task(vectors, (vectors[:, 0] > 0).astype(float).reshape(-1, 1)), vectors
 
 
 # -- metric oracles -----------------------------------------------------------
@@ -280,7 +287,7 @@ def quick_config(**overrides):
 @pytest.mark.parametrize("num_layers,in_dim,hidden_dim,out_dim", [(1, 6, 16, 1), (3, 5, 8, 4), (2, 9, 9, 2)])
 def test_head_init_matches_the_inline_glorot_draws_bitwise(num_layers, in_dim, hidden_dim, out_dim):
     for seed in (0, 7):
-        head = TrainedHead(quick_config(num_layers=num_layers, hidden_dim=hidden_dim), in_dim, out_dim, "binary", 2, seed)
+        head = TrainedHead(quick_config(num_layers=num_layers, hidden_dim=hidden_dim), in_dim, out_dim, "binary", seed)
         init = rng_stream(seed, "head-params")
         widths = [in_dim] + [hidden_dim] * num_layers
         expected = []
@@ -298,27 +305,27 @@ def test_head_init_matches_the_inline_glorot_draws_bitwise(num_layers, in_dim, h
 
 
 def test_train_head_separable_reaches_auroc_one():
-    store, data, vectors = separable_task()
-    head = train_head(store, data, quick_config(), seed=0)
+    data, vectors = separable_task()
+    head = train_head(data, quick_config(), 0, np.arange(48), np.arange(48, 60))
     pred = head.predict(vectors)
     assert auroc(pred.ravel(), data.labels.values.ravel()) == 1.0
 
 
 def test_train_head_constant_regression_converges():
-    store, ids, vectors = make_store(40, 4, seed=3)
+    vectors = make_vectors(40, 4, seed=3)
     labels = np.full((40, 1), 2.5)
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="regression")
+    data = task(vectors, labels, "regression")
     # MAE gradients are sign-based, so a decaying schedule is needed to settle.
     head = train_head(
-        store, data, quick_config(epochs=200, learning_rate=3e-2, schedule="linear-decay"), seed=0
+        data, quick_config(epochs=200, learning_rate=3e-2, schedule="linear-decay"), 0, *holdout_split(40, 0)
     )
     assert mae(head.predict(vectors).ravel(), labels.ravel()) < 0.05
 
 
 def test_train_head_deterministic_curves():
-    store, data, _ = separable_task()
-    a = train_head(store, data, quick_config(), seed=5)
-    b = train_head(store, data, quick_config(), seed=5)
+    data, _ = separable_task()
+    a = train_head(data, quick_config(), 5, *holdout_split(60, 5))
+    b = train_head(data, quick_config(), 5, *holdout_split(60, 5))
     assert a.val_curve == b.val_curve
     for pa, pb in zip(a.params, b.params):
         np.testing.assert_array_equal(pa.value, pb.value)
@@ -326,66 +333,63 @@ def test_train_head_deterministic_curves():
 
 @pytest.mark.parametrize("skip", [False, True])
 def test_train_head_variants_run(skip):
-    store, data, vectors = separable_task(n=30)
+    data, vectors = separable_task(n=30)
     cfg = quick_config(skip_connection=skip, dropout=0.1, epochs=5)
-    head = train_head(store, data, cfg, seed=1)
+    head = train_head(data, cfg, 1, *holdout_split(30, 1))
     pred = head.predict(vectors)
     assert np.isfinite(pred).all()
     assert pred.shape == (30, 1)
 
 
 def test_train_head_best_epoch_restored():
-    store, data, _ = separable_task(n=40)
-    head = train_head(store, data, quick_config(epochs=10), seed=2)
+    data, _ = separable_task(n=40)
+    head = train_head(data, quick_config(epochs=10), 2, *holdout_split(40, 2))
     assert head.best_epoch >= 1
     assert min(head.val_curve) == head.val_curve[head.best_epoch - 1]
 
 
 def test_train_head_returns_the_best_epochs_weights():
     # A constant learning rate makes the first epochs of a longer run the same steps as a shorter run.
-    store, data, _ = separable_task(n=40)
+    data, _ = separable_task(n=40)
     config = quick_config(epochs=12, learning_rate=0.05)
-    head = train_head(store, data, config, seed=1)
+    rows = np.arange(32), np.arange(32, 40)
+    head = train_head(data, config, 1, *rows)
     assert 1 < head.best_epoch < config.epochs
-    shorter = train_head(store, data, quick_config(epochs=head.best_epoch, learning_rate=0.05), seed=1)
+    shorter = train_head(data, quick_config(epochs=head.best_epoch, learning_rate=0.05), 1, *rows)
     assert shorter.best_epoch == head.best_epoch
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in shorter.params]
 
 
-@pytest.mark.parametrize("kind", ["binary", "regression", "multiclass"])
+@pytest.mark.parametrize("kind", ["binary", "regression"])
 @pytest.mark.parametrize("epochs, learning_rate", [(12, 0.2), (3, 1e-3)], ids=["best-before-last", "best-last"])
 def test_best_epoch_validation_logits_give_the_bits_of_predict(kind, epochs, learning_rate):
     """``kfold_ensemble`` scores a fold from the logits of the best epoch's
     validation pass: the same forward, rows and weights as ``predict``."""
-    store, ids, vectors = make_store(60, 6, seed=3)
-    labels = {
-        "binary": (vectors[:, :1] > 0).astype(float),
-        "regression": vectors[:, :2].astype(float),
-        "multiclass": np.digitize(vectors[:, :1], [-0.5, 0.5]).astype(float),
-    }[kind]
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind=kind, num_classes=3)
+    vectors = make_vectors(60, 6, seed=3)
+    labels = (vectors[:, :1] > 0).astype(float) if kind == "binary" else vectors[:, :2].astype(float)
+    data = task(vectors, labels, kind)
     config = quick_config(epochs=epochs, learning_rate=learning_rate)
     valid = np.arange(45, 60)
-    head = train_head(store, data, config, seed=2, train_idx=np.arange(45), valid_idx=valid)
+    head = train_head(data, config, 2, np.arange(45), valid)
     assert head.best_epoch >= 1 and (head.best_epoch < epochs) == (epochs == 12)
     assert head.activate(head.valid_logits).tobytes() == head.predict(vectors[valid]).tobytes()
 
 
 def test_head_whose_validation_loss_is_nan_every_epoch_keeps_its_initial_weights():
-    store, ids, vectors = make_store(60, 6)
+    vectors = make_vectors(60, 6)
     labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
     labels[50:] = np.nan  # the validation rows: training is unaffected, every validation loss is NaN
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
+    data = task(vectors, labels)
     config = quick_config(epochs=3)
-    head = train_head(store, data, config, seed=4, train_idx=np.arange(50), valid_idx=np.arange(50, 60))
+    head = train_head(data, config, 4, np.arange(50), np.arange(50, 60))
     assert head.best_epoch == -1 and all(math.isnan(v) for v in head.val_curve)
     assert head.valid_logits is None  # no validation pass ran on the initial weights
-    initial = TrainedHead(config, 6, 1, "binary", 2, seed=4)
+    initial = TrainedHead(config, 6, 1, "binary", seed=4)
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in initial.params]
 
 
 def test_head_without_validation_rows_picks_its_best_epoch_by_mean_training_loss(monkeypatch):
-    store, data, _ = separable_task(n=40)
+    data, _ = separable_task(n=40)
     batch_losses = []
 
     def recording_loss(tape, head, pred, labels):
@@ -396,7 +400,7 @@ def test_head_without_validation_rows_picks_its_best_epoch_by_mean_training_loss
     head_loss = downstream._head_loss
     monkeypatch.setattr(downstream, "_head_loss", recording_loss)
     config = quick_config(epochs=12, learning_rate=0.5, batch_size=16)  # three batches an epoch; loss oscillates
-    head = train_head(store, data, config, seed=3, train_idx=np.arange(40), valid_idx=np.array([], dtype=np.int64))
+    head = train_head(data, config, 3, np.arange(40), np.array([], dtype=np.int64))
     monkeypatch.undo()
     assert len(batch_losses) == 3 * config.epochs  # no validation pass ran
     assert head.val_curve == [float(np.mean(batch_losses[i : i + 3])) for i in range(0, len(batch_losses), 3)]
@@ -405,19 +409,19 @@ def test_head_without_validation_rows_picks_its_best_epoch_by_mean_training_loss
     assert head.valid_logits is None
     # The head holds the best epoch's weights: those of a run that stops there.
     shorter = train_head(
-        store, data, quick_config(epochs=head.best_epoch, learning_rate=0.5, batch_size=16), seed=3,
-        train_idx=np.arange(40), valid_idx=np.array([], dtype=np.int64),
+        data, quick_config(epochs=head.best_epoch, learning_rate=0.5, batch_size=16), 3,
+        np.arange(40), np.array([], dtype=np.int64),
     )
     assert [p.value.tobytes() for p in head.params] == [p.value.tobytes() for p in shorter.params]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_head_steps_each_parameter_when_ready_matching_backward_then_adam_bitwise(dtype):
-    store, data, vectors = separable_task(n=48, d=16)
+    data, vectors = separable_task(n=48, d=16)
     config = quick_config(hidden_dim=16, num_layers=3, dropout=0.1, skip_connection=True)
     runs = []
     for fused in (False, True):
-        head = TrainedHead(config, 16, 1, "binary", 2, seed=3)
+        head = TrainedHead(config, 16, 1, "binary", seed=3)
         for p in head.params:
             p.value = p.value.astype(dtype)
         state = OptimizerState(head.params)
@@ -444,13 +448,9 @@ def test_head_steps_each_parameter_when_ready_matching_backward_then_adam_bitwis
 def test_one_default_head_step_holds_one_gradient_at_a_time():
     """One training step of a default-width head (528 -> 1024 x 3 -> 1) peaks below its weights, both
     Adam moments, its largest single gradient and 16 activation blocks of batch x hidden float32."""
-    store, ids, vectors = make_store(160, 528)
-    labels = (vectors[:, 0] > 0).astype(float).reshape(-1, 1)
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="binary")
+    data, _ = separable_task(n=160, d=528)
     config = HeadConfig(epochs=1)  # one batch of 128 rows: one step, and the last epoch keeps no snapshot
-    head, _, peak = traced_memory(
-        lambda: train_head(store, data, config, seed=0, train_idx=np.arange(128), valid_idx=np.arange(128, 160))
-    )
+    head, _, peak = traced_memory(lambda: train_head(data, config, 0, np.arange(128), np.arange(128, 160)))
     weights = sum(p.value.nbytes for p in head.params)
     largest = max(p.value.nbytes for p in head.params)
     activations = 16 * config.batch_size * config.hidden_dim * 4
@@ -461,12 +461,12 @@ def test_one_default_head_step_holds_one_gradient_at_a_time():
 # Counts the page faults of two train_head calls in a fresh process, whose heap
 # no earlier test has grown yet.
 _FAULTS_CHILD = """
-from minifp.downstream import train_head
+from minifp.downstream import holdout_split, train_head
 from tests.test_downstream import quick_config, separable_task
 from tests.util import minor_faults
-store, data, _ = separable_task(n=200, d=64)
+data, _ = separable_task(n=200, d=64)
 config = quick_config(hidden_dim=256, num_layers=3, epochs=2)
-print(*(minor_faults(lambda: train_head(store, data, config, seed=0))[1] for _ in range(2)))
+print(*(minor_faults(lambda: train_head(data, config, 0, *holdout_split(200, 0)))[1] for _ in range(2)))
 """
 
 
@@ -510,11 +510,20 @@ def test_second_extraction_reuses_the_heap_of_the_first():
 
 
 def test_missing_fingerprint_enumerated():
-    store, data, _ = separable_task(n=10)
-    data.ids[3] = "absent"
+    store, ids, vectors = make_store(10, 6)
+    assert gather_fingerprints(store, ids[::-1]).tobytes() == vectors[::-1].tobytes()
+    ids[3] = "absent"
     with pytest.raises(MissingFingerprint) as exc:
-        train_head(store, data, quick_config(epochs=1), seed=0)
+        gather_fingerprints(store, ids)
     assert "absent" in str(exc.value)
+
+
+def test_task_data_is_a_binary_or_regression_matrix_with_one_row_per_label_row():
+    data, vectors = separable_task(n=10)
+    with pytest.raises(ValueError, match="binary or regression"):
+        TaskData(vectors, data.labels, "multiclass")
+    with pytest.raises(ValueError, match="one row per label row"):
+        TaskData(vectors[:9], data.labels, "binary")
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -528,27 +537,28 @@ def test_sweep_presets_sizes():
 
 
 def test_sweep_single_point():
-    store, data, _ = separable_task(n=20)
+    data, _ = separable_task(n=20)
     cfg = quick_config(epochs=2)
-    best, rows = sweep(SweepSpace("one", [cfg]), store, data, seed=0)
+    best, rows = sweep(SweepSpace("one", [cfg]), data, 0, *holdout_split(20, 0))
     assert best == cfg
     assert len(rows) == 1
 
 
 def test_sweep_picks_non_underfit_config():
-    store, data, _ = separable_task(n=40)
+    data, _ = separable_task(n=40)
     underfit = quick_config(learning_rate=1e-12, epochs=5)
     good = quick_config(learning_rate=1e-2, epochs=5)
-    best, rows = sweep(SweepSpace("two", [underfit, good]), store, data, seed=0)
+    best, rows = sweep(SweepSpace("two", [underfit, good]), data, 0, *holdout_split(40, 0))
     assert best == good
     assert len(rows) == 2
 
 
 def test_sweep_invariant_to_enumeration_order():
-    store, data, _ = separable_task(n=30)
+    data, _ = separable_task(n=30)
     configs = [quick_config(learning_rate=lr, epochs=3) for lr in (1e-2, 1e-3, 1e-4)]
-    best_fwd, _ = sweep(SweepSpace("f", configs), store, data, seed=1)
-    best_rev, _ = sweep(SweepSpace("r", configs[::-1]), store, data, seed=1)
+    rows = holdout_split(30, 1)
+    best_fwd, _ = sweep(SweepSpace("f", configs), data, 1, *rows)
+    best_rev, _ = sweep(SweepSpace("r", configs[::-1]), data, 1, *rows)
     assert best_fwd == best_rev
 
 
@@ -576,8 +586,8 @@ def test_kfold_partition_too_small():
 
 
 def test_ensemble_of_identical_models_equals_single():
-    store, data, vectors = separable_task(n=20)
-    head = train_head(store, data, quick_config(epochs=3), seed=0)
+    data, vectors = separable_task(n=20)
+    head = train_head(data, quick_config(epochs=3), 0, *holdout_split(20, 0))
     single = head.predict(vectors)
     combined = ensemble_predict([head, head, head], vectors)
     np.testing.assert_array_equal(single, combined)
@@ -585,9 +595,9 @@ def test_ensemble_of_identical_models_equals_single():
 
 def test_ensemble_mean_adds_members_in_order_bitwise():
     """The streamed mean equals stacking every member's output and summing over members."""
-    _, _, vectors = separable_task(n=40, d=6)
+    vectors = make_vectors(40, 6)
     for k in range(2, 11):
-        heads = [TrainedHead(quick_config(), 6, 3, "binary", 2, seed) for seed in range(k)]
+        heads = [TrainedHead(quick_config(), 6, 3, "binary", seed) for seed in range(k)]
         stacked = np.asarray([head.predict(vectors) for head in heads], dtype=np.float64)
         assert ensemble_predict(heads, vectors).tobytes() == (stacked.sum(axis=0) / k).tobytes()
 
@@ -596,7 +606,7 @@ def test_ensemble_mean_adds_members_in_order_bitwise():
 def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch):
     """The test score is computed from ``ensemble_predict`` over the repetition's fold
     heads, bit for bit, and no fold head is left holding a gradient."""
-    store, data, vectors = separable_task(n=60)
+    data, vectors = separable_task(n=60)
     heads, scored = [], []
 
     def recording_train_head(*args):
@@ -611,7 +621,7 @@ def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch
     monkeypatch.setattr(downstream, "compute_metric", recording_metric)
     monkeypatch.setattr(autodiff, "_available_cores", lambda: 1)  # the recorders run in this process
     train_rows, test_rows = np.arange(48), np.arange(48, 60)
-    kfold_ensemble(store, data, quick_config(epochs=1), num_folds, 2, "mae", train_rows, test_rows, seed=1)
+    kfold_ensemble(data, quick_config(epochs=1), train_rows, test_rows, num_folds, 2, "mae", seed=1)
     assert len(heads) == 2 * num_folds and all(p.grad is None for head in heads for p in head.params)
     for rep in range(2):
         expected = ensemble_predict(heads[rep * num_folds : (rep + 1) * num_folds], vectors[test_rows])
@@ -621,29 +631,30 @@ def test_kfold_ensemble_scores_the_mean_of_its_fold_heads(num_folds, monkeypatch
 def test_kfold_ensemble_memory_does_not_grow_with_folds(monkeypatch):
     """Each fold head is dropped once it has predicted, so 6 folds peak no higher than 2."""
     on_cores(monkeypatch, 1)  # the heads train in the process tracemalloc measures
-    store, data, _ = separable_task(n=60, d=32)
+    data, _ = separable_task(n=60, d=32)
     config = quick_config(hidden_dim=256, epochs=1, batch_size=64)
+    rows = holdout_split(60, 0)
     peaks = [
-        traced_memory(lambda: kfold_ensemble(store, data, config, num_folds, 2, "auroc", seed=0))[2]
+        traced_memory(lambda: kfold_ensemble(data, config, *rows, num_folds, 2, "auroc", seed=0))[2]
         for num_folds in (2, 6)
     ]
     assert peaks[1] <= 1.1 * peaks[0], f"6 folds peaked at {peaks[1] / peaks[0]:.2f}x the 2-fold ensemble"
 
 
 def test_kfold_ensemble_single_rep_warns_and_zero_std():
-    store, data, _ = separable_task(n=50)
+    data, _ = separable_task(n=50)
     with pytest.warns(UserWarning):
-        result = kfold_ensemble(store, data, quick_config(epochs=2), num_folds=2, num_reps=1, metric="auroc", seed=0)
+        result = kfold_ensemble(data, quick_config(epochs=2), *holdout_split(50, 0), num_folds=2, num_reps=1)
     assert result.val_std == 0.0
     assert result.test_std == 0.0
     assert len(result.repetitions) == 1
 
 
 def test_kfold_ensemble_shape_and_determinism():
-    store, data, _ = separable_task(n=60)
+    data, _ = separable_task(n=60)
     kwargs = dict(num_folds=3, num_reps=2, metric="auroc", seed=4)
-    a = kfold_ensemble(store, data, quick_config(epochs=3), **kwargs)
-    b = kfold_ensemble(store, data, quick_config(epochs=3), **kwargs)
+    a = kfold_ensemble(data, quick_config(epochs=3), *holdout_split(60, 4), **kwargs)
+    b = kfold_ensemble(data, quick_config(epochs=3), *holdout_split(60, 4), **kwargs)
     assert len(a.repetitions) == 2
     assert all(len(r.fold_val_scores) == 3 for r in a.repetitions)
     assert a.summary() == b.summary()
@@ -660,23 +671,22 @@ def test_kfold_ensemble_shape_and_determinism():
 def test_kfold_ensemble_ignores_masked_out_labels():
     # Training already skips masked-out cells, so the value stored under a
     # masked-out cell must not move any fold or test score either.
-    store, data, _ = separable_task(n=60)
+    data, _ = separable_task(n=60)
     mask = np.ones_like(data.labels.mask)
     mask[::3] = 0.0
     scores = []
     for fill in (0.0, 1.0):
         values = np.where(mask > 0, data.labels.values, fill)
-        masked = TaskData(ids=data.ids, labels=LabelSet(values, mask), kind="binary")
-        result = kfold_ensemble(store, masked, quick_config(epochs=3), num_folds=3, num_reps=2, metric="auroc", seed=0)
+        masked = TaskData(data.features, LabelSet(values, mask), "binary")
+        result = kfold_ensemble(masked, quick_config(epochs=3), *holdout_split(60, 0), num_folds=3, num_reps=2)
         scores.append([(r.fold_val_scores, r.test_score) for r in result.repetitions])
     assert scores[0] == scores[1]
 
 
 def test_kfold_ensemble_regression_metric():
-    store, ids, vectors = make_store(40, 4, seed=9)
-    labels = (vectors[:, :1] * 2.0).astype(float)
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="regression")
-    result = kfold_ensemble(store, data, quick_config(epochs=10), num_folds=2, num_reps=2, metric="mae", seed=0)
+    vectors = make_vectors(40, 4, seed=9)
+    data = task(vectors, (vectors[:, :1] * 2.0).astype(float), "regression")
+    result = kfold_ensemble(data, quick_config(epochs=10), *holdout_split(40, 0), num_folds=2, num_reps=2, metric="mae")
     assert result.higher_is_better is False
     assert result.test_mean >= 0.0
 
@@ -703,13 +713,14 @@ def _warn(text):
 
 def test_fold_heads_and_sweep_configs_train_to_the_same_bits_on_one_worker_and_two(monkeypatch):
     # 528-deep products, as in the paper's heads: two BLAS threads round them differently from one.
-    store, data, _ = separable_task(n=90, d=528)
+    data, _ = separable_task(n=90, d=528)
     configs = [quick_config(hidden_dim=64, epochs=3, learning_rate=lr) for lr in (1e-2, 1e-3, 1e-4)]
+    train_rows, test_rows = holdout_split(90, 2)
     outputs = []
     for cores in (1, 2):
         on_cores(monkeypatch, cores)
-        result = kfold_ensemble(store, data, configs[0], num_folds=3, num_reps=2, metric="mae", seed=2)
-        _, rows = sweep(SweepSpace("lr", configs), store, data, seed=2)
+        result = kfold_ensemble(data, configs[0], train_rows, test_rows, num_folds=3, num_reps=2, metric="mae", seed=2)
+        _, rows = sweep(SweepSpace("lr", configs), data, 2, train_rows, test_rows)
         scores = [(r.fold_val_scores, r.test_score) for r in result.repetitions]
         outputs.append((scores, [row.val_curve for row in rows]))
     assert outputs[0] == outputs[1]
@@ -779,15 +790,15 @@ def test_warnings_of_the_tasks_are_issued_in_task_order(monkeypatch, cores):
 @pytest.mark.parametrize("single_class", [False, True], ids=["returns", "raises"])
 def test_every_worker_is_reaped_and_the_blas_thread_count_restored(monkeypatch, single_class):
     on_cores(monkeypatch, 2)
-    store, data, _ = separable_task(n=40)
+    data, _ = separable_task(n=40)
     if single_class:
-        data = TaskData(data.ids, LabelSet(np.zeros_like(data.labels.values), data.labels.mask), "binary")
+        data = TaskData(data.features, LabelSet(np.zeros_like(data.labels.values), data.labels.mask), "binary")
     get, put = autodiff._blas_thread_control()
     original = get()
     put(2)
     try:
         with pytest.raises(SingleClass) if single_class else contextlib.nullcontext():
-            kfold_ensemble(store, data, quick_config(epochs=1), num_folds=2, num_reps=2, metric="auroc", seed=0)
+            kfold_ensemble(data, quick_config(epochs=1), *holdout_split(40, 0), num_folds=2, num_reps=2)
         assert get() == 2
     finally:
         put(original)

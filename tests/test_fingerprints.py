@@ -392,9 +392,9 @@ def test_store_dimension_check_on_read(tmp_path):
     store = FingerprintStore(4)
     store.add("m", np.ones(4, dtype=np.float32))
     path = tmp_path / "x.mfps"
-    store_write(store, path)
-    with pytest.raises(DimensionMismatch):
-        store_read(path, expect_dimension=8)
+    container.write(path, {"dimension": 8, "ids": ["m"]}, {"vectors": store.matrix()})
+    with pytest.raises(CorruptFile, match=r"not one \(1, 8\) matrix"):
+        store_read(path)
 
 
 def _read_csv_export(path) -> list[list[str]]:

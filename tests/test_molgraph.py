@@ -89,8 +89,9 @@ def test_two_letter_elements():
 def test_branching():
     g = parse_smiles("CC(C)(C)C")  # neopentane
     assert len(g.atoms) == 5
-    assert len(g.neighbors(1)) == 4
-    assert sorted(g.neighbors(1)) == [0, 2, 3, 4]
+    bonds = g.incidence()[1]
+    assert len(bonds) == 4
+    assert sorted(g.bonds[b].other(1) for b in bonds) == [0, 2, 3, 4]
 
 
 def test_ring_closure_percent():

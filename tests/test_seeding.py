@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from minifp import autodiff, downstream
-from minifp.downstream import HeadConfig, TaskData, kfold_ensemble, kfold_partition, random_split
-from minifp.fingerprints import FingerprintStore
+from minifp.downstream import HeadConfig, TaskData, holdout_split, kfold_ensemble, kfold_partition
 from minifp.multitask import LabelSet
 from minifp.seeding import derive_seed, rng_stream, seeded_split
 from minifp.trainer import SplitSpec, split_dataset
@@ -50,13 +49,7 @@ def test_split_dataset_matches_the_inline_split_bitwise(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_split_and_kfold_partition_match_the_inline_splits_bitwise(seed):
-    for n in (1, 2) + SIZES:
-        order = rng_stream(seed, "head-split").permutation(n)
-        n_valid = max(1, math.floor(n * 0.1)) if n > 1 else 0
-        train, valid = random_split(n, 0.1, seed)
-        assert _same(train, np.sort(order[n_valid:]))
-        assert _same(valid, np.sort(order[:n_valid]))
+def test_kfold_partition_matches_the_inline_split_bitwise(seed):
     for n in SIZES:
         for num_folds in (2, 3, 5):
             if n < num_folds:
@@ -68,7 +61,7 @@ def test_random_split_and_kfold_partition_match_the_inline_splits_bitwise(seed):
 
 
 class _RowEcho:
-    """Stands in for a trained head: records which store rows it is asked about.
+    """Stands in for a trained head: records which feature rows it is asked about.
 
     It ran no validation pass, so ``kfold_ensemble`` asks it for the held-out rows too."""
 
@@ -85,21 +78,19 @@ class _RowEcho:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kfold_ensemble_fallback_split_matches_the_inline_split_bitwise(seed, monkeypatch):
     n, num_folds, num_reps = 23, 3, 2
-    store = FingerprintStore(2)
-    ids = [f"m{i}" for i in range(n)]
-    for i, molecule_id in enumerate(ids):
-        store.add(molecule_id, np.array([i, 0.0]))  # the first coordinate names the row
+    features = np.stack([np.arange(n), np.zeros(n)], axis=1)  # the first coordinate names the row
     labels = np.zeros((n, 1))
-    data = TaskData(ids=ids, labels=LabelSet(labels, np.ones_like(labels)), kind="regression")
+    data = TaskData(features, LabelSet(labels, np.ones_like(labels)), "regression")
     trained, predicted = [], []
 
-    def fake_train_head(store, data, config, seed, train_idx, valid_idx):
+    def fake_train_head(data, config, seed, train_idx, valid_idx):
         trained.append((seed, train_idx, valid_idx))
         return _RowEcho(predicted)
 
     monkeypatch.setattr(downstream, "train_head", fake_train_head)
     monkeypatch.setattr(autodiff, "_available_cores", lambda: 1)  # the fake heads run in this process
-    kfold_ensemble(store, data, HeadConfig(), num_folds=num_folds, num_reps=num_reps, metric="mae", seed=seed)
+    kfold_ensemble(data, HeadConfig(), *holdout_split(n, seed), num_folds=num_folds, num_reps=num_reps, metric="mae",
+                   seed=seed)
 
     order = rng_stream(seed, "downstream-split").permutation(n)
     split = max(1, int(round(n * 0.8)))

@@ -289,8 +289,8 @@ def test_split_files_skip_comments_and_blank_lines(tmp_path, monkeypatch):
     _edit_task(tmp_path, lambda t: t.update(splits={"train": "train.txt", "test": "test.txt"}))
     seen = {}
 
-    def capture(store, data, config, **kwargs):
-        seen.update(train=kwargs["train_rows"].tolist(), test=kwargs["test_rows"].tolist())
+    def capture(data, config, train_rows, test_rows, **kwargs):
+        seen.update(train=train_rows.tolist(), test=test_rows.tolist())
         raise cli.ManifestError("captured")
 
     monkeypatch.setattr(cli, "kfold_ensemble", capture)
