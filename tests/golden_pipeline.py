@@ -2,9 +2,10 @@
 
 The run is ``test_determinism_criterion``'s pipeline: featurize the toy
 manifest, pre-train gcn, gine and mpnnpp under ``SMALL_CONFIG`` (5 epochs),
-fingerprint 20 toy molecules with each best checkpoint, and train a
-2-fold x 2-repetition downstream ensemble on each store.  It runs on one
-BLAS thread, so its bits do not depend on the core count.
+fingerprint 20 toy molecules with each best checkpoint, train a
+2-fold x 2-repetition downstream ensemble on each store, and correlate the
+three pre-training logs with the ensembles' ``val_mean`` and ``test_mean``.
+It runs on one BLAS thread, so its bits do not depend on the core count.
 
 ``tests/test_golden.py`` runs it again and compares.  A change that moves
 output bits on purpose rewrites the golden files in the same commit::
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -109,6 +111,7 @@ def run_pipeline(root: Path) -> tuple[dict[str, str], dict]:
             summary["pretrain"][backbone] = _epoch_losses(run / "log.jsonl")
             summary["fingerprints"][backbone] = store_read(store).matrix().astype(np.float64).tolist()
             summary["folds"][backbone] = _fold_scores(out / backbone / "down" / "ensemble.csv")
+        _run("correlate", *_correlate_inputs(root, out), "--out", str(out / "correlate.csv"))
 
     digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -116,6 +119,24 @@ def run_pipeline(root: Path) -> tuple[dict[str, str], dict]:
         if path.is_file() and path.name not in WALL_CLOCK_FILES
     }
     return digests, summary
+
+
+def _correlate_inputs(root: Path, out: Path) -> tuple[str, str]:
+    """``correlate``'s log glob and downstream CSV, written under ``root`` but
+    not ``out``: each log is copied to ``<backbone>.jsonl``, since correlate
+    would name all three ``log.jsonl`` files by their one parent, ``run``."""
+    logs = root / "logs"
+    logs.mkdir()
+    results = root / "downstream_results.csv"
+    with open(results, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "metric", "value", "higher_is_better"])
+        for backbone in BACKBONES:
+            shutil.copyfile(out / backbone / "run" / "log.jsonl", logs / f"{backbone}.jsonl")
+            with open(out / backbone / "down" / "summary.csv", newline="") as summary:
+                row = next(csv.DictReader(summary))
+            writer.writerows([backbone, key, row[key], row["higher_is_better"]] for key in ("val_mean", "test_mean"))
+    return str(logs / "*.jsonl"), str(results)
 
 
 def _epoch_losses(log: Path) -> dict[str, list[float]]:
