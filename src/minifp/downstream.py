@@ -168,9 +168,6 @@ class TaskData:
             raise ValueError(f"features {self.features.shape} do not have one row per label row "
                              f"({len(self.labels.values)})")
 
-    def __len__(self) -> int:
-        return len(self.features)
-
 
 def gather_fingerprints(store, ids) -> np.ndarray:
     """The (len(ids), dimension) matrix of the store's vectors for ``ids``, in that order."""
