@@ -249,24 +249,18 @@ class ModelState:
         self.params[name] = param
         return param
 
-    def glorot(self, name: str, fan_in: int, fan_out: int) -> Parameter:
-        return self.add_parameter(name, glorot_uniform(self._init_rng, fan_in, fan_out, self.config.np_dtype))
-
     def add_initial(self, name: str, shape: tuple[int, ...]) -> Parameter:
         """A Glorot draw for a 2-D ``shape``, zeros otherwise."""
-        if len(shape) == 2:
-            return self.glorot(name, *shape)
-        return self.add_parameter(name, np.zeros(shape, dtype=self.config.np_dtype))
+        dtype = self.config.np_dtype
+        value = glorot_uniform(self._init_rng, *shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype=dtype)
+        return self.add_parameter(name, value)
 
-    def add_mlp(self, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
-        for name, shape in _mlp_shapes(prefix, d_in, d_hidden, d_out):
-            self.add_initial(name, shape)
-
-    def add_task_head(self, name: str, level: str, in_dim: int, out_dim: int, hidden_dim: int | None = None) -> HeadSpec:
-        hidden = hidden_dim if hidden_dim is not None else in_dim
-        spec = HeadSpec(name=name, level=level, in_dim=in_dim, hidden_dim=hidden, out_dim=out_dim)
+    def add_task_head(self, name: str, level: str, in_dim: int, out_dim: int) -> HeadSpec:
+        """A two-layer MLP head of hidden width ``in_dim``, drawn after every parameter made so far."""
+        spec = HeadSpec(name=name, level=level, in_dim=in_dim, hidden_dim=in_dim, out_dim=out_dim)
         self.heads[name] = spec
-        self.add_mlp(f"head/{name}", in_dim, hidden, out_dim)
+        for param_name, shape in _mlp_shapes(f"head/{name}", in_dim, in_dim, out_dim):
+            self.add_initial(param_name, shape)
         return spec
 
     def parameters(self) -> list[Parameter]:

@@ -226,14 +226,14 @@ def _read_molecule_list(path: Path, smiles_col: str, id_col: str | None):
 def cmd_fingerprint(args) -> int:
     model = load_model(args.checkpoint)
     molecules = _read_molecule_list(Path(args.molecules), args.smiles_col, args.id_col)
-    store, report = extract_fingerprints(model, molecules)
+    store, failures = extract_fingerprints(model, molecules)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     store_write(store, out)
     store_write_csv(store, str(out) + ".csv")
-    if report.failures:
-        _write_csv(Path(f"{out}.failures.csv"), ["molecule", "error"], report.failures)
-    print(f"{len(store)} fingerprints (dim {store.dimension}), {len(report.failures)} failures -> {out}")
+    if failures:
+        _write_csv(Path(f"{out}.failures.csv"), ["molecule", "error"], failures)
+    print(f"{len(store)} fingerprints (dim {store.dimension}), {len(failures)} failures -> {out}")
     return EXIT_OK
 
 
@@ -292,8 +292,7 @@ def cmd_downstream(args) -> int:
         valid_part, train_part = seeded_split(len(train_rows), seed, "sweep-split", [inner_valid])
         # Split files list ids in any order, so the picked rows are sorted again.
         sweep_valid, sweep_train = np.sort(train_rows[valid_part]), np.sort(train_rows[train_part])
-        space = SWEEP_PRESETS[args.sweep]()
-        best_config, sweep_rows = sweep(space, data, seed, sweep_train, sweep_valid)
+        best_config, sweep_rows = sweep(SWEEP_PRESETS[args.sweep](), data, seed, sweep_train, sweep_valid)
     elif args.head_config:
         best_config = _head_config_from_file(args.head_config)
     else:

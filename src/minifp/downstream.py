@@ -104,25 +104,18 @@ class HeadConfig:
         )
 
 
-@dataclass
-class SweepSpace:
-    name: str
-    configs: list[HeadConfig]
-
-
-def config1_space() -> SweepSpace:
+def config1_space() -> list[HeadConfig]:
     """Preset 1: learning-rate grid only; 25 epochs, dropout 0.1, hidden 1024, 3 layers."""
     rates = (0.001, 0.0005, 0.0003, 0.0001, 5e-5)
-    configs = [
+    return [
         HeadConfig(hidden_dim=1024, num_layers=3, dropout=0.1, learning_rate=lr, epochs=25)
         for lr in rates
     ]
-    return SweepSpace("config1", configs)
 
 
-def config2_space() -> SweepSpace:
+def config2_space() -> list[HeadConfig]:
     """Preset 2: the full grid over skip, lr, width, depth, dropout, warmup, schedule."""
-    configs = [
+    return [
         HeadConfig(
             hidden_dim=hidden,
             num_layers=layers,
@@ -143,7 +136,6 @@ def config2_space() -> SweepSpace:
             SCHEDULES,
         )
     ]
-    return SweepSpace("config2", configs)
 
 
 SWEEP_PRESETS = {"config1": config1_space, "config2": config2_space}
@@ -423,10 +415,6 @@ def compute_metric(name: str, pred: np.ndarray, labels: np.ndarray) -> float:
     return fn(np.asarray(pred).ravel(), np.asarray(labels).ravel())
 
 
-def metric_higher_is_better(name: str) -> bool:
-    return METRICS[name][1]
-
-
 # -- independent tasks in a fork process pool --------------------------------------
 
 
@@ -514,24 +502,26 @@ class SweepRow:
         return min(self.val_curve)
 
 
-def sweep(space: SweepSpace, data: TaskData, seed: int, train_idx, valid_idx) -> tuple[HeadConfig, list[SweepRow]]:
-    """Train every grid point on the rows ``train_idx`` with one fixed seed;
+def sweep(
+    configs: list[HeadConfig], data: TaskData, seed: int, train_idx, valid_idx
+) -> tuple[HeadConfig, list[SweepRow]]:
+    """Train every config on the rows ``train_idx`` with one fixed seed;
     the smallest loss on the rows ``valid_idx`` wins.
 
     The returned argmin is canonical: ties break on the lexicographic config
     tuple, so enumeration order cannot change the winner.
     """
-    if not space.configs:
-        raise ValueError("sweep space is empty")
+    if not configs:
+        raise ValueError("sweep has no configs")
 
     def evaluate(config: HeadConfig) -> tuple[list[float], int]:
         head = train_head(data, config, seed, train_idx, valid_idx)
         return head.val_curve, head.best_epoch
 
-    trained = _run_tasks([functools.partial(evaluate, config) for config in space.configs])
+    trained = _run_tasks([functools.partial(evaluate, config) for config in configs])
     rows = [
         SweepRow(config=config, val_curve=curve, best_epoch=best_epoch, seconds=seconds)
-        for config, ((curve, best_epoch), seconds) in zip(space.configs, trained)
+        for config, ((curve, best_epoch), seconds) in zip(configs, trained)
     ]
     best = min(rows, key=lambda r: (r.val_loss, astuple(r.config)))
     return best.config, rows
@@ -663,7 +653,7 @@ def kfold_ensemble(
         for rep_seed, folds in partitions
         for fold_id in range(num_folds)
     ])
-    result = EnsembleResult(metric=metric, higher_is_better=metric_higher_is_better(metric), num_folds=num_folds)
+    result = EnsembleResult(metric=metric, higher_is_better=METRICS[metric][1], num_folds=num_folds)
     for rep_seed, _ in partitions:
         outputs = list(itertools.islice(trained, num_folds))  # ((held-out score, test predictions), seconds)
         fold_scores = [score for (score, _), _ in outputs]

@@ -35,19 +35,6 @@ DEFAULT_RW_STEPS = 16
 
 
 @dataclass
-class LaplacianEncoding:
-    """k_pe smallest eigenpairs of the normalized Laplacian, zero-padded."""
-
-    vectors: np.ndarray  # (N, k_pe), unit-norm columns, canonical sign
-    values: np.ndarray  # (N, k_pe), eigenvalues broadcast to every node row
-
-
-@dataclass
-class RandomWalkEncoding:
-    probs: np.ndarray  # (N, K); entry (i, k-1) = return probability after k steps
-
-
-@dataclass
 class AssembledFeatures:
     """Model-ready node matrix and edge matrix for one molecule."""
 
@@ -138,8 +125,10 @@ def _canonical_sign(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def laplacian_encoding(graph: MolecularGraph, k_pe: int = DEFAULT_K_PE) -> LaplacianEncoding:
-    """Eigenvectors/eigenvalues of the k_pe smallest Laplacian eigenpairs.
+def laplacian_encoding(graph: MolecularGraph, k_pe: int = DEFAULT_K_PE) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, values): the k_pe smallest eigenpairs of the normalized
+    Laplacian as two (N, k_pe) arrays, unit-norm eigenvectors and each
+    eigenvalue broadcast to every node row.
 
     The trivial eigenvector is kept.  When the graph has fewer than k_pe
     nodes, the trailing columns are zero-padded.  Columns are sign-canonical;
@@ -158,11 +147,12 @@ def laplacian_encoding(graph: MolecularGraph, k_pe: int = DEFAULT_K_PE) -> Lapla
     val_out = np.zeros((n, k_pe), dtype=np.float64)
     vec_out[:, :keep] = _canonical_sign(vectors[:, :keep])
     val_out[:, :keep] = values[:keep]
-    return LaplacianEncoding(vectors=vec_out, values=val_out)
+    return vec_out, val_out
 
 
-def random_walk_encoding(graph: MolecularGraph, rw_steps: int = DEFAULT_RW_STEPS) -> RandomWalkEncoding:
-    """Return probabilities of k-step uniform random walks, k = 1..rw_steps."""
+def random_walk_encoding(graph: MolecularGraph, rw_steps: int = DEFAULT_RW_STEPS) -> np.ndarray:
+    """(N, rw_steps) return probabilities of uniform random walks: entry
+    (i, k-1) is the probability that a k-step walk from node i ends there."""
     if rw_steps < 1:
         raise ValueError("rw_steps must be >= 1")
     adj = adjacency_matrix(graph)
@@ -174,7 +164,7 @@ def random_walk_encoding(graph: MolecularGraph, rw_steps: int = DEFAULT_RW_STEPS
     for k in range(1, rw_steps):
         power = power @ transition
         probs[:, k] = power.diagonal()
-    return RandomWalkEncoding(probs=probs)
+    return probs
 
 
 def assemble(
@@ -188,7 +178,6 @@ def assemble(
     Column order is atom | eigenvectors | eigenvalues | random-walk, frozen
     by :func:`feature_layout`.
     """
-    lap = laplacian_encoding(graph, k_pe)
-    walk = random_walk_encoding(graph, rw_steps)
-    node = np.concatenate([atom_features(graph), lap.vectors, lap.values, walk.probs], axis=1)
+    vectors, values = laplacian_encoding(graph, k_pe)
+    node = np.concatenate([atom_features(graph), vectors, values, random_walk_encoding(graph, rw_steps)], axis=1)
     return AssembledFeatures(node_features=node, edge_features=bond_features(graph))

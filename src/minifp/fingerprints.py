@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,22 +90,16 @@ class FingerprintStore:
         )
 
 
-@dataclass
-class ExtractionReport:
-    """Molecules that failed to parse during extraction, with their errors."""
-
-    failures: list[tuple[str, str]]
-
-
 def extract_fingerprints(
     model: ModelState, molecules, batch_size: int = 32
-) -> tuple[FingerprintStore, ExtractionReport]:
+) -> tuple[FingerprintStore, list[tuple[str, str]]]:
     """Fingerprint every unique molecule with a single forward pass each.
 
     ``molecules`` holds SMILES strings or (id, SMILES) pairs; without an id
     the normalized SMILES is used.  Duplicates (by normalized SMILES) keep
-    the first occurrence.  Molecules that fail to parse are collected in the
-    report instead of aborting; a parsed graph always featurizes, so an
+    the first occurrence.  Returns the store and the molecules that failed
+    to parse, as (id or SMILES, error) pairs: they are collected instead of
+    aborting; a parsed graph always featurizes, so an
     invalid ``k_pe`` or ``rw_steps`` raises.  Two molecules whose ids are
     equal, an id standing in for a missing one included, raise
     :class:`DuplicateId` before any forward pass.
@@ -121,7 +114,7 @@ def extract_fingerprints(
     """
     cfg = model.config
     store = FingerprintStore(cfg.readout_width)
-    report = ExtractionReport(failures=[])
+    failures: list[tuple[str, str]] = []
 
     pending: list[tuple[str, MolecularGraph]] = []
     seen: set[str] = set()
@@ -133,7 +126,7 @@ def extract_fingerprints(
                 warnings.simplefilter("ignore")
                 graph = parse_smiles(smiles)
         except SmilesError as exc:  # collected, not raised
-            report.failures.append((molecule_id or smiles, str(exc)))
+            failures.append((molecule_id or smiles, str(exc)))
             continue
         if graph.smiles in seen:
             continue
@@ -156,7 +149,7 @@ def extract_fingerprints(
         for chunk, rows in zip(chunks, (executor.map if workers > 1 else map)(fingerprint_batch, chunks)):
             for (molecule_id, _), row in zip(chunk, rows):
                 store.add(molecule_id, row)
-    return store, report
+    return store, failures
 
 
 def store_write(store: FingerprintStore, path) -> None:

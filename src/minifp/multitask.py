@@ -213,10 +213,6 @@ def task_loss(tape: Tape, spec: TaskSpec, pred: Tensor, labels: LabelSet) -> Ten
     return hce_loss(tape, logits=pred, labels=labels, num_classes=spec.num_classes)
 
 
-def group_weight(group: str, weights: LossWeights) -> float:
-    return 1.0 / weights.k if group == "G25" else 1.0
-
-
 def combined_loss(
     tape: Tape, per_group_losses: dict[str, Tensor], weights: LossWeights
 ) -> Tensor:
@@ -226,9 +222,8 @@ def combined_loss(
     total: Tensor | None = None
     for group in ordered:
         term = per_group_losses[group]
-        w = group_weight(group, weights)
-        if w != 1.0:
-            term = tape.scale(term, w)
+        if group == "G25" and weights.k != 1.0:
+            term = tape.scale(term, 1.0 / weights.k)
         total = term if total is None else tape.add(total, term)
     if total is None:
         return tape.constant(np.float64(0.0))

@@ -215,18 +215,18 @@ def test_spectral_oracle_criterion():
     p3 = annotate(
         MolecularGraph(atoms=[Atom(element="C") for _ in range(3)], bonds=[Bond(0, 1), Bond(1, 2)], smiles="CCC")
     )
-    enc = laplacian_encoding(p3, k_pe=3)
-    assert np.abs(enc.values[0] - np.array([0.0, 1.0, 2.0])).max() < 1e-9
+    _, values = laplacian_encoding(p3, k_pe=3)
+    assert np.abs(values[0] - np.array([0.0, 1.0, 2.0])).max() < 1e-9
 
     rng = np.random.default_rng(1)
     for _ in range(200):
         graph = random_molecule(rng)
         lap = normalized_laplacian(graph)
         k = min(8, graph.num_atoms)
-        enc = laplacian_encoding(graph, k_pe=k)
+        vectors, values = laplacian_encoding(graph, k_pe=k)
         for col in range(k):
-            v = enc.vectors[:, col]
-            lam = enc.values[0, col]
+            v = vectors[:, col]
+            lam = values[0, col]
             assert np.abs(lap @ v - lam * v).max() < 1e-8
     report("spectral oracle (P3 within 1e-9; 200 residuals < 1e-8)")
 
@@ -235,12 +235,12 @@ def test_random_walk_oracle_criterion():
     """Encoding equals the dense matrix-power computation within 1e-12 for
     N <= 12; the K2 pattern [0, 1, 0, 1] is exact."""
     k2 = annotate(MolecularGraph(atoms=[Atom(element="C"), Atom(element="C")], bonds=[Bond(0, 1)], smiles="CC"))
-    np.testing.assert_array_equal(random_walk_encoding(k2, 4).probs, [[0, 1, 0, 1], [0, 1, 0, 1]])
+    np.testing.assert_array_equal(random_walk_encoding(k2, 4), [[0, 1, 0, 1], [0, 1, 0, 1]])
 
     rng = np.random.default_rng(2)
     for _ in range(100):
         graph = random_molecule(rng, max_atoms=12)
-        enc = random_walk_encoding(graph, rw_steps=8)
+        probs = random_walk_encoding(graph, rw_steps=8)
         adj = np.zeros((graph.num_atoms, graph.num_atoms))
         for bond in graph.bonds:
             adj[bond.u, bond.v] = adj[bond.v, bond.u] = 1.0
@@ -248,7 +248,7 @@ def test_random_walk_oracle_criterion():
         trans = np.where(deg[:, None] > 0, adj / np.maximum(deg, 1.0)[:, None], 0.0)
         for k in range(1, 9):
             oracle = np.linalg.matrix_power(trans, k).diagonal()
-            assert np.abs(enc.probs[:, k - 1] - oracle).max() < 1e-12
+            assert np.abs(probs[:, k - 1] - oracle).max() < 1e-12
     report("random-walk oracle (matrix-power match within 1e-12; K2 exact)")
 
 

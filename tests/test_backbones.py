@@ -109,12 +109,12 @@ def test_count_parameters_small_cases():
     # Single linear 3 -> 2 with bias has 8 parameters.
     state2 = build_model(cfg)
     before = count_parameters(state2)
-    state2.glorot("extra/w", 3, 2)
+    state2.add_initial("extra/w", (3, 2))
     state2.add_parameter("extra/b", np.zeros(2))
     assert count_parameters(state2) - before == 8
-    # Two-layer MLP 4 -> 4 -> 4 with biases has 40.
+    # A task head, a two-layer MLP 4 -> 4 -> 4 with biases, has 40.
     before = count_parameters(state)
-    state.add_mlp("extra_mlp", 4, 4, 4)
+    state.add_task_head("extra", "graph", 4, 4)
     assert count_parameters(state) - before == 40
 
 

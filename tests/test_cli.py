@@ -21,7 +21,6 @@ from minifp.downstream import (
     InvalidHeadConfig,
     MissingFingerprint,
     SingleClass,
-    SweepSpace,
     TooFewRuns,
     ZeroVariance,
 )
@@ -410,7 +409,7 @@ def test_downstream_writes_wall_times_to_timing_txt_only(tmp_path, monkeypatch):
     store_path = tmp_path / "fp.mfps"
     task = write_downstream_task(tmp_path, store_path)
     configs = [HeadConfig(hidden_dim=8, num_layers=1, epochs=2, learning_rate=lr) for lr in (1e-2, 1e-3)]
-    monkeypatch.setitem(cli.SWEEP_PRESETS, "config1", lambda: SweepSpace("config1", configs))
+    monkeypatch.setitem(cli.SWEEP_PRESETS, "config1", lambda: configs)
     code = main(["downstream", str(store_path), str(task), "--folds", "2", "--reps", "3",
                  "--out", str(tmp_path / "out"), "--seed", "1"])
     assert code == 0
@@ -510,7 +509,7 @@ def test_downstream_splits_match_the_inline_splits_bitwise(tmp_path, monkeypatch
         task.write_text(json.dumps(manifest))
     seen = {}
 
-    def fake_sweep(space, data, seed, train_idx, valid_idx):
+    def fake_sweep(configs, data, seed, train_idx, valid_idx):
         seen["sweep"] = (train_idx, valid_idx)
         return HeadConfig(), []
 

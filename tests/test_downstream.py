@@ -21,7 +21,6 @@ from minifp.downstream import (
     HeadConfig,
     MissingFingerprint,
     SingleClass,
-    SweepSpace,
     TaskData,
     TrainedHead,
     ZeroVariance,
@@ -530,16 +529,16 @@ def test_task_data_is_a_binary_or_regression_matrix_with_one_row_per_label_row()
 
 
 def test_sweep_presets_sizes():
-    assert len(config1_space().configs) == 5
-    assert {c.learning_rate for c in config1_space().configs} == {0.001, 0.0005, 0.0003, 0.0001, 5e-5}
-    assert all(c.epochs == 25 and c.hidden_dim == 1024 and c.num_layers == 3 for c in config1_space().configs)
-    assert len(config2_space().configs) == 2 * 3 * 3 * 2 * 2 * 2 * 3
+    assert len(config1_space()) == 5
+    assert {c.learning_rate for c in config1_space()} == {0.001, 0.0005, 0.0003, 0.0001, 5e-5}
+    assert all(c.epochs == 25 and c.hidden_dim == 1024 and c.num_layers == 3 for c in config1_space())
+    assert len(config2_space()) == 2 * 3 * 3 * 2 * 2 * 2 * 3
 
 
 def test_sweep_single_point():
     data, _ = separable_task(n=20)
     cfg = quick_config(epochs=2)
-    best, rows = sweep(SweepSpace("one", [cfg]), data, 0, *holdout_split(20, 0))
+    best, rows = sweep([cfg], data, 0, *holdout_split(20, 0))
     assert best == cfg
     assert len(rows) == 1
 
@@ -548,7 +547,7 @@ def test_sweep_picks_non_underfit_config():
     data, _ = separable_task(n=40)
     underfit = quick_config(learning_rate=1e-12, epochs=5)
     good = quick_config(learning_rate=1e-2, epochs=5)
-    best, rows = sweep(SweepSpace("two", [underfit, good]), data, 0, *holdout_split(40, 0))
+    best, rows = sweep([underfit, good], data, 0, *holdout_split(40, 0))
     assert best == good
     assert len(rows) == 2
 
@@ -557,8 +556,8 @@ def test_sweep_invariant_to_enumeration_order():
     data, _ = separable_task(n=30)
     configs = [quick_config(learning_rate=lr, epochs=3) for lr in (1e-2, 1e-3, 1e-4)]
     rows = holdout_split(30, 1)
-    best_fwd, _ = sweep(SweepSpace("f", configs), data, 1, *rows)
-    best_rev, _ = sweep(SweepSpace("r", configs[::-1]), data, 1, *rows)
+    best_fwd, _ = sweep(configs, data, 1, *rows)
+    best_rev, _ = sweep(configs[::-1], data, 1, *rows)
     assert best_fwd == best_rev
 
 
@@ -720,7 +719,7 @@ def test_fold_heads_and_sweep_configs_train_to_the_same_bits_on_one_worker_and_t
     for cores in (1, 2):
         on_cores(monkeypatch, cores)
         result = kfold_ensemble(data, configs[0], train_rows, test_rows, num_folds=3, num_reps=2, metric="mae", seed=2)
-        _, rows = sweep(SweepSpace("lr", configs), data, 2, train_rows, test_rows)
+        _, rows = sweep(configs, data, 2, train_rows, test_rows)
         scores = [(r.fold_val_scores, r.test_score) for r in result.repetitions]
         outputs.append((scores, [row.val_curve for row in rows]))
     assert outputs[0] == outputs[1]

@@ -100,18 +100,18 @@ def test_store_rejects_wrong_dimension_and_duplicates():
 
 def test_extract_dedups_and_orders():
     model = small_model()
-    store, report = extract_fingerprints(model, ["CCO", " CCO", "CCN", "CCO"])
-    assert report.failures == []
+    store, failures = extract_fingerprints(model, ["CCO", " CCO", "CCN", "CCO"])
+    assert failures == []
     assert len(store) == 2
     assert store.ids() == ["CCO", "CCN"]
 
 
 def test_extract_collects_failures():
     model = small_model()
-    store, report = extract_fingerprints(model, ["CCO", "C(", "CCN"])
+    store, failures = extract_fingerprints(model, ["CCO", "C(", "CCN"])
     assert len(store) == 2
-    assert len(report.failures) == 1
-    assert report.failures[0][0] == "C("
+    assert len(failures) == 1
+    assert failures[0][0] == "C("
 
 
 def test_extract_raises_on_invalid_k_pe():
