@@ -4,8 +4,8 @@ Commands: featurize, pretrain, fingerprint, downstream, correlate.  Every
 command is bit-reproducible end to end: output files are byte-identical
 across reruns except wall-clock timings, which are confined to timing files.
 pretrain and downstream draw from a master seed, ``--seed`` (for pretrain
-also the config's ``seed``); the MINIFP_SEED environment variable overrides
-it.  featurize, fingerprint and correlate draw nothing at random.
+also the config's ``seed``, which ``--seed`` overrides).  featurize,
+fingerprint and correlate draw nothing at random.
 
 Exit codes: 0 success (including partial featurization failures), 2
 usage, manifest and data errors (any ``inputs.InputError``), 3 unrecoverable
@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import glob as globlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -73,17 +72,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-def _resolve_seed(args) -> int | None:
-    """The master seed from MINIFP_SEED, else from ``--seed``; None if neither sets it."""
-    env = os.environ.get("MINIFP_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ManifestError(f"MINIFP_SEED must be an integer, got {env!r}") from None
 
 
 def _fields(cls, keys: dict) -> dict:
@@ -157,9 +145,8 @@ def cmd_pretrain(args) -> int:
     backbone = keys.pop("backbone", args.backbone)
     if backbone != args.backbone:
         raise ManifestError(f"{args.config}: backbone = {backbone} conflicts with --backbone {args.backbone}")
-    seed = _resolve_seed(args)
-    if seed is not None:
-        keys["seed"] = seed
+    if args.seed is not None:
+        keys["seed"] = args.seed
     max_heavy = keys.get("max_heavy", MAX_HEAVY)
     # A bad config value is a usage error, caught before any output is written.
     try:
@@ -271,7 +258,7 @@ def cmd_downstream(args) -> int:
     ids, values, mask = read_downstream_labels(task)
     # Every head reads this one matrix; a labelled id the store lacks is raised before any trains.
     data = TaskData(gather_fingerprints(store, ids), LabelSet(values, mask), task.kind)
-    seed = _resolve_seed(args)
+    seed = args.seed
 
     row_of = {molecule_id: i for i, molecule_id in enumerate(ids)}
     if task.splits:
@@ -378,22 +365,36 @@ def _pretrain_metrics_from_log(path: Path) -> dict[str, float]:
 
 
 def cmd_correlate(args) -> int:
-    log_paths = sorted(globlib.glob(args.pretrain_logs))
-    runs = {}
-    for raw in log_paths:
+    log_of: dict[str, Path] = {}
+    for raw in sorted(globlib.glob(args.pretrain_logs)):
         path = Path(raw)
         run_name = path.parent.name if path.name == "log.jsonl" else path.stem
-        runs[run_name] = _pretrain_metrics_from_log(path)
+        if run_name in log_of:
+            raise ManifestError(f"{log_of[run_name]} and {path} both name run {run_name!r}")
+        log_of[run_name] = path
+    runs = {run_name: _pretrain_metrics_from_log(path) for run_name, path in log_of.items()}
 
+    results = args.downstream_results
     downstream: dict[str, dict[str, float]] = {}
-    signs: dict[str, int] = {}
-    rows = read_csv(args.downstream_results, ["run", "metric", "value", "higher_is_better"])
-    values, present = label_cells(args.downstream_results, enumerate(rows), ["value"])
-    for row, value, reported in zip(rows, values[:, 0], present[:, 0]):
-        metric = row["metric"].strip()
+    row_of: dict[tuple[str, str], int] = {}  # (run, metric) -> its data row index
+    signs: dict[str, tuple[int, int]] = {}  # metric -> (sign, the data row index that set it)
+    rows = read_csv(results, ["run", "metric", "value", "higher_is_better"])
+    values, present = label_cells(results, enumerate(rows), ["value"])
+    for index, (row, value, reported) in enumerate(zip(rows, values[:, 0], present[:, 0])):
+        run, metric = row["run"].strip(), row["metric"].strip()
+        earlier = row_of.setdefault((run, metric), index)
+        if earlier != index:
+            raise ManifestError(
+                f"{results}: data rows {earlier + 1} and {index + 1} both give run {run!r} metric {metric!r}"
+            )
+        sign = 1 if row["higher_is_better"].strip().lower() in ("true", "1", "yes") else -1
+        first_sign, earlier = signs.setdefault(metric, (sign, index))
+        if first_sign != sign:
+            raise ManifestError(
+                f"{results}: data rows {earlier + 1} and {index + 1} disagree on higher_is_better for metric {metric!r}"
+            )
         if reported:  # an empty value leaves the metric missing from this run
-            downstream.setdefault(row["run"].strip(), {})[metric] = float(value)
-        signs[metric] = 1 if row["higher_is_better"].strip().lower() in ("true", "1", "yes") else -1
+            downstream.setdefault(run, {})[metric] = float(value)
 
     paired = sorted(set(runs) & set(downstream))
     if len(paired) < 3:
@@ -412,7 +413,7 @@ def cmd_correlate(args) -> int:
         pre,
         down,
         pretrain_signs=pretrain_signs,
-        downstream_signs=[signs[name] for name in downstream_names],
+        downstream_signs=[signs[name][0] for name in downstream_names],
         pretrain_names=pretrain_names,
         downstream_names=downstream_names,
     )

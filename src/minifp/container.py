@@ -1,11 +1,13 @@
 """The one binary file format: model checkpoints and fingerprint stores alike.
 
 Layout (little-endian): the magic ``MFPC``, a version byte, the header's
-length in bytes as uint32, the header, then float32 records back to back.
+length in bytes as uint32, the header, then the records back to back.
 The header is a UTF-8 JSON object.  Its ``records`` key lists each record's
 ``name`` and ``shape`` in file order; its other keys are the caller's (a
-model's config and heads, a store's dimension and ids).  Round trips are
-bit-exact.
+model's config and heads, a store's dimension and ids).  A record is
+float32, unless its entry also holds ``"dtype": "float64"``: a float64
+array is written so, any other as float32.  Round trips of float32 and
+float64 arrays are bit-exact.
 
 :func:`read` checks the header with :func:`~minifp.inputs.json_fields` and
 every record size against the bytes left before it allocates, and rejects
@@ -30,6 +32,7 @@ from .inputs import InputError, ManifestError, json_fields
 MAGIC = b"MFPC"
 VERSION = 1
 _PREFIX = struct.Struct("<4sBI")  # magic, version, header length
+_RECORD_TYPES = {None: "<f4", "float64": "<f8"}  # a record entry's "dtype" -> its stored type
 
 
 class CorruptFile(InputError):
@@ -57,14 +60,20 @@ def atomic_open(path, mode: str = "wb", **kwargs):
 
 
 def write(path, header: dict, records: dict[str, np.ndarray]) -> None:
-    """Write ``header`` and ``records`` (name -> array, stored as float32 in this order) to ``path``."""
-    listed = [{"name": name, "shape": list(value.shape)} for name, value in records.items()]
+    """Write ``header`` and ``records`` (name -> array, in this order; float64
+    stays float64, anything else is stored as float32) to ``path``."""
+    listed = []
+    for name, value in records.items():
+        listed.append({"name": name, "shape": list(value.shape)})
+        if value.dtype == np.float64:
+            listed[-1]["dtype"] = "float64"
     text = json.dumps({**header, "records": listed}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(text)))
         fh.write(text)
-        for value in records.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f4"))  # a float32 array's own buffer, no bytes copy
+        for entry, value in zip(listed, records.values()):
+            # A float32 or float64 array is written from its own buffer, no bytes copy.
+            fh.write(np.ascontiguousarray(value, dtype=_RECORD_TYPES[entry.get("dtype")]))
 
 
 def _header(raw: bytes, where: str, fields: dict[str, type]) -> dict:
@@ -75,7 +84,7 @@ def _header(raw: bytes, where: str, fields: dict[str, type]) -> dict:
     try:
         header = json_fields(value, where, {**fields, "records": list}, {})
         for i, record in enumerate(header["records"]):
-            json_fields(record, f"{where}: records[{i}]", {"name": str, "shape": list}, {})
+            json_fields(record, f"{where}: records[{i}]", {"name": str, "shape": list}, {"dtype": str})
     except ManifestError as exc:
         raise CorruptFile(str(exc)) from exc
     return header
@@ -83,7 +92,7 @@ def _header(raw: bytes, where: str, fields: dict[str, type]) -> dict:
 
 def read(path, fields: dict[str, type]) -> tuple[dict, dict[str, np.ndarray]]:
     """The header of the container at ``path``, its keys ``fields`` (name -> JSON type)
-    without ``records``, and its records as name -> float32 array."""
+    without ``records``, and its records as name -> float32 or float64 array."""
     with open(path, "rb") as fh:
         # Every size is checked against the file's before it is read; a pipe has no size.
         info = os.fstat(fh.fileno())
@@ -109,11 +118,14 @@ def read(path, fields: dict[str, type]) -> tuple[dict, dict[str, np.ndarray]]:
                 raise CorruptFile(f"{where}: records[{i}]: name {name!r} repeats")
             if not all(type(size) is int and size >= 0 for size in shape):
                 raise CorruptFile(f"{where}: records[{i}]: shape {shape} is not a list of sizes")
-            left -= 4 * math.prod(shape)
+            dtype = _RECORD_TYPES.get(record.get("dtype"))
+            if dtype is None:
+                raise CorruptFile(f"{where}: records[{i}]: dtype {record['dtype']!r} is not 'float64'")
+            left -= np.dtype(dtype).itemsize * math.prod(shape)
             if left < 0:
                 raise CorruptFile(f"{path}: truncated record {name!r}")
             try:
-                data = np.empty(shape, dtype="<f4")
+                data = np.empty(shape, dtype=dtype)
             except (ValueError, MemoryError) as exc:  # more dimensions than numpy allows, or a pipe's huge shape
                 raise CorruptFile(f"{where}: records[{i}]: shape {shape}: {exc}") from exc
             if fh.readinto(data) != data.nbytes:

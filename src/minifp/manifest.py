@@ -15,7 +15,9 @@ Every text input is read here, one function per job, and every failure is a
 
 A dataset manifest is a JSON file describing one molecule CSV: which column
 holds SMILES, optionally which holds molecule ids, the task label columns
-(with level/kind/group metadata), and an optional exclusion list.
+(with level/kind/group metadata), and an optional exclusion list.  A
+molecule without an id takes its SMILES normal form, as in fingerprint
+extraction.
 Node-level tasks read a companion CSV keyed by (molecule id, atom index).
 
 Run configuration files are flat ``key = value`` text with typed keys: the
@@ -220,7 +222,7 @@ def read_molecules(manifest: DatasetManifest) -> tuple[list[MoleculeRow], list[P
         except SmilesError as exc:
             failures.append(ParseFailure(row_index=index, smiles=smiles, error=str(exc)))
             continue
-        molecule_id = row[manifest.id_column].strip() if manifest.id_column else graph.smiles
+        molecule_id = (row[manifest.id_column].strip() if manifest.id_column else "") or graph.smiles
         molecules.append(MoleculeRow(index, molecule_id, graph, row))
     return molecules, failures
 

@@ -499,6 +499,18 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(base.g.data, again.g.data)
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "gine", "mpnnpp"])
+def test_a_float64_model_saves_and_loads_bit_for_bit(tmp_path, backbone):
+    state = build_model(tiny_config(backbone, num_layers=1))
+    state.add_task_head("toy", "graph", 4, 3)
+    save_model(state, tmp_path / "model.ckpt")
+    loaded = load_model(tmp_path / "model.ckpt")
+    assert list(loaded.params) == list(state.params)
+    for name, param in state.params.items():
+        assert param.value.dtype == loaded.params[name].value.dtype == np.float64, name
+        assert param.value.tobytes() == loaded.params[name].value.tobytes(), name
+
+
 def test_every_single_bit_flip_of_a_checkpoint_loads_or_raises_corrupt_file(tmp_path):
     path = tmp_path / "model.ckpt"
     config = ModelConfig(backbone="gine", num_layers=1, d_node=2, d_edge=2, d_global=2, k_pe=1, rw_steps=1)

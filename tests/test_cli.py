@@ -184,27 +184,26 @@ def test_pretrain_rerun_identical_outputs(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes(), name
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    manifest = write_dataset(tmp_path)
-    config = write_config(tmp_path)
-    monkeypatch.setenv("MINIFP_SEED", "99")
-    main(["pretrain", str(manifest), "--backbone", "gine", "--config", str(config), "--out", str(tmp_path / "run")])
-    frozen = (tmp_path / "run" / "run_config.txt").read_text()
-    assert "seed = 99" in frozen
-
-
-@pytest.mark.parametrize("command", ["pretrain", "downstream"])
-def test_non_integer_env_seed_exit_2(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("MINIFP_SEED", "abc")
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("pretrain", ["run_config.txt", "split.json", "log.jsonl", "best.ckpt"]),
+     ("downstream", ["chosen_config.json", "ensemble.csv", "summary.csv"])],
+    ids=["pretrain", "downstream"],
+)
+def test_a_seed_in_the_environment_changes_no_output(tmp_path, monkeypatch, command, outputs):
+    """Only ``--seed`` and a pretrain config's ``seed`` set the seed; MINIFP_SEED is read nowhere."""
     if command == "pretrain":
         argv = ["pretrain", str(write_dataset(tmp_path)), "--backbone", "gcn",
                 "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
     else:
         argv = _downstream_args(tmp_path)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MINIFP_SEED" in err
-    assert not (tmp_path / "out").exists()
+    assert main(argv) == 0
+    expected = {name: (tmp_path / "out" / name).read_bytes() for name in outputs}
+    for value in ("99", "abc"):
+        monkeypatch.setenv("MINIFP_SEED", value)
+        shutil.rmtree(tmp_path / "out")
+        assert main(argv) == 0
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in outputs} == expected, value
 
 
 def test_heavy_atom_filter_and_exclusion(tmp_path, monkeypatch):
@@ -719,6 +718,40 @@ def test_correlate_metric_reported_by_too_few_runs_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mae" in err
+
+
+def test_correlate_two_logs_of_one_run_name_exit_2_naming_both(tmp_path, capsys):
+    write_correlate_inputs(tmp_path)
+    for parent in ("a", "b"):
+        (tmp_path / parent / "run").mkdir(parents=True)
+        shutil.copy(tmp_path / "run0" / "log.jsonl", tmp_path / parent / "run" / "log.jsonl")
+    out = tmp_path / "c.csv"
+    code = main(["correlate", str(tmp_path / "*" / "run" / "log.jsonl"), str(tmp_path / "downstream.csv"),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'run'" in err
+    assert str(tmp_path / "a" / "run" / "log.jsonl") in err and str(tmp_path / "b" / "run" / "log.jsonl") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(["run3", "auroc", "0.5", "true"], "data rows 4 and 6 both give run 'run3' metric 'auroc'"),
+     (["run3", "auroc", "", "true"], "data rows 4 and 6 both give run 'run3' metric 'auroc'"),
+     (["run5", "auroc", "0.5", "false"], "data rows 1 and 6 disagree on higher_is_better for metric 'auroc'")],
+    ids=["repeated-row", "repeated-empty-row", "sign-differs"],
+)
+def test_correlate_rows_that_would_overwrite_each_other_exit_2(tmp_path, capsys, row, message):
+    write_correlate_inputs(tmp_path)
+    with open(tmp_path / "downstream.csv", "a", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(row)
+    out = tmp_path / "c.csv"
+    code = main(["correlate", str(tmp_path / "run*" / "log.jsonl"), str(tmp_path / "downstream.csv"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "downstream.csv" in err
+    assert not out.exists()
 
 
 def test_correlate_metric_missing_from_one_run_uses_the_others(tmp_path):

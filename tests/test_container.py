@@ -38,10 +38,26 @@ def test_round_trip_is_bit_exact_and_rewrites_byte_identical(tmp_path):
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
-def test_float64_records_are_stored_as_float32(tmp_path):
+def test_float64_records_keep_their_bits_and_only_they_name_a_dtype(tmp_path):
     path = tmp_path / "a.bin"
-    container.write(path, {"note": ""}, {"w": np.array([1 / 3, 2.0])})
-    assert container.read(path, FIELDS)[1]["w"].tobytes() == np.array([1 / 3, 2.0], dtype="<f4").tobytes()
+    w = np.array([1 / 3, 2.0])
+    container.write(path, {"note": ""}, {"w": w, "v": w.astype(np.float32), "i": np.arange(2)})
+    raw = path.read_bytes()
+    assert json.loads(raw[slice(*header_span(raw))])["records"] == [
+        {"dtype": "float64", "name": "w", "shape": [2]}, {"name": "v", "shape": [2]}, {"name": "i", "shape": [2]},
+    ]
+    loaded = container.read(path, FIELDS)[1]
+    assert loaded["w"].dtype == np.float64 and loaded["w"].tobytes() == w.tobytes()
+    assert loaded["v"].dtype == np.float32 and loaded["v"].tobytes() == w.astype("<f4").tobytes()
+    assert loaded["i"].dtype == np.float32 and loaded["i"].tobytes() == np.arange(2, dtype="<f4").tobytes()
+
+
+def test_a_float32_record_named_float64_is_truncated(tmp_path):
+    path = tmp_path / "a.bin"
+    container.write(path, {"note": "x"}, {"w": np.ones((2, 3), dtype=np.float32)})
+    edit_header(path, lambda header: header["records"][0].update(dtype="float64"))
+    with pytest.raises(CorruptFile, match="truncated record 'w'"):
+        container.read(path, FIELDS)
 
 
 def test_truncated_at_every_offset_or_with_a_byte_appended_raises(tmp_path):
@@ -77,9 +93,11 @@ def test_a_shape_beyond_the_file_raises_before_allocating(tmp_path, shape):
         (lambda raw: raw.replace(b"[2,3]", b"[2,-3]"), "records[0]: shape [2, -3] is not a list of sizes"),
         (lambda raw: raw.replace(b"[2,3]", b"[2,true]"), "is not a list of sizes"),
         (lambda raw: raw.replace(b"[2,3]", b"[" + b"1," * 64 + b"6]"), "maximum supported dimension"),
+        (lambda raw: raw.replace(b'"name":"w"', b'"dtype":64,"name":"w"'), "records[0]: 'dtype' must be a string"),
+        (lambda raw: raw.replace(b'"name":"w"', b'"dtype":"float32","name":"w"'), "dtype 'float32' is not 'float64'"),
     ],
     ids=["truncated", "not-utf8", "nested-too-deep", "not-an-object", "retyped", "missing-key", "unknown-key",
-         "nameless-record", "negative-size", "boolean-size", "too-many-dimensions"],
+         "nameless-record", "negative-size", "boolean-size", "too-many-dimensions", "numeric-dtype", "float32-dtype"],
 )
 def test_a_damaged_header_raises(tmp_path, edit, message):
     path = tmp_path / "a.bin"

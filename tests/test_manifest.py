@@ -17,6 +17,7 @@ from minifp.manifest import (
     parse_config_text,
     read_downstream_labels,
     read_exclusion_set,
+    read_molecules,
 )
 
 from .test_cli import write_dataset
@@ -64,6 +65,19 @@ def test_read_molecules_masks_empty_cells(tmp_path):
     assert set(mask) == {0.0, 1.0}
     for labels in dataset.graph_labels.values():
         assert not labels.values[labels.mask == 0].any()
+
+
+def test_an_empty_id_cell_falls_back_to_the_smiles_normal_form(tmp_path):
+    path = write_dataset(tmp_path, smiles=["CCO", "C2CC2", " C C N "])
+    csv_path = tmp_path / "molecules.csv"
+    header, *rows = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([header, rows[0]] + ["," + row.split(",", 1)[1] for row in rows[1:]]) + "\n")
+    manifest = load_manifest(path)
+    molecules, _ = read_molecules(manifest)
+    assert [mol.molecule_id for mol in molecules] == ["mol0", "C1CC1", "CCN"]
+    # Two empty cells are two molecules, not one repeated id ''.
+    dataset, _, _, _ = build_pretrain_dataset(manifest, k_pe=2, rw_steps=3)
+    assert len(dataset) == 3
 
 
 #: Number texts float() reads, texts it reads as non-finite, and texts it rejects.
@@ -170,7 +184,6 @@ def test_config_defaults_match_pipeline_constants(tmp_path, monkeypatch):
         raise _Stop
 
     monkeypatch.setattr(cli, "build_model", stop)
-    monkeypatch.delenv("MINIFP_SEED", raising=False)
     manifest = write_dataset(tmp_path)
     per_backbone = {
         "gcn": ("704", "704", "704", "pooled"),

@@ -305,6 +305,7 @@ class InterruptingArray:
 
     def __init__(self, shape):
         self.shape = tuple(shape)
+        self.dtype = np.dtype(np.float32)
 
     def __array__(self, dtype=None, copy=None):
         raise KeyboardInterrupt
