@@ -184,26 +184,26 @@ def test_pretrain_rerun_identical_outputs(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "command, outputs",
-    [("pretrain", ["run_config.txt", "split.json", "log.jsonl", "best.ckpt"]),
-     ("downstream", ["chosen_config.json", "ensemble.csv", "summary.csv"])],
-    ids=["pretrain", "downstream"],
-)
-def test_a_seed_in_the_environment_changes_no_output(tmp_path, monkeypatch, command, outputs):
+_OUTPUTS = {"pretrain": ["run_config.txt", "split.json", "log.jsonl", "best.ckpt"],
+            "downstream": ["chosen_config.json", "ensemble.csv", "summary.csv"]}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "downstream"])
+@pytest.mark.parametrize("value", ["99", "abc"])
+def test_a_seed_in_the_environment_changes_no_output(tmp_path, monkeypatch, command, value):
     """Only ``--seed`` and a pretrain config's ``seed`` set the seed; MINIFP_SEED is read nowhere."""
     if command == "pretrain":
         argv = ["pretrain", str(write_dataset(tmp_path)), "--backbone", "gcn",
                 "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
     else:
         argv = _downstream_args(tmp_path)
+    outputs = _OUTPUTS[command]
     assert main(argv) == 0
     expected = {name: (tmp_path / "out" / name).read_bytes() for name in outputs}
-    for value in ("99", "abc"):
-        monkeypatch.setenv("MINIFP_SEED", value)
-        shutil.rmtree(tmp_path / "out")
-        assert main(argv) == 0
-        assert {name: (tmp_path / "out" / name).read_bytes() for name in outputs} == expected, value
+    monkeypatch.setenv("MINIFP_SEED", value)
+    shutil.rmtree(tmp_path / "out")
+    assert main(argv) == 0
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in outputs} == expected
 
 
 def test_heavy_atom_filter_and_exclusion(tmp_path, monkeypatch):
